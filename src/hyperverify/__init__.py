@@ -39,7 +39,6 @@ from .identities import (
     COEFF_TABLE,
     IdentityCase,
     VerificationRecord,
-    absval,
     beta_integral_pipeline,
     beta_moment,
     bracket,
@@ -57,7 +56,7 @@ from .identities import (
     theorem_rhs,
     verify_theorem,
 )
-from .series import TruncatedSeries, binomial_series, compose, mobius_arg
+from .series import TruncatedSeries, binomial_series
 
 __version__ = "0.1.0"
 
@@ -77,14 +76,12 @@ __all__ = [
     "VerificationError",
     "VerificationRecord",
     "WeightedSumSpec",
-    "absval",
     "beta_integral_pipeline",
     "beta_moment",
     "binomial_series",
     "bracket",
     "coeff_A",
     "coeff_B",
-    "compose",
     "corollary_rhs",
     "eval_terminating",
     "eval_terminating_direct",
@@ -97,7 +94,6 @@ __all__ = [
     "is_nonpositive_integer",
     "kummer_lhs_series",
     "kummer_rhs_series",
-    "mobius_arg",
     "odd_prefactor",
     "pochhammer",
     "pochhammer_duplication",

@@ -8,7 +8,9 @@ of --jobs.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -178,26 +180,26 @@ def _exit_code(summary: dict) -> int:
     return 0 if summary["failed"] == 0 and summary["errored"] == 0 else 1
 
 
+@contextlib.contextmanager
+def _mapper(jobs: int):
+    """An order-preserving map over `jobs` worker processes, at most one per
+    CPU; the builtin map when that leaves a single worker."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, items: pool.map(fn, items, chunksize=16)
+
+
 def _sweep(config: SweepConfig, jobs: int) -> list:
     checks = tuple(_CHECK_FOR_CONFIG[c] for c in config.checks)
     argument = 2 if config.theorem_argument == "two" else 1
-    kwargs = dict(
-        series_order=config.series_order,
-        theorem_argument=argument,
-    )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            def mapper(fn, items):
-                return pool.map(fn, items, chunksize=16)
-
-            records = grid_sweep(
-                config.j_set, config.a_set, config.b_set, config.d_set,
-                config.e_set, checks, mapper=mapper, **kwargs,
-            )
-    else:
+    with _mapper(jobs) as mapper:
         records = grid_sweep(
             config.j_set, config.a_set, config.b_set, config.d_set,
-            config.e_set, checks, **kwargs,
+            config.e_set, checks, series_order=config.series_order,
+            theorem_argument=argument, mapper=mapper,
         )
     return sorted(records, key=_sort_key)
 
@@ -237,36 +239,26 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
     return _exit_code(summary)
 
 
+_SUMMARY_LINE = (
+    "{name:<12} records={n:<5} passed={passed:<5} failed={failed:<4} "
+    "errored={errored:<4} skipped={skipped}"
+)
+
+
 def selftest(jobs: int = 1) -> int:
     """Run the canonical suites with no config; print one line per suite."""
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0
-    for suite in ALL_SUITES:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                def mapper(fn, items):
-                    return pool.map(fn, items, chunksize=16)
-
-                records = suite.run(mapper=mapper)
-        else:
-            records = suite.run()
-        summary = _summary(records)
-        count += len(records)
-        for key in totals:
-            totals[key] += summary[key]
-        print(
-            "{name:<12} records={n:<5} passed={passed:<5} failed={failed:<4} "
-            "errored={errored:<4} skipped={skipped}".format(
-                name=suite.name, n=len(records), **summary
-            )
-        )
+    with _mapper(jobs) as mapper:
+        for suite in ALL_SUITES:
+            records = suite.run(mapper=mapper)
+            summary = _summary(records)
+            count += len(records)
+            for key in totals:
+                totals[key] += summary[key]
+            print(_SUMMARY_LINE.format(name=suite.name, n=len(records), **summary))
     code = _exit_code(totals)
-    print(
-        "{name:<12} records={n:<5} passed={passed:<5} failed={failed:<4} "
-        "errored={errored:<4} skipped={skipped}".format(
-            name="total", n=count, **totals
-        )
-    )
+    print(_SUMMARY_LINE.format(name="total", n=count, **totals))
     print(f"selftest: {'PASS' if code == 0 else 'FAIL'}")
     return code
 

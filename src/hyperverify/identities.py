@@ -24,6 +24,7 @@ Every checker returns exact rationals (or exact coefficient tuples) and
 compares with zero tolerance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .hyper import (
     weighted_series,
     weighted_termination,
 )
-from .series import TruncatedSeries, binomial_series, compose, mobius_arg
+from .series import TruncatedSeries, _common_denominator, binomial_series
 
 HALF = Fraction(1, 2)
 
@@ -57,10 +58,6 @@ HALF = Fraction(1, 2)
 def bracket(x) -> int:
     """Greatest integer not exceeding x (used on half-integer shifts)."""
     return math.floor(Fraction(x))
-
-
-def absval(x):
-    return abs(x)
 
 
 # Weight table for the even (A) and odd (B) series parts, exactly as
@@ -154,11 +151,23 @@ def _poly_from_samples(samples) -> tuple:
     return tuple(coeffs)
 
 
-def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
+def _memoized(memo, key, compute, *args):
+    """compute(*args), kept in memo under key when a memo dict is given."""
+    if memo is None:
+        return compute(*args)
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _weight_poly(j: int, b: Fraction, part: int, memo=None) -> tuple:
     """The table entry at fixed b as a polynomial in n (degree <= 2;
-    six samples keep the interpolation exact with room to spare)."""
+    six samples keep the interpolation exact with room to spare).  Memoized
+    on the row function itself, so a swapped table row is seen."""
     fn = _table_row(j)[part]
-    return _poly_from_samples([fn(b, n) for n in range(6)])
+    return _memoized(
+        memo, (fn, b), lambda: _poly_from_samples([fn(b, n) for n in range(6)])
+    )
 
 
 def even_prefactor(j: int, b) -> Fraction:
@@ -189,10 +198,17 @@ def odd_prefactor(j: int, b) -> Fraction:
     )
 
 
-def _even_spec(j, a, b, extra_num=(), extra_den=()):
+def _prefactor(part: int, j: int, b: Fraction, memo=None) -> Fraction:
+    """even_prefactor (part 0) or odd_prefactor (part 1), memoized on (j, b)."""
+    return _memoized(
+        memo, (part, j, b), odd_prefactor if part else even_prefactor, j, b
+    )
+
+
+def _even_spec(j, a, b, memo=None, extra_num=(), extra_den=()):
     a, b = Fraction(a), Fraction(b)
     return WeightedSumSpec(
-        weight=_weight_poly(j, b, 0),
+        weight=_weight_poly(j, b, 0, memo),
         numerators=(a, a + HALF, b + bracket(Fraction(j + 1, 2))) + tuple(extra_num),
         denominators=(b + Fraction(j, 2), b + Fraction(j, 2) + HALF)
         + tuple(extra_den),
@@ -201,10 +217,10 @@ def _even_spec(j, a, b, extra_num=(), extra_den=()):
     )
 
 
-def _odd_spec(j, a, b, extra_num=(), extra_den=()):
+def _odd_spec(j, a, b, memo=None, extra_num=(), extra_den=()):
     a, b = Fraction(a), Fraction(b)
     return WeightedSumSpec(
-        weight=_weight_poly(j, b, 1),
+        weight=_weight_poly(j, b, 1, memo),
         numerators=(a + HALF, a + 1, b + 1 + bracket(Fraction(j, 2)))
         + tuple(extra_num),
         denominators=(b + Fraction(j, 2) + HALF, b + Fraction(j, 2) + 1)
@@ -225,32 +241,48 @@ def _even_embed(half: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
-    """(1-x)**(-2a) * 2F1(2a, b; 2b+j; -2x/(1-x)) expanded to the given order."""
+    """(1-x)**(-2a) * 2F1(2a, b; 2b+j; -2x/(1-x)) expanded to the given order.
+
+    The substitution w = -2x/(1-x) is applied in closed form: for k >= 1,
+    [x**n] w**k = (-2)**k C(n-1, k-1), so [x**n] F(w) is c_0 at n = 0 and
+    sum_{k=1..n} c_k (-2)**k C(n-1, k-1) after, an O(N**2) integer sum over
+    the common denominator of the c_k.
+    """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
     core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
-    return binomial_series(2 * a, order) * compose(core, mobius_arg(order))
+    c, den = _common_denominator(core.coefficients)
+    c = [ck * (-2) ** k for k, ck in enumerate(c)]
+    substituted = [c[0]] + [
+        sum(c[k] * math.comb(n - 1, k - 1) for k in range(1, n + 1))
+        for n in range(1, order + 1)
+    ]
+    return binomial_series(2 * a, order) * TruncatedSeries(
+        tuple(Fraction(x, den) for x in substituted)
+    )
 
 
 _ZERO_POLY = (Fraction(0),)
 
 
-def gen_transform_rhs_series(j: int, a, b, order: int) -> TruncatedSeries:
+def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSeries:
     """Weighted even/odd pair for shift j, expanded to the given order.
 
     The even part is scaled by its Gamma prefactor; the odd part by its
     Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
     when it vanishes identically (weight zero, as at j = 0, or a = 0),
-    so no Gamma poles are touched for dead terms.
+    so no Gamma poles are touched for dead terms.  `memo`, a dict, keeps
+    the (j, b) weights and prefactors for later calls that pass it too.
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
-    total = weighted_series(_even_spec(j, a, b), order).scale(even_prefactor(j, b))
-    odd = _odd_spec(j, a, b)
+    even = weighted_series(_even_spec(j, a, b, memo), order)
+    total = even.scale(_prefactor(0, j, b, memo))
+    odd = _odd_spec(j, a, b, memo)
     if a != 0 and odd.weight != _ZERO_POLY:
         if 2 * b + j == 0:
             raise DenominatorPoleBeforeTermination(2 * b + j)
-        c_odd = Fraction(2) * a / (2 * b + j) * odd_prefactor(j, b)
+        c_odd = Fraction(2) * a / (2 * b + j) * _prefactor(1, j, b, memo)
         total = total + weighted_series(odd, order).scale(c_odd)
     return total
 
@@ -313,13 +345,14 @@ def theorem_lhs(case: IdentityCase, argument=2) -> Fraction:
     return prefactor * eval_terminating(f32)
 
 
-def theorem_rhs(case: IdentityCase) -> Fraction:
+def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     """Weighted even/odd pair decorated with the half-shifted d/e ratios.
 
     Summation bounds come from the first vanishing numerator Pochhammer of
     each part, never from convergence reasoning: on the a branch the even
     part stops at -a and the odd part at -a - 1; on the d branch both stop
-    around floor(-d/2), depending on parity.
+    around floor(-d/2), depending on parity.  `memo` is as in
+    gen_transform_rhs_series.
     """
     _table_row(case.j)
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
@@ -328,15 +361,17 @@ def theorem_rhs(case: IdentityCase) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
 
-    even = _even_spec(j, a, b, (d / 2, d / 2 + HALF), (e / 2, e / 2 + HALF))
+    even = _even_spec(j, a, b, memo, (d / 2, d / 2 + HALF), (e / 2, e / 2 + HALF))
     stop = weighted_termination(even)
-    total = even_prefactor(j, b) * eval_weighted_sum(even, stop)
+    total = _prefactor(0, j, b, memo) * eval_weighted_sum(even, stop)
 
-    odd = _odd_spec(j, a, b, (d / 2 + HALF, d / 2 + 1), (e / 2 + HALF, e / 2 + 1))
+    odd = _odd_spec(
+        j, a, b, memo, (d / 2 + HALF, d / 2 + 1), (e / 2 + HALF, e / 2 + 1)
+    )
     if a != 0 and d != 0 and odd.weight != _ZERO_POLY:
         if 2 * b + j == 0:
             raise DenominatorPoleBeforeTermination(2 * b + j)
-        c_odd = Fraction(2) * a / (2 * b + j) * (d / e) * odd_prefactor(j, b)
+        c_odd = Fraction(2) * a / (2 * b + j) * (d / e) * _prefactor(1, j, b, memo)
         total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
     return total
 
@@ -496,7 +531,7 @@ def _error_tag(err: Exception) -> str:
     return f"Unexpected {type(err).__name__}: {err}"
 
 
-def verify_theorem(case: IdentityCase, argument=2) -> VerificationRecord:
+def verify_theorem(case: IdentityCase, argument=2, memo=None) -> VerificationRecord:
     """Evaluate both sides of the summation identity; never raises."""
     base = dict(
         check="theorem", j=case.j, a=case.a, b=case.b, d=case.d, e=case.e,
@@ -508,7 +543,7 @@ def verify_theorem(case: IdentityCase, argument=2) -> VerificationRecord:
         # The weighted side runs the Gamma-prefactor simplification, so it
         # goes first: pole exclusions then surface with the offending
         # argument named instead of as a generic lower-parameter failure.
-        rhs = theorem_rhs(case)
+        rhs = theorem_rhs(case, memo)
         lhs = theorem_lhs(case, argument)
     except Exception as err:  # noqa: BLE001 - must embed, never panic
         return VerificationRecord(error=_error_tag(err), **base)
@@ -518,7 +553,7 @@ def verify_theorem(case: IdentityCase, argument=2) -> VerificationRecord:
 CHECK_NAMES = ("kummer", "transform", "theorem", "corollary", "pipeline")
 
 
-def _evaluate_case(job) -> VerificationRecord:
+def _evaluate_case(job, memo=None) -> VerificationRecord:
     """Worker for one grid point; top level so process pools can import it."""
     check, j, a, b, d, e, order, argument = job
     base = dict(check=check, j=j, a=a, b=b, d=d, e=e)
@@ -532,7 +567,7 @@ def _evaluate_case(job) -> VerificationRecord:
             )
         if check == "transform":
             lhs = gen_transform_lhs_series(j, a, b, order)
-            rhs = gen_transform_rhs_series(j, a, b, order)
+            rhs = gen_transform_rhs_series(j, a, b, order, memo)
             return VerificationRecord(
                 lhs=lhs.coefficients, rhs=rhs.coefficients,
                 equal=lhs == rhs, **base,
@@ -540,7 +575,7 @@ def _evaluate_case(job) -> VerificationRecord:
         case = IdentityCase(j, a, b, d, e)
         base["branch"] = case.branch
         if check == "theorem":
-            return verify_theorem(case, argument)
+            return verify_theorem(case, argument, memo)
         if check == "corollary":
             lhs = theorem_lhs(case, argument=2)
             rhs = corollary_rhs(case)
@@ -573,6 +608,8 @@ def grid_sweep(
     only depends on (a, b) and the transform check on (j, a, b); those
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
+    The (j, b) weights and prefactors are memoized for this sweep only (a
+    process pool gets an empty copy of the memo with each chunk of jobs).
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -598,4 +635,4 @@ def grid_sweep(
                 for j in j_set for a in a_set for b in b_set
                 for d in d_set for e in e_set
             ]
-    return list(mapper(_evaluate_case, jobs))
+    return list(mapper(functools.partial(_evaluate_case, memo={}), jobs))

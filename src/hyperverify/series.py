@@ -7,10 +7,10 @@ operand order, which is the honest amount of shared information; nothing
 is combined or compared beyond it.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import NonzeroConstantTerm
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,16 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
+        # An integer convolution of the numerators over each operand's
+        # common denominator, then one Fraction per output coefficient.
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coefficients[: n + 1]):
-            if ci == 0:
-                continue
-            for k in range(n - i + 1):
-                ck = other.coefficients[k]
-                if ck:
-                    out[i + k] += ci * ck
-        return TruncatedSeries(tuple(out))
+        p, p_den = _common_denominator(self.coefficients[: n + 1])
+        q, q_den = _common_denominator(other.coefficients[: n + 1])
+        den = p_den * q_den
+        return TruncatedSeries(tuple(
+            Fraction(sum(map(operator.mul, p, q[m::-1])), den)
+            for m in range(n + 1)
+        ))
 
     __rmul__ = __mul__
 
@@ -76,25 +76,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.coefficients[: order + 1])
 
 
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)) truncated at the common order.
-
-    Requires inner(0) = 0, otherwise every outer coefficient would feed
-    every output coefficient and truncation would be meaningless.  Computed
-    by Horner accumulation over the outer coefficients.
-    """
-    if inner[0] != 0:
-        raise NonzeroConstantTerm(
-            f"inner series has constant term {inner[0]}, expected 0"
-        )
-    n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = TruncatedSeries.constant(0, n)
-    for c in reversed(outer.coefficients[: n + 1]):
-        acc = acc * inner + TruncatedSeries.constant(c, n)
-    return acc
-
-
 def binomial_series(alpha, order: int) -> TruncatedSeries:
     """Expansion of (1 - x)**(-alpha): coefficient n is (alpha)_n / n!."""
     alpha = Fraction(alpha)
@@ -104,6 +85,8 @@ def binomial_series(alpha, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def mobius_arg(order: int) -> TruncatedSeries:
-    """The substitution argument -2x/(1 - x) as a series: 0, then -2 forever."""
-    return TruncatedSeries((Fraction(0),) + (Fraction(-2),) * order)
+def _common_denominator(coeffs) -> tuple:
+    """(numerators, d): integers with coeffs[k] == numerators[k] / d, for the
+    least common denominator d."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den

@@ -252,6 +252,44 @@ def test_selftest_parallel_matches_serial(monkeypatch, capsys):
     assert out_serial == out_parallel
 
 
+def test_one_pool_per_invocation_clamped_to_cpu_count(
+    monkeypatch, tmp_path, capsys
+):
+    # A stub pool records how it is built and maps in process, so no
+    # worker process is started.
+    from hyperverify.suites import Suite
+
+    started = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    tiny = Suite(name="tiny", checks=("kummer",), a_set=(F(-1),),
+                 b_set=(F(1, 3),), series_order=4)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(cli, "ALL_SUITES", (tiny, tiny, tiny))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli.selftest(jobs=8) == 0
+    assert started == [3]
+    cfg = write_config(tmp_path, CANONICAL_CONFIG)
+    assert invoke(["run", "--config", cfg, "--jobs", "2"], capsys)[0] == 0
+    assert started == [3, 2]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli.selftest(jobs=8) == 0
+    assert started == [3, 2]  # a single CPU runs in process, without a pool
+
+
 def test_selftest_rejects_bad_jobs(capsys):
     code, _, _ = invoke(["selftest", "--jobs", "0"], capsys)
     assert code == 2

@@ -6,13 +6,15 @@ import pytest
 
 from hyperverify import (
     COEFF_TABLE,
+    DenominatorPoleBeforeTermination,
+    HyperSpec,
     IdentityCase,
     InvalidCase,
     PoleError,
     UnsupportedJ,
-    absval,
     beta_integral_pipeline,
     beta_moment,
+    binomial_series,
     bracket,
     coeff_A,
     coeff_B,
@@ -24,11 +26,14 @@ from hyperverify import (
     kummer_lhs_series,
     kummer_rhs_series,
     odd_prefactor,
+    series_in_z,
     theorem_lhs,
     theorem_rhs,
     verify_theorem,
 )
+from hyperverify import identities
 from hyperverify.identities import _weight_poly
+from series_oracle import compose, mobius_arg
 
 
 class TestBracket:
@@ -41,10 +46,6 @@ class TestBracket:
     def test_negative_halves(self):
         assert bracket(F(-5, 2)) == -3
         assert bracket(F(-3, 2)) == -2
-
-    def test_absval(self):
-        assert absval(-5) == 5
-        assert absval(F(-2, 3)) == F(2, 3)
 
 
 class TestWeightTable:
@@ -141,6 +142,27 @@ class TestGenTransform:
     def test_unsupported_shift(self):
         with pytest.raises(UnsupportedJ):
             gen_transform_rhs_series(6, F(1, 4), F(1, 3), 4)
+
+    @pytest.mark.parametrize("j", sorted(COEFF_TABLE))
+    def test_left_side_matches_horner_composition(self, j):
+        # The closed-form substitution against the direct expansion, Horner
+        # composition at order 24.  Truncation is exact, so the oracle's
+        # prefix of length n + 1 is the order-n left side for every n.
+        order = 24
+        for a in (F(1, 4), F(-2)):
+            for b in (F(1, 3), F(2, 7), F(-1), F(3)):
+                try:
+                    core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
+                except DenominatorPoleBeforeTermination:
+                    with pytest.raises(DenominatorPoleBeforeTermination):
+                        gen_transform_lhs_series(j, a, b, order)
+                    continue
+                oracle = binomial_series(2 * a, order) * compose(
+                    core, mobius_arg(order)
+                )
+                for n in range(order + 1):
+                    assert gen_transform_lhs_series(j, a, b, n) == \
+                        oracle.truncate(n)
 
     def test_parity_split(self):
         # even coefficients come only from the even part, odd only from the
@@ -295,6 +317,38 @@ class TestGridSweep:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             grid_sweep((), (), (), (), (), ("bogus",))
+
+    def test_memo_lives_for_one_sweep(self, monkeypatch):
+        # Count Gamma reductions and the calls into one table row over two
+        # identical sweeps: equal counts mean no memo outlives its sweep,
+        # and the counts themselves show each (j, b) is worked once.
+        calls = {"gamma": 0, "row": 0}
+        gamma_simplify = identities.gamma_simplify
+        row = COEFF_TABLE[3]
+
+        def counted_gamma(product):
+            calls["gamma"] += 1
+            return gamma_simplify(product)
+
+        def counted_row(b, n):
+            calls["row"] += 1
+            return row[0](b, n)
+
+        monkeypatch.setattr(identities, "gamma_simplify", counted_gamma)
+        monkeypatch.setitem(COEFF_TABLE, 3, (counted_row, row[1]))
+        seen = []
+        for _ in range(2):
+            calls.update(gamma=0, row=0)
+            records = grid_sweep(
+                (3,), (-1, -2), (F(1, 3), F(2, 5)), (F(1, 2), 1), (4,),
+                ("theorem", "transform"),
+            )
+            assert all(r.equal for r in records)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        # 8 theorem left sides, plus even and odd prefactors for 2 values of b
+        assert seen[0]["gamma"] == 8 + 2 * 2
+        assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
 
     def test_series_records_carry_coefficient_tuples(self):
         rec = grid_sweep((), (-1,), (1,), (), (), ("kummer",), series_order=4)[0]

@@ -11,7 +11,6 @@ from hyperverify import (
     HyperSpec,
     TruncatedSeries,
     binomial_series,
-    compose,
     eval_terminating,
     eval_terminating_direct,
     gamma_simplify,
@@ -24,6 +23,7 @@ from hyperverify import (
     pochhammer_duplication,
     series_in_z,
 )
+from series_oracle import compose
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -80,6 +80,26 @@ def test_series_ring_axioms(f, g, h):
     assert ((f * g) * h).coefficients == (f * (g * h)).coefficients
     assert (f * (g + h)).coefficients == (f * g + f * h).coefficients
     assert ((f + g) + h).coefficients == (f + (g + h)).coefficients
+
+
+# zero, integer and proper-fraction coefficients, so the product's common
+# denominators range from 1 up
+mixed_coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+)
+
+
+@given(st.lists(mixed_coefficients, min_size=1, max_size=14),
+       st.lists(mixed_coefficients, min_size=1, max_size=14))
+def test_series_product_is_the_cauchy_product(f, g):
+    n = min(len(f), len(g)) - 1  # unequal orders truncate to the smaller
+    cauchy = tuple(
+        sum((f[i] * g[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)
+    )
+    product = TruncatedSeries(tuple(f)) * TruncatedSeries(tuple(g))
+    assert product.coefficients == cauchy
 
 
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=10),

@@ -1,4 +1,5 @@
-"""Truncated series arithmetic, composition, and the stock expansions."""
+"""Truncated series arithmetic, the stock expansions, and the composition
+oracle in series_oracle.py."""
 
 import random
 from fractions import Fraction as F
@@ -9,10 +10,9 @@ from hyperverify import (
     NonzeroConstantTerm,
     TruncatedSeries,
     binomial_series,
-    compose,
-    mobius_arg,
     pochhammer,
 )
+from series_oracle import compose, mobius_arg
 
 
 def S(*coeffs):
