@@ -11,7 +11,6 @@ from .errors import (
     DenominatorPoleBeforeTermination,
     InvalidCase,
     NonTerminatingSeries,
-    NonzeroConstantTerm,
     PoleError,
     TranscendentalResidue,
     UnsupportedJ,
@@ -68,7 +67,6 @@ __all__ = [
     "IdentityCase",
     "InvalidCase",
     "NonTerminatingSeries",
-    "NonzeroConstantTerm",
     "PoleError",
     "TranscendentalResidue",
     "TruncatedSeries",

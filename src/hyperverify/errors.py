@@ -32,10 +32,6 @@ class TranscendentalResidue(VerificationError):
         super().__init__(f"Gamma({self.argument}) does not reduce to a rational")
 
 
-class NonzeroConstantTerm(VerificationError):
-    """Series substitution needs an inner series that vanishes at the origin."""
-
-
 class DenominatorPoleBeforeTermination(VerificationError):
     """A lower Pochhammer factor vanishes while terms are still nonzero."""
 

@@ -15,8 +15,9 @@ from .errors import PoleError, TranscendentalResidue
 
 def is_nonpositive_integer(q) -> bool:
     """True when q is an integer <= 0 (the Gamma poles and series stoppers)."""
-    q = Fraction(q)
-    return q.denominator == 1 and q <= 0
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.denominator == 1 and q.numerator <= 0
 
 
 def pochhammer(a, n: int) -> Fraction:
@@ -24,10 +25,8 @@ def pochhammer(a, n: int) -> Fraction:
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
     a = Fraction(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(p + k * q for k in range(n)), q**n)
 
 
 def pochhammer_duplication(d, n: int) -> Fraction:

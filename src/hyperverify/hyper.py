@@ -3,8 +3,8 @@
 Covers term generation, termination detection, exact evaluation of
 terminating instances, expansion as a series in the argument, and weighted
 sums whose terms carry a polynomial-in-n coefficient on top of the usual
-Pochhammer quotient.  Terms are produced iteratively from term ratios
-(O(M) big-rational work); a recompute-from-scratch path is kept for
+Pochhammer quotient.  All of them walk one integer term-ratio iterator and
+build one `Fraction` per result; a recompute-from-scratch path is kept for
 cross-checks.
 """
 
@@ -17,7 +17,7 @@ from .errors import (
     NonTerminatingSeries,
 )
 from .exact import is_nonpositive_integer, pochhammer
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _common_denominator
 
 
 def _termination(parameters) -> int | None:
@@ -63,6 +63,64 @@ def termination_index(spec: HyperSpec) -> int | None:
     return _termination(spec.numerators)
 
 
+def _term_ratios(numerators, denominators, argument=Fraction(1)):
+    """Yield (1, 1), the ratio of term 0 to the empty product, then
+    integer pairs (a_n, b_n), n = 0, 1, ..., with a_n / b_n the ratio of
+    term n+1 to term n of prod (num_i)_n / (prod (den_i)_n * n!) * argument**n;
+    nothing is reduced.  Stops when the numerator product vanishes, before
+    any denominator is looked at: later terms are then exactly zero, and a
+    lower parameter is only a genuine pole while terms are still alive.
+    """
+    nums = [(p.numerator, p.denominator) for p in numerators]
+    dens = [(q, q.numerator, q.denominator) for q in denominators]
+    a_const = math.prod(qd for _, _, qd in dens)
+    b_const = argument.denominator * math.prod(pd for _, pd in nums)
+    yield 1, 1
+    n = 0
+    while True:
+        a = a_const * math.prod(pn + n * pd for pn, pd in nums)
+        if a == 0:
+            return
+        b = b_const * (n + 1)
+        for q, qn, qd in dens:
+            factor = qn + n * qd
+            if factor == 0:
+                raise DenominatorPoleBeforeTermination(q, n + 1)
+            b *= factor
+        yield a * argument.numerator, b
+        n += 1
+
+
+def _poly_at(coeffs, n: int):
+    """Horner value at n of the polynomial with ascending coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * n + c
+    return value
+
+
+def _weighted_total(ratios, weight, up_to: int) -> tuple:
+    """(total, den): integers with total / den the sum over n = 0..up_to of
+    weight(n) * term_n, the terms given by the ratios of _term_ratios."""
+    total, num, den = 0, 1, 1
+    for n, (a, b) in zip(range(up_to + 1), ratios):
+        num *= a
+        den *= b
+        total = total * b + _poly_at(weight, n) * num
+    return total, den
+
+
+def _weighted_terms(ratios, weight, den: int, up_to: int) -> list:
+    """weight(n) * term_n / den for n = 0..up_to, as in _weighted_total;
+    the list ends early when the terms die out."""
+    terms, num = [], 1
+    for n, (a, b) in zip(range(up_to + 1), ratios):
+        num *= a
+        den *= b
+        terms.append(Fraction(_poly_at(weight, n) * num, den))
+    return terms
+
+
 def eval_terminating(spec: HyperSpec) -> Fraction:
     """Exact value of a terminating series, by iterated term ratios."""
     stop = termination_index(spec)
@@ -70,19 +128,8 @@ def eval_terminating(spec: HyperSpec) -> Fraction:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer"
         )
-    total = Fraction(0)
-    term = Fraction(1)
-    for n in range(stop + 1):
-        total += term
-        if n == stop:
-            break
-        ratio = spec.argument / (n + 1)
-        for p in spec.numerators:
-            ratio *= p + n
-        for q in spec.denominators:
-            ratio /= q + n
-        term *= ratio
-    return total
+    ratios = _term_ratios(spec.numerators, spec.denominators, spec.argument)
+    return Fraction(*_weighted_total(ratios, (1,), stop))
 
 
 def eval_terminating_direct(spec: HyperSpec, reverse: bool = False) -> Fraction:
@@ -109,17 +156,9 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     quotient over n!.  The stored argument of the spec is ignored."""
     stop = termination_index(spec)
     limit = order if stop is None else min(order, stop)
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    current = Fraction(1)
-    for n in range(limit):
-        ratio = Fraction(1, n + 1)
-        for p in spec.numerators:
-            ratio *= p + n
-        for q in spec.denominators:
-            ratio /= q + n
-        current *= ratio
-        coeffs[n + 1] = current
+    ratios = _term_ratios(spec.numerators, spec.denominators)
+    coeffs = _weighted_terms(ratios, (1,), 1, limit)
+    coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -129,21 +168,19 @@ class WeightedSumSpec:
 
     Term n is
 
-        weight(n) * prod (num_i)_n / (prod (den_i)_n * n!) * z**(stride*n + offset)
+        weight(n) * prod (num_i)_n / (prod (den_i)_n * n!)
 
-    with weight a polynomial in n (ascending coefficients), evaluated per
-    term rather than absorbed into extra Pochhammer parameters, so the
-    absorbed closed forms computed elsewhere stay an independent path.
-    The factorial divisor can be switched off.
+    on degree stride*n + offset of a series, with weight a polynomial in n
+    (ascending coefficients), evaluated per term rather than absorbed into
+    extra Pochhammer parameters, so the absorbed closed forms computed
+    elsewhere stay an independent path.
     """
 
     weight: tuple
     numerators: tuple
     denominators: tuple
-    argument: Fraction = field(default=Fraction(1))
     power_stride: int = 1
     power_offset: int = 0
-    factorial: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "weight", tuple(Fraction(c) for c in self.weight))
@@ -153,13 +190,9 @@ class WeightedSumSpec:
         object.__setattr__(
             self, "denominators", tuple(Fraction(p) for p in self.denominators)
         )
-        object.__setattr__(self, "argument", Fraction(self.argument))
 
     def weight_at(self, n: int) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.weight):
-            value = value * n + c
-        return value
+        return Fraction(_poly_at(self.weight, n))
 
 
 def weighted_termination(spec: WeightedSumSpec) -> int | None:
@@ -167,55 +200,23 @@ def weighted_termination(spec: WeightedSumSpec) -> int | None:
     return _termination(spec.numerators)
 
 
-def _weighted_bases(spec: WeightedSumSpec, up_to: int):
-    """Yield (n, base_n) with base the Pochhammer quotient over n!.
-
-    Numerator vanishing is checked before denominator vanishing: once the
-    upper product dies every later term is exactly zero, and a lower
-    parameter is only a genuine pole when it vanishes while terms are
-    still alive.
-    """
-    base = Fraction(1)
-    for n in range(up_to + 1):
-        yield n, base
-        if n == up_to:
-            break
-        num = Fraction(1)
-        for p in spec.numerators:
-            num *= p + n
-        if num == 0:
-            break
-        for q in spec.denominators:
-            if q + n == 0:
-                raise DenominatorPoleBeforeTermination(q, n + 1)
-            num /= q + n
-        if spec.factorial:
-            num /= n + 1
-        base *= num
-
-
 def eval_weighted_sum(spec: WeightedSumSpec, up_to: int) -> Fraction:
     """Exact finite sum of the weighted terms for n = 0..up_to."""
-    total = Fraction(0)
-    z_offset = spec.argument ** spec.power_offset
-    z_stride = spec.argument ** spec.power_stride
-    power = z_offset
-    for n, base in _weighted_bases(spec, up_to):
-        total += spec.weight_at(n) * base * power
-        power *= z_stride
-    return total
+    weight, w_den = _common_denominator(spec.weight)
+    ratios = _term_ratios(spec.numerators, spec.denominators)
+    total, den = _weighted_total(ratios, weight, up_to)
+    return Fraction(total, den * w_den)
 
 
 def weighted_series(spec: WeightedSumSpec, order: int) -> TruncatedSeries:
-    """The same term family rendered as a series in a formal variable.
-
-    Term n lands on degree stride*n + offset; the stored argument plays no
-    role here.
-    """
+    """The same term family rendered as a series in a formal variable:
+    term n lands on degree stride*n + offset."""
     coeffs = [Fraction(0)] * (order + 1)
     if spec.power_offset > order:
         return TruncatedSeries(tuple(coeffs))
     up_to = (order - spec.power_offset) // spec.power_stride
-    for n, base in _weighted_bases(spec, up_to):
-        coeffs[spec.power_stride * n + spec.power_offset] = spec.weight_at(n) * base
+    weight, w_den = _common_denominator(spec.weight)
+    ratios = _term_ratios(spec.numerators, spec.denominators)
+    for n, c in enumerate(_weighted_terms(ratios, weight, w_den, up_to)):
+        coeffs[spec.power_stride * n + spec.power_offset] = c
     return TruncatedSeries(tuple(coeffs))

@@ -328,16 +328,22 @@ class IdentityCase:
         return None
 
 
-def theorem_lhs(case: IdentityCase, argument=2) -> Fraction:
+def theorem_lhs(case: IdentityCase, argument=2, memo=None) -> Fraction:
     """Prefactor times the terminating 3F2.
 
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
+    `memo`, a dict, keeps the Gamma prefactor of each (a, d, e) for later
+    calls that pass it too.
     """
     _table_row(case.j)
     a, b, d, e = case.a, case.b, case.d, case.e
-    prefactor = gamma_simplify(
-        GammaProduct.ratio((e, e - 2 * a - d), (e - 2 * a, e - d))
+    # the tag keeps this key apart from the (part, j, b) prefactor keys
+    prefactor = _memoized(
+        memo, ("theorem_lhs", a, d, e),
+        lambda: gamma_simplify(
+            GammaProduct.ratio((e, e - 2 * a - d), (e - 2 * a, e - d))
+        ),
     )
     f32 = HyperSpec(
         (2 * a, b, d), (2 * b + case.j, 1 + 2 * a + d - e), Fraction(argument)
@@ -544,7 +550,7 @@ def verify_theorem(case: IdentityCase, argument=2, memo=None) -> VerificationRec
         # goes first: pole exclusions then surface with the offending
         # argument named instead of as a generic lower-parameter failure.
         rhs = theorem_rhs(case, memo)
-        lhs = theorem_lhs(case, argument)
+        lhs = theorem_lhs(case, argument, memo)
     except Exception as err:  # noqa: BLE001 - must embed, never panic
         return VerificationRecord(error=_error_tag(err), **base)
     return VerificationRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs, **base)
@@ -577,14 +583,12 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
         if check == "theorem":
             return verify_theorem(case, argument, memo)
         if check == "corollary":
-            lhs = theorem_lhs(case, argument=2)
+            lhs = theorem_lhs(case, argument=2, memo=memo)
             rhs = corollary_rhs(case)
         elif check == "pipeline":
             lhs, rhs = beta_integral_pipeline(case)
         else:
             raise ValueError(f"unknown check {check!r}")
-    except VerificationError as err:
-        return VerificationRecord(error=_error_tag(err), **base)
     except Exception as err:  # noqa: BLE001 - embed bugs as errored records
         return VerificationRecord(error=_error_tag(err), **base)
     return VerificationRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs, **base)
@@ -608,8 +612,9 @@ def grid_sweep(
     only depends on (a, b) and the transform check on (j, a, b); those
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
-    The (j, b) weights and prefactors are memoized for this sweep only (a
-    process pool gets an empty copy of the memo with each chunk of jobs).
+    The (j, b) weights and prefactors and the (a, d, e) left-side
+    prefactors are memoized for this sweep only (a process pool gets an
+    empty copy of the memo with each chunk of jobs).
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -7,7 +7,11 @@ direct way at small orders.
 
 from fractions import Fraction
 
-from hyperverify import NonzeroConstantTerm, TruncatedSeries
+from hyperverify import TruncatedSeries, VerificationError
+
+
+class NonzeroConstantTerm(VerificationError):
+    """Series substitution needs an inner series that vanishes at the origin."""
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:

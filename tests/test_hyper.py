@@ -178,6 +178,30 @@ class TestWeightedSum:
         spec = WeightedSumSpec(weight=(1,), numerators=(-2,), denominators=(-2,))
         assert eval_weighted_sum(spec, 4) == eval_weighted_sum(spec, 2)
 
+    def test_pole_message_and_earlier_numerator_death(self):
+        # -2 first vanishes in the factor that builds term 3 while (-5)_n
+        # is alive; with -2 upstairs instead the terms die at n = 2 and the
+        # pole at -3 is never reached
+        live = WeightedSumSpec(
+            weight=(F(1, 2), 3), numerators=(-5, F(2, 3)),
+            denominators=(F(1, 2), -2), power_stride=2, power_offset=1,
+        )
+        for evaluate in (eval_weighted_sum, weighted_series):
+            with pytest.raises(
+                DenominatorPoleBeforeTermination,
+                match=r"^denominator parameter -2 vanishes at term 3$",
+            ):
+                evaluate(live, 11)
+        dead = WeightedSumSpec(
+            weight=(F(1, 2), 3), numerators=(-2, F(2, 3)),
+            denominators=(F(1, 2), -3), power_stride=2, power_offset=1,
+        )
+        terms = (F(1, 2), F(28, 9), F(130, 81))
+        assert eval_weighted_sum(dead, 11) == sum(terms) == F(845, 162)
+        assert weighted_series(dead, 11).coefficients == (
+            (0, terms[0], 0, terms[1], 0, terms[2]) + (0,) * 6
+        )
+
     def test_weighted_series_placement(self):
         spec = WeightedSumSpec(
             weight=(1, 1),

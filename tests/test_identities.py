@@ -321,7 +321,8 @@ class TestGridSweep:
     def test_memo_lives_for_one_sweep(self, monkeypatch):
         # Count Gamma reductions and the calls into one table row over two
         # identical sweeps: equal counts mean no memo outlives its sweep,
-        # and the counts themselves show each (j, b) is worked once.
+        # and the counts themselves show each (j, b) and (a, d, e) is worked
+        # once.
         calls = {"gamma": 0, "row": 0}
         gamma_simplify = identities.gamma_simplify
         row = COEFF_TABLE[3]
@@ -346,8 +347,9 @@ class TestGridSweep:
             assert all(r.equal for r in records)
             seen.append(dict(calls))
         assert seen[0] == seen[1]
-        # 8 theorem left sides, plus even and odd prefactors for 2 values of b
-        assert seen[0]["gamma"] == 8 + 2 * 2
+        # 4 distinct (a, d, e) left-side prefactors, plus even and odd
+        # prefactors for 2 values of b
+        assert seen[0]["gamma"] == 4 + 2 * 2
         assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
 
     def test_series_records_carry_coefficient_tuples(self):

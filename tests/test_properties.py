@@ -1,5 +1,6 @@
 """Randomized invariants for the exact kernels."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,9 +11,11 @@ from hyperverify import (
     GammaProduct,
     HyperSpec,
     TruncatedSeries,
+    WeightedSumSpec,
     binomial_series,
     eval_terminating,
     eval_terminating_direct,
+    eval_weighted_sum,
     gamma_simplify,
     gen_transform_lhs_series,
     gen_transform_rhs_series,
@@ -22,12 +25,21 @@ from hyperverify import (
     pochhammer,
     pochhammer_duplication,
     series_in_z,
+    weighted_series,
 )
 from series_oracle import compose
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 safe_bases = rationals.filter(lambda q: not is_nonpositive_integer(q))
+
+
+def rising(a, n):
+    """Plain-Fraction rising factorial, independent of the package."""
+    out = F(1)
+    for k in range(n):
+        out *= a + k
+    return out
 
 
 def series_strategy(max_order=12):
@@ -39,6 +51,11 @@ def series_strategy(max_order=12):
 @given(rationals, st.integers(0, 25), st.integers(0, 25))
 def test_pochhammer_splitting_law(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
+
+
+@given(rationals, st.integers(0, 40))
+def test_pochhammer_is_the_fraction_product(a, n):
+    assert pochhammer(a, n) == rising(a, n)
 
 
 @given(rationals, st.integers(0, 50))
@@ -117,7 +134,9 @@ def test_compose_associativity(f, g, h):
 
 
 @st.composite
-def terminating_specs(draw):
+def terminating_specs(
+    draw, arguments=st.fractions(min_value=-3, max_value=3, max_denominator=5)
+):
     stop = draw(st.integers(0, 8))
     extra_nums = draw(st.lists(rationals, max_size=2))
     dens = draw(
@@ -126,8 +145,7 @@ def terminating_specs(draw):
             max_size=2,
         )
     )
-    z = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
-    return HyperSpec((F(-stop), *extra_nums), tuple(dens), z)
+    return HyperSpec((F(-stop), *extra_nums), tuple(dens), draw(arguments))
 
 
 @given(terminating_specs())
@@ -135,6 +153,11 @@ def test_iterative_and_direct_paths_agree(spec):
     value = eval_terminating(spec)
     assert eval_terminating_direct(spec) == value
     assert eval_terminating_direct(spec, reverse=True) == value
+
+
+@given(terminating_specs(st.sampled_from([F(1), F(2), F(-1, 3), F(0)])))
+def test_terminating_sum_matches_direct_at_the_used_arguments(spec):
+    assert eval_terminating(spec) == eval_terminating_direct(spec)
 
 
 @given(terminating_specs(), st.randoms(use_true_random=False))
@@ -152,6 +175,40 @@ def test_series_coefficients_resum_to_value(spec):
     s = series_in_z(spec, 10)
     total = sum(c * spec.argument ** n for n, c in enumerate(s.coefficients))
     assert total == eval_terminating(spec)
+
+
+@st.composite
+def weighted_specs(draw):
+    # lower parameters never vanish, so no pole; a nonpositive-integer
+    # upper parameter, when drawn, ends the terms early
+    return WeightedSumSpec(
+        weight=tuple(draw(st.lists(rationals, min_size=1, max_size=3))),
+        numerators=tuple(draw(st.lists(rationals, max_size=3))),
+        denominators=tuple(draw(st.lists(safe_bases, max_size=3))),
+        power_stride=2,
+        power_offset=draw(st.integers(0, 1)),
+    )
+
+
+def weighted_term(spec, n):
+    """Term n of a weighted family, rebuilt from scratch in plain Fractions."""
+    term = sum((c * n**k for k, c in enumerate(spec.weight)), F(0))
+    term /= math.factorial(n)
+    for p in spec.numerators:
+        term *= rising(p, n)
+    for q in spec.denominators:
+        term /= rising(q, n)
+    return term
+
+
+@given(weighted_specs(), st.integers(0, 8))
+def test_weighted_sum_and_series_match_per_term_oracle(spec, up_to):
+    terms = [weighted_term(spec, n) for n in range(up_to + 1)]
+    assert eval_weighted_sum(spec, up_to) == sum(terms, F(0))
+    order = 2 * up_to + spec.power_offset
+    expected = [F(0)] * (order + 1)
+    expected[spec.power_offset::2] = terms
+    assert weighted_series(spec, order).coefficients == tuple(expected)
 
 
 # pole-free picks for the transform invariants

@@ -7,12 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from hyperverify import (
-    NonzeroConstantTerm,
     TruncatedSeries,
     binomial_series,
     pochhammer,
 )
-from series_oracle import compose, mobius_arg
+from series_oracle import NonzeroConstantTerm, compose, mobius_arg
 
 
 def S(*coeffs):
