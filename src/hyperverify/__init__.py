@@ -48,7 +48,6 @@ from .identities import (
     gen_transform_lhs_series,
     gen_transform_rhs_series,
     grid_sweep,
-    kummer_lhs_series,
     kummer_rhs_series,
     odd_prefactor,
     theorem_lhs,
@@ -90,7 +89,6 @@ __all__ = [
     "gen_transform_rhs_series",
     "grid_sweep",
     "is_nonpositive_integer",
-    "kummer_lhs_series",
     "kummer_rhs_series",
     "odd_prefactor",
     "pochhammer",

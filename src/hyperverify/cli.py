@@ -19,9 +19,8 @@ from fractions import Fraction
 from .identities import VerificationRecord, coeff_A, coeff_B, grid_sweep
 from .suites import ALL_SUITES
 
-# Config check names; "corollaries" is the config spelling of the
-# "corollary" check.
-CONFIG_CHECKS = ("theorem", "corollaries", "transform", "kummer", "pipeline")
+# Config check name -> grid_sweep check name; "corollaries" is the config
+# spelling of the "corollary" check.
 _CHECK_FOR_CONFIG = {
     "theorem": "theorem",
     "corollaries": "corollary",
@@ -29,6 +28,7 @@ _CHECK_FOR_CONFIG = {
     "kummer": "kummer",
     "pipeline": "pipeline",
 }
+CONFIG_CHECKS = tuple(_CHECK_FOR_CONFIG)
 _CONFIG_FIELDS = (
     "checks", "jSet", "aSet", "bSet", "dSet", "eSet",
     "seriesOrder", "theoremArgument",

@@ -34,10 +34,17 @@ def pochhammer_duplication(d, n: int) -> Fraction:
 
     Computes 4**n * (d/2)_n * ((d+1)/2)_n, which equals pochhammer(d, 2*n)
     identically.  Kept as a separate code path so the half-shift step used
-    by the beta-moment pipeline is exercised on its own.
+    by the beta-moment pipeline is exercised on its own.  With d = p/q the
+    4**n cancels the 2q denominators: prod (p + 2kq)(p + q + 2kq) / q**(2n).
     """
+    if n < 0:
+        raise ValueError("pochhammer length must be nonnegative")
     d = Fraction(d)
-    return Fraction(4) ** n * pochhammer(d / 2, n) * pochhammer((d + 1) / 2, n)
+    p, q = d.numerator, d.denominator
+    return Fraction(
+        math.prod((p + 2 * k * q) * (p + q + 2 * k * q) for k in range(n)),
+        q ** (2 * n),
+    )
 
 
 @dataclass(frozen=True)

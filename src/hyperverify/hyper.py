@@ -17,7 +17,7 @@ from .errors import (
     NonTerminatingSeries,
 )
 from .exact import is_nonpositive_integer, pochhammer
-from .series import TruncatedSeries, _common_denominator
+from .series import TruncatedSeries, _common_denominator, _fractions
 
 
 def _termination(parameters) -> int | None:
@@ -42,13 +42,10 @@ class HyperSpec:
     argument: Fraction = field(default=Fraction(1))
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "numerators", tuple(Fraction(p) for p in self.numerators)
-        )
-        object.__setattr__(
-            self, "denominators", tuple(Fraction(p) for p in self.denominators)
-        )
-        object.__setattr__(self, "argument", Fraction(self.argument))
+        object.__setattr__(self, "numerators", _fractions(self.numerators))
+        object.__setattr__(self, "denominators", _fractions(self.denominators))
+        if type(self.argument) is not Fraction:
+            object.__setattr__(self, "argument", Fraction(self.argument))
         stop = _termination(self.numerators)
         for beta in self.denominators:
             if not is_nonpositive_integer(beta):
@@ -183,16 +180,8 @@ class WeightedSumSpec:
     power_offset: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", tuple(Fraction(c) for c in self.weight))
-        object.__setattr__(
-            self, "numerators", tuple(Fraction(p) for p in self.numerators)
-        )
-        object.__setattr__(
-            self, "denominators", tuple(Fraction(p) for p in self.denominators)
-        )
-
-    def weight_at(self, n: int) -> Fraction:
-        return Fraction(_poly_at(self.weight, n))
+        for name in ("weight", "numerators", "denominators"):
+            object.__setattr__(self, name, _fractions(getattr(self, name)))
 
 
 def weighted_termination(spec: WeightedSumSpec) -> int | None:

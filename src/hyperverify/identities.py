@@ -131,33 +131,37 @@ def _poly_from_samples(samples) -> tuple:
     """Ascending monomial coefficients of the polynomial through
     (0, samples[0]), (1, samples[1]), ... via Newton forward differences.
 
-    Exact for any polynomial of degree < len(samples)."""
-    deltas = []
-    level = [Fraction(s) for s in samples]
-    while level:
-        deltas.append(level[0])
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-    coeffs = [Fraction(0)] * len(deltas)
-    falling = [Fraction(1)]  # coefficients of n(n-1)...(n-k+1), ascending
-    for k, delta in enumerate(deltas):
-        w = delta / math.factorial(k)
+    Exact for any polynomial of degree < len(samples).  The differences run
+    on integers: the samples over their common denominator, each Newton
+    term scaled by (len - 1)! / k! so that one division ends it."""
+    level, den = _common_denominator(samples)
+    top = len(samples) - 1
+    coeffs = [0] * len(samples)
+    falling = [1]  # coefficients of n(n-1)...(n-k+1), ascending
+    for k in range(len(samples)):
+        w = level[0] * (math.factorial(top) // math.factorial(k))
         for i, c in enumerate(falling):
             coeffs[i] += w * c
-        falling = [Fraction(0)] + falling
+        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
+        falling = [0] + falling
         for i in range(len(falling) - 1):
             falling[i] -= k * falling[i + 1]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs)
+    den *= math.factorial(top)
+    return tuple(Fraction(c, den) for c in coeffs)
 
 
 def _memoized(memo, key, compute, *args):
-    """compute(*args), kept in memo under key when a memo dict is given."""
+    """compute(*args), kept in memo under key when a memo dict is given.
+    Keys other than (row, b) and (part, j, b) lead with a string tag, so
+    no two kinds of key can be equal."""
     if memo is None:
         return compute(*args)
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+    value = memo.get(key)  # one hash per hit: Fraction hashing is not cheap
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
 
 
 def _weight_poly(j: int, b: Fraction, part: int, memo=None) -> tuple:
@@ -205,29 +209,43 @@ def _prefactor(part: int, j: int, b: Fraction, memo=None) -> Fraction:
     )
 
 
-def _even_spec(j, a, b, memo=None, extra_num=(), extra_den=()):
-    a, b = Fraction(a), Fraction(b)
+def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
+    """(numerators, denominators) of the even (part 0) or odd (part 1) term
+    family, before any tail the caller appends."""
+    shift = b + Fraction(j, 2)
+    if part:
+        return (a + HALF, a + 1, b + 1 + bracket(Fraction(j, 2))), (
+            shift + HALF, shift + 1)
+    return (a, a + HALF, b + bracket(Fraction(j + 1, 2))), (shift, shift + HALF)
+
+
+def _part_spec(part, j, a, b, memo=None, extra_num=(), extra_den=()):
+    """The even (part 0) or odd (part 1) weighted term family; its (j, a, b)
+    parameters are memoized, so a call only appends the tails."""
+    nums, dens = _memoized(
+        memo, ("part", part, j, a, b), _part_parameters, part, j, a, b
+    )
     return WeightedSumSpec(
-        weight=_weight_poly(j, b, 0, memo),
-        numerators=(a, a + HALF, b + bracket(Fraction(j + 1, 2))) + tuple(extra_num),
-        denominators=(b + Fraction(j, 2), b + Fraction(j, 2) + HALF)
-        + tuple(extra_den),
+        weight=_weight_poly(j, b, part, memo),
+        numerators=nums + extra_num,
+        denominators=dens + extra_den,
         power_stride=2,
-        power_offset=0,
+        power_offset=part,
     )
 
 
-def _odd_spec(j, a, b, memo=None, extra_num=(), extra_den=()):
-    a, b = Fraction(a), Fraction(b)
-    return WeightedSumSpec(
-        weight=_weight_poly(j, b, 1, memo),
-        numerators=(a + HALF, a + 1, b + 1 + bracket(Fraction(j, 2)))
-        + tuple(extra_num),
-        denominators=(b + Fraction(j, 2) + HALF, b + Fraction(j, 2) + 1)
-        + tuple(extra_den),
-        power_stride=2,
-        power_offset=1,
-    )
+def _odd_scale(j: int, a: Fraction, b: Fraction, memo=None) -> Fraction:
+    """2a/(2b+j) times the odd Gamma prefactor; callers memoize it on
+    (j, a, b)."""
+    if 2 * b + j == 0:
+        raise DenominatorPoleBeforeTermination(2 * b + j)
+    return 2 * a / (2 * b + j) * _prefactor(1, j, b, memo)
+
+
+def _halves(x: Fraction) -> tuple:
+    """(x/2, x/2 + 1/2, x/2 + 1), the half-shifted beta-moment parameters."""
+    h = x / 2
+    return h, h + HALF, h + 1
 
 
 def _even_embed(half: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -276,20 +294,13 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
-    even = weighted_series(_even_spec(j, a, b, memo), order)
+    even = weighted_series(_part_spec(0, j, a, b, memo), order)
     total = even.scale(_prefactor(0, j, b, memo))
-    odd = _odd_spec(j, a, b, memo)
+    odd = _part_spec(1, j, a, b, memo)
     if a != 0 and odd.weight != _ZERO_POLY:
-        if 2 * b + j == 0:
-            raise DenominatorPoleBeforeTermination(2 * b + j)
-        c_odd = Fraction(2) * a / (2 * b + j) * _prefactor(1, j, b, memo)
+        c_odd = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
         total = total + weighted_series(odd, order).scale(c_odd)
     return total
-
-
-def kummer_lhs_series(a, b, order: int) -> TruncatedSeries:
-    """Left side of the classical quadratic transformation (the j = 0 shift)."""
-    return gen_transform_lhs_series(0, a, b, order)
 
 
 def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
@@ -316,9 +327,11 @@ class IdentityCase:
 
     def __post_init__(self):
         for name in ("a", "b", "d", "e"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
-    @property
+    @functools.cached_property
     def branch(self) -> str | None:
         """Which hypothesis parameter terminates the identity, if any."""
         if is_nonpositive_integer(self.a):
@@ -338,7 +351,6 @@ def theorem_lhs(case: IdentityCase, argument=2, memo=None) -> Fraction:
     """
     _table_row(case.j)
     a, b, d, e = case.a, case.b, case.d, case.e
-    # the tag keeps this key apart from the (part, j, b) prefactor keys
     prefactor = _memoized(
         memo, ("theorem_lhs", a, d, e),
         lambda: gamma_simplify(
@@ -367,17 +379,16 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
 
-    even = _even_spec(j, a, b, memo, (d / 2, d / 2 + HALF), (e / 2, e / 2 + HALF))
+    half_d = _memoized(memo, ("halves", d), _halves, d)
+    half_e = _memoized(memo, ("halves", e), _halves, e)
+    even = _part_spec(0, j, a, b, memo, half_d[:2], half_e[:2])
     stop = weighted_termination(even)
     total = _prefactor(0, j, b, memo) * eval_weighted_sum(even, stop)
 
-    odd = _odd_spec(
-        j, a, b, memo, (d / 2 + HALF, d / 2 + 1), (e / 2 + HALF, e / 2 + 1)
-    )
+    odd = _part_spec(1, j, a, b, memo, half_d[1:], half_e[1:])
     if a != 0 and d != 0 and odd.weight != _ZERO_POLY:
-        if 2 * b + j == 0:
-            raise DenominatorPoleBeforeTermination(2 * b + j)
-        c_odd = Fraction(2) * a / (2 * b + j) * (d / e) * _prefactor(1, j, b, memo)
+        scale = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
+        c_odd = scale * (d / e)
         total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
     return total
 
@@ -475,7 +486,7 @@ def beta_moment(power: int, d, e) -> Fraction:
     return (d / e) * pochhammer_duplication(d + 1, n) / pochhammer_duplication(e + 1, n)
 
 
-def beta_integral_pipeline(case: IdentityCase) -> tuple:
+def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     """Replay the derivation of the summation identity on one case.
 
     Requires the a branch (so the transformation's left side is an exact
@@ -485,7 +496,7 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
         (moment transform of the left-side polynomial,
          prefactor times the terminating 3F2 at argument 2)
 
-    whose equality is the identity itself.
+    whose equality is the identity itself.  `memo` is as in theorem_lhs.
     """
     _table_row(case.j)
     a, d, e = case.a, case.d, case.e
@@ -495,11 +506,9 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
         raise InvalidCase("pipeline needs d > 0 and e - d > 0")
     degree = -2 * int(a)
     poly = gen_transform_lhs_series(case.j, a, case.b, degree)
-    lhs = sum(
-        (c * beta_moment(p, d, e) for p, c in enumerate(poly.coefficients)),
-        Fraction(0),
-    )
-    return lhs, theorem_lhs(case, argument=2)
+    c, den = _common_denominator(poly.coefficients)
+    lhs = sum(c_p * beta_moment(p, d, e) for p, c_p in enumerate(c)) / den
+    return lhs, theorem_lhs(case, argument=2, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -565,7 +574,7 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
     base = dict(check=check, j=j, a=a, b=b, d=d, e=e)
     try:
         if check == "kummer":
-            lhs = kummer_lhs_series(a, b, order)
+            lhs = gen_transform_lhs_series(0, a, b, order)
             rhs = kummer_rhs_series(a, b, order)
             return VerificationRecord(
                 lhs=lhs.coefficients, rhs=rhs.coefficients,
@@ -586,7 +595,7 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
             lhs = theorem_lhs(case, argument=2, memo=memo)
             rhs = corollary_rhs(case)
         elif check == "pipeline":
-            lhs, rhs = beta_integral_pipeline(case)
+            lhs, rhs = beta_integral_pipeline(case, memo)
         else:
             raise ValueError(f"unknown check {check!r}")
     except Exception as err:  # noqa: BLE001 - embed bugs as errored records
@@ -612,30 +621,35 @@ def grid_sweep(
     only depends on (a, b) and the transform check on (j, a, b); those
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
-    The (j, b) weights and prefactors and the (a, d, e) left-side
-    prefactors are memoized for this sweep only (a process pool gets an
-    empty copy of the memo with each chunk of jobs).
+    The (j, b) weights and prefactors, the (j, a, b) term parameters, the
+    half-shifted d and e, and the (a, d, e) left-side prefactors are
+    memoized for this sweep only (a process pool gets an empty copy of the
+    memo with each chunk of jobs).
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
+    # one Fraction per set element, shared by every job that uses it
+    a_set, b_set, d_set, e_set = (
+        [Fraction(x) for x in s] for s in (a_set, b_set, d_set, e_set)
+    )
     jobs = []
     for check in (c for c in CHECK_NAMES if c in checks):
         if check == "kummer":
             jobs += [
-                (check, None, Fraction(a), Fraction(b), None, None,
+                (check, None, a, b, None, None,
                  series_order, theorem_argument)
                 for a in a_set for b in b_set
             ]
         elif check == "transform":
             jobs += [
-                (check, j, Fraction(a), Fraction(b), None, None,
+                (check, j, a, b, None, None,
                  series_order, theorem_argument)
                 for j in j_set for a in a_set for b in b_set
             ]
         else:
             jobs += [
-                (check, j, Fraction(a), Fraction(b), Fraction(d), Fraction(e),
+                (check, j, a, b, d, e,
                  series_order, theorem_argument)
                 for j in j_set for a in a_set for b in b_set
                 for d in d_set for e in e_set

@@ -18,7 +18,7 @@ class TruncatedSeries:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = _fractions(self.coefficients)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coefficients", coeffs)
@@ -27,23 +27,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
-
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(tuple(self[k] + other[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self[k] - other[k] for k in range(n + 1)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self.scale(-1)
 
     def scale(self, c) -> "TruncatedSeries":
         c = Fraction(c)
@@ -65,23 +54,17 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient equality up to the common order of the two series."""
-        n = min(self.order, other.order)
-        return self.coefficients[: n + 1] == other.coefficients[: n + 1]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coefficients[: order + 1])
-
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:
-    """Expansion of (1 - x)**(-alpha): coefficient n is (alpha)_n / n!."""
+    """Expansion of (1 - x)**(-alpha): coefficient n is (alpha)_n / n!,
+    kept as one running integer numerator and denominator."""
     alpha = Fraction(alpha)
-    coeffs = [Fraction(1)]
+    p, q = alpha.numerator, alpha.denominator
+    coeffs, num, den = [Fraction(1)], 1, 1
     for n in range(order):
-        coeffs.append(coeffs[-1] * (alpha + n) / (n + 1))
+        num *= p + n * q
+        den *= q * (n + 1)
+        coeffs.append(Fraction(num, den))
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -90,3 +73,8 @@ def _common_denominator(coeffs) -> tuple:
     least common denominator d."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fractions(values) -> tuple:
+    """values as a tuple of Fractions, wrapping only those that are not."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)

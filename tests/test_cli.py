@@ -1,9 +1,11 @@
 """CLI contract: config validation, exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +290,33 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert cli.selftest(jobs=8) == 0
     assert started == [3, 2]  # a single CPU runs in process, without a pool
+
+
+GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
+GOLDEN_SHA256 = "6f4a550d59a1631e1d8ad82bd01a31986728f2b941d9a5cc149675803f0e4081"
+
+
+def test_golden_report_is_byte_identical(tmp_path, capsys):
+    """The report of a committed config, pinned by its sha256: all five
+    checks, the j = -5 slice, degenerate b (-1, 3, -5/2) with the failures
+    the terminating convention gives there, and skips of six
+    VerificationError kinds.
+
+    A change meant to keep every verdict keeps this digest.  A deliberate
+    verdict change, such as skipping or taking limits at degenerate
+    parameter points, updates GOLDEN_SHA256 and the summary here and
+    notes both in CHANGES.md.
+    """
+    out = tmp_path / "report.json"
+    assert cli.run(str(GOLDEN_CONFIG), str(out)) == 1
+    capsys.readouterr()
+    body = out.read_bytes()
+    report = json.loads(body)
+    assert len(report["records"]) == 1692
+    assert report["summary"] == {
+        "passed": 398, "failed": 94, "errored": 0, "skipped": 1200,
+    }
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256
 
 
 def test_selftest_rejects_bad_jobs(capsys):

@@ -145,9 +145,13 @@ class TestWeightedSum:
         assert eval_weighted_sum(spec, 3) == 0
 
     def test_polynomial_weight_horner(self):
+        # no parameters: term n is weight(n) / n!
         spec = WeightedSumSpec(weight=(F(1, 2), -3, 2), numerators=(), denominators=())
-        assert spec.weight_at(0) == F(1, 2)
-        assert spec.weight_at(3) == F(1, 2) - 9 + 18
+        assert eval_weighted_sum(spec, 0) == F(1, 2)
+        assert eval_weighted_sum(spec, 3) == (
+            F(1, 2) + (F(1, 2) - 3 + 2) + (F(1, 2) - 6 + 8) / 2
+            + (F(1, 2) - 9 + 18) / 6
+        )
 
     def test_weight_absorption_cross_check(self):
         # (-(b+1+2n)/(b+1)) absorbed as (b/2+3/2)_n / (b/2+1/2)_n: the

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hyperverify import (
     GammaProduct,
     HyperSpec,
+    IdentityCase,
     TruncatedSeries,
     WeightedSumSpec,
     binomial_series,
@@ -19,15 +21,16 @@ from hyperverify import (
     gamma_simplify,
     gen_transform_lhs_series,
     gen_transform_rhs_series,
+    grid_sweep,
+    identities,
     is_nonpositive_integer,
-    kummer_lhs_series,
     kummer_rhs_series,
     pochhammer,
     pochhammer_duplication,
     series_in_z,
     weighted_series,
 )
-from series_oracle import compose
+from series_oracle import compose, fraction_poly_from_samples
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -126,6 +129,14 @@ def test_binomial_series_inverse_pair(alpha, order):
     assert product.coefficients == (1,) + (0,) * order
 
 
+@given(rationals, st.integers(0, 30))
+def test_binomial_series_matches_the_fraction_recurrence(alpha, order):
+    coeffs = [F(1)]
+    for n in range(order):
+        coeffs.append(coeffs[-1] * (alpha + n) / (n + 1))
+    assert binomial_series(alpha, order).coefficients == tuple(coeffs)
+
+
 @given(series_strategy(8), series_strategy(8), series_strategy(8))
 def test_compose_associativity(f, g, h):
     g = TruncatedSeries((F(0),) + g.coefficients[1:]) if g.order else g.scale(0)
@@ -221,7 +232,6 @@ transform_as = st.sampled_from([F(-2), F(-1), F(1, 4), F(1, 3), F(3, 5)])
 @settings(max_examples=30)
 @given(transform_as, transform_bs)
 def test_shift_zero_collapses_to_kummer(a, b):
-    assert gen_transform_lhs_series(0, a, b, 12) == kummer_lhs_series(a, b, 12)
     assert gen_transform_rhs_series(0, a, b, 12) == kummer_rhs_series(a, b, 12)
 
 
@@ -258,3 +268,76 @@ def test_seeded_random_grid_for_weight_table_rows():
         if j == -1:
             assert (a_val, b_val) == (1, 1)
         assert a_val.denominator >= 1 and b_val.denominator >= 1
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-6, 6)), min_size=1, max_size=6))
+def test_integer_newton_interpolation_matches_fraction_oracle(coeffs):
+    # samples of a polynomial of degree <= 5 at n = 0..5, ints mixed in as
+    # the table rows return them
+    samples = [sum(c * n**k for k, c in enumerate(coeffs)) for n in range(6)]
+    poly = identities._poly_from_samples(samples)
+    assert poly == fraction_poly_from_samples(samples)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    assert poly == tuple(coeffs)
+    assert all(type(c) is F for c in poly)
+
+
+ints_and_strs = st.one_of(st.integers(-9, 9), rationals.map(str))
+positive_ints_and_strs = st.one_of(
+    st.integers(1, 9), st.fractions(min_value=F(1, 12), max_value=6).map(str)
+)
+
+
+def all_fractions(values, inputs):
+    return all(type(v) is F for v in values) and list(values) == [
+        F(x) for x in inputs
+    ]
+
+
+@given(
+    st.lists(ints_and_strs, max_size=4),
+    st.lists(positive_ints_and_strs, max_size=3),
+    ints_and_strs,
+    st.lists(ints_and_strs, min_size=4, max_size=4),
+)
+def test_spec_constructors_normalise_int_and_str(nums, dens, arg, point):
+    spec = HyperSpec(tuple(nums), tuple(dens), arg)
+    assert all_fractions(spec.numerators + spec.denominators, nums + dens)
+    assert all_fractions((spec.argument,), (arg,))
+    weighted = WeightedSumSpec(tuple(nums), tuple(nums), tuple(dens))
+    assert all_fractions(weighted.weight, nums)
+    assert all_fractions(weighted.numerators + weighted.denominators, nums + dens)
+    assert all_fractions(TruncatedSeries(tuple(point)).coefficients, point)
+    case = IdentityCase(0, *point)
+    assert all_fractions((case.a, case.b, case.d, case.e), point)
+    # a Fraction input is kept as it is, not rebuilt
+    q = F(point[0])
+    assert HyperSpec((q,), ()).numerators[0] is q
+    assert IdentityCase(0, q, q, q, q).a is q
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from([F(-1), F(-2), F(1, 2)]), min_size=1, unique=True),
+    st.lists(st.sampled_from([F(1, 3), F(2, 7)]), min_size=1, unique=True),
+    st.lists(st.sampled_from([F(1, 2), F(1), F(5, 2), F(-1)]), min_size=1,
+             unique=True),
+    st.lists(st.sampled_from([F(4), F(13, 3)]), min_size=1, unique=True),
+)
+def test_pipeline_sweep_reduces_each_left_prefactor_once(js, a_s, b_s, d_s, e_s):
+    # Only cases with a a nonpositive integer and 0 < d < e reach the left
+    # side's Gamma prefactor; the sweep memo reduces it once per (a, d, e)
+    # however many (j, b) share it.
+    reached = {
+        (a, d, e) for a in a_s for d in d_s for e in e_s
+        if is_nonpositive_integer(a) and 0 < d < e
+    }
+    with mock.patch.object(
+        identities, "gamma_simplify", wraps=identities.gamma_simplify
+    ) as counted:
+        records = grid_sweep(js, a_s, b_s, d_s, e_s, ("pipeline",))
+    assert counted.call_count == len(reached)
+    assert sum(r.equal is not None for r in records) == \
+        len(reached) * len(js) * len(b_s)
