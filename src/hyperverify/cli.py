@@ -8,7 +8,7 @@ of --jobs.
 """
 
 import argparse
-import contextlib
+import functools
 import json
 import os
 import sys
@@ -180,27 +180,38 @@ def _exit_code(summary: dict) -> int:
     return 0 if summary["failed"] == 0 and summary["errored"] == 0 else 1
 
 
-@contextlib.contextmanager
-def _mapper(jobs: int):
-    """An order-preserving map over `jobs` worker processes, at most one per
-    CPU; the builtin map when that leaves a single worker."""
-    workers = min(jobs, os.cpu_count() or 1)
+def _pool_map(fn, items, jobs: int, shares: bool = False):
+    """An order-preserving map over a process pool of at most `jobs`
+    workers, one per CPU and one per item; the builtin map, with no pool,
+    when that leaves a single worker.
+
+    Workers take the items one at a time, or with `shares` one contiguous
+    share of ceil(len(items) / workers) items each.  `fn` is pickled once
+    per share, so a sweep's memo serves a whole share; that saves more
+    than the shares' uneven costs lose, since no worker can take over
+    part of another's share.
+    """
+    items = list(items)
+    workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        yield map
+        yield from map(fn, items)
         return
+    chunksize = -(-len(items) // workers) if shares else 1
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, items: pool.map(fn, items, chunksize=16)
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 def _sweep(config: SweepConfig, jobs: int) -> list:
     checks = tuple(_CHECK_FOR_CONFIG[c] for c in config.checks)
     argument = 2 if config.theorem_argument == "two" else 1
-    with _mapper(jobs) as mapper:
-        records = grid_sweep(
-            config.j_set, config.a_set, config.b_set, config.d_set,
-            config.e_set, checks, series_order=config.series_order,
-            theorem_argument=argument, mapper=mapper,
-        )
+    # The builtin map itself at --jobs 1, so that a tracer can time each case.
+    mapper = (map if jobs == 1
+              else functools.partial(_pool_map, jobs=jobs, shares=True))
+    records = grid_sweep(
+        config.j_set, config.a_set, config.b_set, config.d_set,
+        config.e_set, checks, series_order=config.series_order,
+        theorem_argument=argument, mapper=mapper,
+    )
     return sorted(records, key=_sort_key)
 
 
@@ -245,18 +256,26 @@ _SUMMARY_LINE = (
 )
 
 
+def _suite_summary(suite) -> tuple:
+    """Run one suite in this process; only its name, record count and
+    summary leave it."""
+    records = suite.run()
+    return suite.name, len(records), _summary(records)
+
+
 def selftest(jobs: int = 1) -> int:
-    """Run the canonical suites with no config; print one line per suite."""
+    """Run the canonical suites with no config; print one line per suite.
+
+    On a pool each suite is one task, so each keeps its sweep memo and all
+    of them are in flight at once; the lines print in suite order.
+    """
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0
-    with _mapper(jobs) as mapper:
-        for suite in ALL_SUITES:
-            records = suite.run(mapper=mapper)
-            summary = _summary(records)
-            count += len(records)
-            for key in totals:
-                totals[key] += summary[key]
-            print(_SUMMARY_LINE.format(name=suite.name, n=len(records), **summary))
+    for name, n, summary in _pool_map(_suite_summary, ALL_SUITES, jobs):
+        count += n
+        for key in totals:
+            totals[key] += summary[key]
+        print(_SUMMARY_LINE.format(name=name, n=n, **summary))
     code = _exit_code(totals)
     print(_SUMMARY_LINE.format(name="total", n=count, **totals))
     print(f"selftest: {'PASS' if code == 0 else 'FAIL'}")

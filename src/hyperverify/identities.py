@@ -623,8 +623,8 @@ def grid_sweep(
     map; per-case errors are embedded in the records, never raised.
     The (j, b) weights and prefactors, the (j, a, b) term parameters, the
     half-shifted d and e, and the (a, d, e) left-side prefactors are
-    memoized for this sweep only (a process pool gets an empty copy of the
-    memo with each chunk of jobs).
+    memoized for this sweep only.  A pool's map pickles an empty copy of
+    the memo with each chunk of jobs it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -26,11 +26,11 @@ class Suite:
     e_set: tuple = ()
     series_order: int = 24
 
-    def run(self, mapper=map, theorem_argument=2):
+    def run(self, theorem_argument=2):
         return grid_sweep(
             self.j_set, self.a_set, self.b_set, self.d_set, self.e_set,
             self.checks, series_order=self.series_order,
-            theorem_argument=theorem_argument, mapper=mapper,
+            theorem_argument=theorem_argument,
         )
 
 

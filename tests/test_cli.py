@@ -233,35 +233,43 @@ class TestDeterminism:
 
 
 def test_selftest_parallel_matches_serial(monkeypatch, capsys):
+    # The costliest suite comes first, so under a pool the cheap ones
+    # finish before it; the lines must still print in suite order.
     from hyperverify.suites import Suite
 
-    tiny = Suite(
-        name="tiny",
-        checks=("theorem", "transform"),
-        j_set=(-5, 0, 1),
-        a_set=(F(-1),),
-        b_set=(F(1, 3),),
-        d_set=(F(1),),
-        e_set=(F(4),),
-        series_order=8,
+    suites = (
+        Suite(name="heavy", checks=("theorem", "transform"),
+              j_set=(-5, 0, 1, 2), a_set=(F(-1), F(-2), F(-3)),
+              b_set=(F(1, 3), F(2, 5)), d_set=(F(1), F(5, 2)),
+              e_set=(F(4),), series_order=16),
+        Suite(name="light", checks=("kummer",), a_set=(F(-1),),
+              b_set=(F(1, 3),), series_order=4),
+        Suite(name="medium", checks=("transform",), j_set=(0, 3),
+              a_set=(F(1, 4),), b_set=(F(2, 7),), series_order=8),
+        Suite(name="lightest", checks=("kummer",), a_set=(F(1, 4),),
+              b_set=(F(3),), series_order=2),
     )
-    monkeypatch.setattr(cli, "ALL_SUITES", (tiny,))
+    monkeypatch.setattr(cli, "ALL_SUITES", suites)
     code_serial = cli.selftest(jobs=1)
     out_serial = capsys.readouterr().out
     code_parallel = cli.selftest(jobs=2)
     out_parallel = capsys.readouterr().out
     assert code_serial == code_parallel == 1  # j=-5 audit failure present
     assert out_serial == out_parallel
+    names = [line.split()[0] for line in out_serial.splitlines()[:-2]]
+    assert names == [suite.name for suite in suites]
 
 
 def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch, tmp_path, capsys
 ):
-    # A stub pool records how it is built and maps in process, so no
-    # worker process is started.
-    from hyperverify.suites import Suite
+    # A stub pool records how it is built and what it maps, and maps in
+    # process, so no worker process is started.
+    from hyperverify import identities
+    from hyperverify.suites import ALL_SUITES
 
     started = []
+    mapped = []
 
     class StubPool:
         def __init__(self, max_workers):
@@ -274,26 +282,66 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
+            mapped.append((fn, items, chunksize))
             return map(fn, items)
 
-    tiny = Suite(name="tiny", checks=("kummer",), a_set=(F(-1),),
-                 b_set=(F(1, 3),), series_order=4)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
-    monkeypatch.setattr(cli, "ALL_SUITES", (tiny, tiny, tiny))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert cli.selftest(jobs=8) == 0
-    assert started == [3]
-    cfg = write_config(tmp_path, CANONICAL_CONFIG)
-    assert invoke(["run", "--config", cfg, "--jobs", "2"], capsys)[0] == 0
-    assert started == [3, 2]
 
+    # selftest: one map over the six suites, one suite per task
+    assert cli.selftest(jobs=8) == 1
+    capsys.readouterr()
+    assert started == [3]
+    assert mapped == [(cli._suite_summary, list(ALL_SUITES), 1)]
+
+    # run: at most one contiguous share of the job list per worker
+    grid = TestDeterminism.GRID
+    sweep_jobs = []
+
+    def capture(fn, items):
+        sweep_jobs.extend(items)
+        return map(fn, items)
+
+    identities.grid_sweep(
+        grid["jSet"], [F(a) for a in grid["aSet"]],
+        [F(b) for b in grid["bSet"]], [F(d) for d in grid["dSet"]],
+        [F(e) for e in grid["eSet"]],
+        ("theorem", "corollary", "transform", "kummer", "pipeline"),
+        series_order=grid["seriesOrder"], mapper=capture,
+    )
+    grid_cfg = write_config(tmp_path, grid, "grid.json")
+    assert invoke(["run", "--config", grid_cfg, "--jobs", "2"], capsys)[0] == 1
+    assert started == [3, 2]
+    _, items, chunksize = mapped[1]
+    shares = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+    assert len(shares) <= 2
+    assert [job for share in shares for job in share] == sweep_jobs
+
+    # a one-record run, and any run on a single CPU, start no pool
+    one_cfg = write_config(tmp_path, CANONICAL_CONFIG)
+    assert invoke(["run", "--config", one_cfg, "--jobs", "2"], capsys)[0] == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    assert cli.selftest(jobs=8) == 0
-    assert started == [3, 2]  # a single CPU runs in process, without a pool
+    assert invoke(["run", "--config", grid_cfg, "--jobs", "8"], capsys)[0] == 1
+    assert started == [3, 2]
+    assert len(mapped) == 2
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
 GOLDEN_SHA256 = "6f4a550d59a1631e1d8ad82bd01a31986728f2b941d9a5cc149675803f0e4081"
+
+
+def assert_golden_report(tmp_path, capsys, jobs):
+    out = tmp_path / "report.json"
+    assert cli.run(str(GOLDEN_CONFIG), str(out), jobs=jobs) == 1
+    capsys.readouterr()
+    body = out.read_bytes()
+    report = json.loads(body)
+    assert len(report["records"]) == 1692
+    assert report["summary"] == {
+        "passed": 398, "failed": 94, "errored": 0, "skipped": 1200,
+    }
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256
 
 
 def test_golden_report_is_byte_identical(tmp_path, capsys):
@@ -307,16 +355,14 @@ def test_golden_report_is_byte_identical(tmp_path, capsys):
     parameter points, updates GOLDEN_SHA256 and the summary here and
     notes both in CHANGES.md.
     """
-    out = tmp_path / "report.json"
-    assert cli.run(str(GOLDEN_CONFIG), str(out)) == 1
-    capsys.readouterr()
-    body = out.read_bytes()
-    report = json.loads(body)
-    assert len(report["records"]) == 1692
-    assert report["summary"] == {
-        "passed": 398, "failed": 94, "errored": 0, "skipped": 1200,
-    }
-    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256
+    assert_golden_report(tmp_path, capsys, jobs=1)
+
+
+def test_golden_report_under_a_pool(tmp_path, capsys):
+    """The same digest from worker processes, each evaluating one
+    contiguous share of the jobs with its own memo (in process on a
+    single-CPU host)."""
+    assert_golden_report(tmp_path, capsys, jobs=2)
 
 
 def test_selftest_rejects_bad_jobs(capsys):
