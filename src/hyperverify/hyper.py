@@ -40,6 +40,8 @@ class HyperSpec:
     numerators: tuple
     denominators: tuple
     argument: Fraction = field(default=Fraction(1))
+    # the termination index, found once by the legality check below
+    stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numerators", _fractions(self.numerators))
@@ -47,6 +49,7 @@ class HyperSpec:
         if type(self.argument) is not Fraction:
             object.__setattr__(self, "argument", Fraction(self.argument))
         stop = _termination(self.numerators)
+        object.__setattr__(self, "stop", stop)
         for beta in self.denominators:
             if not is_nonpositive_integer(beta):
                 continue
@@ -57,7 +60,7 @@ class HyperSpec:
 
 def termination_index(spec: HyperSpec) -> int | None:
     """Smallest M with every term beyond M vanishing, if the series terminates."""
-    return _termination(spec.numerators)
+    return spec.stop
 
 
 def _term_ratios(numerators, denominators, argument=Fraction(1)):

@@ -26,6 +26,7 @@ compares with zero tolerance.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from .hyper import (
 from .series import TruncatedSeries, _common_denominator, binomial_series
 
 HALF = Fraction(1, 2)
+TWO = Fraction(2)
 
 
 def bracket(x) -> int:
@@ -219,14 +221,28 @@ def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
     return (a, a + HALF, b + bracket(Fraction(j + 1, 2))), (shift, shift + HALF)
 
 
-def _part_spec(part, j, a, b, memo=None, extra_num=(), extra_den=()):
-    """The even (part 0) or odd (part 1) weighted term family; its (j, a, b)
-    parameters are memoized, so a call only appends the tails."""
-    nums, dens = _memoized(
-        memo, ("part", part, j, a, b), _part_parameters, part, j, a, b
+_ZERO_POLY = (Fraction(0),)
+
+
+def _part_heads(j: int, a: Fraction, b: Fraction, memo=None) -> tuple:
+    """(weight, numerators, denominators) of the even and of the odd term
+    family, before any tail the caller appends; the odd one is None when
+    that part vanishes identically (a = 0, or a zero weight as at j = 0),
+    so no Gamma poles are touched for dead terms.  Callers memoize it on
+    (j, a, b)."""
+    even, odd = (
+        (_weight_poly(j, b, part, memo),) + _part_parameters(part, j, a, b)
+        for part in (0, 1)
     )
+    return even, (odd if a != 0 and odd[0] != _ZERO_POLY else None)
+
+
+def _part_spec(part: int, head: tuple, extra_num=(), extra_den=()):
+    """The even (part 0) or odd (part 1) weighted term family: a head of
+    _part_heads with the tails appended."""
+    weight, nums, dens = head
     return WeightedSumSpec(
-        weight=_weight_poly(j, b, part, memo),
+        weight=weight,
         numerators=nums + extra_num,
         denominators=dens + extra_den,
         power_stride=2,
@@ -242,10 +258,11 @@ def _odd_scale(j: int, a: Fraction, b: Fraction, memo=None) -> Fraction:
     return 2 * a / (2 * b + j) * _prefactor(1, j, b, memo)
 
 
-def _halves(x: Fraction) -> tuple:
-    """(x/2, x/2 + 1/2, x/2 + 1), the half-shifted beta-moment parameters."""
-    h = x / 2
-    return h, h + HALF, h + 1
+def _moment_tails(d: Fraction, e: Fraction) -> tuple:
+    """(x/2, x/2 + 1/2, x/2 + 1), the half-shifted beta-moment parameters,
+    for x = d and for x = e, then d/e; callers memoize it on (d, e)."""
+    hd, he = d / 2, e / 2
+    return (hd, hd + HALF, hd + 1), (he, he + HALF, he + 1), d / e
 
 
 def _even_embed(half: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -280,9 +297,6 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     )
 
 
-_ZERO_POLY = (Fraction(0),)
-
-
 def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSeries:
     """Weighted even/odd pair for shift j, expanded to the given order.
 
@@ -290,16 +304,19 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
     when it vanishes identically (weight zero, as at j = 0, or a = 0),
     so no Gamma poles are touched for dead terms.  `memo`, a dict, keeps
-    the (j, b) weights and prefactors for later calls that pass it too.
+    the (j, b) weights and prefactors and the (j, a, b) term heads and odd
+    scale for later calls that pass it too.
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
-    even = weighted_series(_part_spec(0, j, a, b, memo), order)
-    total = even.scale(_prefactor(0, j, b, memo))
-    odd = _part_spec(1, j, a, b, memo)
-    if a != 0 and odd.weight != _ZERO_POLY:
+    even_head, odd_head = _memoized(
+        memo, ("parts", j, a, b), _part_heads, j, a, b, memo)
+    total = weighted_series(_part_spec(0, even_head), order).scale(
+        _prefactor(0, j, b, memo))
+    if odd_head is not None:
         c_odd = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
-        total = total + weighted_series(odd, order).scale(c_odd)
+        odd = weighted_series(_part_spec(1, odd_head), order)
+        total = total + odd.scale(c_odd)
     return total
 
 
@@ -341,25 +358,35 @@ class IdentityCase:
         return None
 
 
-def theorem_lhs(case: IdentityCase, argument=2, memo=None) -> Fraction:
+def _lhs_parameters(a: Fraction, d: Fraction, e: Fraction) -> tuple:
+    """The left side's Gamma prefactor, then its 3F2 parameters that
+    depend on (a, d, e) alone: 2a and 1 + 2a + d - e."""
+    two_a = 2 * a
+    prefactor = gamma_simplify(
+        GammaProduct.ratio((e, e - two_a - d), (e - two_a, e - d))
+    )
+    return prefactor, two_a, 1 + two_a + d - e
+
+
+def _lower_shift(j: int, b: Fraction) -> Fraction:
+    """2b + j, the 3F2's first lower parameter."""
+    return 2 * b + j
+
+
+def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     """Prefactor times the terminating 3F2.
 
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
-    `memo`, a dict, keeps the Gamma prefactor of each (a, d, e) for later
-    calls that pass it too.
+    `memo`, a dict, keeps the prefactor and parameters of each (a, d, e)
+    and the 2b + j of each (j, b) for later calls that pass it too.
     """
-    _table_row(case.j)
-    a, b, d, e = case.a, case.b, case.d, case.e
-    prefactor = _memoized(
-        memo, ("theorem_lhs", a, d, e),
-        lambda: gamma_simplify(
-            GammaProduct.ratio((e, e - 2 * a - d), (e - 2 * a, e - d))
-        ),
-    )
-    f32 = HyperSpec(
-        (2 * a, b, d), (2 * b + case.j, 1 + 2 * a + d - e), Fraction(argument)
-    )
+    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
+    _table_row(j)
+    prefactor, two_a, lower = _memoized(
+        memo, ("theorem_lhs", a, d, e), _lhs_parameters, a, d, e)
+    shift = _memoized(memo, ("2b+j", j, b), _lower_shift, j, b)
+    f32 = HyperSpec((two_a, b, d), (shift, lower), argument)
     return prefactor * eval_terminating(f32)
 
 
@@ -370,7 +397,7 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     each part, never from convergence reasoning: on the a branch the even
     part stops at -a and the odd part at -a - 1; on the d branch both stop
     around floor(-d/2), depending on parity.  `memo` is as in
-    gen_transform_rhs_series.
+    gen_transform_rhs_series, and also keeps the (d, e) tails.
     """
     _table_row(case.j)
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
@@ -379,25 +406,91 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
 
-    half_d = _memoized(memo, ("halves", d), _halves, d)
-    half_e = _memoized(memo, ("halves", e), _halves, e)
-    even = _part_spec(0, j, a, b, memo, half_d[:2], half_e[:2])
+    half_d, half_e, d_over_e = _memoized(
+        memo, ("tails", d, e), _moment_tails, d, e)
+    even_head, odd_head = _memoized(
+        memo, ("parts", j, a, b), _part_heads, j, a, b, memo)
+    even = _part_spec(0, even_head, half_d[:2], half_e[:2])
     stop = weighted_termination(even)
     total = _prefactor(0, j, b, memo) * eval_weighted_sum(even, stop)
 
-    odd = _part_spec(1, j, a, b, memo, half_d[1:], half_e[1:])
-    if a != 0 and d != 0 and odd.weight != _ZERO_POLY:
+    if odd_head is not None and d != 0:
+        odd = _part_spec(1, odd_head, half_d[1:], half_e[1:])
         scale = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
-        c_odd = scale * (d / e)
+        c_odd = scale * d_over_e
         total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
     return total
 
 
 def _hyper_at_one(numerators, denominators) -> Fraction:
-    return eval_terminating(HyperSpec(numerators, denominators, Fraction(1)))
+    return eval_terminating(HyperSpec(numerators, denominators))
 
 
-def corollary_rhs(case: IdentityCase) -> Fraction:
+def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
+    """The (j, a, b) part of corollary_rhs: the first series' head
+    parameters, the second's signed scale over d/e (which each case
+    applies), and the second series' heads, or None at j = 0."""
+    if j != 0 and 2 * b + j == 0:
+        raise DenominatorPoleBeforeTermination(2 * b + j)
+    # first series heads, second's scale over d/e, second series heads
+    if j == 0:
+        return ((a, a + HALF), (b + HALF,)), 0, None
+    if j == 1:
+        first = ((a, a + HALF), (b + HALF,))
+        scale = 2 * a / (2 * b + 1)
+        second = ((a + HALF, a + 1), (b + Fraction(3, 2),))
+    elif j == -1:
+        first = ((a, a + HALF), (b - HALF,))
+        scale = -2 * a / (2 * b - 1)
+        second = ((a + HALF, a + 1), (b + HALF,))
+    elif j == 2:
+        first = (
+            (a, a + HALF, b / 2 + Fraction(3, 2)),
+            (b / 2 + HALF, b + Fraction(3, 2)),
+        )
+        scale = 2 * a / (b + 1)
+        second = ((a + HALF, a + 1), (b + Fraction(3, 2),))
+    elif j == -2:
+        first = (
+            (a, a + HALF, b / 2 + HALF),
+            (b / 2 - HALF, b - HALF),
+        )
+        scale = -2 * a / (b - 1)
+        second = ((a + HALF, a + 1), (b - HALF,))
+    elif j == 3:
+        first = (
+            (a, a + HALF, b / 4 + Fraction(3, 2)),
+            (b / 4 + HALF, b + Fraction(3, 2)),
+        )
+        scale = 6 * a / (2 * b + 3)
+        second = (
+            (a + HALF, a + 1, 3 * b / 4 + Fraction(5, 2)),
+            (3 * b / 4 + Fraction(3, 2), b + Fraction(5, 2)),
+        )
+    else:  # j == -3
+        first = (
+            (a, a + HALF, b / 4 + Fraction(3, 4)),
+            (b / 4 - Fraction(1, 4), b - Fraction(3, 2)),
+        )
+        scale = -6 * a / (2 * b - 3)
+        second = (
+            (a + 1, a + HALF, 3 * b / 4 + Fraction(1, 4)),
+            (3 * b / 4 - Fraction(3, 4), b - HALF),
+        )
+    return first, scale, second
+
+
+def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
+    """The d/e tails of corollary_rhs: (d/2, d/2 + 1/2) and
+    (d/2 + 1/2, d/2 + 1) for d, the same for e, and d/e."""
+    half_d = (d / 2, d / 2 + HALF)
+    shift_d = (d / 2 + HALF, d / 2 + 1)
+    half_e = (e / 2, e / 2 + HALF)
+    shift_e = (e / 2 + HALF, e / 2 + 1)
+    return half_d, shift_d, half_e, shift_e, d / e
+
+
+def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     """Closed single-series right side for |j| <= 3.
 
     Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
@@ -405,7 +498,9 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
     prefactors are absorbed into the parameters, so this path shares no
     code with the weighted sums it cross-checks.  The second series is
     skipped when its scale vanishes, so its parameters are never even
-    validated for a dead term.
+    validated for a dead term.  `memo`, a dict, keeps the (j, a, b) heads
+    and the (d, e) tails under keys of their own, never the weighted
+    sums' entries, for later calls that pass it too.
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     if abs(j) > 3:
@@ -414,62 +509,16 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
         raise InvalidCase("neither a nor d is a nonpositive integer")
     if e == 0:
         raise InvalidCase("e must be nonzero")
-    if j != 0 and 2 * b + j == 0:
-        raise DenominatorPoleBeforeTermination(2 * b + j)
-    half_d = (d / 2, d / 2 + HALF)
-    shift_d = (d / 2 + HALF, d / 2 + 1)
-    half_e = (e / 2, e / 2 + HALF)
-    shift_e = (e / 2 + HALF, e / 2 + 1)
-
-    # first series parameters, signed scale of the second, second series
-    if j == 0:
-        return _hyper_at_one((a, a + HALF) + half_d, (b + HALF,) + half_e)
-    if j == 1:
-        first = ((a, a + HALF) + half_d, (b + HALF,) + half_e)
-        scale = 2 * a * d / (e * (2 * b + 1))
-        second = ((a + HALF, a + 1) + shift_d, (b + Fraction(3, 2),) + shift_e)
-    elif j == -1:
-        first = ((a, a + HALF) + half_d, (b - HALF,) + half_e)
-        scale = -2 * a * d / (e * (2 * b - 1))
-        second = ((a + HALF, a + 1) + shift_d, (b + HALF,) + shift_e)
-    elif j == 2:
-        first = (
-            (a, a + HALF, b / 2 + Fraction(3, 2)) + half_d,
-            (b / 2 + HALF, b + Fraction(3, 2)) + half_e,
-        )
-        scale = 2 * a * d / (e * (b + 1))
-        second = ((a + HALF, a + 1) + shift_d, (b + Fraction(3, 2),) + shift_e)
-    elif j == -2:
-        first = (
-            (a, a + HALF, b / 2 + HALF) + half_d,
-            (b / 2 - HALF, b - HALF) + half_e,
-        )
-        scale = -2 * a * d / (e * (b - 1))
-        second = ((a + HALF, a + 1) + shift_d, (b - HALF,) + shift_e)
-    elif j == 3:
-        first = (
-            (a, a + HALF, b / 4 + Fraction(3, 2)) + half_d,
-            (b / 4 + HALF, b + Fraction(3, 2)) + half_e,
-        )
-        scale = 6 * a * d / (e * (2 * b + 3))
-        second = (
-            (a + HALF, a + 1, 3 * b / 4 + Fraction(5, 2)) + shift_d,
-            (3 * b / 4 + Fraction(3, 2), b + Fraction(5, 2)) + shift_e,
-        )
-    else:  # j == -3
-        first = (
-            (a, a + HALF, b / 4 + Fraction(3, 4)) + half_d,
-            (b / 4 - Fraction(1, 4), b - Fraction(3, 2)) + half_e,
-        )
-        scale = -6 * a * d / (e * (2 * b - 3))
-        second = (
-            (a + 1, a + HALF, 3 * b / 4 + Fraction(1, 4)) + shift_d,
-            (3 * b / 4 - Fraction(3, 4), b - HALF) + shift_e,
-        )
-    value = _hyper_at_one(*first)
+    first, scale, second = _memoized(
+        memo, ("corollary heads", j, a, b), _corollary_heads, j, a, b)
+    half_d, shift_d, half_e, shift_e, d_over_e = _memoized(
+        memo, ("corollary tails", d, e), _corollary_tails, d, e)
+    value = _hyper_at_one(first[0] + half_d, first[1] + half_e)
+    scale *= d_over_e
     if scale == 0:
         return value
-    return value + scale * _hyper_at_one(*second)
+    return value + scale * _hyper_at_one(
+        second[0] + shift_d, second[1] + shift_e)
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -486,6 +535,24 @@ def beta_moment(power: int, d, e) -> Fraction:
     return (d / e) * pochhammer_duplication(d + 1, n) / pochhammer_duplication(e + 1, n)
 
 
+def _left_polynomial(j: int, a: Fraction, b: Fraction, degree: int) -> tuple:
+    """The transformation's left side at a = -m, an exact polynomial of
+    degree 2m, as (integer numerators, common denominator); callers
+    memoize it on (j, a, b)."""
+    poly = gen_transform_lhs_series(j, a, b, degree)
+    return _common_denominator(poly.coefficients)
+
+
+def _moments(degree: int, d: Fraction, e: Fraction, memo=None) -> tuple:
+    """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
+    common denominator), each moment memoized on (p, d, e); callers
+    memoize the whole on (degree, d, e)."""
+    return _common_denominator([
+        _memoized(memo, ("moment", p, d, e), beta_moment, p, d, e)
+        for p in range(degree + 1)
+    ])
+
+
 def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     """Replay the derivation of the summation identity on one case.
 
@@ -496,19 +563,23 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
         (moment transform of the left-side polynomial,
          prefactor times the terminating 3F2 at argument 2)
 
-    whose equality is the identity itself.  `memo` is as in theorem_lhs.
+    whose equality is the identity itself.  `memo`, a dict, keeps the left
+    polynomial of each (j, a, b), the moments of each (degree, d, e) and
+    whatever theorem_lhs keeps, for later calls that pass it too.
     """
-    _table_row(case.j)
-    a, d, e = case.a, case.d, case.e
+    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
+    _table_row(j)
     if not is_nonpositive_integer(a):
         raise InvalidCase("pipeline needs a to be a nonpositive integer")
     if not (d > 0 and e - d > 0):
         raise InvalidCase("pipeline needs d > 0 and e - d > 0")
     degree = -2 * int(a)
-    poly = gen_transform_lhs_series(case.j, a, case.b, degree)
-    c, den = _common_denominator(poly.coefficients)
-    lhs = sum(c_p * beta_moment(p, d, e) for p, c_p in enumerate(c)) / den
-    return lhs, theorem_lhs(case, argument=2, memo=memo)
+    c, den = _memoized(
+        memo, ("left polynomial", j, a, b), _left_polynomial, j, a, b, degree)
+    moments, m_den = _memoized(
+        memo, ("moments", degree, d, e), _moments, degree, d, e, memo)
+    lhs = Fraction(sum(map(operator.mul, c, moments)), den * m_den)
+    return lhs, theorem_lhs(case, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -546,7 +617,7 @@ def _error_tag(err: Exception) -> str:
     return f"Unexpected {type(err).__name__}: {err}"
 
 
-def verify_theorem(case: IdentityCase, argument=2, memo=None) -> VerificationRecord:
+def verify_theorem(case: IdentityCase, argument=TWO, memo=None) -> VerificationRecord:
     """Evaluate both sides of the summation identity; never raises."""
     base = dict(
         check="theorem", j=case.j, a=case.a, b=case.b, d=case.d, e=case.e,
@@ -592,8 +663,8 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
         if check == "theorem":
             return verify_theorem(case, argument, memo)
         if check == "corollary":
-            lhs = theorem_lhs(case, argument=2, memo=memo)
-            rhs = corollary_rhs(case)
+            lhs = theorem_lhs(case, memo=memo)
+            rhs = corollary_rhs(case, memo)
         elif check == "pipeline":
             lhs, rhs = beta_integral_pipeline(case, memo)
         else:
@@ -621,10 +692,27 @@ def grid_sweep(
     only depends on (a, b) and the transform check on (j, a, b); those
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
-    The (j, b) weights and prefactors, the (j, a, b) term parameters, the
-    half-shifted d and e, and the (a, d, e) left-side prefactors are
-    memoized for this sweep only.  A pool's map pickles an empty copy of
-    the memo with each chunk of jobs it sends.
+
+    Whatever a case shares with its row is computed once per sweep, so a
+    case does a few lookups and appends its own tails:
+
+    * per (j, b): the weight polynomials, the even and odd Gamma
+      prefactors and the 3F2's lower parameter 2b + j;
+    * per (j, a, b): the even and odd weights and parameter tuples, the
+      odd scale 2a/(2b+j) times its prefactor, and the pipeline's
+      left-side polynomial;
+    * per (d, e): the half-shifted d and e and d/e;
+    * per (a, d, e): the left side's Gamma prefactor with 2a and
+      1 + 2a + d - e;
+    * per (p, d, e) and (degree, d, e): the beta moments.
+
+    The corollary check keeps its own heads per (j, a, b) and tails per
+    (d, e), under keys of its own: it is the independent evaluation of the
+    weighted sums, so it never reads their entries.  An entry that can
+    raise is looked up only where the memo-free path would compute it, so
+    every record equals the one its job gives with no memo.  The memo
+    lives for this sweep only.  A pool's map pickles an empty copy of the
+    memo with each chunk of jobs it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -633,6 +721,7 @@ def grid_sweep(
     a_set, b_set, d_set, e_set = (
         [Fraction(x) for x in s] for s in (a_set, b_set, d_set, e_set)
     )
+    theorem_argument = Fraction(theorem_argument)
     jobs = []
     for check in (c for c in CHECK_NAMES if c in checks):
         if check == "kummer":

@@ -253,6 +253,27 @@ class TestCorollaries:
             with pytest.raises(UnsupportedJ):
                 corollary_rhs(IdentityCase(j, -1, F(1, 3), 1, 4))
 
+    def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
+        # The closed forms are the independent cross-check of the weighted
+        # sums: with every weighted-path helper broken, a corollary sweep
+        # (and so the memo it shares with theorem_lhs) still passes.
+        def broken(*args, **kwargs):
+            raise AssertionError("corollary reached the weighted path")
+
+        for name in ("_part_spec", "_part_parameters", "_part_heads",
+                     "_weight_poly", "_prefactor", "_odd_scale",
+                     "_moment_tails", "eval_weighted_sum",
+                     "weighted_termination"):
+            monkeypatch.setattr(identities, name, broken)
+        records = grid_sweep(
+            range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
+            (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
+        )
+        assert len(records) == 7 * 2 * 2 * 4 * 2
+        assert all(r.status == "passed" for r in records), [
+            r.error for r in records if r.status != "passed"
+        ][:3]
+
 
 class TestPipeline:
     def test_monomial_moments(self):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperverify import (
@@ -329,15 +329,53 @@ def test_spec_constructors_normalise_int_and_str(nums, dens, arg, point):
 def test_pipeline_sweep_reduces_each_left_prefactor_once(js, a_s, b_s, d_s, e_s):
     # Only cases with a a nonpositive integer and 0 < d < e reach the left
     # side's Gamma prefactor; the sweep memo reduces it once per (a, d, e)
-    # however many (j, b) share it.
+    # however many (j, b) share it, builds the left polynomial once per
+    # (j, a, b) and each moment (d)_p/(e)_p once per (p, d, e).
     reached = {
         (a, d, e) for a in a_s for d in d_s for e in e_s
         if is_nonpositive_integer(a) and 0 < d < e
     }
+    rows = {(j, a, b) for j in js for a, _, _ in reached for b in b_s}
+    moments = {(p, d, e) for a, d, e in reached for p in range(1 - 2 * int(a))}
     with mock.patch.object(
         identities, "gamma_simplify", wraps=identities.gamma_simplify
-    ) as counted:
+    ) as counted, mock.patch.object(
+        identities, "gen_transform_lhs_series",
+        wraps=identities.gen_transform_lhs_series,
+    ) as polys, mock.patch.object(
+        identities, "beta_moment", wraps=identities.beta_moment
+    ) as moment_calls:
         records = grid_sweep(js, a_s, b_s, d_s, e_s, ("pipeline",))
     assert counted.call_count == len(reached)
+    assert polys.call_count == len(rows)
+    assert moment_calls.call_count == len(moments)
     assert sum(r.equal is not None for r in records) == \
         len(reached) * len(js) * len(b_s)
+
+
+def subsets(values, max_size=2):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size,
+                    unique=True)
+
+
+@settings(max_examples=25)
+@given(
+    subsets(list(range(-5, 6))),
+    subsets([F(0), F(-2), F(1, 4)]),
+    subsets([F(-1), F(3), F(2, 7)]),
+    subsets([F(-2), F(1, 2), F(3)]),
+    subsets([F(-3), F(4), F(13, 3)]),
+    subsets(list(identities.CHECK_NAMES), max_size=5),
+)
+# The odd scale must not be reduced before the even sum: here the even
+# prefactor's pole has to win over the odd part's lower-parameter pole.
+@example([2], [F(-2)], [F(-1)], [F(-2)], [F(4)], ["theorem"])
+def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
+    # Degenerate points included (a = 0, integer b, 2b + j = 0 at j = 2,
+    # e < 0): every memoized record, error text included, equals the one
+    # its job gives on its own, with no memo.
+    records = grid_sweep(js, a_s, b_s, d_s, e_s, checks, series_order=6)
+    assert records
+    for rec in records:
+        job = (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, 6, 2)
+        assert vars(rec) == vars(identities._evaluate_case(job))
