@@ -74,9 +74,6 @@ class GammaProduct:
         factors += [(a, -1) for a in denominators]
         return cls(tuple(factors))
 
-    def __mul__(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct(self.factors + other.factors)
-
 
 def _lone_gamma(arg: Fraction) -> Fraction:
     """Value of an unpaired Gamma factor, when that value is rational."""

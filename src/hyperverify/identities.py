@@ -154,26 +154,30 @@ def _poly_from_samples(samples) -> tuple:
     return tuple(Fraction(c, den) for c in coeffs)
 
 
-def _memoized(memo, key, compute, *args):
-    """compute(*args), kept in memo under key when a memo dict is given.
-    Keys other than (row, b) and (part, j, b) lead with a string tag, so
-    no two kinds of key can be equal."""
+def _memoized(memo, compute, /, *args, **kwargs):
+    """compute(*args, **kwargs), kept in the memo dict, when one is given,
+    under (compute, *args).  A VerificationError that compute raises is
+    kept too and raised again at every lookup of its key."""
     if memo is None:
-        return compute(*args)
+        return compute(*args, **kwargs)
+    key = (compute, *args)
     value = memo.get(key)  # one hash per hit: Fraction hashing is not cheap
     if value is None:
-        value = memo[key] = compute(*args)
+        try:
+            value = compute(*args, **kwargs)
+        except VerificationError as err:
+            value = err
+        memo[key] = value
+    if isinstance(value, VerificationError):
+        raise value.with_traceback(None)
     return value
 
 
-def _weight_poly(j: int, b: Fraction, part: int, memo=None) -> tuple:
+def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
     """The table entry at fixed b as a polynomial in n (degree <= 2;
-    six samples keep the interpolation exact with room to spare).  Memoized
-    on the row function itself, so a swapped table row is seen."""
+    six samples keep the interpolation exact with room to spare)."""
     fn = _table_row(j)[part]
-    return _memoized(
-        memo, (fn, b), lambda: _poly_from_samples([fn(b, n) for n in range(6)])
-    )
+    return _poly_from_samples([fn(b, n) for n in range(6)])
 
 
 def even_prefactor(j: int, b) -> Fraction:
@@ -204,13 +208,6 @@ def odd_prefactor(j: int, b) -> Fraction:
     )
 
 
-def _prefactor(part: int, j: int, b: Fraction, memo=None) -> Fraction:
-    """even_prefactor (part 0) or odd_prefactor (part 1), memoized on (j, b)."""
-    return _memoized(
-        memo, (part, j, b), odd_prefactor if part else even_prefactor, j, b
-    )
-
-
 def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
     """(numerators, denominators) of the even (part 0) or odd (part 1) term
     family, before any tail the caller appends."""
@@ -224,14 +221,14 @@ def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
 _ZERO_POLY = (Fraction(0),)
 
 
-def _part_heads(j: int, a: Fraction, b: Fraction, memo=None) -> tuple:
+def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     """(weight, numerators, denominators) of the even and of the odd term
     family, before any tail the caller appends; the odd one is None when
     that part vanishes identically (a = 0, or a zero weight as at j = 0),
-    so no Gamma poles are touched for dead terms.  Callers memoize it on
-    (j, a, b)."""
+    so no Gamma poles are touched for dead terms."""
     even, odd = (
-        (_weight_poly(j, b, part, memo),) + _part_parameters(part, j, a, b)
+        (_memoized(memo, _weight_poly, j, b, part),)
+        + _part_parameters(part, j, a, b)
         for part in (0, 1)
     )
     return even, (odd if a != 0 and odd[0] != _ZERO_POLY else None)
@@ -250,17 +247,16 @@ def _part_spec(part: int, head: tuple, extra_num=(), extra_den=()):
     )
 
 
-def _odd_scale(j: int, a: Fraction, b: Fraction, memo=None) -> Fraction:
-    """2a/(2b+j) times the odd Gamma prefactor; callers memoize it on
-    (j, a, b)."""
+def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
+    """2a/(2b+j) times the odd Gamma prefactor."""
     if 2 * b + j == 0:
         raise DenominatorPoleBeforeTermination(2 * b + j)
-    return 2 * a / (2 * b + j) * _prefactor(1, j, b, memo)
+    return 2 * a / (2 * b + j) * _memoized(memo, odd_prefactor, j, b)
 
 
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
     """(x/2, x/2 + 1/2, x/2 + 1), the half-shifted beta-moment parameters,
-    for x = d and for x = e, then d/e; callers memoize it on (d, e)."""
+    for x = d and for x = e, then d/e."""
     hd, he = d / 2, e / 2
     return (hd, hd + HALF, hd + 1), (he, he + HALF, he + 1), d / e
 
@@ -303,18 +299,16 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     The even part is scaled by its Gamma prefactor; the odd part by its
     Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
     when it vanishes identically (weight zero, as at j = 0, or a = 0),
-    so no Gamma poles are touched for dead terms.  `memo`, a dict, keeps
-    the (j, b) weights and prefactors and the (j, a, b) term heads and odd
-    scale for later calls that pass it too.
+    so no Gamma poles are touched for dead terms.  `memo` is a sweep memo
+    dict, or None.
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
-    even_head, odd_head = _memoized(
-        memo, ("parts", j, a, b), _part_heads, j, a, b, memo)
+    even_head, odd_head = _memoized(memo, _part_heads, j, a, b, memo=memo)
     total = weighted_series(_part_spec(0, even_head), order).scale(
-        _prefactor(0, j, b, memo))
+        _memoized(memo, even_prefactor, j, b))
     if odd_head is not None:
-        c_odd = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
+        c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo)
         odd = weighted_series(_part_spec(1, odd_head), order)
         total = total + odd.scale(c_odd)
     return total
@@ -378,14 +372,12 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
 
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
-    `memo`, a dict, keeps the prefactor and parameters of each (a, d, e)
-    and the 2b + j of each (j, b) for later calls that pass it too.
+    `memo` is a sweep memo dict, or None.
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     _table_row(j)
-    prefactor, two_a, lower = _memoized(
-        memo, ("theorem_lhs", a, d, e), _lhs_parameters, a, d, e)
-    shift = _memoized(memo, ("2b+j", j, b), _lower_shift, j, b)
+    prefactor, two_a, lower = _memoized(memo, _lhs_parameters, a, d, e)
+    shift = _memoized(memo, _lower_shift, j, b)
     f32 = HyperSpec((two_a, b, d), (shift, lower), argument)
     return prefactor * eval_terminating(f32)
 
@@ -396,8 +388,8 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     Summation bounds come from the first vanishing numerator Pochhammer of
     each part, never from convergence reasoning: on the a branch the even
     part stops at -a and the odd part at -a - 1; on the d branch both stop
-    around floor(-d/2), depending on parity.  `memo` is as in
-    gen_transform_rhs_series, and also keeps the (d, e) tails.
+    around floor(-d/2), depending on parity.  `memo` is a sweep memo
+    dict, or None.
     """
     _table_row(case.j)
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
@@ -406,17 +398,15 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
 
-    half_d, half_e, d_over_e = _memoized(
-        memo, ("tails", d, e), _moment_tails, d, e)
-    even_head, odd_head = _memoized(
-        memo, ("parts", j, a, b), _part_heads, j, a, b, memo)
+    half_d, half_e, d_over_e = _memoized(memo, _moment_tails, d, e)
+    even_head, odd_head = _memoized(memo, _part_heads, j, a, b, memo=memo)
     even = _part_spec(0, even_head, half_d[:2], half_e[:2])
     stop = weighted_termination(even)
-    total = _prefactor(0, j, b, memo) * eval_weighted_sum(even, stop)
+    total = _memoized(memo, even_prefactor, j, b) * eval_weighted_sum(even, stop)
 
     if odd_head is not None and d != 0:
         odd = _part_spec(1, odd_head, half_d[1:], half_e[1:])
-        scale = _memoized(memo, ("odd", j, a, b), _odd_scale, j, a, b, memo)
+        scale = _memoized(memo, _odd_scale, j, a, b, memo=memo)
         c_odd = scale * d_over_e
         total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
     return total
@@ -498,9 +488,8 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     prefactors are absorbed into the parameters, so this path shares no
     code with the weighted sums it cross-checks.  The second series is
     skipped when its scale vanishes, so its parameters are never even
-    validated for a dead term.  `memo`, a dict, keeps the (j, a, b) heads
-    and the (d, e) tails under keys of their own, never the weighted
-    sums' entries, for later calls that pass it too.
+    validated for a dead term.  `memo` is a sweep memo dict, or None;
+    this path reads none of the weighted sums' entries.
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     if abs(j) > 3:
@@ -509,10 +498,9 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
         raise InvalidCase("neither a nor d is a nonpositive integer")
     if e == 0:
         raise InvalidCase("e must be nonzero")
-    first, scale, second = _memoized(
-        memo, ("corollary heads", j, a, b), _corollary_heads, j, a, b)
+    first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
     half_d, shift_d, half_e, shift_e, d_over_e = _memoized(
-        memo, ("corollary tails", d, e), _corollary_tails, d, e)
+        memo, _corollary_tails, d, e)
     value = _hyper_at_one(first[0] + half_d, first[1] + half_e)
     scale *= d_over_e
     if scale == 0:
@@ -537,18 +525,16 @@ def beta_moment(power: int, d, e) -> Fraction:
 
 def _left_polynomial(j: int, a: Fraction, b: Fraction, degree: int) -> tuple:
     """The transformation's left side at a = -m, an exact polynomial of
-    degree 2m, as (integer numerators, common denominator); callers
-    memoize it on (j, a, b)."""
+    degree 2m, as (integer numerators, common denominator)."""
     poly = gen_transform_lhs_series(j, a, b, degree)
     return _common_denominator(poly.coefficients)
 
 
-def _moments(degree: int, d: Fraction, e: Fraction, memo=None) -> tuple:
+def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
     """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
-    common denominator), each moment memoized on (p, d, e); callers
-    memoize the whole on (degree, d, e)."""
+    common denominator)."""
     return _common_denominator([
-        _memoized(memo, ("moment", p, d, e), beta_moment, p, d, e)
+        _memoized(memo, beta_moment, p, d, e)
         for p in range(degree + 1)
     ])
 
@@ -563,9 +549,8 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
         (moment transform of the left-side polynomial,
          prefactor times the terminating 3F2 at argument 2)
 
-    whose equality is the identity itself.  `memo`, a dict, keeps the left
-    polynomial of each (j, a, b), the moments of each (degree, d, e) and
-    whatever theorem_lhs keeps, for later calls that pass it too.
+    whose equality is the identity itself.  `memo` is a sweep memo dict,
+    or None.
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     _table_row(j)
@@ -574,10 +559,8 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     if not (d > 0 and e - d > 0):
         raise InvalidCase("pipeline needs d > 0 and e - d > 0")
     degree = -2 * int(a)
-    c, den = _memoized(
-        memo, ("left polynomial", j, a, b), _left_polynomial, j, a, b, degree)
-    moments, m_den = _memoized(
-        memo, ("moments", degree, d, e), _moments, degree, d, e, memo)
+    c, den = _memoized(memo, _left_polynomial, j, a, b, degree)
+    moments, m_den = _memoized(memo, _moments, degree, d, e, memo=memo)
     lhs = Fraction(sum(map(operator.mul, c, moments)), den * m_den)
     return lhs, theorem_lhs(case, memo=memo)
 
@@ -619,21 +602,8 @@ def _error_tag(err: Exception) -> str:
 
 def verify_theorem(case: IdentityCase, argument=TWO, memo=None) -> VerificationRecord:
     """Evaluate both sides of the summation identity; never raises."""
-    base = dict(
-        check="theorem", j=case.j, a=case.a, b=case.b, d=case.d, e=case.e,
-        branch=case.branch,
-    )
-    try:
-        if case.branch is None:
-            raise InvalidCase("neither a nor d is a nonpositive integer")
-        # The weighted side runs the Gamma-prefactor simplification, so it
-        # goes first: pole exclusions then surface with the offending
-        # argument named instead of as a generic lower-parameter failure.
-        rhs = theorem_rhs(case, memo)
-        lhs = theorem_lhs(case, argument, memo)
-    except Exception as err:  # noqa: BLE001 - must embed, never panic
-        return VerificationRecord(error=_error_tag(err), **base)
-    return VerificationRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs, **base)
+    return _evaluate_case(("theorem", case.j, case.a, case.b, case.d, case.e,
+                           None, argument), memo)
 
 
 CHECK_NAMES = ("kummer", "transform", "theorem", "corollary", "pipeline")
@@ -644,31 +614,33 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
     check, j, a, b, d, e, order, argument = job
     base = dict(check=check, j=j, a=a, b=b, d=d, e=e)
     try:
-        if check == "kummer":
-            lhs = gen_transform_lhs_series(0, a, b, order)
-            rhs = kummer_rhs_series(a, b, order)
-            return VerificationRecord(
-                lhs=lhs.coefficients, rhs=rhs.coefficients,
-                equal=lhs == rhs, **base,
-            )
-        if check == "transform":
-            lhs = gen_transform_lhs_series(j, a, b, order)
-            rhs = gen_transform_rhs_series(j, a, b, order, memo)
-            return VerificationRecord(
-                lhs=lhs.coefficients, rhs=rhs.coefficients,
-                equal=lhs == rhs, **base,
-            )
-        case = IdentityCase(j, a, b, d, e)
-        base["branch"] = case.branch
-        if check == "theorem":
-            return verify_theorem(case, argument, memo)
-        if check == "corollary":
-            lhs = theorem_lhs(case, memo=memo)
-            rhs = corollary_rhs(case, memo)
-        elif check == "pipeline":
-            lhs, rhs = beta_integral_pipeline(case, memo)
+        if check in ("kummer", "transform"):
+            lhs = gen_transform_lhs_series(j or 0, a, b, order)
+            if check == "kummer":
+                rhs = kummer_rhs_series(a, b, order)
+            else:
+                rhs = gen_transform_rhs_series(j, a, b, order, memo)
+            lhs, rhs = lhs.coefficients, rhs.coefficients
         else:
-            raise ValueError(f"unknown check {check!r}")
+            case = IdentityCase(j, a, b, d, e)
+            base["branch"] = case.branch
+            if check == "theorem":
+                if case.branch is None:
+                    raise InvalidCase(
+                        "neither a nor d is a nonpositive integer")
+                # The weighted side runs the Gamma-prefactor
+                # simplification, so it goes first: pole exclusions then
+                # surface with the offending argument named instead of as
+                # a generic lower-parameter failure.
+                rhs = theorem_rhs(case, memo)
+                lhs = theorem_lhs(case, argument, memo)
+            elif check == "corollary":
+                lhs = theorem_lhs(case, memo=memo)
+                rhs = corollary_rhs(case, memo)
+            elif check == "pipeline":
+                lhs, rhs = beta_integral_pipeline(case, memo)
+            else:
+                raise ValueError(f"unknown check {check!r}")
     except Exception as err:  # noqa: BLE001 - embed bugs as errored records
         return VerificationRecord(error=_error_tag(err), **base)
     return VerificationRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs, **base)
@@ -693,26 +665,14 @@ def grid_sweep(
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
 
-    Whatever a case shares with its row is computed once per sweep, so a
-    case does a few lookups and appends its own tails:
-
-    * per (j, b): the weight polynomials, the even and odd Gamma
-      prefactors and the 3F2's lower parameter 2b + j;
-    * per (j, a, b): the even and odd weights and parameter tuples, the
-      odd scale 2a/(2b+j) times its prefactor, and the pipeline's
-      left-side polynomial;
-    * per (d, e): the half-shifted d and e and d/e;
-    * per (a, d, e): the left side's Gamma prefactor with 2a and
-      1 + 2a + d - e;
-    * per (p, d, e) and (degree, d, e): the beta moments.
-
-    The corollary check keeps its own heads per (j, a, b) and tails per
-    (d, e), under keys of its own: it is the independent evaluation of the
-    weighted sums, so it never reads their entries.  An entry that can
-    raise is looked up only where the memo-free path would compute it, so
-    every record equals the one its job gives with no memo.  The memo
-    lives for this sweep only.  A pool's map pickles an empty copy of the
-    memo with each chunk of jobs it sends.
+    Whatever a case shares with its row is computed once per sweep: the
+    memo keeps each helper's value under (helper, *args), at the point
+    where the memo-free path computes it.  A VerificationError the helper
+    raises is kept too and raised again there, so every record equals the
+    one its job gives with no memo.  corollary_rhs reads none of the
+    weighted sums' entries, since it is their independent evaluation.
+    The memo lives for this sweep only.  A pool's map pickles an empty
+    copy of the memo with each chunk of jobs it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

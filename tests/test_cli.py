@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -371,11 +372,18 @@ def test_selftest_rejects_bad_jobs(capsys):
 
 
 def test_module_entry_point_smoke():
+    # The child finds the package through PYTHONPATH, as pytest's own
+    # pythonpath setting does not reach it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hyperverify", "table", "--j", "0", "--b", "1/2",
          "--n", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "j=0   A=1 B=0\n"

@@ -66,10 +66,6 @@ class TestGammaProduct:
         p = GammaProduct(((F(1, 3), 1), (F(1, 3), -1)))
         assert p.factors == ()
 
-    def test_multiplication_merges(self):
-        p = ratio((5,)) * ratio((), (5,))
-        assert p.factors == ()
-
 
 class TestGammaSimplify:
     def test_identical_cancellation_even_at_poles(self):

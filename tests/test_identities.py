@@ -261,8 +261,8 @@ class TestCorollaries:
             raise AssertionError("corollary reached the weighted path")
 
         for name in ("_part_spec", "_part_parameters", "_part_heads",
-                     "_weight_poly", "_prefactor", "_odd_scale",
-                     "_moment_tails", "eval_weighted_sum",
+                     "_weight_poly", "even_prefactor", "odd_prefactor",
+                     "_odd_scale", "_moment_tails", "eval_weighted_sum",
                      "weighted_termination"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
@@ -370,6 +370,26 @@ class TestGridSweep:
         # prefactors for 2 values of b
         assert seen[0]["gamma"] == 4 + 2 * 2
         assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
+
+    def test_raised_entry_is_worked_once_per_sweep(self, monkeypatch):
+        # The left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
+        # a pole; the memo keeps the raised error, so every case of the
+        # row replays it and the prefactor is reduced once.
+        calls = []
+        gamma_simplify = identities.gamma_simplify
+
+        def counted_gamma(product):
+            calls.append(product)
+            return gamma_simplify(product)
+
+        monkeypatch.setattr(identities, "gamma_simplify", counted_gamma)
+        records = grid_sweep(
+            range(-3, 4), (-3,), (F(1, 3), F(2, 7)), (F(1, 2),), (-3,),
+            ("corollary",),
+        )
+        assert len(records) == 14
+        assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
+        assert len(calls) == 1
 
     def test_series_records_carry_coefficient_tuples(self):
         rec = grid_sweep((), (-1,), (1,), (), (), ("kummer",), series_order=4)[0]

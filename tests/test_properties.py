@@ -370,6 +370,10 @@ def subsets(values, max_size=2):
 # The odd scale must not be reduced before the even sum: here the even
 # prefactor's pole has to win over the odd part's lower-parameter pole.
 @example([2], [F(-2)], [F(-1)], [F(-2)], [F(4)], ["theorem"])
+# A stored error (the left side's pole at (a, d, e) = (-3, 1/2, -3)) is
+# replayed across the corollary rows; theorem stops at its own right side.
+@example([0, 1], [F(-3)], [F(1, 3), F(2, 7)], [F(1, 2)], [F(-3)],
+         ["corollary", "theorem"])
 def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
     # Degenerate points included (a = 0, integer b, 2b + j = 0 at j = 2,
     # e < 0): every memoized record, error text included, equals the one
