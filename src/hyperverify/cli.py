@@ -327,17 +327,16 @@ def main(argv=None) -> int:
             print("hyperverify: --jobs must be >= 1", file=sys.stderr)
             return 2
         return selftest(args.jobs)
-    if args.command == "table":
-        if args.j is not None and not -5 <= args.j <= 5:
-            print(f"hyperverify: j={args.j} outside [-5, 5]", file=sys.stderr)
-            return 2
-        try:
-            b = Fraction(args.b)
-        except (ValueError, ZeroDivisionError) as err:
-            print(f"hyperverify: bad --b value: {err}", file=sys.stderr)
-            return 2
-        return table(args.j, b, args.n)
-    raise AssertionError("unreachable")
+    # the subcommand is required, so this one is table
+    if args.j is not None and not -5 <= args.j <= 5:
+        print(f"hyperverify: j={args.j} outside [-5, 5]", file=sys.stderr)
+        return 2
+    try:
+        b = Fraction(args.b)
+    except (ValueError, ZeroDivisionError) as err:
+        print(f"hyperverify: bad --b value: {err}", file=sys.stderr)
+        return 2
+    return table(args.j, b, args.n)
 
 
 def console_main() -> None:

@@ -170,7 +170,7 @@ class WeightedSumSpec:
 
         weight(n) * prod (num_i)_n / (prod (den_i)_n * n!)
 
-    on degree stride*n + offset of a series, with weight a polynomial in n
+    on degree 2n + offset of a series in x, with weight a polynomial in n
     (ascending coefficients), evaluated per term rather than absorbed into
     extra Pochhammer parameters, so the absorbed closed forms computed
     elsewhere stay an independent path.
@@ -179,7 +179,6 @@ class WeightedSumSpec:
     weight: tuple
     numerators: tuple
     denominators: tuple
-    power_stride: int = 1
     power_offset: int = 0
 
     def __post_init__(self):
@@ -201,14 +200,12 @@ def eval_weighted_sum(spec: WeightedSumSpec, up_to: int) -> Fraction:
 
 
 def weighted_series(spec: WeightedSumSpec, order: int) -> TruncatedSeries:
-    """The same term family rendered as a series in a formal variable:
-    term n lands on degree stride*n + offset."""
+    """The same term family rendered as a series in x: term n lands on
+    degree 2n + offset, and no term is walked past the order."""
     coeffs = [Fraction(0)] * (order + 1)
-    if spec.power_offset > order:
-        return TruncatedSeries(tuple(coeffs))
-    up_to = (order - spec.power_offset) // spec.power_stride
+    up_to = (order - spec.power_offset) // 2
     weight, w_den = _common_denominator(spec.weight)
     ratios = _term_ratios(spec.numerators, spec.denominators)
     for n, c in enumerate(_weighted_terms(ratios, weight, w_den, up_to)):
-        coeffs[spec.power_stride * n + spec.power_offset] = c
+        coeffs[2 * n + spec.power_offset] = c
     return TruncatedSeries(tuple(coeffs))

@@ -40,7 +40,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
+            return NotImplemented
         # An integer convolution of the numerators over each operand's
         # common denominator, then one Fraction per output coefficient.
         n = min(self.order, other.order)
@@ -51,8 +51,6 @@ class TruncatedSeries:
             Fraction(sum(map(operator.mul, p, q[m::-1])), den)
             for m in range(n + 1)
         ))
-
-    __rmul__ = __mul__
 
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:

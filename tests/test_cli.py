@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperverify import cli
+from hyperverify import cli, identities
 
 CANONICAL_CONFIG = {
     "checks": ["theorem"],
@@ -89,6 +89,26 @@ class TestRun:
         assert report["summary"]["skipped"] == 1
         assert "PoleError" in report["records"][0]["error"]
 
+    def test_crash_in_a_check_is_an_errored_record(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(identities, "kummer_rhs_series", boom)
+        payload = dict(CANONICAL_CONFIG)
+        payload.update(checks=["kummer", "theorem"], bSet=["1/3"])
+        cfg = write_config(tmp_path, payload)
+        code, out, err = invoke(["run", "--config", cfg], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["summary"] == {
+            "passed": 1, "failed": 0, "errored": 1, "skipped": 0
+        }
+        (kummer,) = [r for r in report["records"] if r["check"] == "kummer"]
+        assert kummer["error"] == "Unexpected RuntimeError: boom"
+        assert "1 errored" in err
+
     def test_rationals_in_report_round_trip(self, tmp_path, capsys):
         payload = dict(CANONICAL_CONFIG)
         payload.update(
@@ -132,6 +152,10 @@ class TestConfigValidation:
             {"checks": ["theorem"], "theoremArgument": "three"},
             {"checks": "theorem"},
             [1, 2, 3],
+            {"checks": ["theorem"], "aSet": "1/2"},
+            {"checks": ["theorem"], "jSet": 3},
+            {"checks": ["theorem"], "jSet": ["1"]},
+            {"checks": ["theorem"], "seriesOrder": "24"},
         ],
     )
     def test_malformed_configs_exit_two(self, tmp_path, capsys, payload):

@@ -188,7 +188,7 @@ class TestWeightedSum:
         # pole at -3 is never reached
         live = WeightedSumSpec(
             weight=(F(1, 2), 3), numerators=(-5, F(2, 3)),
-            denominators=(F(1, 2), -2), power_stride=2, power_offset=1,
+            denominators=(F(1, 2), -2), power_offset=1,
         )
         for evaluate in (eval_weighted_sum, weighted_series):
             with pytest.raises(
@@ -198,7 +198,7 @@ class TestWeightedSum:
                 evaluate(live, 11)
         dead = WeightedSumSpec(
             weight=(F(1, 2), 3), numerators=(-2, F(2, 3)),
-            denominators=(F(1, 2), -3), power_stride=2, power_offset=1,
+            denominators=(F(1, 2), -3), power_offset=1,
         )
         terms = (F(1, 2), F(28, 9), F(130, 81))
         assert eval_weighted_sum(dead, 11) == sum(terms) == F(845, 162)
@@ -211,7 +211,6 @@ class TestWeightedSum:
             weight=(1, 1),
             numerators=(F(1, 2),),
             denominators=(F(3, 2),),
-            power_stride=2,
             power_offset=1,
         )
         s = weighted_series(spec, 6)

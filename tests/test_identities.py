@@ -231,6 +231,19 @@ class TestTheorem:
         assert rec.lhs == rec.rhs == F(19, 18)
         assert rec.branch == "a"
 
+    def test_odd_scale_pole_at_zero_lower_shift(self):
+        # 2b + j = 0: the pole is the 2a/(2b+j) factor, not a term of a sum
+        rec = verify_theorem(IdentityCase(1, F(-1, 2), F(-1, 2), -1, 4))
+        assert rec.error == (
+            "DenominatorPoleBeforeTermination: denominator parameter 0")
+
+    def test_zero_e_is_rejected(self):
+        case = IdentityCase(0, -1, F(1, 3), 1, 0)
+        assert verify_theorem(case).error == "InvalidCase: e must be nonzero"
+        # a corollary sweep never gets here: the left side's pole comes first
+        with pytest.raises(InvalidCase, match="^e must be nonzero$"):
+            corollary_rhs(case)
+
 
 class TestCorollaries:
     def test_shift_zero_form(self):

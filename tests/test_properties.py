@@ -196,7 +196,6 @@ def weighted_specs(draw):
         weight=tuple(draw(st.lists(rationals, min_size=1, max_size=3))),
         numerators=tuple(draw(st.lists(rationals, max_size=3))),
         denominators=tuple(draw(st.lists(safe_bases, max_size=3))),
-        power_stride=2,
         power_offset=draw(st.integers(0, 1)),
     )
 
@@ -374,6 +373,8 @@ def subsets(values, max_size=2):
 # replayed across the corollary rows; theorem stops at its own right side.
 @example([0, 1], [F(-3)], [F(1, 3), F(2, 7)], [F(1, 2)], [F(-3)],
          ["corollary", "theorem"])
+# The odd scale's 2b + j = 0 pole is stored once and replayed across (d, e).
+@example([1], [F(-1, 2)], [F(-1, 2)], [F(-1), F(-3)], [F(4)], ["theorem"])
 def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
     # Degenerate points included (a = 0, integer b, 2b + j = 0 at j = 2,
     # e < 0): every memoized record, error text included, equals the one

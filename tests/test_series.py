@@ -52,7 +52,10 @@ class TestArithmetic:
         assert (f * g).order == 1
 
     def test_scalar_multiplication(self):
-        assert (3 * S(1, F(1, 3))).coefficients == (3, 1)
+        assert S(1, F(1, 3)).scale(3).coefficients == (3, 1)
+        # * is the series product only
+        with pytest.raises(TypeError):
+            3 * S(1, F(1, 3))
 
 
 class TestBinomialSeries:
