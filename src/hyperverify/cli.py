@@ -16,7 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .identities import VerificationRecord, coeff_A, coeff_B, grid_sweep
+from .identities import (
+    COEFF_TABLE,
+    J_LIMIT,
+    VerificationRecord,
+    coeff_A,
+    coeff_B,
+    grid_sweep,
+)
 from .suites import ALL_SUITES
 
 # Config check name -> grid_sweep check name; "corollaries" is the config
@@ -96,8 +103,9 @@ class SweepConfig:
         for j in j_raw:
             if isinstance(j, bool) or not isinstance(j, int):
                 raise ConfigParseError(f"jSet: {j!r} is not an integer")
-            if not -5 <= j <= 5:
-                raise ConfigParseError(f"jSet: j={j} outside [-5, 5]")
+            if abs(j) > J_LIMIT:
+                raise ConfigParseError(
+                    f"jSet: j={j} outside [{-J_LIMIT}, {J_LIMIT}]")
             j_set.append(j)
 
         order = raw.get("seriesOrder", 24)
@@ -284,7 +292,7 @@ def selftest(jobs: int = 1) -> int:
 
 def table(j: int | None, b, n: int) -> int:
     """Print the even/odd weight table evaluated at (b, n)."""
-    shifts = [j] if j is not None else list(range(-5, 6))
+    shifts = [j] if j is not None else sorted(COEFF_TABLE)
     for shift in shifts:
         print(f"j={shift:<3} A={coeff_A(shift, b, n)} B={coeff_B(shift, b, n)}")
     return 0
@@ -317,19 +325,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("run", "selftest") and args.jobs < 1:
+        print("hyperverify: --jobs must be >= 1", file=sys.stderr)
+        return 2
     if args.command == "run":
-        if args.jobs < 1:
-            print("hyperverify: --jobs must be >= 1", file=sys.stderr)
-            return 2
         return run(args.config, args.out, args.jobs)
     if args.command == "selftest":
-        if args.jobs < 1:
-            print("hyperverify: --jobs must be >= 1", file=sys.stderr)
-            return 2
         return selftest(args.jobs)
     # the subcommand is required, so this one is table
-    if args.j is not None and not -5 <= args.j <= 5:
-        print(f"hyperverify: j={args.j} outside [-5, 5]", file=sys.stderr)
+    if args.j is not None and abs(args.j) > J_LIMIT:
+        print(f"hyperverify: j={args.j} outside [{-J_LIMIT}, {J_LIMIT}]",
+              file=sys.stderr)
         return 2
     try:
         b = Fraction(args.b)

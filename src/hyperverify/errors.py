@@ -51,7 +51,7 @@ class NonTerminatingSeries(VerificationError):
 class UnsupportedJ(VerificationError):
     """The shift j lies outside the range covered by the coefficient table."""
 
-    def __init__(self, j, limit=5):
+    def __init__(self, j, limit):
         self.j = j
         super().__init__(f"shift j={j} not supported (|j| must be <= {limit})")
 

@@ -4,8 +4,7 @@ Covers term generation, termination detection, exact evaluation of
 terminating instances, expansion as a series in the argument, and weighted
 sums whose terms carry a polynomial-in-n coefficient on top of the usual
 Pochhammer quotient.  All of them walk one integer term-ratio iterator and
-build one `Fraction` per result; a recompute-from-scratch path is kept for
-cross-checks.
+build one `Fraction` per result.
 """
 
 import math
@@ -16,7 +15,7 @@ from .errors import (
     DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
 )
-from .exact import is_nonpositive_integer, pochhammer
+from .exact import is_nonpositive_integer
 from .series import TruncatedSeries, _common_denominator, _fractions
 
 
@@ -40,7 +39,9 @@ class HyperSpec:
     numerators: tuple
     denominators: tuple
     argument: Fraction = field(default=Fraction(1))
-    # the termination index, found once by the legality check below
+    # the termination index, the smallest M with every term beyond M zero
+    # (None when the series does not terminate); found once by the
+    # legality check below
     stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,11 +57,6 @@ class HyperSpec:
             # (beta)_n first vanishes at n = 1 - beta; terms must stop sooner.
             if stop is None or stop > -beta:
                 raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
-
-
-def termination_index(spec: HyperSpec) -> int | None:
-    """Smallest M with every term beyond M vanishing, if the series terminates."""
-    return spec.stop
 
 
 def _term_ratios(numerators, denominators, argument=Fraction(1)):
@@ -123,39 +119,18 @@ def _weighted_terms(ratios, weight, den: int, up_to: int) -> list:
 
 def eval_terminating(spec: HyperSpec) -> Fraction:
     """Exact value of a terminating series, by iterated term ratios."""
-    stop = termination_index(spec)
-    if stop is None:
+    if spec.stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer"
         )
     ratios = _term_ratios(spec.numerators, spec.denominators, spec.argument)
-    return Fraction(*_weighted_total(ratios, (1,), stop))
-
-
-def eval_terminating_direct(spec: HyperSpec, reverse: bool = False) -> Fraction:
-    """Slow cross-check: every term rebuilt from scratch, any summation order."""
-    stop = termination_index(spec)
-    if stop is None:
-        raise NonTerminatingSeries(
-            "no numerator parameter is a nonpositive integer"
-        )
-    indices = range(stop, -1, -1) if reverse else range(stop + 1)
-    total = Fraction(0)
-    for n in indices:
-        term = spec.argument ** n / math.factorial(n)
-        for p in spec.numerators:
-            term *= pochhammer(p, n)
-        for q in spec.denominators:
-            term /= pochhammer(q, n)
-        total += term
-    return total
+    return Fraction(*_weighted_total(ratios, (1,), spec.stop))
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     """Series expansion in the argument: coefficient n is the Pochhammer
     quotient over n!.  The stored argument of the spec is ignored."""
-    stop = termination_index(spec)
-    limit = order if stop is None else min(order, stop)
+    limit = order if spec.stop is None else min(order, spec.stop)
     ratios = _term_ratios(spec.numerators, spec.denominators)
     coeffs = _weighted_terms(ratios, (1,), 1, limit)
     coeffs += [Fraction(0)] * (order + 1 - len(coeffs))

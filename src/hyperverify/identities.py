@@ -57,11 +57,6 @@ HALF = Fraction(1, 2)
 TWO = Fraction(2)
 
 
-def bracket(x) -> int:
-    """Greatest integer not exceeding x (used on half-integer shifts)."""
-    return math.floor(Fraction(x))
-
-
 # Weight table for the even (A) and odd (B) series parts, exactly as
 # tabulated; b is rational, n the summation index.  Do not simplify these
 # expressions: the whole point of the series check is to audit them.
@@ -111,12 +106,17 @@ COEFF_TABLE = {
     ),
 }
 
+# The table holds every shift with |j| <= J_LIMIT; the closed corollary
+# forms cover |j| <= COROLLARY_J_LIMIT.
+J_LIMIT = max(COEFF_TABLE)
+COROLLARY_J_LIMIT = 3
+
 
 def _table_row(j: int):
     try:
         return COEFF_TABLE[j]
     except KeyError:
-        raise UnsupportedJ(j) from None
+        raise UnsupportedJ(j, limit=J_LIMIT) from None
 
 
 def coeff_A(j: int, b, n: int) -> Fraction:
@@ -188,7 +188,7 @@ def even_prefactor(j: int, b) -> Fraction:
             (b, 1 - b),
             (
                 b + Fraction(j, 2) + Fraction(abs(j), 2),
-                1 - b - bracket(Fraction(j + 1, 2)),
+                1 - b - (j + 1) // 2,
             ),
         )
     )
@@ -201,7 +201,7 @@ def odd_prefactor(j: int, b) -> Fraction:
         GammaProduct.ratio(
             (-b, 1 + b),
             (
-                -b - bracket(Fraction(j, 2)),
+                -b - j // 2,
                 b + Fraction(j, 2) + Fraction(abs(j), 2),
             ),
         )
@@ -213,9 +213,8 @@ def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
     family, before any tail the caller appends."""
     shift = b + Fraction(j, 2)
     if part:
-        return (a + HALF, a + 1, b + 1 + bracket(Fraction(j, 2))), (
-            shift + HALF, shift + 1)
-    return (a, a + HALF, b + bracket(Fraction(j + 1, 2))), (shift, shift + HALF)
+        return (a + HALF, a + 1, b + 1 + j // 2), (shift + HALF, shift + 1)
+    return (a, a + HALF, b + (j + 1) // 2), (shift, shift + HALF)
 
 
 _ZERO_POLY = (Fraction(0),)
@@ -353,11 +352,6 @@ def _lhs_parameters(a: Fraction, d: Fraction, e: Fraction) -> tuple:
     return prefactor, two_a, 1 + two_a + d - e
 
 
-def _lower_shift(j: int, b: Fraction) -> Fraction:
-    """2b + j, the 3F2's first lower parameter."""
-    return 2 * b + j
-
-
 def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     """Prefactor times the terminating 3F2.
 
@@ -368,8 +362,7 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     _table_row(j)
     prefactor, two_a, lower = _memoized(memo, _lhs_parameters, a, d, e)
-    shift = _memoized(memo, _lower_shift, j, b)
-    f32 = HyperSpec((two_a, b, d), (shift, lower), argument)
+    f32 = HyperSpec((two_a, b, d), (2 * b + j, lower), argument)
     return prefactor * eval_terminating(f32)
 
 
@@ -401,10 +394,6 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
         c_odd = scale * d_over_e
         total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
     return total
-
-
-def _hyper_at_one(numerators, denominators) -> Fraction:
-    return eval_terminating(HyperSpec(numerators, denominators))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
@@ -483,8 +472,8 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     this path reads none of the weighted sums' entries.
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    if abs(j) > 3:
-        raise UnsupportedJ(j, limit=3)
+    if abs(j) > COROLLARY_J_LIMIT:
+        raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
     if case.branch is None:
         raise InvalidCase("neither a nor d is a nonpositive integer")
     if e == 0:
@@ -492,12 +481,12 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
     half_d, shift_d, half_e, shift_e, d_over_e = _memoized(
         memo, _corollary_tails, d, e)
-    value = _hyper_at_one(first[0] + half_d, first[1] + half_e)
+    value = eval_terminating(HyperSpec(first[0] + half_d, first[1] + half_e))
     scale *= d_over_e
     if scale == 0:
         return value
-    return value + scale * _hyper_at_one(
-        second[0] + shift_d, second[1] + shift_e)
+    return value + scale * eval_terminating(
+        HyperSpec(second[0] + shift_d, second[1] + shift_e))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -616,9 +605,6 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
             case = IdentityCase(j, a, b, d, e)
             base["branch"] = case.branch
             if check == "theorem":
-                if case.branch is None:
-                    raise InvalidCase(
-                        "neither a nor d is a nonpositive integer")
                 # The weighted side runs the Gamma-prefactor
                 # simplification, so it goes first: pole exclusions then
                 # surface with the offending argument named instead of as

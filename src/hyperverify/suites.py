@@ -7,12 +7,12 @@ acceptance battery of the test suite, so they live here once.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .identities import grid_sweep
+from .identities import COROLLARY_J_LIMIT, J_LIMIT, grid_sweep
 
 F = Fraction
 
-J_FULL = tuple(range(-5, 6))
-J_COROLLARY = tuple(range(-3, 4))
+J_FULL = tuple(range(-J_LIMIT, J_LIMIT + 1))
+J_COROLLARY = tuple(range(-COROLLARY_J_LIMIT, COROLLARY_J_LIMIT + 1))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,16 @@ the Moebius substitution; the cubic-time Horner composition here
 recomputes it the direct way at small orders.  The package interpolates
 the weight polynomials with integer Newton differences; the plain
 Fraction Newton loop here is the reference they are checked against.
+The package sums a terminating series by iterated integer term ratios;
+the direct sum here rebuilds every term from scratch instead.
 """
 
 import math
 from fractions import Fraction
 
-from hyperverify import TruncatedSeries, VerificationError
+from hyperverify.errors import NonTerminatingSeries, VerificationError
+from hyperverify.exact import pochhammer
+from hyperverify.series import TruncatedSeries
 
 
 class NonzeroConstantTerm(VerificationError):
@@ -67,3 +71,23 @@ def fraction_poly_from_samples(samples) -> tuple:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:
+    """The terminating series of a HyperSpec, every term rebuilt from
+    scratch with its own Pochhammer products, summed upwards or, with
+    `reverse`, downwards."""
+    if spec.stop is None:
+        raise NonTerminatingSeries(
+            "no numerator parameter is a nonpositive integer"
+        )
+    indices = range(spec.stop, -1, -1) if reverse else range(spec.stop + 1)
+    total = Fraction(0)
+    for n in indices:
+        term = spec.argument ** n / math.factorial(n)
+        for p in spec.numerators:
+            term *= pochhammer(p, n)
+        for q in spec.denominators:
+            term /= pochhammer(q, n)
+        total += term
+    return total

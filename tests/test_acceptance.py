@@ -20,23 +20,22 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from hyperverify import (
+from hyperverify import IdentityCase, cli, theorem_lhs, theorem_rhs
+from hyperverify.exact import (
     GammaProduct,
-    IdentityCase,
-    TruncatedSeries,
+    gamma_simplify,
+    pochhammer,
+    pochhammer_duplication,
+)
+from hyperverify.identities import (
+    COEFF_TABLE,
     beta_integral_pipeline,
     beta_moment,
     corollary_rhs,
-    gamma_simplify,
     gen_transform_lhs_series,
     grid_sweep,
-    pochhammer,
-    pochhammer_duplication,
-    theorem_lhs,
-    theorem_rhs,
 )
-from hyperverify import cli
-from hyperverify.identities import COEFF_TABLE
+from hyperverify.series import TruncatedSeries
 from hyperverify.suites import (
     ALL_SUITES,
     COROLLARY_SUITE,

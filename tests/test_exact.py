@@ -4,10 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hyperverify import (
+from hyperverify import PoleError, TranscendentalResidue
+from hyperverify.exact import (
     GammaProduct,
-    PoleError,
-    TranscendentalResidue,
     gamma_simplify,
     is_nonpositive_integer,
     pochhammer,

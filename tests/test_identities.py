@@ -5,17 +5,22 @@ from fractions import Fraction as F
 import pytest
 
 from hyperverify import (
-    COEFF_TABLE,
     DenominatorPoleBeforeTermination,
-    HyperSpec,
     IdentityCase,
     InvalidCase,
     PoleError,
     UnsupportedJ,
+    identities,
+    theorem_lhs,
+    theorem_rhs,
+    verify_theorem,
+)
+from hyperverify.hyper import HyperSpec, series_in_z
+from hyperverify.identities import (
+    COEFF_TABLE,
+    _weight_poly,
     beta_integral_pipeline,
     beta_moment,
-    binomial_series,
-    bracket,
     coeff_A,
     coeff_B,
     corollary_rhs,
@@ -25,26 +30,9 @@ from hyperverify import (
     grid_sweep,
     kummer_rhs_series,
     odd_prefactor,
-    series_in_z,
-    theorem_lhs,
-    theorem_rhs,
-    verify_theorem,
 )
-from hyperverify import identities
-from hyperverify.identities import _weight_poly
+from hyperverify.series import binomial_series
 from series_oracle import compose, mobius_arg
-
-
-class TestBracket:
-    def test_floor_of_negative_half(self):
-        assert bracket(F(-1, 2)) == -1
-
-    def test_integer_passthrough(self):
-        assert bracket(3) == 3
-
-    def test_negative_halves(self):
-        assert bracket(F(-5, 2)) == -3
-        assert bracket(F(-3, 2)) == -2
 
 
 class TestWeightTable:

@@ -8,29 +8,35 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperverify import (
+from hyperverify import identities
+from hyperverify.exact import (
     GammaProduct,
-    HyperSpec,
-    IdentityCase,
-    TruncatedSeries,
-    WeightedSumSpec,
-    binomial_series,
-    eval_terminating,
-    eval_terminating_direct,
-    eval_weighted_sum,
     gamma_simplify,
-    gen_transform_lhs_series,
-    gen_transform_rhs_series,
-    grid_sweep,
-    identities,
     is_nonpositive_integer,
-    kummer_rhs_series,
     pochhammer,
     pochhammer_duplication,
+)
+from hyperverify.hyper import (
+    HyperSpec,
+    WeightedSumSpec,
+    eval_terminating,
+    eval_weighted_sum,
     series_in_z,
     weighted_series,
 )
-from series_oracle import compose, fraction_poly_from_samples
+from hyperverify.identities import (
+    IdentityCase,
+    gen_transform_lhs_series,
+    gen_transform_rhs_series,
+    grid_sweep,
+    kummer_rhs_series,
+)
+from hyperverify.series import TruncatedSeries, binomial_series
+from series_oracle import (
+    compose,
+    eval_terminating_direct,
+    fraction_poly_from_samples,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -252,7 +258,7 @@ def test_transform_parity_split(j, a, b):
 def test_seeded_random_grid_for_weight_table_rows():
     # deterministic spot sampling across all rows, independent of hypothesis
     rng = random.Random(1729)
-    from hyperverify import coeff_A, coeff_B
+    from hyperverify.identities import coeff_A, coeff_B
 
     for _ in range(200):
         j = rng.randint(-5, 5)

@@ -6,11 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hyperverify import (
-    TruncatedSeries,
-    binomial_series,
-    pochhammer,
-)
+from hyperverify.exact import pochhammer
+from hyperverify.series import TruncatedSeries, binomial_series
 from series_oracle import NonzeroConstantTerm, compose, mobius_arg
 
 
