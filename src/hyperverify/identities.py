@@ -612,6 +612,9 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
                 rhs = theorem_rhs(case, memo)
                 lhs = theorem_lhs(case, argument, memo)
             elif check == "corollary":
+                # no closed form past the bound: skip before the 3F2 sum
+                if abs(j) > COROLLARY_J_LIMIT:
+                    raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
                 lhs = theorem_lhs(case, memo=memo)
                 rhs = corollary_rhs(case, memo)
             else:  # pipeline

@@ -353,7 +353,7 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
-GOLDEN_SHA256 = "6f4a550d59a1631e1d8ad82bd01a31986728f2b941d9a5cc149675803f0e4081"
+GOLDEN_SHA256 = "14a13cb57f38409c3af37e649bc73e4ea52f02d1e3113fe29c950a41d0e606a3"
 
 
 def assert_golden_report(tmp_path, capsys, jobs):

@@ -254,6 +254,18 @@ class TestCorollaries:
             with pytest.raises(UnsupportedJ):
                 corollary_rhs(IdentityCase(j, -1, F(1, 3), 1, 4))
 
+    def test_sweep_skips_large_shifts_before_the_left_side(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("left side summed for a skipped record")
+
+        monkeypatch.setattr(identities, "theorem_lhs", broken)
+        records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
+                             ("corollary",))
+        assert [r.error for r in records] == [
+            f"UnsupportedJ: shift j={j} not supported (|j| must be <= 3)"
+            for j in (4, -5) for _ in range(4)
+        ]
+
     def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
         # The closed forms are the independent cross-check of the weighted
         # sums: with every weighted-path helper broken, a corollary sweep
