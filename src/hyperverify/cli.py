@@ -16,15 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .identities import (
-    COEFF_TABLE,
-    J_LIMIT,
-    VerificationRecord,
-    coeff_A,
-    coeff_B,
-    grid_sweep,
-)
-from .suites import ALL_SUITES
+from .identities import J_LIMIT, VerificationRecord, coeff_A, coeff_B, grid_sweep
+from .suites import ALL_SUITES, J_FULL
 
 # Config check name -> grid_sweep check name; "corollaries" is the config
 # spelling of the "corollary" check.
@@ -292,7 +285,7 @@ def selftest(jobs: int = 1) -> int:
 
 def table(j: int | None, b, n: int) -> int:
     """Print the even/odd weight table evaluated at (b, n)."""
-    shifts = [j] if j is not None else sorted(COEFF_TABLE)
+    shifts = [j] if j is not None else J_FULL
     for shift in shifts:
         print(f"j={shift:<3} A={coeff_A(shift, b, n)} B={coeff_B(shift, b, n)}")
     return 0
