@@ -356,17 +356,28 @@ GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
 GOLDEN_SHA256 = "14a13cb57f38409c3af37e649bc73e4ea52f02d1e3113fe29c950a41d0e606a3"
 
 
-def assert_golden_report(tmp_path, capsys, jobs):
+# A second digest guards the argument that the theorem's left side
+# carries: the same grid with the 3F2 summed at argument 1.
+GOLDEN_ONE_SHA256 = "31450df05aa600d4654890d88f65adaeefdb96b6e0cb182077c3d3dd324976f3"
+
+
+def assert_golden_report(tmp_path, capsys, jobs, argument=None):
+    config = str(GOLDEN_CONFIG)
+    summary = {"passed": 398, "failed": 94, "errored": 0, "skipped": 1200}
+    digest = GOLDEN_SHA256
+    if argument is not None:
+        raw = json.loads(GOLDEN_CONFIG.read_text())
+        config = write_config(tmp_path, dict(raw, theoremArgument=argument))
+        summary = {"passed": 238, "failed": 254, "errored": 0, "skipped": 1200}
+        digest = GOLDEN_ONE_SHA256
     out = tmp_path / "report.json"
-    assert cli.run(str(GOLDEN_CONFIG), str(out), jobs=jobs) == 1
+    assert cli.run(config, str(out), jobs=jobs) == 1
     capsys.readouterr()
     body = out.read_bytes()
     report = json.loads(body)
     assert len(report["records"]) == 1692
-    assert report["summary"] == {
-        "passed": 398, "failed": 94, "errored": 0, "skipped": 1200,
-    }
-    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256
+    assert report["summary"] == summary
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 def test_golden_report_is_byte_identical(tmp_path, capsys):
@@ -388,6 +399,14 @@ def test_golden_report_under_a_pool(tmp_path, capsys):
     contiguous share of the jobs with its own memo (in process on a
     single-CPU host)."""
     assert_golden_report(tmp_path, capsys, jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_report_at_argument_one(tmp_path, capsys, jobs):
+    """The golden config with theoremArgument "one": the theorem records
+    then compare the unit-argument 3F2 with the right side, so this digest
+    pins the argument the left side's sums carry."""
+    assert_golden_report(tmp_path, capsys, jobs=jobs, argument="one")
 
 
 def test_selftest_rejects_bad_jobs(capsys):

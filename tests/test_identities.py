@@ -233,6 +233,25 @@ class TestTheorem:
             corollary_rhs(case)
 
 
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_lower_parameter_pole_order(self, memo):
+        # At (j, a, b, d, e) = (-3, -3, 1/2, 9/2, 1/2) both sides meet a
+        # vanishing lower parameter.  The theorem record reports the
+        # weighted side, which runs first and names the first parameter to
+        # vanish as its terms are walked.  The corollary record reports the
+        # left side's 3F2 (2a, b, d; 2b + j, 1 + 2a + d - e) = (-6, 1/2,
+        # 9/2; -2, -1), which names the first illegal lower parameter in
+        # list order, -2, though -1 vanishes one term sooner.
+        job = (-3, F(-3), F(1, 2), F(9, 2), F(1, 2), None, F(2))
+        records = [identities._evaluate_case((check,) + job, memo)
+                   for check in ("theorem", "corollary")]
+        prefix = "DenominatorPoleBeforeTermination: denominator parameter"
+        assert [r.error for r in records] == [
+            f"{prefix} -1 vanishes at term 2",
+            f"{prefix} -2 vanishes at term 3",
+        ]
+
+
 class TestCorollaries:
     def test_shift_zero_form(self):
         assert corollary_rhs(CANONICAL) == F(19, 18)
