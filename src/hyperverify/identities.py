@@ -33,6 +33,7 @@ from fractions import Fraction
 from .errors import (
     DenominatorPoleBeforeTermination,
     InvalidCase,
+    NonTerminatingSeries,
     UnsupportedJ,
     VerificationError,
 )
@@ -45,9 +46,10 @@ from .exact import (
 from .hyper import (
     HyperSpec,
     WeightedSumSpec,
-    eval_terminating,
-    eval_weighted_sum,
+    _termination,
+    check_lower,
     series_in_z,
+    sum_rows,
     weighted_series,
     weighted_termination,
 )
@@ -154,15 +156,20 @@ def _poly_from_samples(samples) -> tuple:
     return tuple(Fraction(c, den) for c in coeffs)
 
 
+_MISSING = object()
+
+
 def _memoized(memo, compute, /, *args, **kwargs):
     """compute(*args, **kwargs), kept in the memo dict, when one is given,
-    under (compute, *args).  A VerificationError that compute raises is
+    under (compute, *args), each Fraction entered as its integer pair so a
+    lookup hashes no Fraction.  A VerificationError that compute raises is
     kept too and raised again at every lookup of its key."""
     if memo is None:
         return compute(*args, **kwargs)
-    key = (compute, *args)
-    value = memo.get(key)  # one hash per hit: Fraction hashing is not cheap
-    if value is None:
+    key = (compute, *[x.as_integer_ratio() if type(x) is Fraction else x
+                      for x in args])
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
         try:
             value = compute(*args, **kwargs)
         except VerificationError as err:
@@ -208,41 +215,20 @@ def odd_prefactor(j: int, b) -> Fraction:
     )
 
 
-def _part_parameters(part: int, j: int, a: Fraction, b: Fraction) -> tuple:
-    """(numerators, denominators) of the even (part 0) or odd (part 1) term
-    family, before any tail the caller appends."""
-    shift = b + Fraction(j, 2)
-    if part:
-        return (a + HALF, a + 1, b + 1 + j // 2), (shift + HALF, shift + 1)
-    return (a, a + HALF, b + (j + 1) // 2), (shift, shift + HALF)
-
-
-_ZERO_POLY = (Fraction(0),)
-
-
 def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
-    """(weight, numerators, denominators) of the even and of the odd term
-    family, before any tail the caller appends; the odd one is None when
-    that part vanishes identically (a = 0, or a zero weight as at j = 0),
-    so no Gamma poles are touched for dead terms."""
-    even, odd = (
-        (_memoized(memo, _weight_poly, j, b, part),)
-        + _part_parameters(part, j, a, b)
-        for part in (0, 1)
-    )
-    return even, (odd if a != 0 and odd[0] != _ZERO_POLY else None)
-
-
-def _part_spec(part: int, head: tuple, extra_num=(), extra_den=()):
-    """The even (part 0) or odd (part 1) weighted term family: a head of
-    _part_heads with the tails appended."""
-    weight, nums, dens = head
-    return WeightedSumSpec(
-        weight=weight,
-        numerators=nums + extra_num,
-        denominators=dens + extra_den,
-        power_offset=part,
-    )
+    """The even and the odd weighted term family before any tail, each a
+    _group; the odd one is None when that part vanishes
+    identically (a = 0, or a zero weight as at j = 0), so no Gamma poles
+    are touched for dead terms."""
+    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
+    shift = b + Fraction(j, 2)
+    even = WeightedSumSpec(w_even, (a, a + HALF, b + (j + 1) // 2),
+                           (shift, shift + HALF))
+    odd = WeightedSumSpec(w_odd, (a + HALF, a + 1, b + 1 + j // 2),
+                          (shift + HALF, shift + 1), power_offset=1)
+    return _group(even, weighted_termination(even)), (
+        _group(odd, weighted_termination(odd))
+        if a != 0 and w_odd != (0,) else None)
 
 
 def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
@@ -253,10 +239,45 @@ def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
 
 
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
-    """(x/2, x/2 + 1/2, x/2 + 1), the half-shifted beta-moment parameters,
-    for x = d and for x = e, then d/e."""
+    """The half-shifted beta-moment tails of the even part, (d/2, d/2 +
+    1/2; e/2, e/2 + 1/2), and of the odd part, each parameter 1/2 higher,
+    each a _group, then d/e."""
     hd, he = d / 2, e / 2
-    return (hd, hd + HALF, hd + 1), (he, he + HALF, he + 1), d / e
+    even = WeightedSumSpec((1,), (hd, hd + HALF), (he, he + HALF))
+    odd = WeightedSumSpec((1,), (hd + HALF, hd + 1), (he + HALF, he + 1))
+    return _group(even, weighted_termination(even)), _group(
+        odd, weighted_termination(odd)), d / e
+
+
+def _group(spec, stop) -> tuple:
+    """One group of a split sum: (spec, termination index, its rows by
+    count, built as sums ask for them and kept as long as the group)."""
+    return spec, stop, {}
+
+
+def _unit_group(numerators, denominators, argument=1) -> tuple:
+    spec = WeightedSumSpec((1,), numerators, denominators, argument=argument)
+    return _group(spec, _termination(spec.numerators))
+
+
+def _split_sum(groups) -> Fraction:
+    """Sum of the family with the groups' parameters and the first one's
+    weight, up to their first termination index."""
+    stop = min(s for _, s, _ in groups if s is not None)
+    rows = [built[stop] if stop in built else
+            built.setdefault(stop, spec.rows(stop)) for spec, _, built in groups]
+    return sum_rows(rows, stop, *groups[0][0].integer_weight)
+
+
+def _terminating_sum(*groups) -> Fraction:
+    """eval_terminating of the HyperSpec with the groups' parameters, in
+    order (the same legality rule, errors and value), from their rows."""
+    stops = [s for _, s, _ in groups if s is not None]
+    check_lower([q for spec, *_ in groups for q in spec.denominators],
+                min(stops, default=None))
+    if not stops:
+        raise NonTerminatingSeries("no numerator parameter is a nonpositive integer")
+    return _split_sum(groups)
 
 
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
@@ -292,13 +313,12 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
-    even_head, odd_head = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    total = weighted_series(_part_spec(0, even_head), order).scale(
+    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
+    total = weighted_series(even[0], order).scale(
         _memoized(memo, even_prefactor, j, b))
-    if odd_head is not None:
+    if odd is not None:
         c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo)
-        odd = weighted_series(_part_spec(1, odd_head), order)
-        total = total + odd.scale(c_odd)
+        total = total + weighted_series(odd[0], order).scale(c_odd)
     return total
 
 
@@ -342,14 +362,20 @@ class IdentityCase:
         return None
 
 
-def _lhs_parameters(a: Fraction, d: Fraction, e: Fraction) -> tuple:
-    """The left side's Gamma prefactor, then its 3F2 parameters that
-    depend on (a, d, e) alone: 2a and 1 + 2a + d - e."""
+def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
+    """The left side's Gamma prefactor, then its 3F2's (a, d, e) group
+    (d; 1 + 2a + d - e)."""
     two_a = 2 * a
     prefactor = gamma_simplify(
         GammaProduct.ratio((e, e - two_a - d), (e - two_a, e - d))
     )
-    return prefactor, two_a, 1 + two_a + d - e
+    return prefactor, _unit_group((d,), (1 + two_a + d - e,))
+
+
+def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> tuple:
+    """The left side's 3F2's (j, a, b) group (2a, b; 2b + j), with the
+    argument."""
+    return _unit_group((2 * a, b), (2 * b + j,), argument)
 
 
 def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
@@ -361,9 +387,9 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     """
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
     _table_row(j)
-    prefactor, two_a, lower = _memoized(memo, _lhs_parameters, a, d, e)
-    f32 = HyperSpec((two_a, b, d), (2 * b + j, lower), argument)
-    return prefactor * eval_terminating(f32)
+    prefactor, tail = _memoized(memo, _lhs_tail, a, d, e)
+    head = _memoized(memo, _lhs_head, j, a, b, argument)
+    return prefactor * _terminating_sum(head, tail)
 
 
 def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -382,29 +408,25 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
 
-    half_d, half_e, d_over_e = _memoized(memo, _moment_tails, d, e)
-    even_head, odd_head = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    even = _part_spec(0, even_head, half_d[:2], half_e[:2])
-    stop = weighted_termination(even)
-    total = _memoized(memo, even_prefactor, j, b) * eval_weighted_sum(even, stop)
+    even_tail, odd_tail, d_over_e = _memoized(memo, _moment_tails, d, e)
+    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
+    total = _memoized(memo, even_prefactor, j, b) * _split_sum((even, even_tail))
 
-    if odd_head is not None and d != 0:
-        odd = _part_spec(1, odd_head, half_d[1:], half_e[1:])
-        scale = _memoized(memo, _odd_scale, j, a, b, memo=memo)
-        c_odd = scale * d_over_e
-        total += c_odd * eval_weighted_sum(odd, weighted_termination(odd))
+    if odd is not None and d != 0:
+        c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo) * d_over_e
+        total += c_odd * _split_sum((odd, odd_tail))
     return total
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
     """The (j, a, b) part of corollary_rhs: the first series' head
-    parameters, the second's signed scale over d/e (which each case
-    applies), and the second series' heads, or None at j = 0."""
+    group, the second's signed scale over d/e (which each case applies),
+    and the second series' head group, or None at j = 0."""
     if j != 0 and 2 * b + j == 0:
         raise DenominatorPoleBeforeTermination(2 * b + j)
     # first series heads, second's scale over d/e, second series heads
     if j == 0:
-        return ((a, a + HALF), (b + HALF,)), 0, None
+        return _unit_group((a, a + HALF), (b + HALF,)), 0, None
     if j == 1:
         first = ((a, a + HALF), (b + HALF,))
         scale = 2 * a / (2 * b + 1)
@@ -447,17 +469,16 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
             (a + 1, a + HALF, 3 * b / 4 + Fraction(1, 4)),
             (3 * b / 4 - Fraction(3, 4), b - HALF),
         )
-    return first, scale, second
+    return _unit_group(*first), scale, _unit_group(*second)
 
 
 def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
-    """The d/e tails of corollary_rhs: (d/2, d/2 + 1/2) and
-    (d/2 + 1/2, d/2 + 1) for d, the same for e, and d/e."""
-    half_d = (d / 2, d / 2 + HALF)
-    shift_d = (d / 2 + HALF, d / 2 + 1)
-    half_e = (e / 2, e / 2 + HALF)
-    shift_e = (e / 2 + HALF, e / 2 + 1)
-    return half_d, shift_d, half_e, shift_e, d / e
+    """The d/e groups of corollary_rhs: (d/2, d/2 + 1/2; e/2, e/2 + 1/2)
+    for the first series, each parameter 1/2 higher for the second, then
+    d/e."""
+    hd, he = d / 2, e / 2
+    return (_unit_group((hd, hd + HALF), (he, he + HALF)),
+            _unit_group((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
 
 
 def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -479,14 +500,13 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     if e == 0:
         raise InvalidCase("e must be nonzero")
     first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
-    half_d, shift_d, half_e, shift_e, d_over_e = _memoized(
+    first_tail, second_tail, d_over_e = _memoized(
         memo, _corollary_tails, d, e)
-    value = eval_terminating(HyperSpec(first[0] + half_d, first[1] + half_e))
+    value = _terminating_sum(first, first_tail)
     scale *= d_over_e
     if scale == 0:
         return value
-    return value + scale * eval_terminating(
-        HyperSpec(second[0] + shift_d, second[1] + shift_e))
+    return value + scale * _terminating_sum(second, second_tail)
 
 
 def beta_moment(power: int, d, e) -> Fraction:

@@ -292,9 +292,8 @@ class TestCorollaries:
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
-        for name in ("_part_spec", "_part_parameters", "_part_heads",
-                     "_weight_poly", "even_prefactor", "odd_prefactor",
-                     "_odd_scale", "_moment_tails", "eval_weighted_sum",
+        for name in ("_part_heads", "_weight_poly", "even_prefactor",
+                     "odd_prefactor", "_odd_scale", "_moment_tails",
                      "weighted_termination"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
