@@ -102,33 +102,32 @@ def _combined(row_sets):
         yield a, b
 
 
-def _poly_at(coeffs, n: int):
-    """Horner value at n of the polynomial with ascending coefficients."""
-    value = 0
-    for c in reversed(coeffs):
-        value = value * n + c
-    return value
-
-
-def _weighted_terms(row_sets, weight, den: int, up_to: int) -> list:
+def _weighted_terms(row_sets, up_to: int, weight=(1,), den: int = 1) -> list:
     """weight(n) * term_n / den for n = 0..up_to, the terms those of the
-    product of the row sets; the list ends early when the terms die out."""
-    terms, num = [], 1
+    product of the row sets, the weight's ascending coefficients read by
+    Horner's rule; the list ends early when the terms die out."""
+    terms, num, weight = [], 1, weight[::-1]
     for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
         num *= a
         den *= b
-        terms.append(Fraction(_poly_at(weight, n) * num, den))
+        w = 0
+        for c in weight:
+            w = w * n + c
+        terms.append(Fraction(w * num, den))
     return terms
 
 
 def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
     """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, as in
     _weighted_terms, kept as one running integer total over one den."""
-    total, num, den = 0, 1, 1
+    total, num, den, weight = 0, 1, 1, weight[::-1]
     for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
         num *= a
         den *= b
-        total = total * b + _poly_at(weight, n) * num
+        w = 0
+        for c in weight:
+            w = w * n + c
+        total = total * b + w * num
     return Fraction(total, den * w_den)
 
 
@@ -146,12 +145,12 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     quotient over n!.  The stored argument of the spec is ignored."""
     limit = order if spec.stop is None else min(order, spec.stop)
     rows = ratio_rows(spec.numerators, spec.denominators, count=limit)
-    coeffs = _weighted_terms((rows,), (1,), 1, limit)
+    coeffs = _weighted_terms((rows,), limit)
     coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeightedSumSpec:
     """A weighted hypergeometric-style term family.
 
@@ -163,7 +162,7 @@ class WeightedSumSpec:
     (ascending coefficients), evaluated per term rather than absorbed into
     extra Pochhammer parameters, so the absorbed closed forms computed
     elsewhere stay an independent path.  With no legality rule, a spec
-    can be one group of a larger family; it is hashed by identity.
+    can also be one group of a larger family.
     """
 
     weight: tuple
@@ -203,8 +202,7 @@ def weighted_series(spec: WeightedSumSpec, order: int) -> TruncatedSeries:
     degree 2n + offset, and no term is walked past the order."""
     coeffs = [Fraction(0)] * (order + 1)
     up_to = (order - spec.power_offset) // 2
-    weight, w_den = spec.integer_weight
-    terms = _weighted_terms((spec.rows(up_to),), weight, w_den, up_to)
+    terms = _weighted_terms((spec.rows(up_to),), up_to, *spec.integer_weight)
     for n, c in enumerate(terms):
         coeffs[2 * n + spec.power_offset] = c
     return TruncatedSeries(tuple(coeffs))

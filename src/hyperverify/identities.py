@@ -217,18 +217,16 @@ def odd_prefactor(j: int, b) -> Fraction:
 
 def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     """The even and the odd weighted term family before any tail, each a
-    _group; the odd one is None when that part vanishes
-    identically (a = 0, or a zero weight as at j = 0), so no Gamma poles
-    are touched for dead terms."""
+    group; the odd one is None when that part vanishes identically (a = 0,
+    or a zero weight as at j = 0), so no Gamma poles are touched for it."""
     w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
     shift = b + Fraction(j, 2)
     even = WeightedSumSpec(w_even, (a, a + HALF, b + (j + 1) // 2),
                            (shift, shift + HALF))
     odd = WeightedSumSpec(w_odd, (a + HALF, a + 1, b + 1 + j // 2),
                           (shift + HALF, shift + 1), power_offset=1)
-    return _group(even, weighted_termination(even)), (
-        _group(odd, weighted_termination(odd))
-        if a != 0 and w_odd != (0,) else None)
+    live = a != 0 and w_odd != (0,)
+    return _weighted_group(even), (_weighted_group(odd) if live else None)
 
 
 def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
@@ -241,28 +239,29 @@ def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
     """The half-shifted beta-moment tails of the even part, (d/2, d/2 +
     1/2; e/2, e/2 + 1/2), and of the odd part, each parameter 1/2 higher,
-    each a _group, then d/e."""
+    each a group, then d/e."""
     hd, he = d / 2, e / 2
     even = WeightedSumSpec((1,), (hd, hd + HALF), (he, he + HALF))
     odd = WeightedSumSpec((1,), (hd + HALF, hd + 1), (he + HALF, he + 1))
-    return _group(even, weighted_termination(even)), _group(
-        odd, weighted_termination(odd)), d / e
+    return _weighted_group(even), _weighted_group(odd), d / e
 
 
-def _group(spec, stop) -> tuple:
-    """One group of a split sum: (spec, termination index, its rows by
-    count, built as sums ask for them and kept as long as the group)."""
-    return spec, stop, {}
+def _weighted_group(spec) -> tuple:
+    """One group of a part of theorem_rhs, a head or a tail: (spec, its
+    termination index, its rows by count, built as sums ask for them)."""
+    return spec, weighted_termination(spec), {}
 
 
 def _unit_group(numerators, denominators, argument=1) -> tuple:
+    """A group as in _weighted_group, of unit weight: a 3F2's or a corollary's."""
     spec = WeightedSumSpec((1,), numerators, denominators, argument=argument)
-    return _group(spec, _termination(spec.numerators))
+    return spec, _termination(spec.numerators), {}
 
 
 def _split_sum(groups) -> Fraction:
     """Sum of the family with the groups' parameters and the first one's
-    weight, up to their first termination index."""
+    weight, up to their first termination index; each group keeps the
+    rows built for it, one set per index."""
     stop = min(s for _, s, _ in groups if s is not None)
     rows = [built[stop] if stop in built else
             built.setdefault(stop, spec.rows(stop)) for spec, _, built in groups]
@@ -373,8 +372,7 @@ def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
 
 
 def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> tuple:
-    """The left side's 3F2's (j, a, b) group (2a, b; 2b + j), with the
-    argument."""
+    """The left side's 3F2's (j, a, b) group (2a, b; 2b + j) at argument."""
     return _unit_group((2 * a, b), (2 * b + j,), argument)
 
 
@@ -486,9 +484,9 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
 
     Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
     one scaled by a signed rational multiple of a*d/e; the weights and
-    prefactors are absorbed into the parameters, so this path shares no
-    code with the weighted sums it cross-checks.  The second series is
-    skipped when its scale vanishes, so its parameters are never even
+    prefactors are absorbed into the parameters, so this path shares only
+    the term walker with the weighted sums it cross-checks.  The second
+    series is skipped when its scale vanishes, so its parameters are never
     validated for a dead term.  `memo` is a sweep memo dict, or None;
     this path reads none of the weighted sums' entries.
     """

@@ -294,7 +294,7 @@ class TestCorollaries:
 
         for name in ("_part_heads", "_weight_poly", "even_prefactor",
                      "odd_prefactor", "_odd_scale", "_moment_tails",
-                     "weighted_termination"):
+                     "_weighted_group", "weighted_termination"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
@@ -421,6 +421,24 @@ class TestGridSweep:
         assert len(records) == 14
         assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
         assert len(calls) == 1
+
+    def test_stored_none_is_a_memo_hit(self):
+        # A helper may return None, as a termination index does for a
+        # group with no terminating parameter: the memo keeps it like any
+        # other value, so a sweep over 2 rows of 3 cases each works it once
+        # per key, not once per case.
+        calls = []
+
+        def no_stop(j, b):
+            calls.append((j, b))
+            return None
+
+        memo = {}
+        for j in (1, 2):
+            for _ in range(3):
+                for b in (F(1, 3), F(2, 5)):
+                    assert identities._memoized(memo, no_stop, j, b) is None
+        assert calls == [(j, b) for j in (1, 2) for b in (F(1, 3), F(2, 5))]
 
     def test_series_records_carry_coefficient_tuples(self):
         rec = grid_sweep((), (-1,), (1,), (), (), ("kummer",), series_order=4)[0]

@@ -16,12 +16,15 @@ from hyperverify.exact import (
     pochhammer,
     pochhammer_duplication,
 )
+from hyperverify.errors import VerificationError
 from hyperverify.hyper import (
     HyperSpec,
     WeightedSumSpec,
     eval_terminating,
     eval_weighted_sum,
+    ratio_rows,
     series_in_z,
+    sum_rows,
     weighted_series,
 )
 from hyperverify.identities import (
@@ -225,6 +228,69 @@ def test_weighted_sum_and_series_match_per_term_oracle(spec, up_to):
     expected = [F(0)] * (order + 1)
     expected[spec.power_offset::2] = terms
     assert weighted_series(spec, order).coefficients == tuple(expected)
+
+
+# Parameters that end the terms early or vanish as lower parameters are
+# drawn often: the nonpositive integers, and the rest of the rationals.
+walk_parameters = st.one_of(st.integers(-5, 0).map(F), rationals)
+
+
+@st.composite
+def split_families(draw):
+    """(numerators, denominators, argument, head sizes): one parameter
+    list cut into a head group of the first parameters and a tail group
+    of the rest."""
+    nums = draw(st.lists(walk_parameters, max_size=4))
+    dens = draw(st.lists(walk_parameters, max_size=3))
+    cut = (draw(st.integers(0, len(nums))), draw(st.integers(0, len(dens))))
+    return nums, dens, draw(st.sampled_from([F(1), F(2), F(-2, 3)])), cut
+
+
+def outcome(evaluate):
+    """The value, or the text of the VerificationError raised."""
+    try:
+        return evaluate()
+    except VerificationError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@given(split_families(), st.integers(0, 8))
+def test_two_group_walk_matches_one_group_and_direct_sums(family, up_to):
+    # The head group carries the argument, as the theorem's left side does.
+    nums, dens, arg, (cn, cd) = family
+    head = ratio_rows(nums[:cn], dens[:cd], arg, up_to)
+    tail = ratio_rows(nums[cn:], dens[cd:], F(1), up_to)
+    split = outcome(lambda: sum_rows((head, tail), up_to))
+    whole = outcome(lambda: sum_rows((ratio_rows(nums, dens, arg, up_to),), up_to))
+    assert split == whole
+    # the terms are alive up to the first vanishing numerator Pochhammer
+    alive = [n for n in range(up_to + 1)
+             if all(rising(p, n) != 0 for p in nums)]
+    poles = [(n, q) for n in alive for q in dens if rising(q, n) == 0]
+    if poles:
+        n = min(n for n, _ in poles)
+        q = next(q for m, q in poles if m == n)
+        assert split == ("DenominatorPoleBeforeTermination: denominator "
+                         f"parameter {q} vanishes at term {n}")
+    else:
+        assert split == sum(
+            (weighted_term(WeightedSumSpec((1,), nums, dens), n) * arg ** n
+             for n in alive), F(0))
+
+
+@given(split_families())
+def test_split_terminating_sum_matches_one_spec_and_direct_sum(family):
+    # The theorem's left side and the corollaries sum their head and tail
+    # groups under HyperSpec's legality rule: the same value, or the same
+    # error, as one spec of all the parameters, and the direct sum's value.
+    nums, dens, arg, (cn, cd) = family
+    split = outcome(lambda: identities._terminating_sum(
+        identities._unit_group(nums[:cn], dens[:cd], arg),
+        identities._unit_group(nums[cn:], dens[cd:])))
+    whole = outcome(lambda: eval_terminating(HyperSpec(nums, dens, arg)))
+    assert split == whole
+    if not isinstance(whole, str):
+        assert whole == eval_terminating_direct(HyperSpec(nums, dens, arg))
 
 
 # pole-free picks for the transform invariants
