@@ -61,7 +61,7 @@ def check_lower(denominators, stop) -> None:
             raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
 
 
-def ratio_rows(numerators, denominators, argument=Fraction(1), count=0) -> tuple:
+def ratio_rows(numerators, denominators, argument: Fraction, count: int) -> tuple:
     """Integer rows (a_n, b_n, pole), n = 0 .. count-1, of one parameter
     group: a_n / b_n is its share of the ratio of term n+1 to term n of
     prod (num_i)_n / prod (den_i)_n * argument**n, n! left to the caller,
@@ -144,7 +144,7 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     """Series expansion in the argument: coefficient n is the Pochhammer
     quotient over n!.  The stored argument of the spec is ignored."""
     limit = order if spec.stop is None else min(order, spec.stop)
-    rows = ratio_rows(spec.numerators, spec.denominators, count=limit)
+    rows = ratio_rows(spec.numerators, spec.denominators, Fraction(1), limit)
     coeffs = _weighted_terms((rows,), limit)
     coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs))
