@@ -253,7 +253,7 @@ def _weighted_group(spec) -> tuple:
 
 
 def _unit_group(numerators, denominators, argument=1) -> tuple:
-    """A group as in _weighted_group, of unit weight: a 3F2's or a corollary's."""
+    """A 3F2's or a corollary series' group, built off the weighted path's helpers."""
     spec = WeightedSumSpec((1,), numerators, denominators, argument=argument)
     return spec, _termination(spec.numerators), {}
 
