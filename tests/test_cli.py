@@ -409,6 +409,43 @@ def test_golden_report_at_argument_one(tmp_path, capsys, jobs):
     assert_golden_report(tmp_path, capsys, jobs=jobs, argument="one")
 
 
+# A left side whose lower parameter vanishes only after the last
+# coefficient asked for, with its terms still alive there.
+POLE_PAST_ORDER_CONFIG = {
+    "checks": ["transform", "kummer"], "jSet": [-5, 0],
+    "aSet": ["1/4", "-3"], "bSet": ["-5/2", "-9/2"], "seriesOrder": 8,
+}
+POLE_PAST_ORDER_SHA256 = "b05f720f96888af5dbb12982f28b2c2c99953ec4b49ee2468f6942222893a498"
+
+
+def test_left_side_pole_past_the_series_order(tmp_path, capsys):
+    """The legality rule of the transform's left side 2F1(2a, b; 2b + j)
+    holds for the whole series, not only for the coefficients up to
+    seriesOrder: a lower parameter that vanishes at term 10, 11 or 15
+    skips the record at order 8.  Without the rule these four records
+    compare truncated coefficients instead: 2 pass and 2 fail."""
+    cfg = write_config(tmp_path, POLE_PAST_ORDER_CONFIG)
+    out = tmp_path / "report.json"
+    assert cli.run(cfg, str(out), jobs=1) == 1
+    capsys.readouterr()
+    body = out.read_bytes()
+    report = json.loads(body)
+    assert report["summary"] == {
+        "passed": 2, "failed": 2, "errored": 0, "skipped": 8}
+    errors = {(r["check"], r["j"], r["a"], r["b"]): r["error"]
+              for r in report["records"]}
+    prefix = "DenominatorPoleBeforeTermination: denominator parameter"
+    assert errors[("transform", -5, "1/4", "-5/2")] == (
+        f"{prefix} -10 vanishes at term 11")
+    assert errors[("transform", -5, "1/4", "-9/2")] == (
+        f"{prefix} -14 vanishes at term 15")
+    assert errors[("transform", 0, "1/4", "-9/2")] == (
+        f"{prefix} -9 vanishes at term 10")
+    assert errors[("kummer", None, "1/4", "-9/2")] == (
+        f"{prefix} -9 vanishes at term 10")
+    assert hashlib.sha256(body).hexdigest() == POLE_PAST_ORDER_SHA256
+
+
 def test_selftest_rejects_bad_jobs(capsys):
     code, _, _ = invoke(["selftest", "--jobs", "0"], capsys)
     assert code == 2

@@ -10,7 +10,9 @@ from hyperverify import (
     InvalidCase,
     PoleError,
     UnsupportedJ,
+    hyper,
     identities,
+    suites,
     theorem_lhs,
     theorem_rhs,
     verify_theorem,
@@ -439,6 +441,26 @@ class TestGridSweep:
                 for b in (F(1, 3), F(2, 5)):
                     assert identities._memoized(memo, no_stop, j, b) is None
         assert calls == [(j, b) for j in (1, 2) for b in (F(1, 3), F(2, 5))]
+
+    @pytest.mark.parametrize("suite, calls", [
+        (suites.KUMMER_SUITE, 40), (suites.TRANSFORM_SUITE, 128),
+        (suites.THEOREM_A_SUITE, 328), (suites.THEOREM_D_SUITE, 420),
+        (suites.COROLLARY_SUITE, 232), (suites.PIPELINE_SUITE, 144),
+    ])
+    def test_rows_are_reused_within_a_suite(self, suite, calls, monkeypatch):
+        # Each group's ratio rows are built once per count it is summed
+        # to and reused by every case of its row or column: the number of
+        # rows built per canonical suite is pinned.
+        built = []
+        ratio_rows = hyper.ratio_rows
+
+        def counted(*args):
+            built.append(args)
+            return ratio_rows(*args)
+
+        monkeypatch.setattr(hyper, "ratio_rows", counted)
+        suite.run()
+        assert len(built) == calls
 
     def test_series_records_carry_coefficient_tuples(self):
         rec = grid_sweep((), (-1,), (1,), (), (), ("kummer",), series_order=4)[0]
