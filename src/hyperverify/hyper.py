@@ -1,15 +1,17 @@
-"""Generalized hypergeometric series with exact rational parameters.
+"""Term families with exact rational parameters.
 
-Covers term generation, termination detection, exact evaluation of
-terminating instances, expansion as a series in the argument, and weighted
-sums whose terms carry a polynomial-in-n coefficient on top of the usual
-Pochhammer quotient.  Each walks the integer ratio rows of its parameter
-groups through one combiner and builds one `Fraction` per result.
+One type, HyperSpec, covers every series here: term n is a Pochhammer
+quotient times argument**n, times a polynomial weight in n.  A plain pFq
+has the unit weight.  The module finds where a family terminates, applies
+the legality rule for its lower parameters, sums terminating instances
+exactly, and expands a family as a series in its argument or in x.  A
+sum may take several specs as the groups of one family, the parameters of
+all of them together.  Each walks the integer ratio rows of its groups
+through one combiner and builds one `Fraction` per result.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -20,45 +22,81 @@ from .exact import is_nonpositive_integer
 from .series import TruncatedSeries, _common_denominator, _fractions
 
 
-def _termination(parameters) -> int | None:
-    """Index of the last possibly-nonzero term forced by nonpositive-integer
-    parameters, or None when no parameter terminates the series."""
-    stops = [-int(p) for p in parameters if is_nonpositive_integer(p)]
-    return min(stops) if stops else None
-
-
 @dataclass(frozen=True)
 class HyperSpec:
-    """One pFq instance: numerator parameters, denominator parameters, argument.
+    """One term family.  Term n is
 
-    Construction enforces the legality rule for lower parameters (see
-    check_lower).
+        weight(n) * prod (num_i)_n / (prod (den_i)_n * n!) * argument**n
+
+    with weight a polynomial in n (ascending coefficients), evaluated per
+    term rather than absorbed into extra Pochhammer parameters, so the
+    absorbed closed forms computed elsewhere stay an independent path.
+    weighted_series puts term n on degree 2n + power_offset of a series
+    in x.  Construction applies no legality rule (see check_lower), so a
+    spec can also be one group of a larger family.
     """
 
     numerators: tuple
     denominators: tuple
     argument: Fraction = field(default=Fraction(1))
+    _: KW_ONLY
+    weight: tuple = (1,)
+    power_offset: int = 0
     # the termination index, the smallest M with every term beyond M zero
     # (None when the series does not terminate)
     stop: int | None = field(init=False, repr=False, compare=False)
+    # the nonpositive-integer lower parameters, in list order
+    poles: tuple = field(init=False, repr=False, compare=False)
+    # (integer coefficients, their denominator) of the weight
+    integer_weight: tuple = field(init=False, repr=False, compare=False)
+    # ratio rows by count, built as sums ask for them
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "numerators", _fractions(self.numerators))
-        object.__setattr__(self, "denominators", _fractions(self.denominators))
+        for name in ("numerators", "denominators", "weight"):
+            object.__setattr__(self, name, _fractions(getattr(self, name)))
         if type(self.argument) is not Fraction:
             object.__setattr__(self, "argument", Fraction(self.argument))
-        stop = _termination(self.numerators)
-        object.__setattr__(self, "stop", stop)
-        check_lower(self.denominators, stop)
+        derived = dict(
+            stop=weighted_termination(self),
+            poles=tuple(q for q in self.denominators if is_nonpositive_integer(q)),
+            integer_weight=_common_denominator(self.weight),
+            _rows={},
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def rows(self, count: int) -> tuple:
+        """ratio_rows of the spec's parameters and argument, built once
+        per count and kept."""
+        rows = self._rows.get(count)
+        if rows is None:
+            rows = self._rows[count] = ratio_rows(
+                self.numerators, self.denominators, self.argument, count)
+        return rows
 
 
-def check_lower(denominators, stop) -> None:
-    """The legality rule of HyperSpec: raise for the first lower parameter
-    beta, in list order, whose Pochhammer vanishes (at term 1 - beta) while
-    terms are alive, that is before the stop index (None: never)."""
-    for beta in denominators:
-        if is_nonpositive_integer(beta) and (stop is None or stop > -beta):
-            raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
+def weighted_termination(spec: HyperSpec) -> int | None:
+    """Last index whose Pochhammer product can be nonzero, if any is forced."""
+    return min((-int(p) for p in spec.numerators if is_nonpositive_integer(p)),
+               default=None)
+
+
+def _stop(specs) -> int | None:
+    """The termination index of the family with every spec's parameters."""
+    return min((s.stop for s in specs if s.stop is not None), default=None)
+
+
+def check_lower(*specs) -> None:
+    """The legality rule of the family with the specs' parameters, in
+    order: raise for the first lower parameter beta, in list order, whose
+    Pochhammer vanishes (at term 1 - beta) while terms are alive, that is
+    before the family's stop (None: never)."""
+    stop = _stop(specs)
+    for spec in specs:
+        for beta in spec.poles:
+            if stop is None or stop > -beta:
+                raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
 
 
 def ratio_rows(numerators, denominators, argument: Fraction, count: int) -> tuple:
@@ -131,74 +169,44 @@ def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
     return Fraction(total, den * w_den)
 
 
-def eval_terminating(spec: HyperSpec) -> Fraction:
-    """Exact value of a terminating series, by iterated term ratios."""
-    if spec.stop is None:
+def _sum_to_stop(specs) -> Fraction:
+    """Sum of the family with the specs' parameters and the first one's
+    weight, up to the family's stop."""
+    stop = _stop(specs)
+    if stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer")
-    rows = ratio_rows(spec.numerators, spec.denominators, spec.argument, spec.stop)
-    return sum_rows((rows,), spec.stop)
+    return sum_rows([spec.rows(stop) for spec in specs], stop,
+                    *specs[0].integer_weight)
+
+
+def eval_terminating(*specs: HyperSpec) -> Fraction:
+    """Exact value of a terminating series, the family with the specs'
+    parameters, under the legality rule (checked first)."""
+    check_lower(*specs)
+    return _sum_to_stop(specs)
+
+
+def eval_weighted_sum(*specs: HyperSpec) -> Fraction:
+    """Exact sum of the weighted terms up to the family's stop; a lower
+    parameter is only rejected where the walk meets it."""
+    return _sum_to_stop(specs)
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
-    """Series expansion in the argument: coefficient n is the Pochhammer
-    quotient over n!.  The stored argument of the spec is ignored."""
+    """Series expansion in the argument, under the legality rule:
+    coefficient n is term n at argument 1, so the stored argument of the
+    spec is ignored."""
+    check_lower(spec)
     limit = order if spec.stop is None else min(order, spec.stop)
     rows = ratio_rows(spec.numerators, spec.denominators, Fraction(1), limit)
-    coeffs = _weighted_terms((rows,), limit)
+    coeffs = _weighted_terms((rows,), limit, *spec.integer_weight)
     coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class WeightedSumSpec:
-    """A weighted hypergeometric-style term family.
-
-    Term n is
-
-        weight(n) * prod (num_i)_n / (prod (den_i)_n * n!) * argument**n
-
-    on degree 2n + offset of a series in x, with weight a polynomial in n
-    (ascending coefficients), evaluated per term rather than absorbed into
-    extra Pochhammer parameters, so the absorbed closed forms computed
-    elsewhere stay an independent path.  With no legality rule, a spec
-    can also be one group of a larger family.
-    """
-
-    weight: tuple
-    numerators: tuple
-    denominators: tuple
-    power_offset: int = 0
-    argument: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self):
-        for name in ("weight", "numerators", "denominators"):
-            object.__setattr__(self, name, _fractions(getattr(self, name)))
-        if type(self.argument) is not Fraction:
-            object.__setattr__(self, "argument", Fraction(self.argument))
-
-    @functools.cached_property
-    def integer_weight(self) -> tuple:
-        """(integer coefficients, their denominator) of the weight."""
-        return _common_denominator(self.weight)
-
-    def rows(self, count: int) -> tuple:
-        """ratio_rows of the spec's parameters and argument."""
-        return ratio_rows(self.numerators, self.denominators, self.argument, count)
-
-
-def weighted_termination(spec: WeightedSumSpec) -> int | None:
-    """Last index whose Pochhammer product can be nonzero, if any is forced."""
-    return _termination(spec.numerators)
-
-
-def eval_weighted_sum(spec: WeightedSumSpec, up_to: int) -> Fraction:
-    """Exact finite sum of the weighted terms for n = 0..up_to."""
-    return sum_rows((spec.rows(up_to),), up_to, *spec.integer_weight)
-
-
-def weighted_series(spec: WeightedSumSpec, order: int) -> TruncatedSeries:
-    """The same term family rendered as a series in x: term n lands on
+def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
+    """The term family rendered as a series in x: term n lands on
     degree 2n + offset, and no term is walked past the order."""
     coeffs = [Fraction(0)] * (order + 1)
     up_to = (order - spec.power_offset) // 2

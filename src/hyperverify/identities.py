@@ -33,7 +33,6 @@ from fractions import Fraction
 from .errors import (
     DenominatorPoleBeforeTermination,
     InvalidCase,
-    NonTerminatingSeries,
     UnsupportedJ,
     VerificationError,
 )
@@ -45,13 +44,10 @@ from .exact import (
 )
 from .hyper import (
     HyperSpec,
-    WeightedSumSpec,
-    _termination,
-    check_lower,
+    eval_terminating,
+    eval_weighted_sum,
     series_in_z,
-    sum_rows,
     weighted_series,
-    weighted_termination,
 )
 from .series import TruncatedSeries, _common_denominator, binomial_series
 
@@ -217,16 +213,16 @@ def odd_prefactor(j: int, b) -> Fraction:
 
 def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     """The even and the odd weighted term family before any tail, each a
-    group; the odd one is None when that part vanishes identically (a = 0,
+    spec; the odd one is None when that part vanishes identically (a = 0,
     or a zero weight as at j = 0), so no Gamma poles are touched for it."""
     w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
     shift = b + Fraction(j, 2)
-    even = WeightedSumSpec(w_even, (a, a + HALF, b + (j + 1) // 2),
-                           (shift, shift + HALF))
-    odd = WeightedSumSpec(w_odd, (a + HALF, a + 1, b + 1 + j // 2),
-                          (shift + HALF, shift + 1), power_offset=1)
+    even = HyperSpec((a, a + HALF, b + (j + 1) // 2), (shift, shift + HALF),
+                     weight=w_even)
+    odd = HyperSpec((a + HALF, a + 1, b + 1 + j // 2), (shift + HALF, shift + 1),
+                    weight=w_odd, power_offset=1)
     live = a != 0 and w_odd != (0,)
-    return _weighted_group(even), (_weighted_group(odd) if live else None)
+    return even, (odd if live else None)
 
 
 def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
@@ -239,44 +235,10 @@ def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
     """The half-shifted beta-moment tails of the even part, (d/2, d/2 +
     1/2; e/2, e/2 + 1/2), and of the odd part, each parameter 1/2 higher,
-    each a group, then d/e."""
+    each a spec, then d/e."""
     hd, he = d / 2, e / 2
-    even = WeightedSumSpec((1,), (hd, hd + HALF), (he, he + HALF))
-    odd = WeightedSumSpec((1,), (hd + HALF, hd + 1), (he + HALF, he + 1))
-    return _weighted_group(even), _weighted_group(odd), d / e
-
-
-def _weighted_group(spec) -> tuple:
-    """One group of a part of theorem_rhs, a head or a tail: (spec, its
-    termination index, its rows by count, built as sums ask for them)."""
-    return spec, weighted_termination(spec), {}
-
-
-def _unit_group(numerators, denominators, argument=1) -> tuple:
-    """A 3F2's or a corollary series' group, built off the weighted path's helpers."""
-    spec = WeightedSumSpec((1,), numerators, denominators, argument=argument)
-    return spec, _termination(spec.numerators), {}
-
-
-def _split_sum(groups) -> Fraction:
-    """Sum of the family with the groups' parameters and the first one's
-    weight, up to their first termination index; each group keeps the
-    rows built for it, one set per index."""
-    stop = min(s for _, s, _ in groups if s is not None)
-    rows = [built[stop] if stop in built else
-            built.setdefault(stop, spec.rows(stop)) for spec, _, built in groups]
-    return sum_rows(rows, stop, *groups[0][0].integer_weight)
-
-
-def _terminating_sum(*groups) -> Fraction:
-    """eval_terminating of the HyperSpec with the groups' parameters, in
-    order (the same legality rule, errors and value), from their rows."""
-    stops = [s for _, s, _ in groups if s is not None]
-    check_lower([q for spec, *_ in groups for q in spec.denominators],
-                min(stops, default=None))
-    if not stops:
-        raise NonTerminatingSeries("no numerator parameter is a nonpositive integer")
-    return _split_sum(groups)
+    return (HyperSpec((hd, hd + HALF), (he, he + HALF)),
+            HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
 
 
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
@@ -313,11 +275,11 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
     even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    total = weighted_series(even[0], order).scale(
+    total = weighted_series(even, order).scale(
         _memoized(memo, even_prefactor, j, b))
     if odd is not None:
         c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo)
-        total = total + weighted_series(odd[0], order).scale(c_odd)
+        total = total + weighted_series(odd, order).scale(c_odd)
     return total
 
 
@@ -331,8 +293,7 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     real check, not a tautology.
     """
     a, b = Fraction(a), Fraction(b)
-    return weighted_series(
-        WeightedSumSpec((1,), (a, a + HALF), (b + HALF,)), order)
+    return weighted_series(HyperSpec((a, a + HALF), (b + HALF,)), order)
 
 
 @dataclass(frozen=True)
@@ -362,18 +323,18 @@ class IdentityCase:
 
 
 def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
-    """The left side's Gamma prefactor, then its 3F2's (a, d, e) group
+    """The left side's Gamma prefactor, then its 3F2's (a, d, e) spec
     (d; 1 + 2a + d - e)."""
     two_a = 2 * a
     prefactor = gamma_simplify(
         GammaProduct.ratio((e, e - two_a - d), (e - two_a, e - d))
     )
-    return prefactor, _unit_group((d,), (1 + two_a + d - e,))
+    return prefactor, HyperSpec((d,), (1 + two_a + d - e,))
 
 
-def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> tuple:
-    """The left side's 3F2's (j, a, b) group (2a, b; 2b + j) at argument."""
-    return _unit_group((2 * a, b), (2 * b + j,), argument)
+def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
+    """The left side's 3F2's (j, a, b) spec (2a, b; 2b + j) at argument."""
+    return HyperSpec((2 * a, b), (2 * b + j,), argument)
 
 
 def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
@@ -387,7 +348,7 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     _table_row(j)
     prefactor, tail = _memoized(memo, _lhs_tail, a, d, e)
     head = _memoized(memo, _lhs_head, j, a, b, argument)
-    return prefactor * _terminating_sum(head, tail)
+    return prefactor * eval_terminating(head, tail)
 
 
 def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -408,23 +369,22 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
 
     even_tail, odd_tail, d_over_e = _memoized(memo, _moment_tails, d, e)
     even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    total = _memoized(memo, even_prefactor, j, b) * _split_sum((even, even_tail))
+    total = _memoized(memo, even_prefactor, j, b) * eval_weighted_sum(even, even_tail)
 
     if odd is not None and d != 0:
         c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo) * d_over_e
-        total += c_odd * _split_sum((odd, odd_tail))
+        total += c_odd * eval_weighted_sum(odd, odd_tail)
     return total
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
     """The (j, a, b) part of corollary_rhs: the first series' head
-    group, the second's signed scale over d/e (which each case applies),
-    and the second series' head group, or None at j = 0."""
+    spec, the second's signed scale over d/e (which each case applies),
+    and the second series' head spec, or None at j = 0."""
     if j != 0 and 2 * b + j == 0:
         raise DenominatorPoleBeforeTermination(2 * b + j)
-    # first series heads, second's scale over d/e, second series heads
     if j == 0:
-        return _unit_group((a, a + HALF), (b + HALF,)), 0, None
+        return HyperSpec((a, a + HALF), (b + HALF,)), 0, None
     if j == 1:
         first = ((a, a + HALF), (b + HALF,))
         scale = 2 * a / (2 * b + 1)
@@ -467,16 +427,16 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
             (a + 1, a + HALF, 3 * b / 4 + Fraction(1, 4)),
             (3 * b / 4 - Fraction(3, 4), b - HALF),
         )
-    return _unit_group(*first), scale, _unit_group(*second)
+    return HyperSpec(*first), scale, HyperSpec(*second)
 
 
 def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
-    """The d/e groups of corollary_rhs: (d/2, d/2 + 1/2; e/2, e/2 + 1/2)
+    """The d/e specs of corollary_rhs: (d/2, d/2 + 1/2; e/2, e/2 + 1/2)
     for the first series, each parameter 1/2 higher for the second, then
     d/e."""
     hd, he = d / 2, e / 2
-    return (_unit_group((hd, hd + HALF), (he, he + HALF)),
-            _unit_group((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
+    return (HyperSpec((hd, hd + HALF), (he, he + HALF)),
+            HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
 
 
 def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -500,11 +460,11 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
     first_tail, second_tail, d_over_e = _memoized(
         memo, _corollary_tails, d, e)
-    value = _terminating_sum(first, first_tail)
+    value = eval_terminating(first, first_tail)
     scale *= d_over_e
     if scale == 0:
         return value
-    return value + scale * _terminating_sum(second, second_tail)
+    return value + scale * eval_terminating(second, second_tail)
 
 
 def beta_moment(power: int, d, e) -> Fraction:

@@ -11,10 +11,12 @@ from hyperverify.errors import (
 )
 from hyperverify.hyper import (
     HyperSpec,
-    WeightedSumSpec,
+    check_lower,
     eval_terminating,
     eval_weighted_sum,
+    ratio_rows,
     series_in_z,
+    sum_rows,
     weighted_series,
     weighted_termination,
 )
@@ -34,20 +36,58 @@ class TestTermination:
     def test_zero_numerator_terminates_immediately(self):
         assert HyperSpec((0, 5), (3,)).stop == 0
 
+    def test_rows_are_built_once_per_count(self):
+        spec = HyperSpec((-3, F(1, 2)), (2,), 2)
+        assert spec.rows(2) is spec.rows(2)
+        assert spec.rows(3) == ratio_rows(
+            spec.numerators, spec.denominators, spec.argument, 3)
+
+
+def truncated_sum(spec, up_to):
+    """The spec's weighted terms summed for n = 0..up_to, whatever its stop."""
+    return sum_rows((spec.rows(up_to),), up_to, *spec.integer_weight)
+
 
 class TestLegality:
+    # Construction applies no rule; check_lower, eval_terminating and
+    # series_in_z do.
     def test_nonpositive_denominator_needs_earlier_termination(self):
         # terminates at 2, denominator -3 first vanishes at term 4: legal
-        HyperSpec((-2, 1, 1), (2, -3), 2)
-        # no termination at all: illegal
-        with pytest.raises(DenominatorPoleBeforeTermination):
-            HyperSpec((F(1, 2), 1), (-3,))
-        # terminates too late: illegal
-        with pytest.raises(DenominatorPoleBeforeTermination):
-            HyperSpec((-4, 1), (-3,))
+        check_lower(HyperSpec((-2, 1, 1), (2, -3), 2))
+        illegal = (
+            HyperSpec((F(1, 2), 1), (-3,)),  # no termination at all
+            HyperSpec((-4, 1), (-3,)),  # terminates too late
+        )
+        for spec in illegal:
+            for check in (check_lower, eval_terminating,
+                          lambda s: series_in_z(s, 2)):
+                with pytest.raises(
+                    DenominatorPoleBeforeTermination,
+                    match=r"^denominator parameter -3 vanishes at term 4$",
+                ):
+                    check(spec)
 
     def test_boundary_case_is_legal(self):
-        HyperSpec((-3, 1), (-3,))
+        check_lower(HyperSpec((-3, 1), (-3,)))
+
+    def test_rule_before_non_termination(self):
+        with pytest.raises(DenominatorPoleBeforeTermination):
+            eval_terminating(HyperSpec((F(1, 2),), (-1,)))
+
+    def test_groups_take_the_family_stop_and_list_order(self):
+        # The head alone never terminates; the tail's -3 stops the family
+        # after term 3, before -3 vanishes but after -2 and -1 do.  Of
+        # those two, the rule names the first in list order.
+        head = HyperSpec((F(1, 2),), (-3, -2))
+        tail = HyperSpec((-3,), (-1,))
+        assert head.poles == (-3, -2) and tail.poles == (-1,)
+        check_lower(HyperSpec((F(1, 2),), (-3,)), HyperSpec((-3,), ()))
+        with pytest.raises(DenominatorPoleBeforeTermination,
+                           match=r"^denominator parameter -2 vanishes at term 3$"):
+            check_lower(head, tail)
+        with pytest.raises(DenominatorPoleBeforeTermination,
+                           match=r"^denominator parameter -1 vanishes at term 2$"):
+            eval_terminating(tail, head)
 
 
 class TestEvalTerminating:
@@ -114,7 +154,7 @@ class TestSeriesInZ:
 class TestWeightedSum:
     def test_unit_weight_reduces_to_plain_series(self):
         a, b, d, e = F(-2), F(1, 3), F(1), F(4)
-        spec = WeightedSumSpec(
+        spec = HyperSpec(
             weight=(1,),
             numerators=(a, a + F(1, 2), b, d / 2, d / 2 + F(1, 2)),
             denominators=(b, b + F(1, 2), e / 2, e / 2 + F(1, 2)),
@@ -124,18 +164,18 @@ class TestWeightedSum:
             (b + F(1, 2), e / 2, e / 2 + F(1, 2)),
             1,
         )
-        assert weighted_termination(spec) == 2
-        assert eval_weighted_sum(spec, 2) == eval_terminating(plain)
+        assert weighted_termination(spec) == spec.stop == 2
+        assert eval_weighted_sum(spec) == eval_terminating(plain)
 
     def test_zero_weight(self):
-        spec = WeightedSumSpec(weight=(0,), numerators=(-3,), denominators=(2,))
-        assert eval_weighted_sum(spec, 3) == 0
+        spec = HyperSpec(weight=(0,), numerators=(-3,), denominators=(2,))
+        assert eval_weighted_sum(spec) == 0
 
     def test_polynomial_weight_horner(self):
         # no parameters: term n is weight(n) / n!
-        spec = WeightedSumSpec(weight=(F(1, 2), -3, 2), numerators=(), denominators=())
-        assert eval_weighted_sum(spec, 0) == F(1, 2)
-        assert eval_weighted_sum(spec, 3) == (
+        spec = HyperSpec(weight=(F(1, 2), -3, 2), numerators=(), denominators=())
+        assert truncated_sum(spec, 0) == F(1, 2)
+        assert truncated_sum(spec, 3) == (
             F(1, 2) + (F(1, 2) - 3 + 2) + (F(1, 2) - 6 + 8) / 2
             + (F(1, 2) - 9 + 18) / 6
         )
@@ -145,7 +185,7 @@ class TestWeightedSum:
         # weighted sum with the tabulated j=2 weight, scaled by its
         # prefactor -1/(b+1), equals the absorbed five-parameter series.
         a, b, d, e = F(-1), F(1), F(1), F(4)
-        weighted = WeightedSumSpec(
+        weighted = HyperSpec(
             weight=(-(b + 1), -2),
             numerators=(a, a + F(1, 2), b + 1, d / 2, d / 2 + F(1, 2)),
             denominators=(b + 1, b + F(3, 2), e / 2, e / 2 + F(1, 2)),
@@ -155,46 +195,47 @@ class TestWeightedSum:
             (b / 2 + F(1, 2), b + F(3, 2), e / 2, e / 2 + F(1, 2)),
             1,
         )
-        lhs = F(-1, b + 1) * eval_weighted_sum(weighted, 1)
+        lhs = F(-1, b + 1) * eval_weighted_sum(weighted)
         assert lhs == eval_terminating(absorbed) == F(26, 25)
 
     def test_denominator_pole_before_termination_raises(self):
-        spec = WeightedSumSpec(weight=(1,), numerators=(-5,), denominators=(-2,))
+        spec = HyperSpec(weight=(1,), numerators=(-5,), denominators=(-2,))
         with pytest.raises(DenominatorPoleBeforeTermination):
-            eval_weighted_sum(spec, 5)
+            eval_weighted_sum(spec)
 
     def test_numerator_death_shields_denominator(self):
         # numerator dies at the same step the denominator would vanish:
         # the sum is over by then, no pole is hit
-        spec = WeightedSumSpec(weight=(1,), numerators=(-2,), denominators=(-2,))
-        assert eval_weighted_sum(spec, 4) == eval_weighted_sum(spec, 2)
+        spec = HyperSpec(weight=(1,), numerators=(-2,), denominators=(-2,))
+        assert truncated_sum(spec, 4) == eval_weighted_sum(spec)
 
     def test_pole_message_and_earlier_numerator_death(self):
         # -2 first vanishes in the factor that builds term 3 while (-5)_n
         # is alive; with -2 upstairs instead the terms die at n = 2 and the
         # pole at -3 is never reached
-        live = WeightedSumSpec(
+        live = HyperSpec(
             weight=(F(1, 2), 3), numerators=(-5, F(2, 3)),
             denominators=(F(1, 2), -2), power_offset=1,
         )
-        for evaluate in (eval_weighted_sum, weighted_series):
+        for evaluate in (eval_weighted_sum, lambda s: weighted_series(s, 11)):
             with pytest.raises(
                 DenominatorPoleBeforeTermination,
                 match=r"^denominator parameter -2 vanishes at term 3$",
             ):
-                evaluate(live, 11)
-        dead = WeightedSumSpec(
+                evaluate(live)
+        dead = HyperSpec(
             weight=(F(1, 2), 3), numerators=(-2, F(2, 3)),
             denominators=(F(1, 2), -3), power_offset=1,
         )
         terms = (F(1, 2), F(28, 9), F(130, 81))
-        assert eval_weighted_sum(dead, 11) == sum(terms) == F(845, 162)
+        assert eval_weighted_sum(dead) == truncated_sum(dead, 11) == sum(terms)
+        assert sum(terms) == F(845, 162)
         assert weighted_series(dead, 11).coefficients == (
             (0, terms[0], 0, terms[1], 0, terms[2]) + (0,) * 6
         )
 
     def test_weighted_series_placement(self):
-        spec = WeightedSumSpec(
+        spec = HyperSpec(
             weight=(1, 1),
             numerators=(F(1, 2),),
             denominators=(F(3, 2),),

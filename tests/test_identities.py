@@ -296,7 +296,7 @@ class TestCorollaries:
 
         for name in ("_part_heads", "_weight_poly", "even_prefactor",
                      "odd_prefactor", "_odd_scale", "_moment_tails",
-                     "_weighted_group", "weighted_termination"):
+                     "eval_weighted_sum", "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),

@@ -19,7 +19,6 @@ from hyperverify.exact import (
 from hyperverify.errors import VerificationError
 from hyperverify.hyper import (
     HyperSpec,
-    WeightedSumSpec,
     eval_terminating,
     eval_weighted_sum,
     ratio_rows,
@@ -201,7 +200,7 @@ def test_series_coefficients_resum_to_value(spec):
 def weighted_specs(draw):
     # lower parameters never vanish, so no pole; a nonpositive-integer
     # upper parameter, when drawn, ends the terms early
-    return WeightedSumSpec(
+    return HyperSpec(
         weight=tuple(draw(st.lists(rationals, min_size=1, max_size=3))),
         numerators=tuple(draw(st.lists(rationals, max_size=3))),
         denominators=tuple(draw(st.lists(safe_bases, max_size=3))),
@@ -223,7 +222,10 @@ def weighted_term(spec, n):
 @given(weighted_specs(), st.integers(0, 8))
 def test_weighted_sum_and_series_match_per_term_oracle(spec, up_to):
     terms = [weighted_term(spec, n) for n in range(up_to + 1)]
-    assert eval_weighted_sum(spec, up_to) == sum(terms, F(0))
+    total = sum_rows((spec.rows(up_to),), up_to, *spec.integer_weight)
+    assert total == sum(terms, F(0))
+    if spec.stop is not None and spec.stop <= up_to:
+        assert eval_weighted_sum(spec) == total
     order = 2 * up_to + spec.power_offset
     expected = [F(0)] * (order + 1)
     expected[spec.power_offset::2] = terms
@@ -274,19 +276,18 @@ def test_two_group_walk_matches_one_group_and_direct_sums(family, up_to):
                          f"parameter {q} vanishes at term {n}")
     else:
         assert split == sum(
-            (weighted_term(WeightedSumSpec((1,), nums, dens), n) * arg ** n
+            (weighted_term(HyperSpec(nums, dens), n) * arg ** n
              for n in alive), F(0))
 
 
 @given(split_families())
 def test_split_terminating_sum_matches_one_spec_and_direct_sum(family):
-    # The theorem's left side and the corollaries sum their head and tail
-    # groups under HyperSpec's legality rule: the same value, or the same
-    # error, as one spec of all the parameters, and the direct sum's value.
+    # The theorem's left side and the corollaries sum a head and a tail
+    # spec under the legality rule: the same value, or the same error, as
+    # one spec of all the parameters, and the direct sum's value.
     nums, dens, arg, (cn, cd) = family
-    split = outcome(lambda: identities._terminating_sum(
-        identities._unit_group(nums[:cn], dens[:cd], arg),
-        identities._unit_group(nums[cn:], dens[cd:])))
+    split = outcome(lambda: eval_terminating(
+        HyperSpec(nums[:cn], dens[:cd], arg), HyperSpec(nums[cn:], dens[cd:])))
     whole = outcome(lambda: eval_terminating(HyperSpec(nums, dens, arg)))
     assert split == whole
     if not isinstance(whole, str):
@@ -376,7 +377,7 @@ def test_spec_constructors_normalise_int_and_str(nums, dens, arg, point):
     spec = HyperSpec(tuple(nums), tuple(dens), arg)
     assert all_fractions(spec.numerators + spec.denominators, nums + dens)
     assert all_fractions((spec.argument,), (arg,))
-    weighted = WeightedSumSpec(tuple(nums), tuple(nums), tuple(dens))
+    weighted = HyperSpec(tuple(nums), tuple(dens), weight=tuple(nums))
     assert all_fractions(weighted.weight, nums)
     assert all_fractions(weighted.numerators + weighted.denominators, nums + dens)
     assert all_fractions(TruncatedSeries(tuple(point)).coefficients, point)
