@@ -257,22 +257,26 @@ _SUMMARY_LINE = (
 )
 
 
-def _suite_summary(suite) -> tuple:
-    """Run one suite in this process; only its name, record count and
-    summary leave it."""
-    records = suite.run()
+def _suite_summary(suite, memo) -> tuple:
+    """Run one suite in this process under the given sweep memo; only its
+    name, record count and summary leave it."""
+    records = suite.run(memo)
     return suite.name, len(records), _summary(records)
 
 
 def selftest(jobs: int = 1) -> int:
     """Run the canonical suites with no config; print one line per suite.
 
-    On a pool each suite is one task, so each keeps its sweep memo and all
-    of them are in flight at once; the lines print in suite order.
+    The suites share one sweep memo, made for this call: in process every
+    suite reads the row invariants the earlier ones filled in.  On a pool
+    each suite is one task with its own copy of the empty memo, and all
+    of them are in flight at once.  The lines print in suite order.
     """
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0
-    for name, n, summary in _pool_map(_suite_summary, ALL_SUITES, jobs):
+    summaries = _pool_map(functools.partial(_suite_summary, memo={}),
+                          ALL_SUITES, jobs)
+    for name, n, summary in summaries:
         count += n
         for key in totals:
             totals[key] += summary[key]

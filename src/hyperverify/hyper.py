@@ -88,15 +88,17 @@ def _stop(specs) -> int | None:
 
 
 def check_lower(*specs) -> None:
-    """The legality rule of the family with the specs' parameters, in
-    order: raise for the first lower parameter beta, in list order, whose
-    Pochhammer vanishes (at term 1 - beta) while terms are alive, that is
-    before the family's stop (None: never)."""
+    """The legality rule of the family with the specs' parameters: no
+    lower parameter beta may vanish (at term 1 - beta) while terms are
+    alive, that is before the family's stop (None: never).  Of those
+    that do, the earliest to vanish, the largest beta, is named, as the
+    combined walk would meet it."""
     stop = _stop(specs)
-    for spec in specs:
-        for beta in spec.poles:
-            if stop is None or stop > -beta:
-                raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
+    live = [beta for spec in specs for beta in spec.poles
+            if stop is None or stop > -beta]
+    if live:
+        beta = max(live)
+        raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
 
 
 def ratio_rows(numerators, denominators, argument: Fraction, count: int) -> tuple:

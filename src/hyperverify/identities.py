@@ -247,17 +247,20 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     The substitution w = -2x/(1-x) is applied in closed form: for k >= 1,
     [x**n] w**k = (-2)**k C(n-1, k-1), so [x**n] F(w) is c_0 at n = 0 and
     sum_{k=1..n} c_k (-2)**k C(n-1, k-1) after, an O(N**2) integer sum over
-    the common denominator of the c_k.
+    the common denominator of the c_k.  The sums come from Pascal's rule
+    applied to the c_k themselves: adding neighbours m times turns
+    c_1, c_2, ... into sum_i C(m, i) c_{i+1}, ..., whose first entry is
+    [x**(m+1)] F(w), so no binomial number is formed.
     """
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
     core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
     c, den = _common_denominator(core.coefficients)
     c = [ck * (-2) ** k for k, ck in enumerate(c)]
-    substituted = [c[0]] + [
-        sum(c[k] * math.comb(n - 1, k - 1) for k in range(1, n + 1))
-        for n in range(1, order + 1)
-    ]
+    substituted, level = [c[0]], c[1:]
+    while level:
+        substituted.append(level[0])
+        level = list(map(operator.add, level, level[1:]))
     return binomial_series(2 * a, order) * TruncatedSeries(
         tuple(Fraction(x, den) for x in substituted)
     )
@@ -612,6 +615,7 @@ def grid_sweep(
     series_order: int = 24,
     theorem_argument=2,
     mapper=map,
+    memo=None,
 ) -> list:
     """Run the selected checks over the Cartesian parameter grid.
 
@@ -627,7 +631,9 @@ def grid_sweep(
     raises is kept too and raised again there, so every record equals the
     one its job gives with no memo.  corollary_rhs reads none of the
     weighted sums' entries, since it is their independent evaluation.
-    The memo lives for this sweep only.  A pool's map pickles an empty
+    `memo` is the dict to keep the entries in, a fresh one when None;
+    since every entry is a pure function of its key, a memo that earlier
+    sweeps filled leaves every record as it is.  A pool's map pickles a
     copy of the memo with each chunk of jobs it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
@@ -659,4 +665,5 @@ def grid_sweep(
                 for j in j_set for a in a_set for b in b_set
                 for d in d_set for e in e_set
             ]
-    return list(mapper(functools.partial(_evaluate_case, memo={}), jobs))
+    memo = {} if memo is None else memo
+    return list(mapper(functools.partial(_evaluate_case, memo=memo), jobs))

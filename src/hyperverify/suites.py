@@ -26,10 +26,12 @@ class Suite:
     e_set: tuple = ()
     series_order: int = 24
 
-    def run(self):
+    def run(self, memo=None):
+        """The suite's records; `memo` is a sweep memo dict that other
+        suites may share and have filled, or None for a fresh one."""
         return grid_sweep(
             self.j_set, self.a_set, self.b_set, self.d_set, self.e_set,
-            self.checks, series_order=self.series_order,
+            self.checks, series_order=self.series_order, memo=memo,
         )
 
 

@@ -285,6 +285,38 @@ def test_selftest_parallel_matches_serial(monkeypatch, capsys):
     assert names == [suite.name for suite in suites]
 
 
+def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
+    # In process the six suites share one memo, so each row invariant is
+    # worked once per selftest: Gamma prefactors reduced, ratio rows
+    # built and weight rows interpolated.  A second call counts the same,
+    # so no cache outlives the call that made it.
+    from hyperverify import hyper
+
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(identities, "gamma_simplify")
+    counted(hyper, "ratio_rows")
+    counted(identities, "_poly_from_samples")
+    seen = []
+    for _ in range(2):
+        counts.update(gamma_simplify=0, ratio_rows=0, _poly_from_samples=0)
+        assert cli.selftest(jobs=1) == 1
+        seen.append(dict(counts))
+    capsys.readouterr()
+    assert seen == [
+        {"gamma_simplify": 115, "ratio_rows": 1146, "_poly_from_samples": 66},
+    ] * 2
+
+
 def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch, tmp_path, capsys
 ):
@@ -314,11 +346,15 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
-    # selftest: one map over the six suites, one suite per task
+    # selftest: one map over the six suites, one suite per task, each
+    # task the suite summary under the call's one memo
     assert cli.selftest(jobs=8) == 1
     capsys.readouterr()
     assert started == [3]
-    assert mapped == [(cli._suite_summary, list(ALL_SUITES), 1)]
+    [(fn, items, chunksize)] = mapped
+    assert (fn.func, fn.args, list(fn.keywords)) == (
+        cli._suite_summary, (), ["memo"])
+    assert (items, chunksize) == (list(ALL_SUITES), 1)
 
     # run: at most one contiguous share of the job list per worker
     grid = TestDeterminism.GRID

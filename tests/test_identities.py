@@ -152,6 +152,14 @@ class TestGenTransform:
                     assert gen_transform_lhs_series(j, a, b, n).coefficients == \
                         oracle.coefficients[: n + 1]
 
+    def test_left_side_past_the_canonical_order(self):
+        # The summation table walks as many levels as the order asks, so
+        # one case well past the canonical order 24 meets the oracle too.
+        j, a, b, order = 3, F(1, 4), F(2, 7), 40
+        core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
+        oracle = binomial_series(2 * a, order) * compose(core, mobius_arg(order))
+        assert gen_transform_lhs_series(j, a, b, order) == oracle
+
     def test_parity_split(self):
         # even coefficients come only from the even part, odd only from the
         # odd part: zeroing one half must leave the other untouched
@@ -242,15 +250,15 @@ class TestTheorem:
         # weighted side, which runs first and names the first parameter to
         # vanish as its terms are walked.  The corollary record reports the
         # left side's 3F2 (2a, b, d; 2b + j, 1 + 2a + d - e) = (-6, 1/2,
-        # 9/2; -2, -1), which names the first illegal lower parameter in
-        # list order, -2, though -1 vanishes one term sooner.
+        # 9/2; -2, -1), whose legality rule names -1 too: it vanishes one
+        # term before -2, which comes first in list order.
         job = (-3, F(-3), F(1, 2), F(9, 2), F(1, 2), None, F(2))
         records = [identities._evaluate_case((check,) + job, memo)
                    for check in ("theorem", "corollary")]
         prefix = "DenominatorPoleBeforeTermination: denominator parameter"
         assert [r.error for r in records] == [
             f"{prefix} -1 vanishes at term 2",
-            f"{prefix} -2 vanishes at term 3",
+            f"{prefix} -1 vanishes at term 2",
         ]
 
 
@@ -461,6 +469,16 @@ class TestGridSweep:
         monkeypatch.setattr(hyper, "ratio_rows", counted)
         suite.run()
         assert len(built) == calls
+
+    def test_suites_sharing_one_memo_match_their_own_runs(self):
+        # Every memo entry is a pure function of its key, so a suite reads
+        # the same records from a memo that other suites filled, in either
+        # order, as from its own.
+        alone = {suite.name: suite.run() for suite in suites.ALL_SUITES}
+        for order in (suites.ALL_SUITES, suites.ALL_SUITES[::-1]):
+            memo = {}
+            for suite in order:
+                assert suite.run(memo) == alone[suite.name], suite.name
 
     def test_series_records_carry_coefficient_tuples(self):
         rec = grid_sweep((), (-1,), (1,), (), (), ("kummer",), series_order=4)[0]
