@@ -334,6 +334,9 @@ def main(argv=None) -> int:
         print(f"hyperverify: j={args.j} outside [{-J_LIMIT}, {J_LIMIT}]",
               file=sys.stderr)
         return 2
+    if args.n < 0:
+        print(f"hyperverify: --n must be >= 0, got {args.n}", file=sys.stderr)
+        return 2
     try:
         b = Fraction(args.b)
     except (ValueError, ZeroDivisionError) as err:

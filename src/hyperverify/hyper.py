@@ -7,7 +7,8 @@ the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
 sum may take several specs as the groups of one family, the parameters of
 all of them together.  Each walks the integer ratio rows of its groups
-through one combiner and builds one `Fraction` per result.
+through one combiner; a sum builds one `Fraction`, and a series comes
+back as integer numerators over one denominator, with no `Fraction`.
 """
 
 import math
@@ -19,7 +20,14 @@ from .errors import (
     NonTerminatingSeries,
 )
 from .exact import is_nonpositive_integer
-from .series import TruncatedSeries, _common_denominator, _fractions
+from .series import (
+    TruncatedSeries,
+    _common_denominator,
+    _fractions,
+    _over_lcm,
+    _reduced,
+    _times,
+)
 
 
 @dataclass(frozen=True)
@@ -142,19 +150,24 @@ def _combined(row_sets):
         yield a, b
 
 
-def _weighted_terms(row_sets, up_to: int, weight=(1,), den: int = 1) -> list:
-    """weight(n) * term_n / den for n = 0..up_to, the terms those of the
-    product of the row sets, the weight's ascending coefficients read by
-    Horner's rule; the list ends early when the terms die out."""
-    terms, num, weight = [], 1, weight[::-1]
+def _weighted_terms(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
+    """weight(n) / w_den * term_n for n = 0..up_to, the terms those of
+    the product of the row sets, the weight's ascending coefficients read
+    by Horner's rule, as (integer numerators, their least common
+    denominator), reduced; the numerators end early when the terms die
+    out.  Each term is kept in lowest terms as it is walked."""
+    terms, num, den, weight = [], 1, 1, weight[::-1]
     for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
-        num *= a
-        den *= b
+        num, den = _times(num, den, a, b)
         w = 0
         for c in weight:
             w = w * n + c
-        terms.append(Fraction(w * num, den))
-    return terms
+        g = math.gcd(w, den)
+        terms.append((w // g * num, den // g))
+    nums, den = _over_lcm(terms)
+    # the terms over den are reduced, so only w_den can cancel
+    g = math.gcd(w_den, *nums)
+    return [x // g for x in nums], den * (w_den // g)
 
 
 def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
@@ -202,17 +215,17 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     check_lower(spec)
     limit = order if spec.stop is None else min(order, spec.stop)
     rows = ratio_rows(spec.numerators, spec.denominators, Fraction(1), limit)
-    coeffs = _weighted_terms((rows,), limit, *spec.integer_weight)
-    coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-    return TruncatedSeries(tuple(coeffs))
+    nums, den = _weighted_terms((rows,), limit, *spec.integer_weight)
+    return _reduced(nums + [0] * (order + 1 - len(nums)), den)
 
 
 def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
     """The term family rendered as a series in x: term n lands on
     degree 2n + offset, and no term is walked past the order."""
-    coeffs = [Fraction(0)] * (order + 1)
     up_to = (order - spec.power_offset) // 2
-    terms = _weighted_terms((spec.rows(up_to),), up_to, *spec.integer_weight)
-    for n, c in enumerate(terms):
-        coeffs[2 * n + spec.power_offset] = c
-    return TruncatedSeries(tuple(coeffs))
+    terms, den = _weighted_terms((spec.rows(up_to),), up_to,
+                                 *spec.integer_weight)
+    nums = [0] * (order + 1)
+    start = spec.power_offset
+    nums[start:start + 2 * len(terms):2] = terms
+    return _reduced(nums, den)

@@ -255,15 +255,13 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     _table_row(j)
     a, b = Fraction(a), Fraction(b)
     core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
-    c, den = _common_denominator(core.coefficients)
-    c = [ck * (-2) ** k for k, ck in enumerate(c)]
+    c = [ck * (-2) ** k for k, ck in enumerate(core.numerators)]
     substituted, level = [c[0]], c[1:]
     while level:
         substituted.append(level[0])
         level = list(map(operator.add, level, level[1:]))
-    return binomial_series(2 * a, order) * TruncatedSeries(
-        tuple(Fraction(x, den) for x in substituted)
-    )
+    return binomial_series(2 * a, order) * TruncatedSeries.over(
+        substituted, core.denominator)
 
 
 def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSeries:
@@ -484,13 +482,6 @@ def beta_moment(power: int, d, e) -> Fraction:
     return (d / e) * pochhammer_duplication(d + 1, n) / pochhammer_duplication(e + 1, n)
 
 
-def _left_polynomial(j: int, a: Fraction, b: Fraction, degree: int) -> tuple:
-    """The transformation's left side at a = -m, an exact polynomial of
-    degree 2m, as (integer numerators, common denominator)."""
-    poly = gen_transform_lhs_series(j, a, b, degree)
-    return _common_denominator(poly.coefficients)
-
-
 def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
     """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
     common denominator)."""
@@ -520,9 +511,11 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     if not (d > 0 and e - d > 0):
         raise InvalidCase("pipeline needs d > 0 and e - d > 0")
     degree = -2 * int(a)
-    c, den = _memoized(memo, _left_polynomial, j, a, b, degree)
+    # the left side at a = -m is an exact polynomial of degree 2m
+    poly = _memoized(memo, gen_transform_lhs_series, j, a, b, degree)
     moments, m_den = _memoized(memo, _moments, degree, d, e, memo=memo)
-    lhs = Fraction(sum(map(operator.mul, c, moments)), den * m_den)
+    lhs = Fraction(sum(map(operator.mul, poly.numerators, moments)),
+                   poly.denominator * m_den)
     return lhs, theorem_lhs(case, memo=memo)
 
 
@@ -581,7 +574,12 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
                 rhs = kummer_rhs_series(a, b, order)
             else:
                 rhs = gen_transform_rhs_series(j, a, b, order, memo)
-            lhs, rhs = lhs.coefficients, rhs.coefficients
+            # the reduced integer form is unique, so the series compare
+            # as integers; the Fractions are built for the record only,
+            # once for both sides when they agree
+            equal = lhs == rhs
+            lhs = lhs.coefficients
+            rhs = lhs if equal else rhs.coefficients
         else:
             case = IdentityCase(j, a, b, d, e)
             base["branch"] = case.branch
@@ -600,9 +598,10 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
                 rhs = corollary_rhs(case, memo)
             else:  # pipeline
                 lhs, rhs = beta_integral_pipeline(case, memo)
+            equal = lhs == rhs
     except Exception as err:  # noqa: BLE001 - embed bugs as errored records
         return VerificationRecord(error=_error_tag(err), **base)
-    return VerificationRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs, **base)
+    return VerificationRecord(lhs=lhs, rhs=rhs, equal=equal, **base)
 
 
 def grid_sweep(

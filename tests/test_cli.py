@@ -212,6 +212,13 @@ class TestTable:
         code, _, _ = invoke(["table", "--b", "x", "--n", "0"], capsys)
         assert code == 2
 
+    def test_rejects_negative_index(self, capsys):
+        code, out, err = invoke(
+            ["table", "--j", "3", "--b", "1/3", "--n", "-2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n must be >= 0" in err
+
 
 class TestDeterminism:
     GRID = {

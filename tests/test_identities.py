@@ -1,5 +1,7 @@
 """The identity family: weight table, transforms, theorem, corollaries, pipeline."""
 
+import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -159,6 +161,24 @@ class TestGenTransform:
         core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
         oracle = binomial_series(2 * a, order) * compose(core, mobius_arg(order))
         assert gen_transform_lhs_series(j, a, b, order) == oracle
+
+    def test_both_sides_at_the_order_cap(self):
+        # Both sides at seriesOrder 256, pinned by the sha256 of their
+        # coefficients as text (the sides agree at j = 3, so one digest),
+        # and each held in its reduced form: the denominator is the lcm
+        # of the coefficients' own denominators and shares no factor with
+        # every numerator.  A series kept unreduced grows its integers
+        # from operation to operation and costs about ten times as much.
+        j, a, b, order = 3, F(1, 4), F(2, 7), 256
+        for side in (gen_transform_lhs_series(j, a, b, order),
+                     gen_transform_rhs_series(j, a, b, order)):
+            text = ",".join(str(c) for c in side.coefficients)
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "091ab7ed10d70f4be415693ab18fe327"
+                "7fc0b17be060d08789627cf5c71acec5")
+            assert side.denominator == math.lcm(
+                *(c.denominator for c in side.coefficients))
+            assert math.gcd(side.denominator, *side.numerators) == 1
 
     def test_parity_split(self):
         # even coefficients come only from the even part, odd only from the

@@ -130,6 +130,43 @@ def test_series_product_is_the_cauchy_product(f, g):
     assert product.coefficients == cauchy
 
 
+coefficient_lists = st.lists(mixed_coefficients, min_size=1, max_size=14)
+
+
+@given(coefficient_lists,
+       st.integers(1, 50) | st.integers(-50, -1))
+def test_series_form_is_reduced_and_unique(cs, k):
+    f = TruncatedSeries(tuple(cs))
+    nums, den = f.numerators, f.denominator
+    assert den > 0
+    assert math.gcd(den, *nums) == 1
+    assert [F(x, den) for x in nums] == cs
+    g = TruncatedSeries.over([k * x for x in nums], k * den)
+    assert (g.numerators, g.denominator) == (nums, den)
+
+
+@given(coefficient_lists, coefficient_lists)
+def test_series_equality_and_hash_follow_the_coefficients(cs, ds):
+    f, g = TruncatedSeries(tuple(cs)), TruncatedSeries(tuple(ds))
+    assert (f == g) == (f.coefficients == g.coefficients)
+    twin = TruncatedSeries.over(f.numerators, f.denominator)
+    assert twin == f and hash(twin) == hash(f)
+
+
+@given(coefficient_lists, coefficient_lists, mixed_coefficients)
+def test_series_operations_match_plain_fractions(cs, ds, c):
+    f, g = TruncatedSeries(tuple(cs)), TruncatedSeries(tuple(ds))
+    n = min(len(cs), len(ds))
+    cauchy = tuple(sum((cs[i] * ds[m - i] for i in range(m + 1)), F(0))
+                   for m in range(n))
+    for result, expected in ((f * g, cauchy),
+                             (f + g, tuple(x + y for x, y in zip(cs, ds))),
+                             (f.scale(c), tuple(c * x for x in cs))):
+        assert result.coefficients == expected
+        # the integer form of each result is the one its coefficients give
+        assert result == TruncatedSeries(expected)
+
+
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=10),
        st.integers(1, 16))
 def test_binomial_series_inverse_pair(alpha, order):
@@ -230,6 +267,15 @@ def test_weighted_sum_and_series_match_per_term_oracle(spec, up_to):
     expected = [F(0)] * (order + 1)
     expected[spec.power_offset::2] = terms
     assert weighted_series(spec, order).coefficients == tuple(expected)
+
+
+@given(weighted_specs(), st.integers(0, 16), rationals)
+def test_expansions_come_back_in_reduced_form(spec, order, alpha):
+    # each expansion builds its integer form directly; it must be the one
+    # that its coefficients give
+    for s in (weighted_series(spec, order), series_in_z(spec, order),
+              binomial_series(alpha, order)):
+        assert s == TruncatedSeries(s.coefficients)
 
 
 # Parameters that end the terms early or vanish as lower parameters are
