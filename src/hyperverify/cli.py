@@ -40,13 +40,25 @@ class ConfigParseError(Exception):
     """The sweep configuration is malformed; details in the message."""
 
 
+def _is_rational_text(text: str) -> bool:
+    """True for an optional sign, ASCII digits and an optional "/digits"
+    (so no decimal point, exponent, underscore or space)."""
+    if text.startswith(("+", "-")):
+        text = text[1:]
+    parts = text.split("/")
+    return len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts)
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigParseError(
             f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
         )
     try:
-        q = Fraction(str(value))
+        text = str(value)
+        if not _is_rational_text(text):
+            raise ValueError("expected an integer or 'p/q'")
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigParseError(f"{where}: {value!r} is not a rational ({err})")
     return q
@@ -115,10 +127,21 @@ class SweepConfig:
                 f"theoremArgument: {argument!r} is neither 'one' nor 'two'"
             )
 
+        a_set = _parse_rational_list(raw.get("aSet", []), "aSet")
+        if "pipeline" in checks:
+            # at an integer a = -m the pipeline expands the left side to
+            # degree 2m; at any other a it does not run
+            for a in a_set:
+                if a.denominator == 1 and -2 * a > MAX_SERIES_ORDER:
+                    raise ConfigParseError(
+                        f"aSet: a={a} gives the pipeline degree {-2 * a}, "
+                        f"past {MAX_SERIES_ORDER}"
+                    )
+
         return cls(
             checks=tuple(checks),
             j_set=tuple(j_set),
-            a_set=_parse_rational_list(raw.get("aSet", []), "aSet"),
+            a_set=a_set,
             b_set=_parse_rational_list(raw.get("bSet", []), "bSet"),
             d_set=_parse_rational_list(raw.get("dSet", []), "dSet"),
             e_set=_parse_rational_list(raw.get("eSet", []), "eSet"),
@@ -222,7 +245,9 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         config = SweepConfig.from_dict(raw)
-    except (OSError, json.JSONDecodeError, ConfigParseError) as err:
+    except (OSError, ValueError, ConfigParseError) as err:
+        # ValueError: malformed JSON, or an integer literal past the
+        # int-string conversion limit
         print(f"hyperverify: config error: {err}", file=sys.stderr)
         return 2
 

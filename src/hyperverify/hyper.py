@@ -7,8 +7,9 @@ the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
 sum may take several specs as the groups of one family, the parameters of
 all of them together.  Each walks the integer ratio rows of its groups
-through one combiner; a sum builds one `Fraction`, and a series comes
-back as integer numerators over one denominator, with no `Fraction`.
+through one combiner; a sum keeps one running integer pair, which the
+public sums reduce to one `Fraction`, and a series comes back as integer
+numerators over one denominator, with no `Fraction`.
 """
 
 import math
@@ -170,9 +171,11 @@ def _weighted_terms(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
     return [x // g for x in nums], den * (w_den // g)
 
 
-def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
+def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
     """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, as in
-    _weighted_terms, kept as one running integer total over one den."""
+    _weighted_terms, kept as one running integer total over one den and
+    returned unreduced: (numerator, denominator), the denominator nonzero
+    and of either sign."""
     total, num, den, weight = 0, 1, 1, weight[::-1]
     for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
         num *= a
@@ -181,31 +184,41 @@ def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
         for c in weight:
             w = w * n + c
         total = total * b + w * num
-    return Fraction(total, den * w_den)
+    return total, den * w_den
 
 
-def _sum_to_stop(specs) -> Fraction:
+def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
+    """The value of _row_sum, reduced."""
+    return Fraction(*_row_sum(row_sets, up_to, weight, w_den))
+
+
+def _weighted_pair(*specs: HyperSpec) -> tuple:
     """Sum of the family with the specs' parameters and the first one's
-    weight, up to the family's stop."""
+    weight, up to the family's stop, as _row_sum's unreduced pair."""
     stop = _stop(specs)
     if stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer")
-    return sum_rows([spec.rows(stop) for spec in specs], stop,
+    return _row_sum([spec.rows(stop) for spec in specs], stop,
                     *specs[0].integer_weight)
+
+
+def _terminating_pair(*specs: HyperSpec) -> tuple:
+    """_weighted_pair under the legality rule (checked first)."""
+    check_lower(*specs)
+    return _weighted_pair(*specs)
 
 
 def eval_terminating(*specs: HyperSpec) -> Fraction:
     """Exact value of a terminating series, the family with the specs'
     parameters, under the legality rule (checked first)."""
-    check_lower(*specs)
-    return _sum_to_stop(specs)
+    return Fraction(*_terminating_pair(*specs))
 
 
 def eval_weighted_sum(*specs: HyperSpec) -> Fraction:
     """Exact sum of the weighted terms up to the family's stop; a lower
     parameter is only rejected where the walk meets it."""
-    return _sum_to_stop(specs)
+    return Fraction(*_weighted_pair(*specs))
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:

@@ -44,8 +44,9 @@ from .exact import (
 )
 from .hyper import (
     HyperSpec,
-    eval_terminating,
-    eval_weighted_sum,
+    _terminating_pair,
+    _weighted_pair,
+    eval_weighted_sum,  # noqa: F401 - unused; tests patch the weighted path by name
     series_in_z,
     weighted_series,
 )
@@ -338,6 +339,18 @@ def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
     return HyperSpec((2 * a, b), (2 * b + j,), argument)
 
 
+def _theorem_lhs_pair(case: IdentityCase, argument=TWO, memo=None) -> tuple:
+    """theorem_lhs as an unreduced integer pair (numerator, denominator),
+    the denominator nonzero and of either sign."""
+    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
+    _table_row(j)
+    prefactor, tail = _memoized(memo, _lhs_tail, a, d, e)
+    head = _memoized(memo, _lhs_head, j, a, b, argument)
+    pn, pd = prefactor.as_integer_ratio()
+    sn, sd = _terminating_pair(head, tail)
+    return pn * sn, pd * sd
+
+
 def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     """Prefactor times the terminating 3F2.
 
@@ -345,11 +358,33 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     (wrong) unit-argument variant, kept available as a negative control.
     `memo` is a sweep memo dict, or None.
     """
+    return Fraction(*_theorem_lhs_pair(case, argument, memo))
+
+
+def _theorem_rhs_pair(case: IdentityCase, memo=None) -> tuple:
+    """theorem_rhs as an unreduced integer pair, as _theorem_lhs_pair:
+    each part is its scale times its sum, and the two parts are added
+    over the product of their denominators."""
+    _table_row(case.j)
     j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    _table_row(j)
-    prefactor, tail = _memoized(memo, _lhs_tail, a, d, e)
-    head = _memoized(memo, _lhs_head, j, a, b, argument)
-    return prefactor * eval_terminating(head, tail)
+    if case.branch is None:
+        raise InvalidCase("neither a nor d is a nonpositive integer")
+    if e == 0:
+        raise InvalidCase("e must be nonzero")
+
+    even_tail, odd_tail, d_over_e = _memoized(memo, _moment_tails, d, e)
+    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
+    pn, pd = _memoized(memo, even_prefactor, j, b).as_integer_ratio()
+    sn, sd = _weighted_pair(even, even_tail)
+    num, den = pn * sn, pd * sd
+
+    if odd is not None and d != 0:
+        cn, cd = _memoized(memo, _odd_scale, j, a, b, memo=memo).as_integer_ratio()
+        dn, dd = d_over_e.as_integer_ratio()
+        sn, sd = _weighted_pair(odd, odd_tail)
+        odd_num, odd_den = cn * dn * sn, cd * dd * sd
+        num, den = num * odd_den + odd_num * den, den * odd_den
+    return num, den
 
 
 def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -361,21 +396,7 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     around floor(-d/2), depending on parity.  `memo` is a sweep memo
     dict, or None.
     """
-    _table_row(case.j)
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    if case.branch is None:
-        raise InvalidCase("neither a nor d is a nonpositive integer")
-    if e == 0:
-        raise InvalidCase("e must be nonzero")
-
-    even_tail, odd_tail, d_over_e = _memoized(memo, _moment_tails, d, e)
-    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    total = _memoized(memo, even_prefactor, j, b) * eval_weighted_sum(even, even_tail)
-
-    if odd is not None and d != 0:
-        c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo) * d_over_e
-        total += c_odd * eval_weighted_sum(odd, odd_tail)
-    return total
+    return Fraction(*_theorem_rhs_pair(case, memo))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
@@ -440,6 +461,29 @@ def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
             HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
 
 
+def _corollary_rhs_pair(case: IdentityCase, memo=None) -> tuple:
+    """corollary_rhs as an unreduced integer pair, as _theorem_lhs_pair."""
+    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
+    if abs(j) > COROLLARY_J_LIMIT:
+        raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
+    if case.branch is None:
+        raise InvalidCase("neither a nor d is a nonpositive integer")
+    if e == 0:
+        raise InvalidCase("e must be nonzero")
+    first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
+    first_tail, second_tail, d_over_e = _memoized(
+        memo, _corollary_tails, d, e)
+    vn, vd = _terminating_pair(first, first_tail)
+    sn, sd = scale.as_integer_ratio()
+    dn, dd = d_over_e.as_integer_ratio()
+    sn, sd = sn * dn, sd * dd
+    if sn == 0:
+        return vn, vd
+    wn, wd = _terminating_pair(second, second_tail)
+    sn, sd = sn * wn, sd * wd
+    return vn * sd + sn * vd, vd * sd
+
+
 def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     """Closed single-series right side for |j| <= 3.
 
@@ -451,21 +495,7 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     validated for a dead term.  `memo` is a sweep memo dict, or None;
     this path reads none of the weighted sums' entries.
     """
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    if abs(j) > COROLLARY_J_LIMIT:
-        raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-    if case.branch is None:
-        raise InvalidCase("neither a nor d is a nonpositive integer")
-    if e == 0:
-        raise InvalidCase("e must be nonzero")
-    first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
-    first_tail, second_tail, d_over_e = _memoized(
-        memo, _corollary_tails, d, e)
-    value = eval_terminating(first, first_tail)
-    scale *= d_over_e
-    if scale == 0:
-        return value
-    return value + scale * eval_terminating(second, second_tail)
+    return Fraction(*_corollary_rhs_pair(case, memo))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -491,6 +521,24 @@ def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
     ])
 
 
+def _pipeline_pairs(case: IdentityCase, memo=None) -> tuple:
+    """beta_integral_pipeline's two values as unreduced integer pairs, as
+    _theorem_lhs_pair."""
+    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
+    _table_row(j)
+    if not is_nonpositive_integer(a):
+        raise InvalidCase("pipeline needs a to be a nonpositive integer")
+    if not (d > 0 and e - d > 0):
+        raise InvalidCase("pipeline needs d > 0 and e - d > 0")
+    degree = -2 * int(a)
+    # the left side at a = -m is an exact polynomial of degree 2m
+    poly = _memoized(memo, gen_transform_lhs_series, j, a, b, degree)
+    moments, m_den = _memoized(memo, _moments, degree, d, e, memo=memo)
+    lhs = (sum(map(operator.mul, poly.numerators, moments)),
+           poly.denominator * m_den)
+    return lhs, _theorem_lhs_pair(case, memo=memo)
+
+
 def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     """Replay the derivation of the summation identity on one case.
 
@@ -504,19 +552,8 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     whose equality is the identity itself.  `memo` is a sweep memo dict,
     or None.
     """
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    _table_row(j)
-    if not is_nonpositive_integer(a):
-        raise InvalidCase("pipeline needs a to be a nonpositive integer")
-    if not (d > 0 and e - d > 0):
-        raise InvalidCase("pipeline needs d > 0 and e - d > 0")
-    degree = -2 * int(a)
-    # the left side at a = -m is an exact polynomial of degree 2m
-    poly = _memoized(memo, gen_transform_lhs_series, j, a, b, degree)
-    moments, m_den = _memoized(memo, _moments, degree, d, e, memo=memo)
-    lhs = Fraction(sum(map(operator.mul, poly.numerators, moments)),
-                   poly.denominator * m_den)
-    return lhs, theorem_lhs(case, memo=memo)
+    lhs, rhs = _pipeline_pairs(case, memo)
+    return Fraction(*lhs), Fraction(*rhs)
 
 
 @dataclass(frozen=True)
@@ -588,17 +625,23 @@ def _evaluate_case(job, memo=None) -> VerificationRecord:
                 # simplification, so it goes first: pole exclusions then
                 # surface with the offending argument named instead of as
                 # a generic lower-parameter failure.
-                rhs = theorem_rhs(case, memo)
-                lhs = theorem_lhs(case, argument, memo)
+                rhs = _theorem_rhs_pair(case, memo)
+                lhs = _theorem_lhs_pair(case, argument, memo)
             elif check == "corollary":
                 # no closed form past the bound: skip before the 3F2 sum
                 if abs(j) > COROLLARY_J_LIMIT:
                     raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-                lhs = theorem_lhs(case, memo=memo)
-                rhs = corollary_rhs(case, memo)
+                lhs = _theorem_lhs_pair(case, memo=memo)
+                rhs = _corollary_rhs_pair(case, memo)
             else:  # pipeline
-                lhs, rhs = beta_integral_pipeline(case, memo)
-            equal = lhs == rhs
+                lhs, rhs = _pipeline_pairs(case, memo)
+            # each side is an unreduced integer pair: they compare
+            # crosswise, and the Fractions are built for the record only,
+            # once for both sides when they agree
+            (ln, ld), (rn, rd) = lhs, rhs
+            equal = ln * rd == rn * ld
+            lhs = Fraction(ln, ld)
+            rhs = lhs if equal else Fraction(rn, rd)
     except Exception as err:  # noqa: BLE001 - embed bugs as errored records
         return VerificationRecord(error=_error_tag(err), **base)
     return VerificationRecord(lhs=lhs, rhs=rhs, equal=equal, **base)

@@ -190,6 +190,46 @@ class TestConfigValidation:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize(
+        "text", ["2.5", "1e-50", "1_000", " 1/2", "1/2/3", "1/-2", "+", "\u0663"])
+    def test_rationals_outside_the_grammar_exit_two(self, tmp_path, capsys, text):
+        # only a sign, ASCII digits and an optional "/digits"; an exponent
+        # would also make the parse itself unbounded
+        cfg = write_config(tmp_path, {"checks": ["theorem"], "aSet": [text]})
+        code, out, err = invoke(["run", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "config error" in err and "is not a rational" in err
+
+    @pytest.mark.parametrize(
+        "raw, value", [("-3", F(-3)), ("+7/2", F(7, 2)), ("04/6", F(2, 3)),
+                       (-12, F(-12))])
+    def test_rationals_in_the_grammar(self, raw, value):
+        assert cli.SweepConfig.from_dict({"aSet": [raw]}).a_set == (value,)
+
+    def test_integer_literal_past_the_string_limit_exits_two(
+            self, tmp_path, capsys):
+        # json.load itself refuses a 5,000-digit literal with a ValueError
+        literal = "7" * 5000
+        cfg = write_config(
+            tmp_path, '{"checks": ["theorem"], "aSet": [' + literal + "]}")
+        code, out, err = invoke(["run", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "config error" in err
+
+    def test_pipeline_degree_is_bounded_when_parsed(self):
+        # parsing only: no case runs
+        with pytest.raises(cli.ConfigParseError,
+                           match="a=-129 gives the pipeline degree 258"):
+            cli.SweepConfig.from_dict(
+                {"checks": ["theorem", "pipeline"], "aSet": ["-1", "-129"]})
+        config = cli.SweepConfig.from_dict(
+            {"checks": ["pipeline"], "aSet": [-128, "-257/2"]})
+        assert config.a_set == (F(-128), F(-257, 2))
+        # the bound is the pipeline's: other checks accept the same a
+        config = cli.SweepConfig.from_dict(
+            {"checks": ["theorem", "corollaries"], "aSet": ["-129"]})
+        assert config.a_set == (F(-129),)
+
 
 class TestTable:
     def test_single_row(self, capsys):

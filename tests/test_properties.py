@@ -16,7 +16,7 @@ from hyperverify.exact import (
     pochhammer,
     pochhammer_duplication,
 )
-from hyperverify.errors import VerificationError
+from hyperverify.errors import UnsupportedJ, VerificationError
 from hyperverify.hyper import (
     HyperSpec,
     eval_terminating,
@@ -503,3 +503,98 @@ def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
     for rec in records:
         job = (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, 6, 2)
         assert vars(rec) == vars(identities._evaluate_case(job))
+
+
+def public_sides(job):
+    """(lhs, rhs, error tag) of a theorem, corollary or pipeline job from
+    the public functions, each side a Fraction, in the order in which the
+    record's evaluation raises."""
+    check, j, a, b, d, e, _, argument = job
+    case = IdentityCase(j, a, b, d, e)
+    try:
+        if check == "theorem":
+            rhs = identities.theorem_rhs(case)
+            lhs = identities.theorem_lhs(case, argument)
+        elif check == "corollary":
+            if abs(j) > identities.COROLLARY_J_LIMIT:
+                raise UnsupportedJ(j, limit=identities.COROLLARY_J_LIMIT)
+            lhs = identities.theorem_lhs(case)
+            rhs = identities.corollary_rhs(case)
+        else:
+            lhs, rhs = identities.beta_integral_pipeline(case)
+    except VerificationError as err:
+        return None, None, f"{type(err).__name__}: {err}"
+    return lhs, rhs, None
+
+
+def fraction_sides(check, j, a, b, d, e, argument):
+    """Both sides of a job that evaluates, each part a Fraction from
+    hyper's public sums and the parts combined in Fraction arithmetic,
+    so independent of the integer pairs the package combines."""
+    def left(argument=F(2)):
+        prefactor, tail = identities._lhs_tail(a, d, e)
+        head = identities._lhs_head(j, a, b, argument)
+        return prefactor * eval_terminating(head, tail)
+
+    if check == "theorem":
+        even_tail, odd_tail, d_over_e = identities._moment_tails(d, e)
+        even, odd = identities._part_heads(j, a, b)
+        rhs = identities.even_prefactor(j, b) * eval_weighted_sum(even, even_tail)
+        if odd is not None and d != 0:
+            rhs += (identities._odd_scale(j, a, b) * d_over_e
+                    * eval_weighted_sum(odd, odd_tail))
+        return left(argument), rhs
+    if check == "corollary":
+        first, scale, second = identities._corollary_heads(j, a, b)
+        first_tail, second_tail, d_over_e = identities._corollary_tails(d, e)
+        rhs = eval_terminating(first, first_tail)
+        if scale * d_over_e != 0:
+            rhs += scale * d_over_e * eval_terminating(second, second_tail)
+        return left(), rhs
+    poly = gen_transform_lhs_series(j, a, b, -2 * int(a))
+    moments = sum(c * identities.beta_moment(p, d, e)
+                  for p, c in enumerate(poly.coefficients))
+    return moments, left()
+
+
+# both branches, with nonpositive-integer values of a and d besides
+# generic ones; negative b and e, where the sums' denominators are
+# negative
+branch_values = st.one_of(st.integers(-4, 0).map(F), small_rationals)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(["theorem", "corollary", "pipeline"]),
+    st.integers(-5, 5),
+    branch_values,
+    st.one_of(st.sampled_from([F(-5, 2), F(-1, 3), F(-1), F(2, 7)]),
+              small_rationals),
+    branch_values,
+    st.one_of(st.sampled_from([F(-3), F(-7, 2), F(13, 3)]), small_rationals),
+    st.sampled_from([F(2), F(1)]),
+)
+# the j = -5 weight defect: both sides finite and unequal
+@example("theorem", -5, F(-2), F(2, 7), F(1, 2), F(4), F(2))
+# negative b and e on both branches, where the weighted sums'
+# denominators are negative, with the odd part live
+@example("theorem", -2, F(-2), F(-1, 3), F(1, 2), F(-7, 2), F(2))
+@example("theorem", -2, F(1, 4), F(-1, 3), F(-4), F(-7, 2), F(2))
+@example("corollary", -3, F(2, 5), F(-1, 3), F(-2), F(-7, 2), F(2))
+@example("pipeline", 2, F(-3), F(-1, 3), F(1, 2), F(13, 3), F(2))
+# a skip: the even part's lower parameter b + j/2 is -1
+@example("theorem", 3, F(1, 4), F(-5, 2), F(-4), F(-3), F(2))
+def test_integer_sides_give_the_public_fractions(check, j, a, b, d, e, argument):
+    # The records compare each side as an integer pair; what they carry
+    # is exactly what the public functions return, which is what Fraction
+    # arithmetic on the same sums gives, and so is the verdict.  A skip
+    # carries the text the public functions raise.
+    job = (check, j, a, b, d, e, 6, argument)
+    rec = identities._evaluate_case(job)
+    lhs, rhs, error = public_sides(job)
+    assert rec.error == error
+    if error is None:
+        assert type(rec.lhs) is F and type(rec.rhs) is F
+        assert (rec.lhs, rec.rhs) == (lhs, rhs)
+        assert (lhs, rhs) == fraction_sides(check, j, a, b, d, e, argument)
+        assert rec.equal is (lhs == rhs)
