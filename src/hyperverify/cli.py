@@ -244,10 +244,14 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        config = SweepConfig.from_dict(raw)
-    except (OSError, ValueError, ConfigParseError) as err:
+    except (OSError, ValueError) as err:
         # ValueError: malformed JSON, or an integer literal past the
         # int-string conversion limit
+        print(f"hyperverify: config error: {err}", file=sys.stderr)
+        return 2
+    try:
+        config = SweepConfig.from_dict(raw)
+    except ConfigParseError as err:
         print(f"hyperverify: config error: {err}", file=sys.stderr)
         return 2
 

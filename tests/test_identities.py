@@ -354,8 +354,7 @@ class TestCorollaries:
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
-        for name in ("_part_heads", "_odd_scale", "_moment_tails",
-                     "_weighted_pair", "_theorem_rhs_pair"):
+        for name in ("_weighted_pair", "_theorem_rhs_pair"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
