@@ -228,7 +228,8 @@ def _pool_map(fn, items, jobs: int, shares: bool = False):
 def _sweep(config: SweepConfig, jobs: int) -> list:
     checks = tuple(_CHECK_FOR_CONFIG[c] for c in config.checks)
     argument = 2 if config.theorem_argument == "two" else 1
-    # The builtin map itself at --jobs 1, so that a tracer can time each case.
+    # The builtin map itself at --jobs 1, so that a tracer can time each
+    # job: a row of the theorem family, or one kummer or transform case.
     mapper = (map if jobs == 1
               else functools.partial(_pool_map, jobs=jobs, shares=True))
     records = grid_sweep(
@@ -367,6 +368,8 @@ def main(argv=None) -> int:
         print(f"hyperverify: --n must be >= 0, got {args.n}", file=sys.stderr)
         return 2
     try:
+        if not _is_rational_text(args.b):
+            raise ValueError(f"expected an integer or 'p/q', got {args.b!r}")
         b = Fraction(args.b)
     except (ValueError, ZeroDivisionError) as err:
         print(f"hyperverify: bad --b value: {err}", file=sys.stderr)

@@ -46,7 +46,6 @@ from .hyper import (
     HyperSpec,
     _terminating_pair,
     _weighted_pair,
-    eval_weighted_sum,  # noqa: F401 - unused; tests patch the weighted path by name
     series_in_z,
     weighted_series,
 )
@@ -334,21 +333,162 @@ def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
     return prefactor, HyperSpec((d,), (1 + two_a + d - e,))
 
 
-def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
-    """The left side's 3F2's (j, a, b) spec (2a, b; 2b + j) at argument."""
-    return HyperSpec((2 * a, b), (2 * b + j,), argument)
+def _lhs_row(j: int, a: Fraction, b: Fraction, argument) -> tuple:
+    """The left side's (j, a, b) part at argument: its 3F2's spec (2a, b;
+    2b + j), and a dict that keeps the row's left sides, one list per set
+    of columns (see _Row.left)."""
+    return HyperSpec((2 * a, b), (2 * b + j,), argument), {}
 
 
-def _theorem_lhs_pair(case: IdentityCase, argument=TWO, memo=None) -> tuple:
-    """theorem_lhs as an unreduced integer pair (numerator, denominator),
-    the denominator nonzero and of either sign."""
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    _table_row(j)
-    prefactor, tail = _memoized(memo, _lhs_tail, a, d, e)
-    head = _memoized(memo, _lhs_head, j, a, b, argument)
-    pn, pd = prefactor.as_integer_ratio()
-    sn, sd = _terminating_pair(head, tail)
-    return pn * sn, pd * sd
+def _column(d: Fraction, e: Fraction, tails=None, memo=None) -> tuple:
+    """One (d, e) column of the theorem family: (d, e, whether d is a
+    nonpositive integer, tails(d, e) from the memo).  The last is None
+    with no tails and at e = 0, which every check that reads them
+    rejects first."""
+    tails = _memoized(memo, tails, d, e) if tails and e != 0 else None
+    return d, e, is_nonpositive_integer(d), tails
+
+
+class _Row:
+    """The (j, a, b) part of the theorem family's cases, with the argument
+    of the left side's 3F2.  The per-case arithmetic of every check lives
+    here: each method takes one column (see _column) and computes one
+    side of one case.  Each row invariant comes from the memo at its
+    first use and is kept on the row; one that raises is not kept, so
+    every case that reaches it raises it again, from the memo when there
+    is one, and a case raises what it raises on its own.  `columns`
+    names the row's columns in a sweep, as integer pairs, for left."""
+
+    def __init__(self, j: int, a: Fraction, b: Fraction, argument,
+                 memo=None, columns=None):
+        self.j, self.a, self.b, self.argument = j, a, b, argument
+        self.memo, self.columns = memo, columns
+        self.a_branch = is_nonpositive_integer(a)
+
+    def _check_terminates(self, column) -> None:
+        if not (self.a_branch or column[2]):
+            raise InvalidCase("neither a nor d is a nonpositive integer")
+        if column[1] == 0:
+            raise InvalidCase("e must be nonzero")
+
+    @functools.cached_property
+    def lhs_row(self) -> tuple:
+        return _memoized(self.memo, _lhs_row, self.j, self.a, self.b,
+                         self.argument)
+
+    @functools.cached_property
+    def part_heads(self) -> tuple:
+        return _memoized(self.memo, _part_heads, self.j, self.a, self.b,
+                         memo=self.memo)
+
+    @functools.cached_property
+    def even_scale(self) -> tuple:
+        return _memoized(self.memo, even_prefactor, self.j,
+                         self.b).as_integer_ratio()
+
+    @functools.cached_property
+    def odd_scale(self) -> tuple:
+        return _memoized(self.memo, _odd_scale, self.j, self.a, self.b,
+                         memo=self.memo).as_integer_ratio()
+
+    @functools.cached_property
+    def corollary_heads(self) -> tuple:
+        return _memoized(self.memo, _corollary_heads, self.j, self.a, self.b)
+
+    @functools.cached_property
+    def polynomial(self) -> tuple:
+        """The transformation's left side at a = -m, an exact polynomial
+        of degree 2m, and that degree."""
+        degree = -2 * int(self.a)
+        return _memoized(self.memo, gen_transform_lhs_series, self.j, self.a,
+                         self.b, degree), degree
+
+    def lhs_pair(self, d: Fraction, e: Fraction) -> tuple:
+        """theorem_lhs as an unreduced integer pair (numerator,
+        denominator), the denominator nonzero and of either sign."""
+        _table_row(self.j)
+        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a, d, e)
+        pn, pd = prefactor.as_integer_ratio()
+        sn, sd = _terminating_pair(self.lhs_row[0], tail)
+        return pn * sn, pd * sd
+
+    def theorem_rhs_pair(self, column) -> tuple:
+        """theorem_rhs as an unreduced integer pair, as lhs_pair: each
+        part is its scale times its sum, and the two parts are added over
+        the product of their denominators; the column's tails are
+        _moment_tails."""
+        _table_row(self.j)
+        self._check_terminates(column)
+        d, _, _, (even_tail, odd_tail, d_over_e) = column
+        even, odd = self.part_heads
+        pn, pd = self.even_scale
+        sn, sd = _weighted_pair(even, even_tail)
+        num, den = pn * sn, pd * sd
+        if odd is not None and d != 0:
+            cn, cd = self.odd_scale
+            dn, dd = d_over_e.as_integer_ratio()
+            sn, sd = _weighted_pair(odd, odd_tail)
+            odd_num, odd_den = cn * dn * sn, cd * dd * sd
+            num, den = num * odd_den + odd_num * den, den * odd_den
+        return num, den
+
+    def corollary_rhs_pair(self, column) -> tuple:
+        """corollary_rhs as an unreduced integer pair, as lhs_pair; the
+        column's tails are _corollary_tails."""
+        if abs(self.j) > COROLLARY_J_LIMIT:
+            raise UnsupportedJ(self.j, limit=COROLLARY_J_LIMIT)
+        self._check_terminates(column)
+        first, scale, second = self.corollary_heads
+        first_tail, second_tail, d_over_e = column[3]
+        vn, vd = _terminating_pair(first, first_tail)
+        sn, sd = scale.as_integer_ratio()
+        dn, dd = d_over_e.as_integer_ratio()
+        sn, sd = sn * dn, sd * dd
+        if sn == 0:
+            return vn, vd
+        wn, wd = _terminating_pair(second, second_tail)
+        sn, sd = sn * wn, sd * wd
+        return vn * sd + sn * vd, vd * sd
+
+    def moment_pair(self, column) -> tuple:
+        """The pipeline's moment transform of the left-side polynomial,
+        sum c_p (d)_p / (e)_p, as an unreduced integer pair."""
+        _table_row(self.j)
+        if not self.a_branch:
+            raise InvalidCase("pipeline needs a to be a nonpositive integer")
+        d, e = column[:2]
+        if not (d > 0 and e - d > 0):
+            raise InvalidCase("pipeline needs d > 0 and e - d > 0")
+        poly, degree = self.polynomial
+        moments, m_den = _memoized(self.memo, _moments, degree, d, e,
+                                   memo=self.memo)
+        return (sum(map(operator.mul, poly.numerators, moments)),
+                poly.denominator * m_den)
+
+    @functools.cached_property
+    def lefts(self) -> list:
+        """The row's left sides, one slot per column, None until a case
+        sums it.  The list is kept in the row's _lhs_row entry under the
+        columns, so every check that sums the left side at this argument
+        over these columns (theorem at argument 2, corollary and
+        pipeline) fills and reads one list."""
+        return self.lhs_row[1].setdefault(self.columns,
+                                          [None] * len(self.columns))
+
+    def left(self, i: int, column) -> Fraction:
+        """The left side at column i, reduced, from its slot: summed at
+        the first case that reaches it.  A VerificationError is kept in
+        the slot and raised again."""
+        value = self.lefts[i]
+        if value is None:
+            try:
+                value = Fraction(*self.lhs_pair(*column[:2]))
+            except VerificationError as err:
+                value = err
+            self.lefts[i] = value
+        if isinstance(value, VerificationError):
+            raise value.with_traceback(None)
+        return value
 
 
 def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
@@ -358,33 +498,8 @@ def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
     (wrong) unit-argument variant, kept available as a negative control.
     `memo` is a sweep memo dict, or None.
     """
-    return Fraction(*_theorem_lhs_pair(case, argument, memo))
-
-
-def _theorem_rhs_pair(case: IdentityCase, memo=None) -> tuple:
-    """theorem_rhs as an unreduced integer pair, as _theorem_lhs_pair:
-    each part is its scale times its sum, and the two parts are added
-    over the product of their denominators."""
-    _table_row(case.j)
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    if case.branch is None:
-        raise InvalidCase("neither a nor d is a nonpositive integer")
-    if e == 0:
-        raise InvalidCase("e must be nonzero")
-
-    even_tail, odd_tail, d_over_e = _memoized(memo, _moment_tails, d, e)
-    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    pn, pd = _memoized(memo, even_prefactor, j, b).as_integer_ratio()
-    sn, sd = _weighted_pair(even, even_tail)
-    num, den = pn * sn, pd * sd
-
-    if odd is not None and d != 0:
-        cn, cd = _memoized(memo, _odd_scale, j, a, b, memo=memo).as_integer_ratio()
-        dn, dd = d_over_e.as_integer_ratio()
-        sn, sd = _weighted_pair(odd, odd_tail)
-        odd_num, odd_den = cn * dn * sn, cd * dd * sd
-        num, den = num * odd_den + odd_num * den, den * odd_den
-    return num, den
+    row = _Row(case.j, case.a, case.b, argument, memo)
+    return Fraction(*row.lhs_pair(case.d, case.e))
 
 
 def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
@@ -396,7 +511,9 @@ def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
     around floor(-d/2), depending on parity.  `memo` is a sweep memo
     dict, or None.
     """
-    return Fraction(*_theorem_rhs_pair(case, memo))
+    row = _Row(case.j, case.a, case.b, TWO, memo)
+    column = _column(case.d, case.e, _moment_tails, memo)
+    return Fraction(*row.theorem_rhs_pair(column))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
@@ -461,29 +578,6 @@ def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
             HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
 
 
-def _corollary_rhs_pair(case: IdentityCase, memo=None) -> tuple:
-    """corollary_rhs as an unreduced integer pair, as _theorem_lhs_pair."""
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    if abs(j) > COROLLARY_J_LIMIT:
-        raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-    if case.branch is None:
-        raise InvalidCase("neither a nor d is a nonpositive integer")
-    if e == 0:
-        raise InvalidCase("e must be nonzero")
-    first, scale, second = _memoized(memo, _corollary_heads, j, a, b)
-    first_tail, second_tail, d_over_e = _memoized(
-        memo, _corollary_tails, d, e)
-    vn, vd = _terminating_pair(first, first_tail)
-    sn, sd = scale.as_integer_ratio()
-    dn, dd = d_over_e.as_integer_ratio()
-    sn, sd = sn * dn, sd * dd
-    if sn == 0:
-        return vn, vd
-    wn, wd = _terminating_pair(second, second_tail)
-    sn, sd = sn * wn, sd * wd
-    return vn * sd + sn * vd, vd * sd
-
-
 def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     """Closed single-series right side for |j| <= 3.
 
@@ -495,7 +589,9 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     validated for a dead term.  `memo` is a sweep memo dict, or None;
     this path reads none of the weighted sums' entries.
     """
-    return Fraction(*_corollary_rhs_pair(case, memo))
+    row = _Row(case.j, case.a, case.b, TWO, memo)
+    column = _column(case.d, case.e, _corollary_tails, memo)
+    return Fraction(*row.corollary_rhs_pair(column))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -521,24 +617,6 @@ def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
     ])
 
 
-def _pipeline_pairs(case: IdentityCase, memo=None) -> tuple:
-    """beta_integral_pipeline's two values as unreduced integer pairs, as
-    _theorem_lhs_pair."""
-    j, a, b, d, e = case.j, case.a, case.b, case.d, case.e
-    _table_row(j)
-    if not is_nonpositive_integer(a):
-        raise InvalidCase("pipeline needs a to be a nonpositive integer")
-    if not (d > 0 and e - d > 0):
-        raise InvalidCase("pipeline needs d > 0 and e - d > 0")
-    degree = -2 * int(a)
-    # the left side at a = -m is an exact polynomial of degree 2m
-    poly = _memoized(memo, gen_transform_lhs_series, j, a, b, degree)
-    moments, m_den = _memoized(memo, _moments, degree, d, e, memo=memo)
-    lhs = (sum(map(operator.mul, poly.numerators, moments)),
-           poly.denominator * m_den)
-    return lhs, _theorem_lhs_pair(case, memo=memo)
-
-
 def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     """Replay the derivation of the summation identity on one case.
 
@@ -552,8 +630,9 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
     whose equality is the identity itself.  `memo` is a sweep memo dict,
     or None.
     """
-    lhs, rhs = _pipeline_pairs(case, memo)
-    return Fraction(*lhs), Fraction(*rhs)
+    row = _Row(case.j, case.a, case.b, TWO, memo)
+    moments = row.moment_pair(_column(case.d, case.e))
+    return Fraction(*moments), Fraction(*row.lhs_pair(case.d, case.e))
 
 
 @dataclass(frozen=True)
@@ -600,51 +679,95 @@ def verify_theorem(case: IdentityCase, argument=TWO, memo=None) -> VerificationR
 CHECK_NAMES = ("kummer", "transform", "theorem", "corollary", "pipeline")
 
 
-def _evaluate_case(job, memo=None) -> VerificationRecord:
-    """Worker for one grid point; top level so process pools can import it."""
-    check, j, a, b, d, e, order, argument = job
-    base = dict(check=check, j=j, a=a, b=b, d=d, e=e)
-    try:
-        if check in ("kummer", "transform"):
-            lhs = gen_transform_lhs_series(j or 0, a, b, order)
-            if check == "kummer":
-                rhs = kummer_rhs_series(a, b, order)
-            else:
-                rhs = gen_transform_rhs_series(j, a, b, order, memo)
-            # the reduced integer form is unique, so the series compare
-            # as integers; the Fractions are built for the record only,
-            # once for both sides when they agree
-            equal = lhs == rhs
-            lhs = lhs.coefficients
-            rhs = lhs if equal else rhs.coefficients
-        else:
-            case = IdentityCase(j, a, b, d, e)
-            base["branch"] = case.branch
-            if check == "theorem":
+def _sides(pair: tuple, value: Fraction) -> tuple:
+    """(the pair as a Fraction, value, whether they are equal): the
+    unreduced integer pair is compared crosswise with the reduced value,
+    and the value stands for both when they agree."""
+    n, d = pair
+    if n * value.denominator == value.numerator * d:
+        return value, value, True
+    return Fraction(n, d), value, False
+
+
+def _series_sides(check, j, a, b, order, memo) -> tuple:
+    """The record's (lhs, rhs, equal) of one kummer or transform case."""
+    lhs = gen_transform_lhs_series(j or 0, a, b, order)
+    if check == "kummer":
+        rhs = kummer_rhs_series(a, b, order)
+    else:
+        rhs = gen_transform_rhs_series(j, a, b, order, memo)
+    # the reduced integer form is unique, so the series compare as
+    # integers; the Fractions are built for the record only, once for
+    # both sides when they agree
+    equal = lhs == rhs
+    lhs = lhs.coefficients
+    return lhs, lhs if equal else rhs.coefficients, equal
+
+
+def _evaluate_row(job, memo=None) -> list:
+    """Worker for one grid row; top level so process pools can import it.
+
+    A theorem, corollary or pipeline row is one (j, a, b) of its check
+    over a tuple of (d, e) columns, each d and e an integer pair; its
+    records come in column order, each side from a _Row method.  The
+    column table (see _column) is built once per memo, and the row's
+    left sides are kept in the memo (see _Row.lefts); corollary and
+    pipeline sum them at argument 2, whatever the theorem's argument.  A
+    kummer or transform row is one case, with no columns.
+    """
+    check, j, a, b, columns, order, argument = job
+    memo = {} if memo is None else memo
+    row, table = None, [(None, None, None, None)]
+    if columns is not None:
+        row = _Row(j, a, b, argument if check == "theorem" else TWO, memo,
+                   columns)
+        # the tails the check reads from its columns, looked up by name
+        tails = {"theorem": _moment_tails,
+                 "corollary": _corollary_tails}.get(check)
+        table = memo.get((_column, tails, columns))
+        if table is None:
+            table = memo[_column, tails, columns] = [
+                _column(Fraction(*d), Fraction(*e), tails, memo)
+                for d, e in columns]
+    records = []
+    for i, column in enumerate(table):
+        base = dict(check=check, j=j, a=a, b=b, d=column[0], e=column[1])
+        if row is not None:
+            base["branch"] = "a" if row.a_branch else "d" if column[2] else None
+        try:
+            if row is None:
+                lhs, rhs, equal = _series_sides(check, j, a, b, order, memo)
+            elif check == "theorem":
                 # The weighted side runs the Gamma-prefactor
                 # simplification, so it goes first: pole exclusions then
                 # surface with the offending argument named instead of as
                 # a generic lower-parameter failure.
-                rhs = _theorem_rhs_pair(case, memo)
-                lhs = _theorem_lhs_pair(case, argument, memo)
+                rhs = row.theorem_rhs_pair(column)
+                rhs, lhs, equal = _sides(rhs, row.left(i, column))
             elif check == "corollary":
                 # no closed form past the bound: skip before the 3F2 sum
                 if abs(j) > COROLLARY_J_LIMIT:
                     raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-                lhs = _theorem_lhs_pair(case, memo=memo)
-                rhs = _corollary_rhs_pair(case, memo)
+                lhs = row.left(i, column)
+                rhs, lhs, equal = _sides(row.corollary_rhs_pair(column), lhs)
             else:  # pipeline
-                lhs, rhs = _pipeline_pairs(case, memo)
-            # each side is an unreduced integer pair: they compare
-            # crosswise, and the Fractions are built for the record only,
-            # once for both sides when they agree
-            (ln, ld), (rn, rd) = lhs, rhs
-            equal = ln * rd == rn * ld
-            lhs = Fraction(ln, ld)
-            rhs = lhs if equal else Fraction(rn, rd)
-    except Exception as err:  # noqa: BLE001 - embed bugs as errored records
-        return VerificationRecord(error=_error_tag(err), **base)
-    return VerificationRecord(lhs=lhs, rhs=rhs, equal=equal, **base)
+                lhs = row.moment_pair(column)
+                lhs, rhs, equal = _sides(lhs, row.left(i, column))
+        except Exception as err:  # noqa: BLE001 - embed bugs as errored records
+            records.append(VerificationRecord(error=_error_tag(err), **base))
+        else:
+            records.append(VerificationRecord(lhs=lhs, rhs=rhs, equal=equal,
+                                              **base))
+    return records
+
+
+def _evaluate_case(job, memo=None) -> VerificationRecord:
+    """The record of one grid point (check, j, a, b, d, e, order,
+    argument), as its row with the one column gives it."""
+    check, j, a, b, d, e, order, argument = job
+    columns = (None if check in ("kummer", "transform")
+               else ((d.as_integer_ratio(), e.as_integer_ratio()),))
+    return _evaluate_row((check, j, a, b, columns, order, argument), memo)[0]
 
 
 def grid_sweep(
@@ -667,16 +790,28 @@ def grid_sweep(
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
 
-    Whatever a case shares with its row is computed once per sweep: the
-    memo keeps each helper's value under (helper, *args), at the point
-    where the memo-free path computes it.  A VerificationError the helper
-    raises is kept too and raised again there, so every record equals the
-    one its job gives with no memo.  corollary_rhs reads none of the
+    The theorem, corollary and pipeline checks sweep one (j, a, b) row at
+    a time over the row's (d, e) columns, so each job is one row: the
+    summation identity is the transformation pushed through the beta
+    moments, and every case splits into a row part and a column part.  A
+    row's invariants (table row, heads, prefactors, odd scale, the left
+    side's head) are worked once per row and its columns' tails once per
+    sweep.  Each left side is summed once and kept in the memo under its
+    row, its argument and the columns, so theorem at argument 2,
+    corollary and pipeline read one list; corollary and pipeline always
+    sum the left side at argument 2.  A kummer or transform job is one
+    case.
+
+    Whatever a case shares is computed once per memo: the memo keeps each
+    helper's value under (helper, *args), at the point where the memo-free
+    path computes it.  A VerificationError the helper raises is kept too
+    and raised again where a case reaches it, so every record equals the
+    one its case gives on its own.  corollary_rhs reads none of the
     weighted sums' entries, since it is their independent evaluation.
     `memo` is the dict to keep the entries in, a fresh one when None;
     since every entry is a pure function of its key, a memo that earlier
     sweeps filled leaves every record as it is.  A pool's map pickles a
-    copy of the memo with each chunk of jobs it sends.
+    copy of the memo with each chunk of rows it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -686,26 +821,17 @@ def grid_sweep(
         [Fraction(x) for x in s] for s in (a_set, b_set, d_set, e_set)
     )
     theorem_argument = Fraction(theorem_argument)
+    # one tuple of (d, e) columns, as integer pairs, shared by every row
+    columns = tuple((d.as_integer_ratio(), e.as_integer_ratio())
+                    for d in d_set for e in e_set)
     jobs = []
     for check in (c for c in CHECK_NAMES if c in checks):
-        if check == "kummer":
-            jobs += [
-                (check, None, a, b, None, None,
-                 series_order, theorem_argument)
-                for a in a_set for b in b_set
-            ]
-        elif check == "transform":
-            jobs += [
-                (check, j, a, b, None, None,
-                 series_order, theorem_argument)
-                for j in j_set for a in a_set for b in b_set
-            ]
-        else:
-            jobs += [
-                (check, j, a, b, d, e,
-                 series_order, theorem_argument)
-                for j in j_set for a in a_set for b in b_set
-                for d in d_set for e in e_set
-            ]
+        row_columns = None if check in ("kummer", "transform") else columns
+        if row_columns != ():
+            jobs += [(check, j, a, b, row_columns, series_order,
+                      theorem_argument)
+                     for j in ((None,) if check == "kummer" else j_set)
+                     for a in a_set for b in b_set]
     memo = {} if memo is None else memo
-    return list(mapper(functools.partial(_evaluate_case, memo=memo), jobs))
+    rows = mapper(functools.partial(_evaluate_row, memo=memo), jobs)
+    return [record for row in rows for record in row]

@@ -252,6 +252,20 @@ class TestTable:
         code, _, _ = invoke(["table", "--b", "x", "--n", "0"], capsys)
         assert code == 2
 
+    # --b follows the config grammar: a sign, ASCII digits and an
+    # optional /digits, so no decimal point, exponent, underscore
+    # (1_0 would read as 10) or non-ASCII digit
+    @pytest.mark.parametrize("b", ["2.5", "1e-3", "1_0", "٣/7"])
+    def test_rejects_what_the_config_grammar_rejects(self, b, capsys):
+        code, out, err = invoke(["table", "--b", b, "--n", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "bad --b value" in err
+
+    def test_accepts_a_signed_fraction(self, capsys):
+        code, out, _ = invoke(["table", "--j", "0", "--b=-2/4", "--n", "1"],
+                              capsys)
+        assert (code, out) == (0, "j=0   A=1 B=0\n")
+
     def test_rejects_negative_index(self, capsys):
         code, out, err = invoke(
             ["table", "--j", "3", "--b", "1/3", "--n", "-2"], capsys)
@@ -362,6 +376,28 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
     assert seen == [
         {"gamma_simplify": 115, "ratio_rows": 1146, "_poly_from_samples": 66},
     ] * 2
+
+
+def test_selftest_sums_each_left_side_once(monkeypatch, capsys):
+    # theorem-a, theorem-d, corollary and pipeline have 1,480 records,
+    # each with a left side.  The corollary suite reads the 336 that
+    # theorem-a kept under the same rows and columns at argument 2, so
+    # one selftest sums 1,144.  A second call counts the same.
+    lhs_pair = identities._Row.lhs_pair
+    calls = []
+
+    def counted(row, d, e):
+        calls.append((row.j, row.a, row.b, d, e))
+        return lhs_pair(row, d, e)
+
+    monkeypatch.setattr(identities._Row, "lhs_pair", counted)
+    seen = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.selftest(jobs=1) == 1
+        seen.append((len(calls), len(set(calls))))
+    capsys.readouterr()
+    assert seen == [(1144, 1144)] * 2
 
 
 def test_one_pool_per_invocation_clamped_to_cpu_count(

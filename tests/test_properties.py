@@ -533,7 +533,7 @@ def fraction_sides(check, j, a, b, d, e, argument):
     so independent of the integer pairs the package combines."""
     def left(argument=F(2)):
         prefactor, tail = identities._lhs_tail(a, d, e)
-        head = identities._lhs_head(j, a, b, argument)
+        head = identities._lhs_row(j, a, b, argument)[0]
         return prefactor * eval_terminating(head, tail)
 
     if check == "theorem":
@@ -598,3 +598,35 @@ def test_integer_sides_give_the_public_fractions(check, j, a, b, d, e, argument)
         assert (rec.lhs, rec.rhs) == (lhs, rhs)
         assert (lhs, rhs) == fraction_sides(check, j, a, b, d, e, argument)
         assert rec.equal is (lhs == rhs)
+
+
+@settings(max_examples=40)
+@given(
+    subsets(list(range(-5, 6))),
+    subsets([F(0), F(-2), F(1, 4)]),
+    subsets([F(-1), F(3), F(2, 7), F(-1, 3)]),
+    subsets([F(-2), F(0), F(1, 2), F(3)]),
+    subsets([F(0), F(-3), F(4), F(13, 3)]),
+    st.sampled_from([1, 2]),
+)
+# corollary and pipeline sum the left side at argument 2 while the theorem
+# rows of the same sweep sum theirs at argument 1
+@example([0, 1], [F(-2)], [F(2, 7)], [F(1, 2)], [F(4)], 1)
+def test_row_sweep_equals_the_public_single_case_functions(
+        js, a_s, b_s, d_s, e_s, argument):
+    # Both branches, poles (integer b), e = 0, d = 0, negative b and
+    # |j| > 3: every row record of theorem, corollary and pipeline, swept
+    # together over one memo, is the record the public functions give
+    # for its case alone, error tag included.
+    records = grid_sweep(js, a_s, b_s, d_s, e_s,
+                         ("theorem", "corollary", "pipeline"),
+                         theorem_argument=argument)
+    assert len(records) == 3 * len(js) * len(a_s) * len(b_s) * len(d_s) * len(e_s)
+    for rec in records:
+        case = IdentityCase(rec.j, rec.a, rec.b, rec.d, rec.e)
+        lhs, rhs, error = public_sides(
+            (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, None, F(argument)))
+        expected = identities.VerificationRecord(
+            rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, case.branch,
+            lhs, rhs, None if error else lhs == rhs, error)
+        assert rec == expected
