@@ -338,6 +338,35 @@ class TestCorollaries:
             r.error for r in records if r.status != "passed"
         ][:3]
 
+    def test_sweep_skips_large_shifts_before_the_integer_left_side(
+            self, monkeypatch):
+        # the records evaluate the left side in its integer form
+        def broken(*args, **kwargs):
+            raise AssertionError("left side summed for a skipped record")
+
+        monkeypatch.setattr(identities._Row, "lhs_pair", broken)
+        monkeypatch.setattr(identities, "_terminating_pair", broken)
+        records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
+                             ("corollary",))
+        assert [r.error for r in records] == [
+            f"UnsupportedJ: shift j={j} not supported (|j| must be <= 3)"
+            for j in (4, -5) for _ in range(4)
+        ]
+
+    def test_sweep_never_reads_the_integer_weighted_path(self, monkeypatch):
+        # As above, for the integer forms the records are evaluated on.
+        def broken(*args, **kwargs):
+            raise AssertionError("corollary reached the weighted path")
+
+        monkeypatch.setattr(identities, "_weighted_pair", broken)
+        monkeypatch.setattr(identities._Row, "theorem_rhs_pair", broken)
+        records = grid_sweep(
+            range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
+            (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
+        )
+        assert len(records) == 7 * 2 * 2 * 4 * 2
+        assert all(r.status == "passed" for r in records)
+
 
 class TestPipeline:
     def test_monomial_moments(self):
