@@ -351,6 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a "-p/q" value after --b for an option, so a rational
+    # after --b is joined to it
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--b" and _is_rational_text(argv[i]):
+            argv[i - 1:i + 1] = [f"--b={argv[i]}"]
     args = _build_parser().parse_args(argv)
     if args.command in ("run", "selftest") and args.jobs < 1:
         print("hyperverify: --jobs must be >= 1", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Exact rational building blocks: rising factorials and Gamma-product reduction.
 
-Everything works on :class:`fractions.Fraction` and never touches floating
-point.  A simplification either produces an exact rational or raises; there
-is deliberately no numeric fallback, because the whole point of the engine
-is zero-tolerance equality checks.
+Everything is exact, Fractions or the integer pairs (p, q) the Gamma
+reduction works on, and never floating point.  A simplification either
+produces an exact rational or raises; there is deliberately no numeric
+fallback, because the whole point of the engine is zero-tolerance
+equality checks.
 """
 
 import math
@@ -75,25 +76,45 @@ class GammaProduct:
         return cls(tuple(factors))
 
 
-def _lone_gamma(arg: Fraction) -> Fraction:
-    """Value of an unpaired Gamma factor, when that value is rational."""
-    if arg.denominator != 1:
-        raise TranscendentalResidue(arg)
-    if arg <= 0:
-        raise PoleError(arg)
-    return Fraction(math.factorial(arg.numerator - 1))
+def _ratio(x) -> tuple:
+    """The rational x as its integer pair, with no copy of a Fraction."""
+    return (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+
+
+def _lone_gamma(p: int, q: int) -> int:
+    """Value of an unpaired Gamma factor at p/q, when that value is rational."""
+    if q != 1:
+        raise TranscendentalResidue(Fraction(p, q))
+    if p <= 0:
+        raise PoleError(p)
+    return math.factorial(p - 1)
 
 
 def gamma_simplify(product: GammaProduct) -> Fraction:
-    """Reduce a Gamma product to an exact rational, or raise.
+    """Reduce a Gamma product to an exact rational, or raise (see
+    _gamma_ratio, which does the work on the product's integer pairs)."""
+    upper, lower = [], []
+    for arg, exp in product.factors:
+        (upper if exp > 0 else lower).extend([arg.as_integer_ratio()] * abs(exp))
+    return _gamma_ratio(upper, lower)
 
-    The factors split into classes whose arguments differ by integers; only
-    within a class can anything cancel.  Each class is expanded into a
-    sorted list of numerator arguments and a sorted list of denominator
-    arguments, which are paired greedily in order.  A pair Gamma(u)/Gamma(v)
-    with u >= v contributes the rising factorial (v)_{u-v}; with u < v it
-    divides by (u)_{v-u}.  Sorting pairs poles with poles whenever the
-    counts allow, which reproduces the finite limit of such ratios.
+
+def _gamma_ratio(numerators, denominators) -> Fraction:
+    """Reduce Gamma(n_1)...Gamma(n_k) / (Gamma(d_1)...Gamma(d_m)), each
+    argument an integer pair (p, q), q > 0, to an exact rational, or raise;
+    one Fraction is built, at the end.
+
+    Equal arguments cancel first, so Gamma(x)/Gamma(x) disappears before
+    any pole reasoning happens: legitimate prefactors contain such pairs
+    at pole arguments and must still reduce to 1.  The rest split into
+    classes whose arguments differ by integers, keyed (p mod q, q) and
+    visited in the order of (p mod q)/q; only within a class can anything
+    cancel.  Each class is expanded into a sorted list of numerator
+    arguments and a sorted list of denominator arguments, which are
+    paired greedily in order.  A pair Gamma(u)/Gamma(v) with u >= v
+    contributes the rising factorial (v)_{u-v}; with u < v it divides by
+    (u)_{v-u}.  Sorting pairs poles with poles whenever the counts allow,
+    which reproduces the finite limit of such ratios.
 
     Pole handling: a vanished rising factorial multiplied in means a finite
     Gamma was divided by a pole, so the pair (and the whole product) is
@@ -103,33 +124,36 @@ def gamma_simplify(product: GammaProduct) -> Fraction:
     arguments are poles; anything else is irrational and raises
     :class:`TranscendentalResidue`.
     """
+    # the net exponent of each argument p/q, by class (p mod q, q)
     classes = {}
-    for arg, exp in product.factors:
-        classes.setdefault(arg - math.floor(arg), []).append((arg, exp))
-
-    result = Fraction(1)
-    vanished = False
-    for _, entries in sorted(classes.items()):
-        upper = []
-        lower = []
-        for arg, exp in entries:
-            (upper if exp > 0 else lower).extend([arg] * abs(exp))
-        upper.sort()
-        lower.sort()
+    for sign, args in ((1, numerators), (-1, denominators)):
+        for p, q in args:
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            net = classes.setdefault((p % q, q), {})
+            net[p] = net.get(p, 0) + sign
+    # (p mod q)/q over the classes' least common denominator
+    lcm = math.lcm(*(q for _, q in classes))
+    num = den = 1
+    for (_, q), net in sorted(
+            classes.items(), key=lambda item: item[0][0] * (lcm // item[0][1])):
+        upper = sorted(p for p, exp in net.items() for _ in range(exp))
+        lower = sorted(p for p, exp in net.items() for _ in range(-exp))
+        # the numerators over q of one class differ by multiples of q, and
+        # q**k (x/q)_k is the product of x, x + q, ..., x + (k-1)q; a
+        # vanished one multiplied in leaves num = 0 to the end
         for u, v in zip(upper, lower):
             if u >= v:
-                step = pochhammer(v, int(u - v))
-                if step == 0:
-                    vanished = True
-                else:
-                    result *= step
+                num *= math.prod(range(v, u, q))
+                den *= q ** ((u - v) // q)
             else:
-                step = pochhammer(u, int(v - u))
+                step = math.prod(range(u, v, q))
                 if step == 0:
-                    raise PoleError(u)
-                result /= step
-        for arg in upper[len(lower):]:
-            result *= _lone_gamma(arg)
-        for arg in lower[len(upper):]:
-            result /= _lone_gamma(arg)
-    return Fraction(0) if vanished else result
+                    raise PoleError(Fraction(u, q))
+                num *= q ** ((v - u) // q)
+                den *= step
+        for p in upper[len(lower):]:
+            num *= _lone_gamma(p, q)
+        for p in lower[len(upper):]:
+            den *= _lone_gamma(p, q)
+    return Fraction(num, den)

@@ -12,15 +12,15 @@ public sums reduce to one `Fraction`, and a series comes back as integer
 numerators over one denominator, with no `Fraction`.
 """
 
+import functools
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
 )
-from .exact import is_nonpositive_integer
 from .series import (
     TruncatedSeries,
     _common_denominator,
@@ -31,7 +31,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HyperSpec:
     """One term family.  Term n is
 
@@ -42,38 +42,50 @@ class HyperSpec:
     absorbed closed forms computed elsewhere stay an independent path.
     weighted_series puts term n on degree 2n + power_offset of a series
     in x.  Construction applies no legality rule (see check_lower), so a
-    spec can also be one group of a larger family.
+    spec can also be one group of a larger family.  The sums read the
+    parameters and argument as reduced integer pairs (p, q), q > 0.
     """
 
-    numerators: tuple
-    denominators: tuple
-    argument: Fraction = field(default=Fraction(1))
-    _: KW_ONLY
-    weight: tuple = (1,)
-    power_offset: int = 0
+    num_pairs: tuple
+    den_pairs: tuple
+    arg_pair: tuple
+    weight: tuple
+    power_offset: int
     # the termination index, the smallest M with every term beyond M zero
     # (None when the series does not terminate)
-    stop: int | None = field(init=False, repr=False, compare=False)
+    stop: int | None = field(repr=False, compare=False)
     # the nonpositive-integer lower parameters, in list order
-    poles: tuple = field(init=False, repr=False, compare=False)
+    poles: tuple = field(repr=False, compare=False)
     # (integer coefficients, their denominator) of the weight
-    integer_weight: tuple = field(init=False, repr=False, compare=False)
+    integer_weight: tuple = field(repr=False, compare=False)
     # ratio rows by count, built as sums ask for them
-    _rows: dict = field(init=False, repr=False, compare=False)
+    _rows: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("numerators", "denominators", "weight"):
-            object.__setattr__(self, name, _fractions(getattr(self, name)))
-        if type(self.argument) is not Fraction:
-            object.__setattr__(self, "argument", Fraction(self.argument))
-        derived = dict(
-            stop=weighted_termination(self),
-            poles=tuple(q for q in self.denominators if is_nonpositive_integer(q)),
-            integer_weight=_common_denominator(self.weight),
-            _rows={},
-        )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, numerators, denominators, argument=1, *,
+                 weight=(1,), power_offset=0):
+        nums, dens = _fractions(numerators), _fractions(denominators)
+        (arg,) = _fractions((argument,))
+        _set_up(self, [p.as_integer_ratio() for p in nums],
+                [q.as_integer_ratio() for q in dens], arg.as_integer_ratio(),
+                _fractions(weight), power_offset)
+        self.__dict__.update(numerators=nums, denominators=dens, argument=arg)
+
+    @classmethod
+    def from_pairs(cls, numerators, denominators, argument=(1, 1), *,
+                   weight=(Fraction(1),), power_offset=0) -> "HyperSpec":
+        """The spec of integer-pair parameters and argument (p, q), q != 0,
+        each reduced here, and a weight of Fractions; its Fraction
+        numerators, denominators and argument are built when first read."""
+        spec = object.__new__(cls)
+        _set_up(spec, map(_lowest, numerators), map(_lowest, denominators),
+                _lowest(argument), weight, power_offset)
+        return spec
+
+    numerators = functools.cached_property(
+        lambda self: tuple(Fraction(p, q) for p, q in self.num_pairs))
+    denominators = functools.cached_property(
+        lambda self: tuple(Fraction(p, q) for p, q in self.den_pairs))
+    argument = functools.cached_property(lambda self: Fraction(*self.arg_pair))
 
     def rows(self, count: int) -> tuple:
         """ratio_rows of the spec's parameters and argument, built once
@@ -81,13 +93,31 @@ class HyperSpec:
         rows = self._rows.get(count)
         if rows is None:
             rows = self._rows[count] = ratio_rows(
-                self.numerators, self.denominators, self.argument, count)
+                self.num_pairs, self.den_pairs, self.arg_pair, count)
         return rows
+
+
+def _lowest(pair) -> tuple:
+    p, q = pair
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return p // g, q // g
+
+
+def _set_up(spec, nums, dens, arg, weight, power_offset) -> None:
+    """Set the fields of a spec from its reduced integer pairs."""
+    dens = tuple(dens)
+    fields = dict(
+        num_pairs=tuple(nums), den_pairs=dens, arg_pair=arg, weight=weight,
+        power_offset=power_offset, integer_weight=_common_denominator(weight),
+        poles=tuple(p for p, q in dens if q == 1 and p <= 0), _rows={})
+    for name, value in fields.items():
+        object.__setattr__(spec, name, value)
+    object.__setattr__(spec, "stop", weighted_termination(spec))
 
 
 def weighted_termination(spec: HyperSpec) -> int | None:
     """Last index whose Pochhammer product can be nonzero, if any is forced."""
-    return min((-int(p) for p in spec.numerators if is_nonpositive_integer(p)),
+    return min((-p for p, q in spec.num_pairs if q == 1 and p <= 0),
                default=None)
 
 
@@ -110,28 +140,23 @@ def check_lower(*specs) -> None:
         raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
 
 
-def ratio_rows(numerators, denominators, argument: Fraction, count: int) -> tuple:
+def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
     """Integer rows (a_n, b_n, pole), n = 0 .. count-1, of one parameter
     group: a_n / b_n is its share of the ratio of term n+1 to term n of
     prod (num_i)_n / prod (den_i)_n * argument**n, n! left to the caller,
-    and pole is its first lower parameter that vanishes at n, or None.
-    Never raises; ends before the step where the numerators vanish."""
-    nums = [(p.numerator, p.denominator) for p in numerators]
-    dens = [(q, q.numerator, q.denominator) for q in denominators]
-    a_const = argument.numerator * math.prod(qd for _, _, qd in dens)
-    b_const = argument.denominator * math.prod(pd for _, pd in nums)
+    and pole is -n when a lower parameter vanishes at n, else None.  The
+    parameters and the argument are integer pairs (p, q), q > 0.  Never
+    raises; ends before the step where the numerators vanish."""
+    an, ad = argument
+    a_const = an * math.prod(qd for _, qd in denominators)
+    b_const = ad * math.prod(pd for _, pd in numerators)
     rows = []
     for n in range(count):
-        a = a_const * math.prod(pn + n * pd for pn, pd in nums)
+        a = a_const * math.prod(pn + n * pd for pn, pd in numerators)
         if a == 0:
             break
-        b, pole = b_const, None
-        for q, qn, qd in dens:
-            factor = qn + n * qd
-            if factor == 0 and pole is None:
-                pole = q
-            b *= factor
-        rows.append((a, b, pole))
+        b = math.prod(qn + n * qd for qn, qd in denominators) * b_const
+        rows.append((a, b, None if b else -n))
     return tuple(rows)
 
 
@@ -227,7 +252,7 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     spec is ignored."""
     check_lower(spec)
     limit = order if spec.stop is None else min(order, spec.stop)
-    rows = ratio_rows(spec.numerators, spec.denominators, Fraction(1), limit)
+    rows = ratio_rows(spec.num_pairs, spec.den_pairs, (1, 1), limit)
     nums, den = _weighted_terms((rows,), limit, *spec.integer_weight)
     return _reduced(nums + [0] * (order + 1 - len(nums)), den)
 

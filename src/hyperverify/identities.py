@@ -37,8 +37,8 @@ from .errors import (
     VerificationError,
 )
 from .exact import (
-    GammaProduct,
-    gamma_simplify,
+    _gamma_ratio,
+    _ratio,
     is_nonpositive_integer,
     pochhammer_duplication,
 )
@@ -51,7 +51,6 @@ from .hyper import (
 )
 from .series import TruncatedSeries, _common_denominator, binomial_series
 
-HALF = Fraction(1, 2)
 TWO = Fraction(2)
 
 
@@ -184,31 +183,19 @@ def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
 
 
 def even_prefactor(j: int, b) -> Fraction:
-    """Gamma prefactor of the even series part, reduced to a rational."""
-    b = Fraction(b)
-    return gamma_simplify(
-        GammaProduct.ratio(
-            (b, 1 - b),
-            (
-                b + Fraction(j, 2) + Fraction(abs(j), 2),
-                1 - b - (j + 1) // 2,
-            ),
-        )
-    )
+    """Gamma prefactor of the even series part, reduced to a rational:
+    Gamma(b) Gamma(1 - b) / (Gamma(b + max(j, 0)) Gamma(1 - b - (j+1)//2))."""
+    p, q = _ratio(b)
+    return _gamma_ratio(((p, q), (q - p, q)),
+                        ((p + max(j, 0) * q, q), (q - p - (j + 1) // 2 * q, q)))
 
 
 def odd_prefactor(j: int, b) -> Fraction:
-    """Gamma prefactor of the odd series part (without the 2a/(2b+j) factor)."""
-    b = Fraction(b)
-    return gamma_simplify(
-        GammaProduct.ratio(
-            (-b, 1 + b),
-            (
-                -b - j // 2,
-                b + Fraction(j, 2) + Fraction(abs(j), 2),
-            ),
-        )
-    )
+    """Gamma prefactor of the odd series part (without the 2a/(2b+j) factor):
+    Gamma(-b) Gamma(1 + b) / (Gamma(-b - j//2) Gamma(b + max(j, 0)))."""
+    p, q = _ratio(b)
+    return _gamma_ratio(((-p, q), (q + p, q)),
+                        ((-p - j // 2 * q, q), (p + max(j, 0) * q, q)))
 
 
 def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
@@ -216,29 +203,37 @@ def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     spec; the odd one is None when that part vanishes identically (a = 0,
     or a zero weight as at j = 0), so no Gamma poles are touched for it."""
     w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
-    shift = b + Fraction(j, 2)
-    even = HyperSpec((a, a + HALF, b + (j + 1) // 2), (shift, shift + HALF),
-                     weight=w_even)
-    odd = HyperSpec((a + HALF, a + 1, b + 1 + j // 2), (shift + HALF, shift + 1),
-                    weight=w_odd, power_offset=1)
-    live = a != 0 and w_odd != (0,)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
+    # b + (j + k)/2 over 2 bd
+    shift = [(2 * bn + (j + k) * bd, 2 * bd) for k in range(3)]
+    even = HyperSpec.from_pairs(((an, ad), a_half, (bn + (j + 1) // 2 * bd, bd)),
+                                shift[:2], weight=w_even)
+    odd = HyperSpec.from_pairs((a_half, a_one, (bn + (1 + j // 2) * bd, bd)),
+                               shift[1:], weight=w_odd, power_offset=1)
+    live = an != 0 and w_odd != (0,)
     return even, (odd if live else None)
 
 
 def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
     """2a/(2b+j) times the odd Gamma prefactor."""
-    if 2 * b + j == 0:
-        raise DenominatorPoleBeforeTermination(2 * b + j)
-    return 2 * a / (2 * b + j) * _memoized(memo, odd_prefactor, j, b)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    lower = 2 * bn + j * bd  # 2b + j over bd
+    if lower == 0:
+        raise DenominatorPoleBeforeTermination(0)
+    pn, pd = _memoized(memo, odd_prefactor, j, b).as_integer_ratio()
+    return Fraction(2 * an * bd * pn, ad * lower * pd)
 
 
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
     """The half-shifted beta-moment tails of the even part, (d/2, d/2 +
     1/2; e/2, e/2 + 1/2), and of the odd part, each parameter 1/2 higher,
     each a spec, then d/e."""
-    hd, he = d / 2, e / 2
-    return (HyperSpec((hd, hd + HALF), (he, he + HALF)),
-            HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
+    (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
+    hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
+    he = [(en + k * ed, 2 * ed) for k in range(3)]
+    return (HyperSpec.from_pairs(hd[:2], he[:2]),
+            HyperSpec.from_pairs(hd[1:], he[1:]), Fraction(dn * ed, dd * en))
 
 
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
@@ -253,14 +248,15 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     [x**(m+1)] F(w), so no binomial number is formed.
     """
     _table_row(j)
-    a, b = Fraction(a), Fraction(b)
-    core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    spec = HyperSpec.from_pairs(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
+    core = series_in_z(spec, order)
     c = [ck * (-2) ** k for k, ck in enumerate(core.numerators)]
     substituted, level = [c[0]], c[1:]
     while level:
         substituted.append(level[0])
         level = list(map(operator.add, level, level[1:]))
-    return binomial_series(2 * a, order) * TruncatedSeries.over(
+    return binomial_series(Fraction(2 * an, ad), order) * TruncatedSeries.over(
         substituted, core.denominator)
 
 
@@ -293,8 +289,10 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     weight, and no Gamma prefactor, so agreement between the two is a
     real check, not a tautology.
     """
-    a, b = Fraction(a), Fraction(b)
-    return weighted_series(HyperSpec((a, a + HALF), (b + HALF,)), order)
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    spec = HyperSpec.from_pairs(((an, ad), (2 * an + ad, 2 * ad)),
+                                ((2 * bn + bd, 2 * bd),))
+    return weighted_series(spec, order)
 
 
 @dataclass(frozen=True)
@@ -324,20 +322,26 @@ class IdentityCase:
 
 
 def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
-    """The left side's Gamma prefactor, then its 3F2's (a, d, e) spec
+    """The left side's Gamma prefactor Gamma(e) Gamma(e - 2a - d) /
+    (Gamma(e - 2a) Gamma(e - d)), then its 3F2's (a, d, e) spec
     (d; 1 + 2a + d - e)."""
-    two_a = 2 * a
-    prefactor = gamma_simplify(
-        GammaProduct.ratio((e, e - two_a - d), (e - two_a, e - d))
-    )
-    return prefactor, HyperSpec((d,), (1 + two_a + d - e,))
+    (an, ad), (dn, dd), (en, ed) = (x.as_integer_ratio() for x in (a, d, e))
+    # e, 2a and d over their common denominator den
+    den = ad * dd * ed
+    e_, a2, d_ = en * ad * dd, 2 * an * dd * ed, dn * ad * ed
+    prefactor = _gamma_ratio(((en, ed), (e_ - a2 - d_, den)),
+                             ((e_ - a2, den), (e_ - d_, den)))
+    return prefactor, HyperSpec.from_pairs(((dn, dd),),
+                                           ((den + a2 + d_ - e_, den),))
 
 
 def _lhs_row(j: int, a: Fraction, b: Fraction, argument) -> tuple:
     """The left side's (j, a, b) part at argument: its 3F2's spec (2a, b;
     2b + j), and a dict that keeps the row's left sides, one list per set
     of columns (see _Row.left)."""
-    return HyperSpec((2 * a, b), (2 * b + j,), argument), {}
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return HyperSpec.from_pairs(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
+                                _ratio(argument)), {}
 
 
 def _column(d: Fraction, e: Fraction, tails=None, memo=None) -> tuple:
@@ -457,7 +461,7 @@ class _Row:
         if not self.a_branch:
             raise InvalidCase("pipeline needs a to be a nonpositive integer")
         d, e = column[:2]
-        if not (d > 0 and e - d > 0):
+        if not 0 < d < e:
             raise InvalidCase("pipeline needs d > 0 and e - d > 0")
         poly, degree = self.polynomial
         moments, m_den = _memoized(self.memo, _moments, degree, d, e,
@@ -520,62 +524,50 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
     """The (j, a, b) part of corollary_rhs: the first series' head
     spec, the second's signed scale over d/e (which each case applies),
     and the second series' head spec, or None at j = 0."""
-    if j != 0 and 2 * b + j == 0:
-        raise DenominatorPoleBeforeTermination(2 * b + j)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    if j != 0 and 2 * bn + j * bd == 0:
+        raise DenominatorPoleBeforeTermination(0)
+
+    def at(x, y, z):  # (x b + y) / z as an integer pair
+        return x * bn + y * bd, z * bd
+
+    a0, a_half, a_one = (an, ad), (2 * an + ad, 2 * ad), (an + ad, ad)
     if j == 0:
-        return HyperSpec((a, a + HALF), (b + HALF,)), 0, None
+        return HyperSpec.from_pairs((a0, a_half), (at(2, 1, 2),)), 0, None
+    # the first series, c, x, y of the scale c a / (x b + y), the second
     if j == 1:
-        first = ((a, a + HALF), (b + HALF,))
-        scale = 2 * a / (2 * b + 1)
-        second = ((a + HALF, a + 1), (b + Fraction(3, 2),))
+        first = ((a0, a_half), (at(2, 1, 2),))
+        c, x, y, second = 2, 2, 1, ((a_half, a_one), (at(2, 3, 2),))
     elif j == -1:
-        first = ((a, a + HALF), (b - HALF,))
-        scale = -2 * a / (2 * b - 1)
-        second = ((a + HALF, a + 1), (b + HALF,))
+        first = ((a0, a_half), (at(2, -1, 2),))
+        c, x, y, second = -2, 2, -1, ((a_half, a_one), (at(2, 1, 2),))
     elif j == 2:
-        first = (
-            (a, a + HALF, b / 2 + Fraction(3, 2)),
-            (b / 2 + HALF, b + Fraction(3, 2)),
-        )
-        scale = 2 * a / (b + 1)
-        second = ((a + HALF, a + 1), (b + Fraction(3, 2),))
+        first = ((a0, a_half, at(1, 3, 2)), (at(1, 1, 2), at(2, 3, 2)))
+        c, x, y, second = 2, 1, 1, ((a_half, a_one), (at(2, 3, 2),))
     elif j == -2:
-        first = (
-            (a, a + HALF, b / 2 + HALF),
-            (b / 2 - HALF, b - HALF),
-        )
-        scale = -2 * a / (b - 1)
-        second = ((a + HALF, a + 1), (b - HALF,))
+        first = ((a0, a_half, at(1, 1, 2)), (at(1, -1, 2), at(2, -1, 2)))
+        c, x, y, second = -2, 1, -1, ((a_half, a_one), (at(2, -1, 2),))
     elif j == 3:
-        first = (
-            (a, a + HALF, b / 4 + Fraction(3, 2)),
-            (b / 4 + HALF, b + Fraction(3, 2)),
-        )
-        scale = 6 * a / (2 * b + 3)
-        second = (
-            (a + HALF, a + 1, 3 * b / 4 + Fraction(5, 2)),
-            (3 * b / 4 + Fraction(3, 2), b + Fraction(5, 2)),
-        )
+        first = ((a0, a_half, at(1, 6, 4)), (at(1, 2, 4), at(2, 3, 2)))
+        c, x, y = 6, 2, 3
+        second = ((a_half, a_one, at(3, 10, 4)), (at(3, 6, 4), at(2, 5, 2)))
     else:  # j == -3
-        first = (
-            (a, a + HALF, b / 4 + Fraction(3, 4)),
-            (b / 4 - Fraction(1, 4), b - Fraction(3, 2)),
-        )
-        scale = -6 * a / (2 * b - 3)
-        second = (
-            (a + 1, a + HALF, 3 * b / 4 + Fraction(1, 4)),
-            (3 * b / 4 - Fraction(3, 4), b - HALF),
-        )
-    return HyperSpec(*first), scale, HyperSpec(*second)
+        first = ((a0, a_half, at(1, 3, 4)), (at(1, -1, 4), at(2, -3, 2)))
+        c, x, y = -6, 2, -3
+        second = ((a_one, a_half, at(3, 1, 4)), (at(3, -3, 4), at(2, -1, 2)))
+    scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
+    return HyperSpec.from_pairs(*first), scale, HyperSpec.from_pairs(*second)
 
 
 def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
     """The d/e specs of corollary_rhs: (d/2, d/2 + 1/2; e/2, e/2 + 1/2)
     for the first series, each parameter 1/2 higher for the second, then
     d/e."""
-    hd, he = d / 2, e / 2
-    return (HyperSpec((hd, hd + HALF), (he, he + HALF)),
-            HyperSpec((hd + HALF, hd + 1), (he + HALF, he + 1)), d / e)
+    (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
+    ds = [(dn, 2 * dd), (dn + dd, 2 * dd), (dn + 2 * dd, 2 * dd)]
+    es = [(en, 2 * ed), (en + ed, 2 * ed), (en + 2 * ed, 2 * ed)]
+    return (HyperSpec.from_pairs(ds[:2], es[:2]),
+            HyperSpec.from_pairs(ds[1:], es[1:]), Fraction(dn * ed, dd * en))
 
 
 def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:

@@ -6,13 +6,21 @@ recomputes it the direct way at small orders.  The package interpolates
 the weight polynomials with integer Newton differences; the plain
 Fraction Newton loop here is the reference they are checked against.
 The package sums a terminating series by iterated integer term ratios;
-the direct sum here rebuilds every term from scratch instead.
+the direct sum here rebuilds every term from scratch instead.  The package
+reduces Gamma products on integer pairs; the Fraction reduction here,
+with one Pochhammer symbol per pair, is the reference it is checked
+against.
 """
 
 import math
 from fractions import Fraction
 
-from hyperverify.errors import NonTerminatingSeries, VerificationError
+from hyperverify.errors import (
+    NonTerminatingSeries,
+    PoleError,
+    TranscendentalResidue,
+    VerificationError,
+)
 from hyperverify.exact import pochhammer
 from hyperverify.series import TruncatedSeries
 
@@ -91,3 +99,50 @@ def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:
             term /= pochhammer(q, n)
         total += term
     return total
+
+
+def _fraction_lone_gamma(arg: Fraction) -> Fraction:
+    if arg.denominator != 1:
+        raise TranscendentalResidue(arg)
+    if arg <= 0:
+        raise PoleError(arg)
+    return Fraction(math.factorial(arg.numerator - 1))
+
+
+def fraction_gamma_simplify(product) -> Fraction:
+    """A GammaProduct reduced in Fraction arithmetic: its factors split
+    into classes of arguments that differ by integers, visited in the
+    order of arg - floor(arg); within a class the sorted numerator and
+    denominator arguments are paired in order, each pair a Pochhammer
+    symbol, a vanished one multiplied in zeroing the product and one
+    divided by raising; the unpaired ones are (m-1)!, poles, or
+    irrational."""
+    classes = {}
+    for arg, exp in product.factors:
+        classes.setdefault(arg - math.floor(arg), []).append((arg, exp))
+    result = Fraction(1)
+    vanished = False
+    for _, entries in sorted(classes.items()):
+        upper = []
+        lower = []
+        for arg, exp in entries:
+            (upper if exp > 0 else lower).extend([arg] * abs(exp))
+        upper.sort()
+        lower.sort()
+        for u, v in zip(upper, lower):
+            if u >= v:
+                step = pochhammer(v, int(u - v))
+                if step == 0:
+                    vanished = True
+                else:
+                    result *= step
+            else:
+                step = pochhammer(u, int(v - u))
+                if step == 0:
+                    raise PoleError(u)
+                result /= step
+        for arg in upper[len(lower):]:
+            result *= _fraction_lone_gamma(arg)
+        for arg in lower[len(upper):]:
+            result /= _fraction_lone_gamma(arg)
+    return Fraction(0) if vanished else result

@@ -266,6 +266,25 @@ class TestTable:
                               capsys)
         assert (code, out) == (0, "j=0   A=1 B=0\n")
 
+    # argparse reads a value after --b that starts with "-" and is not a
+    # plain negative number as an option, so the CLI joins a negative
+    # rational to the --b before it
+    def test_negative_b_after_a_space_reads_as_a_value(self, capsys):
+        spaced = invoke(["table", "--b", "-1/3", "--n", "1"], capsys)
+        joined = invoke(["table", "--b=-1/3", "--n", "1"], capsys)
+        assert spaced == joined
+        assert spaced[0] == 0 and len(spaced[1].splitlines()) == 11
+
+    def test_negative_j_and_negative_b(self, capsys):
+        code, out, _ = invoke(["table", "--j", "-3", "--b", "-2/5", "--n", "1"],
+                              capsys)
+        assert (code, out) == (0, "j=-3  A=-13/5 B=1/5\n")
+
+    def test_dash_word_after_b_is_still_refused(self, capsys):
+        code, out, err = invoke(["table", "--b", "-x", "--n", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "--b" in err
+
     def test_rejects_negative_index(self, capsys):
         code, out, err = invoke(
             ["table", "--j", "3", "--b", "1/3", "--n", "-2"], capsys)
@@ -364,17 +383,17 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(identities, "gamma_simplify")
+    counted(identities, "_gamma_ratio")
     counted(hyper, "ratio_rows")
     counted(identities, "_poly_from_samples")
     seen = []
     for _ in range(2):
-        counts.update(gamma_simplify=0, ratio_rows=0, _poly_from_samples=0)
+        counts.update(_gamma_ratio=0, ratio_rows=0, _poly_from_samples=0)
         assert cli.selftest(jobs=1) == 1
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"gamma_simplify": 115, "ratio_rows": 1146, "_poly_from_samples": 66},
+        {"_gamma_ratio": 115, "ratio_rows": 1146, "_poly_from_samples": 66},
     ] * 2
 
 

@@ -40,7 +40,7 @@ class TestTermination:
         spec = HyperSpec((-3, F(1, 2)), (2,), 2)
         assert spec.rows(2) is spec.rows(2)
         assert spec.rows(3) == ratio_rows(
-            spec.numerators, spec.denominators, spec.argument, 3)
+            spec.num_pairs, spec.den_pairs, spec.arg_pair, 3)
 
 
 def truncated_sum(spec, up_to):

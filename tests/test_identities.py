@@ -436,18 +436,18 @@ class TestGridSweep:
         # and the counts themselves show each (j, b) and (a, d, e) is worked
         # once.
         calls = {"gamma": 0, "row": 0}
-        gamma_simplify = identities.gamma_simplify
+        gamma_ratio = identities._gamma_ratio
         row = COEFF_TABLE[3]
 
-        def counted_gamma(product):
+        def counted_gamma(numerators, denominators):
             calls["gamma"] += 1
-            return gamma_simplify(product)
+            return gamma_ratio(numerators, denominators)
 
         def counted_row(b, n):
             calls["row"] += 1
             return row[0](b, n)
 
-        monkeypatch.setattr(identities, "gamma_simplify", counted_gamma)
+        monkeypatch.setattr(identities, "_gamma_ratio", counted_gamma)
         monkeypatch.setitem(COEFF_TABLE, 3, (counted_row, row[1]))
         seen = []
         for _ in range(2):
@@ -469,13 +469,13 @@ class TestGridSweep:
         # a pole; the memo keeps the raised error, so every case of the
         # row replays it and the prefactor is reduced once.
         calls = []
-        gamma_simplify = identities.gamma_simplify
+        gamma_ratio = identities._gamma_ratio
 
-        def counted_gamma(product):
-            calls.append(product)
-            return gamma_simplify(product)
+        def counted_gamma(numerators, denominators):
+            calls.append((numerators, denominators))
+            return gamma_ratio(numerators, denominators)
 
-        monkeypatch.setattr(identities, "gamma_simplify", counted_gamma)
+        monkeypatch.setattr(identities, "_gamma_ratio", counted_gamma)
         records = grid_sweep(
             range(-3, 4), (-3,), (F(1, 3), F(2, 7)), (F(1, 2),), (-3,),
             ("corollary",),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hyperverify import identities
 from hyperverify.exact import (
     GammaProduct,
+    _gamma_ratio,
     gamma_simplify,
     is_nonpositive_integer,
     pochhammer,
@@ -37,6 +38,7 @@ from hyperverify.series import TruncatedSeries, binomial_series
 from series_oracle import (
     compose,
     eval_terminating_direct,
+    fraction_gamma_simplify,
     fraction_poly_from_samples,
 )
 
@@ -100,6 +102,88 @@ def test_gamma_exponent_split_invariance(q, k):
     doubled = GammaProduct(((q + k, 2), (q, -2)))
     split = GammaProduct(((q + k, 1), (q + k, 1), (q, -1), (q, -1)))
     assert gamma_simplify(doubled) == gamma_simplify(split)
+
+
+# Gamma arguments: a few classes mod 1, each at integer shifts around the
+# poles, drawn from a small pool so that arguments repeat, pairs vanish,
+# poles survive and lone non-integer factors are left over.
+gamma_arguments = st.builds(lambda r, k: r + k,
+                            st.sampled_from([F(0), F(1, 2), F(1, 3), F(2, 3)]),
+                            st.integers(-3, 3))
+
+
+def integer_pairs(args, rng):
+    """The arguments as integer pairs (p, q), q > 0, some not in lowest
+    terms, in the given order."""
+    pairs = []
+    for arg in args:
+        k = rng.randint(1, 3)
+        pairs.append((arg.numerator * k, arg.denominator * k))
+    return pairs
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(gamma_arguments, st.sampled_from([1, 2, -1, -2])),
+             max_size=6),
+    st.randoms(use_true_random=False),
+)
+# a pole in the integer class beside an irrational residue at 1/2: the
+# integer class comes first, so the pole is raised
+@example([(F(-2), 1), (F(1, 2), 1)], random.Random(0))
+# the integer class vanishes, (-1)_3 = 0 multiplied in, and the lone
+# Gamma(1/2) after it still raises
+@example([(F(2), 1), (F(-1), -1), (F(1, 2), 1)], random.Random(0))
+def test_integer_gamma_core_matches_the_fraction_reduction(factors, rng):
+    # gamma_simplify and the integer core it wraps give the value, or the
+    # error type and text, of the Fraction reduction, with the arguments
+    # unmerged, in any order and as unreduced pairs.
+    product = GammaProduct(tuple(factors))
+    expected = outcome(lambda: fraction_gamma_simplify(product))
+    assert outcome(lambda: gamma_simplify(product)) == expected
+    rng.shuffle(factors)
+    upper = [a for a, e in factors if e > 0 for _ in range(e)]
+    lower = [a for a, e in factors if e < 0 for _ in range(-e)]
+    assert outcome(lambda: _gamma_ratio(integer_pairs(upper, rng),
+                                        integer_pairs(lower, rng))) == expected
+
+
+# spec parameters: nonpositive integers (stops and poles) and negative
+# rationals among the rest
+spec_parameters = st.one_of(st.integers(-4, 0).map(F), small_rationals)
+
+
+@given(
+    st.lists(spec_parameters, max_size=3),
+    st.lists(spec_parameters, max_size=3),
+    small_rationals,
+    st.lists(small_rationals, min_size=1, max_size=3),
+    st.integers(0, 1),
+    st.integers(0, 6),
+    st.randoms(use_true_random=False),
+)
+def test_spec_from_pairs_equals_the_spec_from_fractions(
+        nums, dens, arg, weight, offset, count, rng):
+    # A spec built from integer pairs, unreduced and with denominators of
+    # either sign, is the spec built from the Fractions: the same
+    # parameters, stop, poles, integer weight, rows and sums.
+    def pairs(values):
+        scales = [rng.choice([1, -1]) * rng.randint(1, 3) for _ in values]
+        return [(v.numerator * k, v.denominator * k)
+                for v, k in zip(values, scales)]
+
+    plain = HyperSpec(tuple(nums), tuple(dens), arg, weight=tuple(weight),
+                      power_offset=offset)
+    paired = HyperSpec.from_pairs(pairs(nums), pairs(dens), pairs([arg])[0],
+                                  weight=tuple(weight), power_offset=offset)
+    assert paired == plain
+    assert (paired.numerators, paired.denominators, paired.argument) == (
+        plain.numerators, plain.denominators, plain.argument)
+    assert (paired.stop, paired.poles, paired.integer_weight) == (
+        plain.stop, plain.poles, plain.integer_weight)
+    assert paired.rows(count) == plain.rows(count)
+    assert outcome(lambda: eval_terminating(paired)) == outcome(
+        lambda: eval_terminating(plain))
 
 
 @given(series_strategy(), series_strategy(), series_strategy())
@@ -306,10 +390,12 @@ def outcome(evaluate):
 def test_two_group_walk_matches_one_group_and_direct_sums(family, up_to):
     # The head group carries the argument, as the theorem's left side does.
     nums, dens, arg, (cn, cd) = family
-    head = ratio_rows(nums[:cn], dens[:cd], arg, up_to)
-    tail = ratio_rows(nums[cn:], dens[cd:], F(1), up_to)
+    # ratio_rows reads integer pairs
+    pn, pd, pa = ([x.as_integer_ratio() for x in xs] for xs in (nums, dens, [arg]))
+    head = ratio_rows(pn[:cn], pd[:cd], pa[0], up_to)
+    tail = ratio_rows(pn[cn:], pd[cd:], (1, 1), up_to)
     split = outcome(lambda: sum_rows((head, tail), up_to))
-    whole = outcome(lambda: sum_rows((ratio_rows(nums, dens, arg, up_to),), up_to))
+    whole = outcome(lambda: sum_rows((ratio_rows(pn, pd, pa[0], up_to),), up_to))
     assert split == whole
     # the terms are alive up to the first vanishing numerator Pochhammer
     alive = [n for n in range(up_to + 1)
@@ -456,7 +542,7 @@ def test_pipeline_sweep_reduces_each_left_prefactor_once(js, a_s, b_s, d_s, e_s)
     rows = {(j, a, b) for j in js for a, _, _ in reached for b in b_s}
     moments = {(p, d, e) for a, d, e in reached for p in range(1 - 2 * int(a))}
     with mock.patch.object(
-        identities, "gamma_simplify", wraps=identities.gamma_simplify
+        identities, "_gamma_ratio", wraps=identities._gamma_ratio
     ) as counted, mock.patch.object(
         identities, "gen_transform_lhs_series",
         wraps=identities.gen_transform_lhs_series,
