@@ -154,25 +154,33 @@ def _poly_from_samples(samples) -> tuple:
 _MISSING = object()
 
 
-def _memoized(memo, compute, /, *args, **kwargs):
-    """compute(*args, **kwargs), kept in the memo dict, when one is given,
-    under (compute, *args), each Fraction entered as its integer pair so a
-    lookup hashes no Fraction.  A VerificationError that compute raises is
-    kept too and raised again at every lookup of its key."""
-    if memo is None:
-        return compute(*args, **kwargs)
-    key = (compute, *[x.as_integer_ratio() if type(x) is Fraction else x
-                      for x in args])
-    value = memo.get(key, _MISSING)
+def _stored(store, key, compute, /, *args, **kwargs):
+    """compute(*args, **kwargs), kept in the store dict under key at the
+    first lookup; every stored value is a hit, None included.  A
+    VerificationError that compute raises is kept too and raised again at
+    every lookup of its key, so a case raises what it would raise with
+    nothing stored, and a value that fails is still worked only once."""
+    value = store.get(key, _MISSING)
     if value is _MISSING:
         try:
             value = compute(*args, **kwargs)
         except VerificationError as err:
             value = err
-        memo[key] = value
+        store[key] = value
     if isinstance(value, VerificationError):
         raise value.with_traceback(None)
     return value
+
+
+def _memoized(memo, compute, /, *args, **kwargs):
+    """compute(*args, **kwargs), kept in the memo dict, when one is given,
+    under (compute, *args), each Fraction entered as its integer pair so a
+    lookup hashes no Fraction (see _stored)."""
+    if memo is None:
+        return compute(*args, **kwargs)
+    return _stored(memo, (compute, *[x.as_integer_ratio() if type(x) is Fraction
+                                     else x for x in args]),
+                   compute, *args, **kwargs)
 
 
 def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
@@ -266,17 +274,15 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     The even part is scaled by its Gamma prefactor; the odd part by its
     Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
     when it vanishes identically (weight zero, as at j = 0, or a = 0),
-    so no Gamma poles are touched for dead terms.  `memo` is a sweep memo
-    dict, or None.
+    so no Gamma poles are touched for dead terms.  The heads and scales
+    come from the row at argument 2 (see _Row) in `memo`, a dict or None.
     """
     _table_row(j)
-    a, b = Fraction(a), Fraction(b)
-    even, odd = _memoized(memo, _part_heads, j, a, b, memo=memo)
-    total = weighted_series(even, order).scale(
-        _memoized(memo, even_prefactor, j, b))
+    row = _memoized(memo, _Row, j, Fraction(a), Fraction(b), TWO, memo=memo)
+    even, odd = row.part_heads
+    total = weighted_series(even, order).scale(row.even_scale)
     if odd is not None:
-        c_odd = _memoized(memo, _odd_scale, j, a, b, memo=memo)
-        total = total + weighted_series(odd, order).scale(c_odd)
+        total = total + weighted_series(odd, order).scale(row.odd_scale)
     return total
 
 
@@ -306,8 +312,13 @@ class IdentityCase:
     e: Fraction
 
     def __post_init__(self):
+        # a float is refused, not read as its binary value
+        if type(self.j) is not int:
+            raise TypeError(f"j must be an int, not {type(self.j).__name__}")
         for name in ("a", "b", "d", "e"):
             value = getattr(self, name)
+            if isinstance(value, float):
+                raise TypeError(f"{name} must be exact, not a float")
             if type(value) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
 
@@ -335,38 +346,47 @@ def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
                                            ((den + a2 + d_ - e_, den),))
 
 
-def _lhs_row(j: int, a: Fraction, b: Fraction, argument) -> tuple:
+def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
     """The left side's (j, a, b) part at argument: its 3F2's spec (2a, b;
-    2b + j), and a dict that keeps the row's left sides, one list per set
-    of columns (see _Row.left)."""
+    2b + j)."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     return HyperSpec.from_pairs(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
-                                _ratio(argument)), {}
+                                _ratio(argument))
 
 
-def _column(d: Fraction, e: Fraction, tails=None, memo=None) -> tuple:
+def _column(d: Fraction, e: Fraction, tails=None) -> tuple:
     """One (d, e) column of the theorem family: (d, e, whether d is a
-    nonpositive integer, tails(d, e) from the memo).  The last is None
-    with no tails and at e = 0, which every check that reads them
-    rejects first."""
-    tails = _memoized(memo, tails, d, e) if tails and e != 0 else None
-    return d, e, is_nonpositive_integer(d), tails
+    nonpositive integer, tails(d, e)).  The last is None with no tails
+    and at e = 0, which every check that reads them rejects first."""
+    return d, e, is_nonpositive_integer(d), tails(d, e) if tails and e != 0 else None
+
+
+def _columns(tails, columns) -> list:
+    """The column table of a sweep's (d, e) integer pairs: each column (see
+    _column) followed by its pairs, which key its left side in a row."""
+    return [(*_column(Fraction(*key[0]), Fraction(*key[1]), tails), key)
+            for key in columns]
+
+
+def _invariant(compute):
+    """A _Row property: compute(row) at its first read, kept in the row's
+    store under compute's name, so a filled memo still pickles."""
+    return property(lambda row: _stored(row.store, compute.__name__, compute, row))
 
 
 class _Row:
     """The (j, a, b) part of the theorem family's cases, with the argument
     of the left side's 3F2.  The per-case arithmetic of every check lives
     here: each method takes one column (see _column) and computes one
-    side of one case.  Each row invariant comes from the memo at its
-    first use and is kept on the row; one that raises is not kept, so
-    every case that reaches it raises it again, from the memo when there
-    is one, and a case raises what it raises on its own.  `columns`
-    names the row's columns in a sweep, as integer pairs, for left."""
+    side of one case.  The row is the cache of what its cases share: its
+    store (see _stored) keeps each invariant under its name and each left
+    side under its column's (d, e) integer pairs.  `memo` is the sweep
+    memo, which keeps the row itself and the helpers scoped to (j, b) or
+    (a, d, e), or None for a one-case row."""
 
-    def __init__(self, j: int, a: Fraction, b: Fraction, argument,
-                 memo=None, columns=None):
+    def __init__(self, j: int, a: Fraction, b: Fraction, argument, memo=None):
         self.j, self.a, self.b, self.argument = j, a, b, argument
-        self.memo, self.columns = memo, columns
+        self.memo, self.store = memo, {}
         self.a_branch = is_nonpositive_integer(a)
 
     def _check_terminates(self, column) -> None:
@@ -375,37 +395,32 @@ class _Row:
         if column[1] == 0:
             raise InvalidCase("e must be nonzero")
 
-    @functools.cached_property
-    def lhs_row(self) -> tuple:
-        return _memoized(self.memo, _lhs_row, self.j, self.a, self.b,
-                         self.argument)
+    @_invariant
+    def lhs_head(self) -> HyperSpec:
+        return _lhs_head(self.j, self.a, self.b, self.argument)
 
-    @functools.cached_property
+    @_invariant
     def part_heads(self) -> tuple:
-        return _memoized(self.memo, _part_heads, self.j, self.a, self.b,
-                         memo=self.memo)
+        return _part_heads(self.j, self.a, self.b, memo=self.memo)
 
-    @functools.cached_property
-    def even_scale(self) -> tuple:
-        return _memoized(self.memo, even_prefactor, self.j,
-                         self.b).as_integer_ratio()
+    @_invariant
+    def even_scale(self) -> Fraction:
+        return _memoized(self.memo, even_prefactor, self.j, self.b)
 
-    @functools.cached_property
-    def odd_scale(self) -> tuple:
-        return _memoized(self.memo, _odd_scale, self.j, self.a, self.b,
-                         memo=self.memo).as_integer_ratio()
+    @_invariant
+    def odd_scale(self) -> Fraction:
+        return _odd_scale(self.j, self.a, self.b, memo=self.memo)
 
-    @functools.cached_property
+    @_invariant
     def corollary_heads(self) -> tuple:
-        return _memoized(self.memo, _corollary_heads, self.j, self.a, self.b)
+        return _corollary_heads(self.j, self.a, self.b)
 
-    @functools.cached_property
+    @_invariant
     def polynomial(self) -> tuple:
         """The transformation's left side at a = -m, an exact polynomial
         of degree 2m, and that degree."""
         degree = -2 * int(self.a)
-        return _memoized(self.memo, gen_transform_lhs_series, self.j, self.a,
-                         self.b, degree), degree
+        return gen_transform_lhs_series(self.j, self.a, self.b, degree), degree
 
     def lhs_pair(self, d: Fraction, e: Fraction) -> tuple:
         """theorem_lhs as an unreduced integer pair (numerator,
@@ -413,8 +428,14 @@ class _Row:
         _table_row(self.j)
         prefactor, tail = _memoized(self.memo, _lhs_tail, self.a, d, e)
         pn, pd = prefactor.as_integer_ratio()
-        sn, sd = _terminating_pair(self.lhs_row[0], tail)
+        sn, sd = _terminating_pair(self.lhs_head, tail)
         return pn * sn, pd * sd
+
+    def left(self, column) -> Fraction:
+        """The left side at a column of _columns, reduced, kept in the store:
+        theorem at argument 2, corollary and pipeline sum it once."""
+        return _stored(self.store, column[4],
+                       lambda: Fraction(*self.lhs_pair(*column[:2])))
 
     def theorem_rhs_pair(self, column) -> tuple:
         """theorem_rhs as an unreduced integer pair, as lhs_pair: each
@@ -423,13 +444,13 @@ class _Row:
         _moment_tails."""
         _table_row(self.j)
         self._check_terminates(column)
-        d, _, _, (even_tail, odd_tail, d_over_e) = column
+        d, (even_tail, odd_tail, d_over_e) = column[0], column[3]
         even, odd = self.part_heads
-        pn, pd = self.even_scale
+        pn, pd = self.even_scale.as_integer_ratio()
         sn, sd = _weighted_pair(even, even_tail)
         num, den = pn * sn, pd * sd
         if odd is not None and d != 0:
-            cn, cd = self.odd_scale
+            cn, cd = self.odd_scale.as_integer_ratio()
             dn, dd = d_over_e.as_integer_ratio()
             sn, sd = _weighted_pair(odd, odd_tail)
             odd_num, odd_den = cn * dn * sn, cd * dd * sd
@@ -469,55 +490,26 @@ class _Row:
         return (sum(map(operator.mul, poly.numerators, moments)),
                 poly.denominator * m_den)
 
-    @functools.cached_property
-    def lefts(self) -> list:
-        """The row's left sides, one slot per column, None until a case
-        sums it.  The list is kept in the row's _lhs_row entry under the
-        columns, so every check that sums the left side at this argument
-        over these columns (theorem at argument 2, corollary and
-        pipeline) fills and reads one list."""
-        return self.lhs_row[1].setdefault(self.columns,
-                                          [None] * len(self.columns))
 
-    def left(self, i: int, column) -> Fraction:
-        """The left side at column i, reduced, from its slot: summed at
-        the first case that reaches it.  A VerificationError is kept in
-        the slot and raised again."""
-        value = self.lefts[i]
-        if value is None:
-            try:
-                value = Fraction(*self.lhs_pair(*column[:2]))
-            except VerificationError as err:
-                value = err
-            self.lefts[i] = value
-        if isinstance(value, VerificationError):
-            raise value.with_traceback(None)
-        return value
-
-
-def theorem_lhs(case: IdentityCase, argument=TWO, memo=None) -> Fraction:
+def theorem_lhs(case: IdentityCase, argument=TWO) -> Fraction:
     """Prefactor times the terminating 3F2.
 
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
-    `memo` is a sweep memo dict, or None.
     """
-    row = _Row(case.j, case.a, case.b, argument, memo)
-    return Fraction(*row.lhs_pair(case.d, case.e))
+    return Fraction(*_Row(case.j, case.a, case.b, argument).lhs_pair(case.d, case.e))
 
 
-def theorem_rhs(case: IdentityCase, memo=None) -> Fraction:
+def theorem_rhs(case: IdentityCase) -> Fraction:
     """Weighted even/odd pair decorated with the half-shifted d/e ratios.
 
     Summation bounds come from the first vanishing numerator Pochhammer of
     each part, never from convergence reasoning: on the a branch the even
     part stops at -a and the odd part at -a - 1; on the d branch both stop
-    around floor(-d/2), depending on parity.  `memo` is a sweep memo
-    dict, or None.
+    around floor(-d/2), depending on parity.
     """
-    row = _Row(case.j, case.a, case.b, TWO, memo)
-    column = _column(case.d, case.e, _moment_tails, memo)
-    return Fraction(*row.theorem_rhs_pair(column))
+    row = _Row(case.j, case.a, case.b, TWO)
+    return Fraction(*row.theorem_rhs_pair(_column(case.d, case.e, _moment_tails)))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
@@ -570,7 +562,7 @@ def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
             HyperSpec.from_pairs(ds[1:], es[1:]), Fraction(dn * ed, dd * en))
 
 
-def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
+def corollary_rhs(case: IdentityCase) -> Fraction:
     """Closed single-series right side for |j| <= 3.
 
     Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
@@ -578,12 +570,11 @@ def corollary_rhs(case: IdentityCase, memo=None) -> Fraction:
     prefactors are absorbed into the parameters, so this path shares only
     the term walker with the weighted sums it cross-checks.  The second
     series is skipped when its scale vanishes, so its parameters are never
-    validated for a dead term.  `memo` is a sweep memo dict, or None;
-    this path reads none of the weighted sums' entries.
+    validated for a dead term.  In a sweep this path reads none of the
+    weighted sums' values from its row.
     """
-    row = _Row(case.j, case.a, case.b, TWO, memo)
-    column = _column(case.d, case.e, _corollary_tails, memo)
-    return Fraction(*row.corollary_rhs_pair(column))
+    row = _Row(case.j, case.a, case.b, TWO)
+    return Fraction(*row.corollary_rhs_pair(_column(case.d, case.e, _corollary_tails)))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -609,7 +600,7 @@ def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
     ])
 
 
-def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
+def beta_integral_pipeline(case: IdentityCase) -> tuple:
     """Replay the derivation of the summation identity on one case.
 
     Requires the a branch (so the transformation's left side is an exact
@@ -619,10 +610,9 @@ def beta_integral_pipeline(case: IdentityCase, memo=None) -> tuple:
         (moment transform of the left-side polynomial,
          prefactor times the terminating 3F2 at argument 2)
 
-    whose equality is the identity itself.  `memo` is a sweep memo dict,
-    or None.
+    whose equality is the identity itself.
     """
-    row = _Row(case.j, case.a, case.b, TWO, memo)
+    row = _Row(case.j, case.a, case.b, TWO)
     moments = row.moment_pair(_column(case.d, case.e))
     return Fraction(*moments), Fraction(*row.lhs_pair(case.d, case.e))
 
@@ -662,10 +652,10 @@ def _error_tag(err: Exception) -> str:
     return f"Unexpected {type(err).__name__}: {err}"
 
 
-def verify_theorem(case: IdentityCase, argument=TWO, memo=None) -> VerificationRecord:
+def verify_theorem(case: IdentityCase, argument=TWO) -> VerificationRecord:
     """Evaluate both sides of the summation identity; never raises."""
     return _evaluate_case(("theorem", case.j, case.a, case.b, case.d, case.e,
-                           None, argument), memo)
+                           None, argument))
 
 
 CHECK_NAMES = ("kummer", "transform", "theorem", "corollary", "pipeline")
@@ -702,27 +692,24 @@ def _evaluate_row(job, memo=None) -> list:
     A theorem, corollary or pipeline row is one (j, a, b) of its check
     over a tuple of (d, e) columns, each d and e an integer pair; its
     records come in column order, each side from a _Row method.  The
-    column table (see _column) is built once per memo, and the row's
-    left sides are kept in the memo (see _Row.lefts); corollary and
-    pipeline sum them at argument 2, whatever the theorem's argument.  A
-    kummer or transform row is one case, with no columns.
+    row and the column table (see _columns) come from the memo, so the
+    row keeps its invariants and left sides for every check that reads
+    it; corollary and pipeline read the row at argument 2, whatever the
+    theorem's argument.  A kummer or transform row is one case, with no
+    columns.
     """
     check, j, a, b, columns, order, argument = job
     memo = {} if memo is None else memo
     row, table = None, [(None, None, None, None)]
     if columns is not None:
-        row = _Row(j, a, b, argument if check == "theorem" else TWO, memo,
-                   columns)
+        row = _memoized(memo, _Row, j, a, b,
+                        argument if check == "theorem" else TWO, memo=memo)
         # the tails the check reads from its columns, looked up by name
         tails = {"theorem": _moment_tails,
                  "corollary": _corollary_tails}.get(check)
-        table = memo.get((_column, tails, columns))
-        if table is None:
-            table = memo[_column, tails, columns] = [
-                _column(Fraction(*d), Fraction(*e), tails, memo)
-                for d, e in columns]
+        table = _memoized(memo, _columns, tails, columns)
     records = []
-    for i, column in enumerate(table):
+    for column in table:
         base = dict(check=check, j=j, a=a, b=b, d=column[0], e=column[1])
         if row is not None:
             base["branch"] = "a" if row.a_branch else "d" if column[2] else None
@@ -735,16 +722,16 @@ def _evaluate_row(job, memo=None) -> list:
                 # surface with the offending argument named instead of as
                 # a generic lower-parameter failure.
                 rhs = row.theorem_rhs_pair(column)
-                rhs, lhs, equal = _sides(rhs, row.left(i, column))
+                rhs, lhs, equal = _sides(rhs, row.left(column))
             elif check == "corollary":
                 # no closed form past the bound: skip before the 3F2 sum
                 if abs(j) > COROLLARY_J_LIMIT:
                     raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-                lhs = row.left(i, column)
+                lhs = row.left(column)
                 rhs, lhs, equal = _sides(row.corollary_rhs_pair(column), lhs)
             else:  # pipeline
                 lhs = row.moment_pair(column)
-                lhs, rhs, equal = _sides(lhs, row.left(i, column))
+                lhs, rhs, equal = _sides(lhs, row.left(column))
         except Exception as err:  # noqa: BLE001 - embed bugs as errored records
             records.append(VerificationRecord(error=_error_tag(err), **base))
         else:
@@ -785,22 +772,22 @@ def grid_sweep(
     The theorem, corollary and pipeline checks sweep one (j, a, b) row at
     a time over the row's (d, e) columns, so each job is one row: the
     summation identity is the transformation pushed through the beta
-    moments, and every case splits into a row part and a column part.  A
-    row's invariants (table row, heads, prefactors, odd scale, the left
-    side's head) are worked once per row and its columns' tails once per
-    sweep.  Each left side is summed once and kept in the memo under its
-    row, its argument and the columns, so theorem at argument 2,
-    corollary and pipeline read one list; corollary and pipeline always
-    sum the left side at argument 2.  A kummer or transform job is one
-    case.
+    moments, and every case splits into a row part and a column part.
 
-    Whatever a case shares is computed once per memo: the memo keeps each
-    helper's value under (helper, *args), at the point where the memo-free
-    path computes it.  A VerificationError the helper raises is kept too
-    and raised again where a case reaches it, so every record equals the
-    one its case gives on its own.  corollary_rhs reads none of the
-    weighted sums' entries, since it is their independent evaluation.
-    `memo` is the dict to keep the entries in, a fresh one when None;
+    Whatever a case shares is computed once per memo, by one rule (see
+    _stored): a value is worked at its first lookup and kept, and a
+    VerificationError it raises is kept too and raised again where a case
+    reaches it, so every record equals the one its case gives on its own.
+    The memo keeps each row (see _Row) under (j, a, b, argument), and the
+    row keeps its invariants (heads, scales, the left side's head) under
+    their names and each left side under its column, so theorem at
+    argument 2, corollary and pipeline sum each left side once;
+    corollary and pipeline always sum it at argument 2.  The memo keeps
+    the column tables, and the helpers that rows share, under (helper,
+    *args).  The corollary closed forms read none of the weighted sums'
+    values, since they are their independent evaluation.  A kummer or
+    transform job is one case.  `memo` is the dict to keep the entries
+    in, a fresh one when None;
     since every entry is a pure function of its key, a memo that earlier
     sweeps filled leaves every record as it is.  A pool's map pickles a
     copy of the memo with each chunk of rows it sends.

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -249,6 +250,21 @@ class TestTheorem:
         assert rec.lhs == rec.rhs == F(19, 18)
         assert rec.branch == "a"
 
+    @pytest.mark.parametrize("field, value",
+                             [("a", -1.0), ("b", 0.1), ("d", 1.0), ("e", 4.0)])
+    def test_case_refuses_a_float(self, field, value):
+        # 0.1 would be verified at its binary value, not at 1/10
+        args = dict(j=1, a=-1, b=F(1, 3), d=1, e=4)
+        args[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be exact, not a float$"):
+            IdentityCase(**args)
+
+    @pytest.mark.parametrize("j", [1.0, True, F(1), "1"],
+                             ids=["float", "bool", "Fraction", "str"])
+    def test_case_refuses_a_shift_that_is_not_an_int(self, j):
+        with pytest.raises(TypeError, match="^j must be an int, not "):
+            IdentityCase(j, -1, F(1, 3), 1, 4)
+
     def test_odd_scale_pole_at_zero_lower_shift(self):
         # 2b + j = 0: the pole is the 2a/(2b+j) factor, not a term of a sum
         rec = verify_theorem(IdentityCase(1, F(-1, 2), F(-1, 2), -1, 4))
@@ -309,7 +325,7 @@ class TestCorollaries:
         def broken(*args, **kwargs):
             raise AssertionError("left side summed for a skipped record")
 
-        for name in ("_lhs_tail", "_lhs_row", "_terminating_pair"):
+        for name in ("_lhs_tail", "_lhs_head", "_terminating_pair"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
                              ("corollary",))
@@ -483,6 +499,62 @@ class TestGridSweep:
         assert len(records) == 14
         assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
         assert len(calls) == 1
+
+    def test_raised_row_invariant_is_worked_once_per_memo(self, monkeypatch):
+        # At (j, a, b) = (0, -2, -3/2) the pipeline's left-side polynomial
+        # meets its lower parameter 2b + j = -3; the row keeps the raised
+        # error, so its four columns replay one expansion.
+        calls = []
+        expand = identities.gen_transform_lhs_series
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(identities, "gen_transform_lhs_series", counted)
+        records = grid_sweep((0,), (-2,), (F(-3, 2),), (F(1, 2), 1),
+                             (3, F(7, 2)), ("pipeline",))
+        assert [r.error for r in records] == [
+            "DenominatorPoleBeforeTermination: denominator parameter -3 "
+            "vanishes at term 4"] * 4
+        assert len(calls) == 1
+
+    def test_row_invariants_are_shared_across_checks(self, monkeypatch):
+        # transform and theorem read one row per (j, a, b) at argument 2,
+        # so the weighted heads are built once per row, not per check.
+        calls = []
+        part_heads = identities._part_heads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return part_heads(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "_part_heads", counted)
+        records = grid_sweep(
+            (3,), (-1, -2), (F(1, 3), F(2, 5)), (F(1, 2), 1), (4,),
+            ("theorem", "transform"),
+        )
+        assert all(r.equal for r in records)
+        assert len(calls) == len(set(calls)) == 4
+
+    def test_filled_memo_pickles(self, monkeypatch):
+        # A pool pickles the memo with each share it sends.  A memo that
+        # all six suites filled, rows and their stores included, comes
+        # back whole: the suites read every Gamma prefactor from it, and
+        # their records are those of a fresh run.
+        memo = {}
+        for suite in suites.ALL_SUITES:
+            suite.run(memo)
+        assert any(isinstance(v, identities._Row) for v in memo.values())
+        restored = pickle.loads(pickle.dumps(memo))
+        fresh = {suite.name: suite.run() for suite in suites.ALL_SUITES}
+
+        def broken(*args):
+            raise AssertionError("Gamma prefactor reduced again")
+
+        monkeypatch.setattr(identities, "_gamma_ratio", broken)
+        for suite in suites.ALL_SUITES:
+            assert suite.run(restored) == fresh[suite.name], suite.name
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

@@ -619,7 +619,7 @@ def fraction_sides(check, j, a, b, d, e, argument):
     so independent of the integer pairs the package combines."""
     def left(argument=F(2)):
         prefactor, tail = identities._lhs_tail(a, d, e)
-        head = identities._lhs_row(j, a, b, argument)[0]
+        head = identities._lhs_head(j, a, b, argument)
         return prefactor * eval_terminating(head, tail)
 
     if check == "theorem":
