@@ -12,8 +12,8 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import J_LIMIT, VerificationRecord, coeff_A, coeff_B, grid_sweep
@@ -70,16 +70,10 @@ def _parse_rational_list(raw, where: str) -> tuple:
     return tuple(_parse_rational(v, where) for v in raw)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    checks: tuple = ()
-    j_set: tuple = ()
-    a_set: tuple = ()
-    b_set: tuple = ()
-    d_set: tuple = ()
-    e_set: tuple = ()
-    series_order: int = 24
-    theorem_argument: str = "two"
+class SweepConfig(namedtuple(
+        "SweepConfig", "checks j_set a_set b_set d_set e_set series_order "
+        "theorem_argument", defaults=((),) * 6 + (24, "two"))):
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, raw) -> "SweepConfig":

@@ -20,6 +20,9 @@ class PoleError(VerificationError):
         self.argument = Fraction(argument)
         super().__init__(f"Gamma({self.argument}) is a pole")
 
+    def __reduce__(self):
+        return type(self), (self.argument,)
+
 
 class TranscendentalResidue(VerificationError):
     """A lone Gamma factor with non-integer argument survived simplification.
@@ -30,6 +33,9 @@ class TranscendentalResidue(VerificationError):
     def __init__(self, argument):
         self.argument = Fraction(argument)
         super().__init__(f"Gamma({self.argument}) does not reduce to a rational")
+
+    def __reduce__(self):
+        return type(self), (self.argument,)
 
 
 class DenominatorPoleBeforeTermination(VerificationError):
@@ -43,6 +49,9 @@ class DenominatorPoleBeforeTermination(VerificationError):
             detail += f" vanishes at term {index}"
         super().__init__(detail)
 
+    def __reduce__(self):
+        return type(self), (self.parameter, self.index)
+
 
 class NonTerminatingSeries(VerificationError):
     """Exact summation was requested but no numerator parameter terminates it."""
@@ -52,8 +61,11 @@ class UnsupportedJ(VerificationError):
     """The shift j lies outside the range covered by the coefficient table."""
 
     def __init__(self, j, limit):
-        self.j = j
+        self.j, self.limit = j, limit
         super().__init__(f"shift j={j} not supported (|j| must be <= {limit})")
+
+    def __reduce__(self):
+        return type(self), (self.j, self.limit)
 
 
 class InvalidCase(VerificationError):

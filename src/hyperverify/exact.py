@@ -8,10 +8,10 @@ equality checks.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError, TranscendentalResidue
+from .value import Value
 
 
 def is_nonpositive_integer(q) -> bool:
@@ -48,8 +48,7 @@ def pochhammer_duplication(d, n: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class GammaProduct:
+class GammaProduct(Value):
     """Formal product of Gamma factors prod Gamma(arg_i)**exp_i awaiting reduction.
 
     Factors with equal arguments are merged at construction time and zero
@@ -58,15 +57,15 @@ class GammaProduct:
     contain such pairs at pole arguments and must still reduce to 1.
     """
 
-    factors: tuple
+    _fields = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple):
         merged = {}
-        for arg, exp in self.factors:
+        for arg, exp in factors:
             arg = Fraction(arg)
             merged[arg] = merged.get(arg, 0) + int(exp)
-        normalized = tuple(sorted((a, e) for a, e in merged.items() if e != 0))
-        object.__setattr__(self, "factors", normalized)
+        self.__dict__["factors"] = tuple(
+            sorted((a, e) for a, e in merged.items() if e != 0))
 
     @classmethod
     def ratio(cls, numerators, denominators=()):

@@ -14,7 +14,6 @@ numerators over one denominator, with no `Fraction`.
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -29,10 +28,10 @@ from .series import (
     _reduced,
     _times,
 )
+from .value import Value
 
 
-@dataclass(frozen=True, init=False)
-class HyperSpec:
+class HyperSpec(Value):
     """One term family.  Term n is
 
         weight(n) * prod (num_i)_n / (prod (den_i)_n * n!) * argument**n
@@ -44,22 +43,14 @@ class HyperSpec:
     in x.  Construction applies no legality rule (see check_lower), so a
     spec can also be one group of a larger family.  The sums read the
     parameters and argument as reduced integer pairs (p, q), q > 0.
+
+    A spec also keeps, uncompared: `stop`, the smallest M with every term
+    beyond M zero, or None; `poles`, its nonpositive-integer lower
+    parameters in order; `integer_weight`, the weight as (integers, their
+    denominator); and `_rows`, its ratio rows by count, built as needed.
     """
 
-    num_pairs: tuple
-    den_pairs: tuple
-    arg_pair: tuple
-    weight: tuple
-    power_offset: int
-    # the termination index, the smallest M with every term beyond M zero
-    # (None when the series does not terminate)
-    stop: int | None = field(repr=False, compare=False)
-    # the nonpositive-integer lower parameters, in list order
-    poles: tuple = field(repr=False, compare=False)
-    # (integer coefficients, their denominator) of the weight
-    integer_weight: tuple = field(repr=False, compare=False)
-    # ratio rows by count, built as sums ask for them
-    _rows: dict = field(repr=False, compare=False)
+    _fields = ("num_pairs", "den_pairs", "arg_pair", "weight", "power_offset")
 
     def __init__(self, numerators, denominators, argument=1, *,
                  weight=(1,), power_offset=0):
@@ -106,13 +97,11 @@ def _lowest(pair) -> tuple:
 def _set_up(spec, nums, dens, arg, weight, power_offset) -> None:
     """Set the fields of a spec from its reduced integer pairs."""
     dens = tuple(dens)
-    fields = dict(
+    spec.__dict__.update(
         num_pairs=tuple(nums), den_pairs=dens, arg_pair=arg, weight=weight,
         power_offset=power_offset, integer_weight=_common_denominator(weight),
         poles=tuple(p for p, q in dens if q == 1 and p <= 0), _rows={})
-    for name, value in fields.items():
-        object.__setattr__(spec, name, value)
-    object.__setattr__(spec, "stop", weighted_termination(spec))
+    spec.__dict__["stop"] = weighted_termination(spec)
 
 
 def weighted_termination(spec: HyperSpec) -> int | None:

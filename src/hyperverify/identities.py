@@ -27,7 +27,6 @@ compares with zero tolerance.
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -50,6 +49,7 @@ from .hyper import (
     weighted_series,
 )
 from .series import TruncatedSeries, _common_denominator, binomial_series
+from .value import Value
 
 TWO = Fraction(2)
 
@@ -301,26 +301,20 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     return weighted_series(spec, order)
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(Value):
     """One verification instance of the summation identity."""
 
-    j: int
-    a: Fraction
-    b: Fraction
-    d: Fraction
-    e: Fraction
+    _fields = ("j", "a", "b", "d", "e")
 
-    def __post_init__(self):
+    def __init__(self, j: int, a, b, d, e):
         # a float is refused, not read as its binary value
-        if type(self.j) is not int:
-            raise TypeError(f"j must be an int, not {type(self.j).__name__}")
-        for name in ("a", "b", "d", "e"):
-            value = getattr(self, name)
+        if type(j) is not int:
+            raise TypeError(f"j must be an int, not {type(j).__name__}")
+        self.__dict__["j"] = j
+        for name, value in zip("abde", (a, b, d, e)):
             if isinstance(value, float):
                 raise TypeError(f"{name} must be exact, not a float")
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+            self.__dict__[name] = value if type(value) is Fraction else Fraction(value)
 
     @functools.cached_property
     def branch(self) -> str | None:
@@ -617,8 +611,7 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
     return Fraction(*moments), Fraction(*row.lhs_pair(case.d, case.e))
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(Value):
     """Outcome of one check on one grid point.
 
     For scalar checks lhs/rhs are rationals; for the series checks they are
@@ -627,17 +620,13 @@ class VerificationRecord:
     is then skipped) or an `Unexpected ...` tag for genuine bugs.
     """
 
-    check: str
-    j: int | None = None
-    a: Fraction | None = None
-    b: Fraction | None = None
-    d: Fraction | None = None
-    e: Fraction | None = None
-    branch: str | None = None
-    lhs: object = None
-    rhs: object = None
-    equal: bool | None = None
-    error: str | None = None
+    _fields = ("check", "j", "a", "b", "d", "e", "branch", "lhs", "rhs",
+               "equal", "error")
+
+    def __init__(self, check: str, j=None, a=None, b=None, d=None, e=None,
+                 branch=None, lhs=None, rhs=None, equal=None, error=None):
+        self.__dict__.update(check=check, j=j, a=a, b=b, d=d, e=e, branch=branch,
+                             lhs=lhs, rhs=rhs, equal=equal, error=error)
 
     @property
     def status(self) -> str:

@@ -15,14 +15,13 @@ beyond it.
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .value import Value
 
-@dataclass(frozen=True, init=False)
-class TruncatedSeries:
-    numerators: tuple
-    denominator: int
+
+class TruncatedSeries(Value):
+    _fields = ("numerators", "denominator")
 
     def __init__(self, coefficients):
         coeffs = _fractions(coefficients)
@@ -92,8 +91,7 @@ def _reduced(numerators, denominator: int) -> TruncatedSeries:
 def _set(series, numerators, denominator: int) -> None:
     if not numerators:
         raise ValueError("a series needs at least its constant coefficient")
-    object.__setattr__(series, "numerators", tuple(numerators))
-    object.__setattr__(series, "denominator", denominator)
+    series.__dict__.update(numerators=tuple(numerators), denominator=denominator)
 
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:

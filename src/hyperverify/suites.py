@@ -4,7 +4,7 @@ Each suite is one grid_sweep invocation.  The grids double as the
 acceptance battery of the test suite, so they live here once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .identities import COROLLARY_J_LIMIT, J_LIMIT, grid_sweep
@@ -15,16 +15,9 @@ J_FULL = tuple(range(-J_LIMIT, J_LIMIT + 1))
 J_COROLLARY = tuple(range(-COROLLARY_J_LIMIT, COROLLARY_J_LIMIT + 1))
 
 
-@dataclass(frozen=True)
-class Suite:
-    name: str
-    checks: tuple
-    j_set: tuple = ()
-    a_set: tuple = ()
-    b_set: tuple = ()
-    d_set: tuple = ()
-    e_set: tuple = ()
-    series_order: int = 24
+class Suite(namedtuple("Suite", "name checks j_set a_set b_set d_set e_set "
+                       "series_order", defaults=((),) * 5 + (24,))):
+    __slots__ = ()
 
     def run(self, memo=None):
         """The suite's records; `memo` is a sweep memo dict that other

@@ -1,0 +1,25 @@
+"""The base of the engine's value types.  A value is set once, by its
+constructor, which writes its fields (named in `_fields`) and anything it
+keeps beside them straight into its `__dict__`.  Values of one type are
+equal when their fields are, and equal values hash alike."""
+
+
+class Value:
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__

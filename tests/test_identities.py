@@ -556,6 +556,23 @@ class TestGridSweep:
         for suite in suites.ALL_SUITES:
             assert suite.run(restored) == fresh[suite.name], suite.name
 
+    def test_memo_with_a_kept_error_pickles(self, monkeypatch):
+        # The left side's pole at (a, d, e) = (-3, 1/2, -3) is kept in the
+        # memo, and in each row's store, as the PoleError it raised.  A
+        # restored memo raises each one again, with no Gamma reduction.
+        sweep = (range(-3, 4), (-3,), (F(1, 3),), (F(1, 2),), (-3,), ("corollary",))
+        memo = {}
+        records = grid_sweep(*sweep, memo=memo)
+        assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
+        assert any(isinstance(v, PoleError) for v in memo.values())
+        restored = pickle.loads(pickle.dumps(memo))
+
+        def broken(*args):
+            raise AssertionError("Gamma prefactor reduced again")
+
+        monkeypatch.setattr(identities, "_gamma_ratio", broken)
+        assert grid_sweep(*sweep, memo=restored) == records
+
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a
         # group with no terminating parameter: the memo keeps it like any

@@ -1,13 +1,36 @@
-"""The package surface: the names the README documents, and its example."""
+"""The package surface: the names the README documents, its example, what
+importing it loads, and the contracts of its value types and errors."""
 
 import contextlib
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
-import hyperverify
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import hyperverify
+from hyperverify import (
+    DenominatorPoleBeforeTermination,
+    InvalidCase,
+    NonTerminatingSeries,
+    PoleError,
+    TranscendentalResidue,
+    UnsupportedJ,
+    cli,
+    suites,
+)
+from hyperverify.exact import GammaProduct
+from hyperverify.hyper import HyperSpec
+from hyperverify.identities import IdentityCase, VerificationRecord
+from hyperverify.series import TruncatedSeries
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_top_level_names_are_the_documented_ones():
@@ -27,3 +50,138 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue() == "PoleError: Gamma(0) is a pole\n"
+
+
+# The seven value types.  Each entry builds one value, an equal value by
+# another construction, and a value with one field changed.
+VALUES = {
+    "GammaProduct": (
+        lambda: GammaProduct(((F(1, 2), 1), (3, -1), (2, 1), (2, -1))),
+        lambda: GammaProduct.ratio((F(1, 2),), (3,)),
+        lambda: GammaProduct.ratio((F(1, 2),), (4,)),
+    ),
+    "TruncatedSeries": (
+        lambda: TruncatedSeries((1, F(1, 2), F(1, 3))),
+        lambda: TruncatedSeries.over((12, 6, 4), 12),
+        lambda: TruncatedSeries((1, F(1, 2), F(1, 4))),
+    ),
+    "HyperSpec": (
+        lambda: HyperSpec((F(1, 3), -2), (F(5, 2),), 2, weight=(1, F(1, 2)),
+                          power_offset=1),
+        lambda: HyperSpec.from_pairs(((2, 6), (-2, 1)), ((5, 2),), (4, 2),
+                                     weight=(F(1), F(1, 2)), power_offset=1),
+        lambda: HyperSpec((F(1, 3), -2), (F(5, 2),), 2, weight=(1, F(1, 2))),
+    ),
+    "IdentityCase": (
+        lambda: IdentityCase(3, F(-2), F(1, 3), F(1, 2), F(4)),
+        lambda: IdentityCase(3, -2, F(2, 6), F(1, 2), 4),
+        lambda: IdentityCase(3, F(-2), F(1, 3), F(1, 2), F(5)),
+    ),
+    "VerificationRecord": (
+        lambda: VerificationRecord("theorem", 3, F(-2), F(1, 3), F(1, 2), F(4),
+                                   "a", F(7), F(7), True),
+        lambda: VerificationRecord(
+            check="theorem", j=3, a=F(-2), b=F(1, 3), d=F(1, 2), e=F(4),
+            branch="a", lhs=F(7), rhs=F(7), equal=True, error=None),
+        lambda: VerificationRecord("theorem", 3, F(-2), F(1, 3), F(1, 2), F(4),
+                                   "a", F(7), F(8), False),
+    ),
+    "Suite": (
+        lambda: suites.Suite(name="t", checks=("theorem",), j_set=(1,)),
+        lambda: suites.Suite("t", ("theorem",), (1,), (), (), (), (), 24),
+        lambda: suites.Suite(name="t", checks=("theorem",), j_set=(1,),
+                             series_order=6),
+    ),
+    "SweepConfig": (
+        lambda: cli.SweepConfig(checks=("theorem",), a_set=(F(-1),)),
+        lambda: cli.SweepConfig.from_dict({"checks": ["theorem"], "aSet": [-1]}),
+        lambda: cli.SweepConfig(checks=("theorem",), a_set=(F(-1),),
+                                theorem_argument="one"),
+    ),
+}
+PUBLIC_VALUES = ("GammaProduct", "TruncatedSeries", "HyperSpec", "IdentityCase",
+                 "VerificationRecord")
+RECORD_FIELDS = ["check", "j", "a", "b", "d", "e", "branch", "lhs", "rhs",
+                 "equal", "error"]
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_compare_and_hash_on_their_fields(name):
+    make, twin, changed = VALUES[name]
+    value = make()
+    assert value == twin() and hash(value) == hash(twin())
+    assert value != changed() and not value == changed()
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_survive_a_pickle_round_trip(name):
+    value = VALUES[name][0]()
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is type(value)
+    assert restored == value and hash(restored) == hash(value)
+
+
+@pytest.mark.parametrize("name", PUBLIC_VALUES)
+def test_public_values_are_not_tuples(name):
+    value = VALUES[name][0]()
+    assert not isinstance(value, tuple)
+    with pytest.raises(TypeError):
+        len(value)
+    assert value != tuple(vars(value).values())
+
+
+def test_record_fields_and_status():
+    rec = VALUES["VerificationRecord"][0]()
+    assert list(vars(rec)) == RECORD_FIELDS
+    assert rec.status == "passed"
+    assert VALUES["VerificationRecord"][2]().status == "failed"
+    skipped = VerificationRecord("theorem", error="PoleError: Gamma(0) is a pole")
+    assert skipped.status == "skipped"
+    errored = VerificationRecord("theorem", error="Unexpected KeyError: 1")
+    assert errored.status == "errored"
+    assert list(vars(skipped)) == RECORD_FIELDS
+
+
+def test_spec_equality_ignores_its_row_cache():
+    make, twin, _ = VALUES["HyperSpec"]
+    spec, other = make(), twin()
+    spec.rows(3)
+    assert spec == other and hash(spec) == hash(other)
+    assert pickle.loads(pickle.dumps(spec)) == other
+
+
+def test_case_normalizes_its_parameters_and_finds_its_branch():
+    case = IdentityCase(3, -2, 1, F(1, 2), 4)
+    assert [type(x) for x in (case.a, case.b, case.d, case.e)] == [F] * 4
+    assert case.branch == "a"
+    assert IdentityCase(3, F(1, 3), 1, -1, 4).branch == "d"
+    assert IdentityCase(3, F(1, 3), 1, F(1, 2), 4).branch is None
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    # The value types are plain classes: importing the package loads
+    # neither dataclasses nor inspect (and with it dis, ast and tokenize).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, hyperverify.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("err", [
+    PoleError(-3),
+    TranscendentalResidue(F(1, 2)),
+    DenominatorPoleBeforeTermination(F(-2), index=3),
+    DenominatorPoleBeforeTermination(-1),
+    UnsupportedJ(7, limit=3),
+    NonTerminatingSeries("no numerator parameter terminates the series"),
+    InvalidCase("e must be nonzero"),
+], ids=lambda err: type(err).__name__)
+def test_errors_survive_a_pickle_round_trip(err):
+    # A sweep memo keeps the errors it raised, and a pool pickles memos.
+    restored = pickle.loads(pickle.dumps(err))
+    assert type(restored) is type(err)
+    assert str(restored) == str(err) and restored.args == err.args
+    assert vars(restored) == vars(err)
