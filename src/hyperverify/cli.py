@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .identities import J_LIMIT, VerificationRecord, coeff_A, coeff_B, grid_sweep
@@ -196,6 +195,54 @@ def _summary(records) -> dict:
 
 def _exit_code(summary: dict) -> int:
     return 0 if summary["failed"] == 0 and summary["errored"] == 0 else 1
+
+
+def _map_share(fn, share):
+    """One pool task: fn over a contiguous share of a map's items."""
+    return [fn(item) for item in share]
+
+
+class ProcessPoolExecutor:
+    """A process pool that imports concurrent.futures, and with it
+    multiprocessing, at its first submit, which starts the workers; a
+    run in one process loads neither.  Leaving the block joins them."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self._pool = None
+
+    def submit(self, fn, *args):
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor as Pool
+            self._pool = Pool(max_workers=self.max_workers)
+        return self._pool.submit(fn, *args)
+
+    def map(self, fn, items, chunksize=1):
+        """Executor.map over a list, one task per contiguous share of
+        chunksize items; an error cancels the shares still pending."""
+        futures = [self.submit(_map_share, fn, items[i:i + chunksize])
+                   for i in range(0, len(items), chunksize)]
+
+        def results():
+            try:
+                for future in futures:
+                    yield from future.result()
+            finally:
+                for future in futures:
+                    future.cancel()
+
+        return results()
+
+    def shutdown(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        return False
 
 
 def _pool_map(fn, items, jobs: int, shares: bool = False):

@@ -1,10 +1,13 @@
 """CLI contract: config validation, exit codes, report shape, determinism."""
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -488,6 +491,53 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     assert invoke(["run", "--config", grid_cfg, "--jobs", "8"], capsys)[0] == 1
     assert started == [3, 2]
     assert len(mapped) == 2
+
+
+def _item_and_pid(item):
+    """A pool task: the item and the process that mapped it."""
+    return item, os.getpid()
+
+
+def _touch_unless_negative(folder, item):
+    """A pool task: refuse a negative item at once; otherwise wait a
+    little, then leave a file named after the item."""
+    if item < 0:
+        raise LookupError(item)
+    time.sleep(0.25)
+    (folder / str(item)).touch()
+    return item
+
+
+class TestRealPool:
+    """_pool_map over real worker processes."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+    def test_shares_come_back_in_order(self):
+        out = list(cli._pool_map(_item_and_pid, range(5), jobs=2, shares=True))
+        assert [item for item, _ in out] == [0, 1, 2, 3, 4]
+        # two contiguous shares, [0, 1, 2] and [3, 4], each in one worker
+        pids = [pid for _, pid in out]
+        assert os.getpid() not in pids
+        assert len(set(pids[:3])) == len(set(pids[3:])) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_task_error_reraises_and_leaves_no_worker(self, tmp_path):
+        task = functools.partial(_touch_unless_negative, tmp_path)
+        with pytest.raises(LookupError):
+            list(cli._pool_map(task, [-1, 1, 2, 3], jobs=2, shares=True))
+        assert multiprocessing.active_children() == []
+
+    def test_a_task_error_cancels_the_pending_tasks(self, tmp_path):
+        # One item per task: the first fails at once, and the tasks not
+        # yet handed to a worker are cancelled rather than run.
+        task = functools.partial(_touch_unless_negative, tmp_path)
+        with pytest.raises(LookupError):
+            list(cli._pool_map(task, [-1, *range(1, 15)], jobs=2))
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) < 14
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")

@@ -170,6 +170,22 @@ def test_importing_the_cli_loads_no_dataclasses_machinery():
     assert out.stdout == "[]\n"
 
 
+def test_a_run_in_one_process_loads_no_process_pool():
+    # Only --jobs 2 and up start a pool, so a selftest at --jobs 1 never
+    # imports concurrent.futures or multiprocessing.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import contextlib, io, sys\n"
+            "from hyperverify import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['selftest', '--jobs', '1'])\n"
+            "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "print(code, sorted(loaded))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "1 []\n"
+
+
 @pytest.mark.parametrize("err", [
     PoleError(-3),
     TranscendentalResidue(F(1, 2)),
