@@ -6,10 +6,14 @@ has the unit weight.  The module finds where a family terminates, applies
 the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
 sum may take several specs as the groups of one family, the parameters of
-all of them together.  Each walks the integer ratio rows of its groups
-through one combiner; a sum keeps one running integer pair, which the
-public sums reduce to one `Fraction`, and a series comes back as integer
-numerators over one denominator, with no `Fraction`.
+all of them together.  A sum takes the family's stop once from its specs,
+fetches each spec's integer ratio rows once, and walks them in one plain
+loop (_row_sum), which multiplies the groups' rows step by step, head
+group first, and raises at the first lower parameter that vanishes.  A
+sum keeps one running integer total over one denominator, which the
+public sums reduce to one `Fraction`; a series is walked by the same
+loop, which hands it each term, and comes back as integer numerators
+over one denominator, with no `Fraction`.
 """
 
 import functools
@@ -26,7 +30,6 @@ from .series import (
     _fractions,
     _over_lcm,
     _reduced,
-    _times,
 )
 from .value import Value
 
@@ -112,21 +115,26 @@ def weighted_termination(spec: HyperSpec) -> int | None:
 
 def _stop(specs) -> int | None:
     """The termination index of the family with every spec's parameters."""
-    return min((s.stop for s in specs if s.stop is not None), default=None)
+    stop = None
+    for spec in specs:
+        if spec.stop is not None and (stop is None or spec.stop < stop):
+            stop = spec.stop
+    return stop
 
 
-def check_lower(*specs) -> None:
+def check_lower(*specs) -> int | None:
     """The legality rule of the family with the specs' parameters: no
     lower parameter beta may vanish (at term 1 - beta) while terms are
     alive, that is before the family's stop (None: never).  Of those
     that do, the earliest to vanish, the largest beta, is named, as the
-    combined walk would meet it."""
+    walk would meet it.  Returns the stop."""
     stop = _stop(specs)
     live = [beta for spec in specs for beta in spec.poles
             if stop is None or stop > -beta]
     if live:
         beta = max(live)
         raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
+    return stop
 
 
 def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
@@ -141,63 +149,63 @@ def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
     b_const = ad * math.prod(pd for _, pd in numerators)
     rows = []
     for n in range(count):
-        a = a_const * math.prod(pn + n * pd for pn, pd in numerators)
+        a, b = a_const, b_const
+        for pn, pd in numerators:
+            a *= pn + n * pd
         if a == 0:
             break
-        b = math.prod(qn + n * qd for qn, qd in denominators) * b_const
+        for qn, qd in denominators:
+            b *= qn + n * qd
         rows.append((a, b, None if b else -n))
     return tuple(rows)
 
 
-def _combined(row_sets):
-    """Yield (1, 1), then integer pairs (a_n, b_n), n = 1, 2, ..., with
-    a_n / b_n the ratio of term n to term n-1 of the family with every
-    group's parameters, n! included, until a numerator product vanishes.
-    A lower parameter vanishing at a step walked raises, head group first."""
-    yield 1, 1
-    for n, rows in enumerate(zip(*row_sets), 1):
+def _weighted_terms(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
+    """weight(n) / w_den * term_n for n = 0..up_to, the terms those of
+    _row_sum's walk, as (integer numerators, their least common
+    denominator), reduced; the numerators end early when the terms die
+    out."""
+    terms = []
+    _row_sum(row_sets, up_to, weight, 1, terms)
+    nums, den = _over_lcm([(x // g, y // g) for x, y in terms
+                           for g in (math.gcd(x, y),)])
+    # the terms over den are reduced, so only w_den can cancel
+    g = math.gcd(w_den, *nums)
+    return [x // g for x in nums], den * (w_den // g)
+
+
+def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1,
+             terms=None) -> tuple:
+    """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, the
+    terms those of the family with every group's parameters, n!
+    included, until a numerator product vanishes.  One loop walks the
+    row sets: step n multiplies the groups' rows of that step, head group
+    first, and a lower parameter vanishing there raises.  The weight's
+    ascending coefficients are read by Horner's rule, and the sum is one
+    running integer total over one denominator, returned unreduced:
+    (numerator, denominator), the denominator nonzero and of either sign.
+    A `terms` list gets each weighted term, as (numerator, denominator)."""
+    if up_to < 0:
+        return 0, w_den
+    weight = weight[::-1]
+    total, num, den = weight[-1], 1, 1  # term 0 is 1
+    if terms is not None:
+        terms.append((total, 1))
+    for n, rows in zip(range(1, up_to + 1), zip(*row_sets)):
         a, b = 1, n
         for ra, rb, pole in rows:
             if pole is not None:
                 raise DenominatorPoleBeforeTermination(pole, n)
             a *= ra
             b *= rb
-        yield a, b
-
-
-def _weighted_terms(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
-    """weight(n) / w_den * term_n for n = 0..up_to, the terms those of
-    the product of the row sets, the weight's ascending coefficients read
-    by Horner's rule, as (integer numerators, their least common
-    denominator), reduced; the numerators end early when the terms die
-    out.  Each term is kept in lowest terms as it is walked."""
-    terms, num, den, weight = [], 1, 1, weight[::-1]
-    for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
-        num, den = _times(num, den, a, b)
-        w = 0
-        for c in weight:
-            w = w * n + c
-        g = math.gcd(w, den)
-        terms.append((w // g * num, den // g))
-    nums, den = _over_lcm(terms)
-    # the terms over den are reduced, so only w_den can cancel
-    g = math.gcd(w_den, *nums)
-    return [x // g for x in nums], den * (w_den // g)
-
-
-def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
-    """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, as in
-    _weighted_terms, kept as one running integer total over one den and
-    returned unreduced: (numerator, denominator), the denominator nonzero
-    and of either sign."""
-    total, num, den, weight = 0, 1, 1, weight[::-1]
-    for n, (a, b) in zip(range(up_to + 1), _combined(row_sets)):
         num *= a
         den *= b
         w = 0
         for c in weight:
             w = w * n + c
         total = total * b + w * num
+        if terms is not None:
+            terms.append((w * num, den))
     return total, den * w_den
 
 
@@ -206,10 +214,10 @@ def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
     return Fraction(*_row_sum(row_sets, up_to, weight, w_den))
 
 
-def _weighted_pair(*specs: HyperSpec) -> tuple:
+def _sum_to(specs, stop) -> tuple:
     """Sum of the family with the specs' parameters and the first one's
-    weight, up to the family's stop, as _row_sum's unreduced pair."""
-    stop = _stop(specs)
+    weight, up to stop, the family's stop, as _row_sum's unreduced pair:
+    each spec's rows are fetched once and walked in one loop."""
     if stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer")
@@ -217,10 +225,16 @@ def _weighted_pair(*specs: HyperSpec) -> tuple:
                     *specs[0].integer_weight)
 
 
+def _weighted_pair(*specs: HyperSpec) -> tuple:
+    """_sum_to the family's stop: a lower parameter is only rejected
+    where the walk meets it."""
+    return _sum_to(specs, _stop(specs))
+
+
 def _terminating_pair(*specs: HyperSpec) -> tuple:
-    """_weighted_pair under the legality rule (checked first)."""
-    check_lower(*specs)
-    return _weighted_pair(*specs)
+    """_weighted_pair under the legality rule (checked first), which
+    gives the stop the walk takes."""
+    return _sum_to(specs, check_lower(*specs))
 
 
 def eval_terminating(*specs: HyperSpec) -> Fraction:
@@ -239,8 +253,8 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     """Series expansion in the argument, under the legality rule:
     coefficient n is term n at argument 1, so the stored argument of the
     spec is ignored."""
-    check_lower(spec)
-    limit = order if spec.stop is None else min(order, spec.stop)
+    stop = check_lower(spec)
+    limit = order if stop is None else min(order, stop)
     rows = ratio_rows(spec.num_pairs, spec.den_pairs, (1, 1), limit)
     nums, den = _weighted_terms((rows,), limit, *spec.integer_weight)
     return _reduced(nums + [0] * (order + 1 - len(nums)), den)

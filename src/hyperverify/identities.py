@@ -363,9 +363,12 @@ def _columns(tails, columns) -> list:
 
 
 def _invariant(compute):
-    """A _Row property: compute(row) at its first read, kept in the row's
-    store under compute's name, so a filled memo still pickles."""
-    return property(lambda row: _stored(row.store, compute.__name__, compute, row))
+    """A _Row attribute: compute(row) at its first read, kept in the row's
+    store under compute's name, so a filled memo still pickles.  A value
+    is also kept on the row itself, so the row's later reads are plain
+    attribute reads; a kept error is raised again at every read."""
+    return functools.cached_property(
+        lambda row: _stored(row.store, compute.__name__, compute, row))
 
 
 class _Row:
@@ -374,9 +377,13 @@ class _Row:
     here: each method takes one column (see _column) and computes one
     side of one case.  The row is the cache of what its cases share: its
     store (see _stored) keeps each invariant under its name and each left
-    side under its column's (d, e) integer pairs.  `memo` is the sweep
-    memo, which keeps the row itself and the helpers scoped to (j, b) or
-    (a, d, e), or None for a one-case row."""
+    side under its column's (d, e) integer pairs.  An invariant is read
+    at the first column that needs it, in the order the case reads it,
+    and once it holds a value the row's later columns read it as a plain
+    attribute.  `memo` is the sweep memo, which keeps the row itself, the
+    weighted heads and the odd scale under (j, a, b) whatever the
+    argument, and the helpers scoped to (j, b) or (a, d, e), or None for
+    a one-case row."""
 
     def __init__(self, j: int, a: Fraction, b: Fraction, argument, memo=None):
         self.j, self.a, self.b, self.argument = j, a, b, argument
@@ -395,7 +402,7 @@ class _Row:
 
     @_invariant
     def part_heads(self) -> tuple:
-        return _part_heads(self.j, self.a, self.b, memo=self.memo)
+        return _memoized(self.memo, _part_heads, self.j, self.a, self.b, memo=self.memo)
 
     @_invariant
     def even_scale(self) -> Fraction:
@@ -403,7 +410,7 @@ class _Row:
 
     @_invariant
     def odd_scale(self) -> Fraction:
-        return _odd_scale(self.j, self.a, self.b, memo=self.memo)
+        return _memoized(self.memo, _odd_scale, self.j, self.a, self.b, memo=self.memo)
 
     @_invariant
     def corollary_heads(self) -> tuple:
@@ -699,9 +706,7 @@ def _evaluate_row(job, memo=None) -> list:
         table = _memoized(memo, _columns, tails, columns)
     records = []
     for column in table:
-        base = dict(check=check, j=j, a=a, b=b, d=column[0], e=column[1])
-        if row is not None:
-            base["branch"] = "a" if row.a_branch else "d" if column[2] else None
+        branch = "a" if row is not None and row.a_branch else "d" if column[2] else None
         try:
             if row is None:
                 lhs, rhs, equal = _series_sides(check, j, a, b, order, memo)
@@ -721,11 +726,12 @@ def _evaluate_row(job, memo=None) -> list:
             else:  # pipeline
                 lhs = row.moment_pair(column)
                 lhs, rhs, equal = _sides(lhs, row.left(column))
+            error = None
         except Exception as err:  # noqa: BLE001 - embed bugs as errored records
-            records.append(VerificationRecord(error=_error_tag(err), **base))
-        else:
-            records.append(VerificationRecord(lhs=lhs, rhs=rhs, equal=equal,
-                                              **base))
+            lhs = rhs = equal = None
+            error = _error_tag(err)
+        records.append(VerificationRecord(check, j, a, b, column[0], column[1],
+                                          branch, lhs, rhs, equal, error))
     return records
 
 
@@ -773,12 +779,13 @@ def grid_sweep(
     argument 2, corollary and pipeline sum each left side once;
     corollary and pipeline always sum it at argument 2.  The memo keeps
     the column tables, and the helpers that rows share, under (helper,
-    *args).  The corollary closed forms read none of the weighted sums'
-    values, since they are their independent evaluation.  A kummer or
-    transform job is one case.  `memo` is the dict to keep the entries
-    in, a fresh one when None;
-    since every entry is a pure function of its key, a memo that earlier
-    sweeps filled leaves every record as it is.  A pool's map pickles a
+    *args); the weighted heads and the scales are among them, so a
+    theorem row at argument 1 and a transform row build them once.  The
+    corollary closed forms read none of the weighted sums' values, since
+    they are their independent evaluation.  A kummer or transform job is
+    one case.  `memo` is the dict to keep the entries in, a fresh one
+    when None; since every entry is a pure function of its key, a memo
+    that earlier sweeps filled leaves every record as it is.  A pool's map pickles a
     copy of the memo with each chunk of rows it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]

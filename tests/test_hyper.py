@@ -249,3 +249,9 @@ class TestWeightedSum:
         assert s[1] == 1
         assert s[3] == 2 * F(1, 2) / F(3, 2)
         assert s[5] == 3 * (F(1, 2) * F(3, 2)) / (F(3, 2) * F(5, 2) * 2)
+
+    def test_an_order_below_the_offset_walks_no_term(self):
+        # The odd part starts at degree 1, so at order 0 it has no term.
+        spec = HyperSpec((F(1, 2),), (F(3, 2),), weight=(2, 1), power_offset=1)
+        assert weighted_series(spec, 0).coefficients == (0,)
+        assert sum_rows((spec.rows(0),), -1, (2, 1)) == 0

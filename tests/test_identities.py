@@ -519,6 +519,41 @@ class TestGridSweep:
             "vanishes at term 4"] * 4
         assert len(calls) == 1
 
+    def test_row_errors_come_in_column_order(self):
+        # At (j, a, b) = (1, 1/3, -1/2) both the odd scale's lower
+        # parameter 2b + j and the even head's b + j/2 are 0.  The d = -1
+        # column ends the even walk at term 0, so the odd scale raises;
+        # the d = -2 column walks the even part to term 1 first, where its
+        # pole raises.  The row reads its odd scale only where a column
+        # reaches the odd part, so each column keeps its own error, with
+        # a fresh memo and with one the same sweep filled.
+        sweep = ((1,), (F(1, 3),), (F(-1, 2),), (F(1, 2), -1, F(5, 2), -2),
+                 (4,), ("theorem",))
+        invalid = "InvalidCase: neither a nor d is a nonpositive integer"
+        pole = "DenominatorPoleBeforeTermination: denominator parameter 0"
+        memo = {}
+        for _ in range(2):
+            assert [r.error for r in grid_sweep(*sweep, memo=memo)] == [
+                invalid, pole, invalid, pole + " vanishes at term 1"]
+
+    def test_argument_one_builds_each_rows_heads_once(self, monkeypatch):
+        # theorem at argument 1 and transform read different rows of one
+        # (j, a, b); the weighted heads are keyed on (j, a, b) alone, so
+        # the 44 rows build 44 heads, not 88.
+        calls = []
+        part_heads = identities._part_heads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return part_heads(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "_part_heads", counted)
+        records = grid_sweep(range(-5, 6), (-1, -2), (F(1, 3), F(2, 5)),
+                             (F(1, 2), 1), (4,), ("theorem", "transform"),
+                             theorem_argument=1)
+        assert len(records) == 44 * 2 + 44
+        assert len(calls) == len(set(calls)) == 44
+
     def test_row_invariants_are_shared_across_checks(self, monkeypatch):
         # transform and theorem read one row per (j, a, b) at argument 2,
         # so the weighted heads are built once per row, not per check.

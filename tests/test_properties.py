@@ -412,6 +412,36 @@ def test_two_group_walk_matches_one_group_and_direct_sums(family, up_to):
              for n in alive), F(0))
 
 
+@given(split_families(), st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(0, 8))
+def test_weighted_two_group_walk_matches_one_group_and_direct_sums(
+        family, weight, w_den, up_to):
+    # The theorem's right side walks a head spec that carries an integer
+    # weight polynomial (degree <= 2) over w_den with a tail spec: the
+    # same value, or the same error, as one group of all the parameters,
+    # and the value of the weighted terms summed directly.
+    nums, dens, arg, (cn, cd) = family
+    weight = tuple(weight)
+    fractions = [F(c, w_den) for c in weight]
+    head = HyperSpec(nums[:cn], dens[:cd], arg, weight=fractions)
+    tail = HyperSpec(nums[cn:], dens[cd:])
+    split = outcome(lambda: sum_rows((head.rows(up_to), tail.rows(up_to)),
+                                     up_to, weight, w_den))
+    whole = outcome(lambda: sum_rows(
+        (HyperSpec(nums, dens, arg).rows(up_to),), up_to, weight, w_den))
+    assert split == whole
+    if not isinstance(split, str):
+        alive = [n for n in range(up_to + 1)
+                 if all(rising(p, n) != 0 for p in nums)]
+        terms = HyperSpec(nums, dens, weight=fractions)
+        assert split == sum((weighted_term(terms, n) * arg ** n
+                             for n in alive), F(0))
+    # walked to the family's stop, the specs give the same sum
+    stops = [s.stop for s in (head, tail) if s.stop is not None]
+    if stops and min(stops) <= up_to:
+        assert outcome(lambda: eval_weighted_sum(head, tail)) == split
+
+
 @given(split_families())
 def test_split_terminating_sum_matches_one_spec_and_direct_sum(family):
     # The theorem's left side and the corollaries sum a head and a tail
