@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import PoleError, TranscendentalResidue
-from .value import Value
+from .value import Value, as_fraction
 
 
 def is_nonpositive_integer(q) -> bool:
@@ -25,8 +25,7 @@ def pochhammer(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product (n = 0) is 1."""
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
+    p, q = as_fraction(a, "a").as_integer_ratio()
     return Fraction(math.prod(p + k * q for k in range(n)), q**n)
 
 
@@ -62,7 +61,7 @@ class GammaProduct(Value):
     def __init__(self, factors: tuple):
         merged = {}
         for arg, exp in factors:
-            arg = Fraction(arg)
+            arg = as_fraction(arg, "a Gamma argument")
             merged[arg] = merged.get(arg, 0) + int(exp)
         self.__dict__["factors"] = tuple(
             sorted((a, e) for a, e in merged.items() if e != 0))

@@ -10,13 +10,12 @@ all of them together.  A sum takes the family's stop once from its specs,
 fetches each spec's integer ratio rows once, and walks them in one plain
 loop (_row_sum), which multiplies the groups' rows step by step, head
 group first, and raises at the first lower parameter that vanishes.  A
-sum keeps one running integer total over one denominator, which the
-public sums reduce to one `Fraction`; a series is walked by the same
+sum keeps one running integer total over one denominator, and comes
+back as that unreduced integer pair; a series is walked by the same
 loop, which hands it each term, and comes back as integer numerators
 over one denominator, with no `Fraction`.
 """
 
-import functools
 import math
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _common_denominator,
-    _fractions,
     _over_lcm,
     _reduced,
 )
@@ -44,8 +42,9 @@ class HyperSpec(Value):
     absorbed closed forms computed elsewhere stay an independent path.
     weighted_series puts term n on degree 2n + power_offset of a series
     in x.  Construction applies no legality rule (see check_lower), so a
-    spec can also be one group of a larger family.  The sums read the
-    parameters and argument as reduced integer pairs (p, q), q > 0.
+    spec can also be one group of a larger family.  The parameters and
+    the argument are integer pairs (p, q), q != 0, which the constructor
+    reduces so that q > 0; the weight is a tuple of Fractions.
 
     A spec also keeps, uncompared: `stop`, the smallest M with every term
     beyond M zero, or None; `poles`, its nonpositive-integer lower
@@ -55,31 +54,16 @@ class HyperSpec(Value):
 
     _fields = ("num_pairs", "den_pairs", "arg_pair", "weight", "power_offset")
 
-    def __init__(self, numerators, denominators, argument=1, *,
-                 weight=(1,), power_offset=0):
-        nums, dens = _fractions(numerators), _fractions(denominators)
-        (arg,) = _fractions((argument,))
-        _set_up(self, [p.as_integer_ratio() for p in nums],
-                [q.as_integer_ratio() for q in dens], arg.as_integer_ratio(),
-                _fractions(weight), power_offset)
-        self.__dict__.update(numerators=nums, denominators=dens, argument=arg)
-
-    @classmethod
-    def from_pairs(cls, numerators, denominators, argument=(1, 1), *,
-                   weight=(Fraction(1),), power_offset=0) -> "HyperSpec":
-        """The spec of integer-pair parameters and argument (p, q), q != 0,
-        each reduced here, and a weight of Fractions; its Fraction
-        numerators, denominators and argument are built when first read."""
-        spec = object.__new__(cls)
-        _set_up(spec, map(_lowest, numerators), map(_lowest, denominators),
-                _lowest(argument), weight, power_offset)
-        return spec
-
-    numerators = functools.cached_property(
-        lambda self: tuple(Fraction(p, q) for p, q in self.num_pairs))
-    denominators = functools.cached_property(
-        lambda self: tuple(Fraction(p, q) for p, q in self.den_pairs))
-    argument = functools.cached_property(lambda self: Fraction(*self.arg_pair))
+    def __init__(self, numerators, denominators, argument=(1, 1), *,
+                 weight=(Fraction(1),), power_offset=0):
+        dens = tuple(map(_lowest, denominators))
+        self.__dict__.update(
+            num_pairs=tuple(map(_lowest, numerators)), den_pairs=dens,
+            arg_pair=_lowest(argument), weight=weight,
+            power_offset=power_offset,
+            integer_weight=_common_denominator(weight),
+            poles=tuple(p for p, q in dens if q == 1 and p <= 0), _rows={})
+        self.__dict__["stop"] = weighted_termination(self)
 
     def rows(self, count: int) -> tuple:
         """ratio_rows of the spec's parameters and argument, built once
@@ -95,16 +79,6 @@ def _lowest(pair) -> tuple:
     p, q = pair
     g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
     return p // g, q // g
-
-
-def _set_up(spec, nums, dens, arg, weight, power_offset) -> None:
-    """Set the fields of a spec from its reduced integer pairs."""
-    dens = tuple(dens)
-    spec.__dict__.update(
-        num_pairs=tuple(nums), den_pairs=dens, arg_pair=arg, weight=weight,
-        power_offset=power_offset, integer_weight=_common_denominator(weight),
-        poles=tuple(p for p, q in dens if q == 1 and p <= 0), _rows={})
-    spec.__dict__["stop"] = weighted_termination(spec)
 
 
 def weighted_termination(spec: HyperSpec) -> int | None:
@@ -209,11 +183,6 @@ def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1,
     return total, den * w_den
 
 
-def sum_rows(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> Fraction:
-    """The value of _row_sum, reduced."""
-    return Fraction(*_row_sum(row_sets, up_to, weight, w_den))
-
-
 def _sum_to(specs, stop) -> tuple:
     """Sum of the family with the specs' parameters and the first one's
     weight, up to stop, the family's stop, as _row_sum's unreduced pair:
@@ -235,18 +204,6 @@ def _terminating_pair(*specs: HyperSpec) -> tuple:
     """_weighted_pair under the legality rule (checked first), which
     gives the stop the walk takes."""
     return _sum_to(specs, check_lower(*specs))
-
-
-def eval_terminating(*specs: HyperSpec) -> Fraction:
-    """Exact value of a terminating series, the family with the specs'
-    parameters, under the legality rule (checked first)."""
-    return Fraction(*_terminating_pair(*specs))
-
-
-def eval_weighted_sum(*specs: HyperSpec) -> Fraction:
-    """Exact sum of the weighted terms up to the family's stop; a lower
-    parameter is only rejected where the walk meets it."""
-    return Fraction(*_weighted_pair(*specs))
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:

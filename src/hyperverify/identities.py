@@ -49,7 +49,7 @@ from .hyper import (
     weighted_series,
 )
 from .series import TruncatedSeries, _common_denominator, binomial_series
-from .value import Value
+from .value import Value, as_fraction
 
 TWO = Fraction(2)
 
@@ -215,10 +215,10 @@ def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
     # b + (j + k)/2 over 2 bd
     shift = [(2 * bn + (j + k) * bd, 2 * bd) for k in range(3)]
-    even = HyperSpec.from_pairs(((an, ad), a_half, (bn + (j + 1) // 2 * bd, bd)),
-                                shift[:2], weight=w_even)
-    odd = HyperSpec.from_pairs((a_half, a_one, (bn + (1 + j // 2) * bd, bd)),
-                               shift[1:], weight=w_odd, power_offset=1)
+    even = HyperSpec(((an, ad), a_half, (bn + (j + 1) // 2 * bd, bd)),
+                     shift[:2], weight=w_even)
+    odd = HyperSpec((a_half, a_one, (bn + (1 + j // 2) * bd, bd)),
+                    shift[1:], weight=w_odd, power_offset=1)
     live = an != 0 and w_odd != (0,)
     return even, (odd if live else None)
 
@@ -240,8 +240,8 @@ def _moment_tails(d: Fraction, e: Fraction) -> tuple:
     (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
     hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
     he = [(en + k * ed, 2 * ed) for k in range(3)]
-    return (HyperSpec.from_pairs(hd[:2], he[:2]),
-            HyperSpec.from_pairs(hd[1:], he[1:]), Fraction(dn * ed, dd * en))
+    return (HyperSpec(hd[:2], he[:2]), HyperSpec(hd[1:], he[1:]),
+            Fraction(dn * ed, dd * en))
 
 
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
@@ -257,7 +257,7 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     """
     _table_row(j)
     (an, ad), (bn, bd) = _ratio(a), _ratio(b)
-    spec = HyperSpec.from_pairs(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
+    spec = HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
     core = series_in_z(spec, order)
     c = [ck * (-2) ** k for k, ck in enumerate(core.numerators)]
     substituted, level = [c[0]], c[1:]
@@ -296,8 +296,7 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     real check, not a tautology.
     """
     (an, ad), (bn, bd) = _ratio(a), _ratio(b)
-    spec = HyperSpec.from_pairs(((an, ad), (2 * an + ad, 2 * ad)),
-                                ((2 * bn + bd, 2 * bd),))
+    spec = HyperSpec(((an, ad), (2 * an + ad, 2 * ad)), ((2 * bn + bd, 2 * bd),))
     return weighted_series(spec, order)
 
 
@@ -312,9 +311,7 @@ class IdentityCase(Value):
             raise TypeError(f"j must be an int, not {type(j).__name__}")
         self.__dict__["j"] = j
         for name, value in zip("abde", (a, b, d, e)):
-            if isinstance(value, float):
-                raise TypeError(f"{name} must be exact, not a float")
-            self.__dict__[name] = value if type(value) is Fraction else Fraction(value)
+            self.__dict__[name] = as_fraction(value, name)
 
     @functools.cached_property
     def branch(self) -> str | None:
@@ -336,16 +333,15 @@ def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
     e_, a2, d_ = en * ad * dd, 2 * an * dd * ed, dn * ad * ed
     prefactor = _gamma_ratio(((en, ed), (e_ - a2 - d_, den)),
                              ((e_ - a2, den), (e_ - d_, den)))
-    return prefactor, HyperSpec.from_pairs(((dn, dd),),
-                                           ((den + a2 + d_ - e_, den),))
+    return prefactor, HyperSpec(((dn, dd),), ((den + a2 + d_ - e_, den),))
 
 
 def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
     """The left side's (j, a, b) part at argument: its 3F2's spec (2a, b;
     2b + j)."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return HyperSpec.from_pairs(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
-                                _ratio(argument))
+    return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
+                     _ratio(argument))
 
 
 def _column(d: Fraction, e: Fraction, tails=None) -> tuple:
@@ -526,7 +522,7 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
 
     a0, a_half, a_one = (an, ad), (2 * an + ad, 2 * ad), (an + ad, ad)
     if j == 0:
-        return HyperSpec.from_pairs((a0, a_half), (at(2, 1, 2),)), 0, None
+        return HyperSpec((a0, a_half), (at(2, 1, 2),)), 0, None
     # the first series, c, x, y of the scale c a / (x b + y), the second
     if j == 1:
         first = ((a0, a_half), (at(2, 1, 2),))
@@ -549,7 +545,7 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
         c, x, y = -6, 2, -3
         second = ((a_one, a_half, at(3, 1, 4)), (at(3, -3, 4), at(2, -1, 2)))
     scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
-    return HyperSpec.from_pairs(*first), scale, HyperSpec.from_pairs(*second)
+    return HyperSpec(*first), scale, HyperSpec(*second)
 
 
 def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
@@ -559,8 +555,8 @@ def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
     (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
     ds = [(dn, 2 * dd), (dn + dd, 2 * dd), (dn + 2 * dd, 2 * dd)]
     es = [(en, 2 * ed), (en + ed, 2 * ed), (en + 2 * ed, 2 * ed)]
-    return (HyperSpec.from_pairs(ds[:2], es[:2]),
-            HyperSpec.from_pairs(ds[1:], es[1:]), Fraction(dn * ed, dd * en))
+    return (HyperSpec(ds[:2], es[:2]), HyperSpec(ds[1:], es[1:]),
+            Fraction(dn * ed, dd * en))
 
 
 def corollary_rhs(case: IdentityCase) -> Fraction:

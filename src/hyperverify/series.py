@@ -17,14 +17,14 @@ import math
 import operator
 from fractions import Fraction
 
-from .value import Value
+from .value import Value, as_fraction
 
 
 class TruncatedSeries(Value):
     _fields = ("numerators", "denominator")
 
     def __init__(self, coefficients):
-        coeffs = _fractions(coefficients)
+        coeffs = tuple(as_fraction(c, "a coefficient") for c in coefficients)
         _set(self, *_common_denominator(coeffs))
         self.__dict__["coefficients"] = coeffs
 
@@ -129,8 +129,3 @@ def _common_denominator(coeffs) -> tuple:
     least common denominator d."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _fractions(values) -> tuple:
-    """values as a tuple of Fractions, wrapping only those that are not."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)

@@ -3,6 +3,16 @@ constructor, which writes its fields (named in `_fields`) and anything it
 keeps beside them straight into its `__dict__`.  Values of one type are
 equal when their fields are, and equal values hash alike."""
 
+from fractions import Fraction
+
+
+def as_fraction(value, name: str) -> Fraction:
+    """value as a Fraction, kept as it is when it is one; a float is
+    refused, not read as its binary value."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be exact, not a float")
+    return value if type(value) is Fraction else Fraction(value)
+
 
 class Value:
     def _key(self) -> tuple:

@@ -6,10 +6,12 @@ recomputes it the direct way at small orders.  The package interpolates
 the weight polynomials with integer Newton differences; the plain
 Fraction Newton loop here is the reference they are checked against.
 The package sums a terminating series by iterated integer term ratios;
-the direct sum here rebuilds every term from scratch instead.  The package
-reduces Gamma products on integer pairs; the Fraction reduction here,
-with one Pochhammer symbol per pair, is the reference it is checked
-against.
+the direct sum here rebuilds every term from scratch instead.  The
+package builds its specs from integer pairs and keeps each sum as an
+integer pair; `spec` and the three sums here let the tests state a spec
+in rationals and read a sum as one Fraction.  The package reduces Gamma
+products on integer pairs; the Fraction reduction here, with one
+Pochhammer symbol per pair, is the reference it is checked against.
 """
 
 import math
@@ -22,6 +24,12 @@ from hyperverify.errors import (
     VerificationError,
 )
 from hyperverify.exact import pochhammer
+from hyperverify.hyper import (
+    HyperSpec,
+    _row_sum,
+    _terminating_pair,
+    _weighted_pair,
+)
 from hyperverify.series import TruncatedSeries
 
 
@@ -81,6 +89,27 @@ def fraction_poly_from_samples(samples) -> tuple:
     return tuple(coeffs)
 
 
+def spec(numerators, denominators, argument=1, *, weight=(1,), power_offset=0):
+    """The HyperSpec of rational parameters, argument and weight."""
+    nums, dens, (arg,) = ([Fraction(x).as_integer_ratio() for x in xs]
+                          for xs in (numerators, denominators, [argument]))
+    return HyperSpec(nums, dens, arg, weight=tuple(map(Fraction, weight)),
+                     power_offset=power_offset)
+
+
+# hyper's integer sums, each reduced to one Fraction
+def sum_rows(*args) -> Fraction:
+    return Fraction(*_row_sum(*args))
+
+
+def eval_terminating(*specs) -> Fraction:
+    return Fraction(*_terminating_pair(*specs))
+
+
+def eval_weighted_sum(*specs) -> Fraction:
+    return Fraction(*_weighted_pair(*specs))
+
+
 def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:
     """The terminating series of a HyperSpec, every term rebuilt from
     scratch with its own Pochhammer products, summed upwards or, with
@@ -90,13 +119,13 @@ def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:
             "no numerator parameter is a nonpositive integer"
         )
     indices = range(spec.stop, -1, -1) if reverse else range(spec.stop + 1)
-    total = Fraction(0)
+    argument, total = Fraction(*spec.arg_pair), Fraction(0)
     for n in indices:
-        term = spec.argument ** n / math.factorial(n)
-        for p in spec.numerators:
-            term *= pochhammer(p, n)
-        for q in spec.denominators:
-            term /= pochhammer(q, n)
+        term = argument ** n / math.factorial(n)
+        for p in spec.num_pairs:
+            term *= pochhammer(Fraction(*p), n)
+        for q in spec.den_pairs:
+            term /= pochhammer(Fraction(*q), n)
         total += term
     return total
 

@@ -20,7 +20,7 @@ from hyperverify import (
     theorem_rhs,
     verify_theorem,
 )
-from hyperverify.hyper import HyperSpec, series_in_z
+from hyperverify.hyper import series_in_z
 from hyperverify.identities import (
     COEFF_TABLE,
     _weight_poly,
@@ -37,7 +37,7 @@ from hyperverify.identities import (
     odd_prefactor,
 )
 from hyperverify.series import binomial_series
-from series_oracle import compose, mobius_arg
+from series_oracle import compose, mobius_arg, spec
 
 
 class TestWeightTable:
@@ -143,7 +143,7 @@ class TestGenTransform:
         for a in (F(1, 4), F(-2)):
             for b in (F(1, 3), F(2, 7), F(-1), F(3)):
                 try:
-                    core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
+                    core = series_in_z(spec((2 * a, b), (2 * b + j,)), order)
                 except DenominatorPoleBeforeTermination:
                     with pytest.raises(DenominatorPoleBeforeTermination):
                         gen_transform_lhs_series(j, a, b, order)
@@ -159,7 +159,7 @@ class TestGenTransform:
         # The summation table walks as many levels as the order asks, so
         # one case well past the canonical order 24 meets the oracle too.
         j, a, b, order = 3, F(1, 4), F(2, 7), 40
-        core = series_in_z(HyperSpec((2 * a, b), (2 * b + j,)), order)
+        core = series_in_z(spec((2 * a, b), (2 * b + j,)), order)
         oracle = binomial_series(2 * a, order) * compose(core, mobius_arg(order))
         assert gen_transform_lhs_series(j, a, b, order) == oracle
 

@@ -24,7 +24,7 @@ from hyperverify import (
     cli,
     suites,
 )
-from hyperverify.exact import GammaProduct
+from hyperverify.exact import GammaProduct, pochhammer
 from hyperverify.hyper import HyperSpec
 from hyperverify.identities import IdentityCase, VerificationRecord
 from hyperverify.series import TruncatedSeries
@@ -66,11 +66,12 @@ VALUES = {
         lambda: TruncatedSeries((1, F(1, 2), F(1, 4))),
     ),
     "HyperSpec": (
-        lambda: HyperSpec((F(1, 3), -2), (F(5, 2),), 2, weight=(1, F(1, 2)),
-                          power_offset=1),
-        lambda: HyperSpec.from_pairs(((2, 6), (-2, 1)), ((5, 2),), (4, 2),
-                                     weight=(F(1), F(1, 2)), power_offset=1),
-        lambda: HyperSpec((F(1, 3), -2), (F(5, 2),), 2, weight=(1, F(1, 2))),
+        lambda: HyperSpec(((1, 3), (-2, 1)), ((5, 2),), (2, 1),
+                          weight=(F(1), F(1, 2)), power_offset=1),
+        lambda: HyperSpec(((2, 6), (2, -1)), ((-5, -2),), (4, 2),
+                          weight=(F(1), F(1, 2)), power_offset=1),
+        lambda: HyperSpec(((1, 3), (-2, 1)), ((5, 2),), (2, 1),
+                          weight=(F(1), F(1, 2))),
     ),
     "IdentityCase": (
         lambda: IdentityCase(3, F(-2), F(1, 3), F(1, 2), F(4)),
@@ -140,6 +141,18 @@ def test_record_fields_and_status():
     errored = VerificationRecord("theorem", error="Unexpected KeyError: 1")
     assert errored.status == "errored"
     assert list(vars(skipped)) == RECORD_FIELDS
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda x: TruncatedSeries((1, x)), "a coefficient"),
+    (lambda x: pochhammer(x, 2), "a"),
+    (lambda x: GammaProduct.ratio((1,), (x,)), "a Gamma argument"),
+], ids=["TruncatedSeries", "pochhammer", "GammaProduct"])
+def test_exact_constructors_refuse_a_float(make, name):
+    # 0.1 would be read at its binary value, not at 1/10
+    with pytest.raises(TypeError, match=f"^{name} must be exact, not a float$"):
+        make(0.1)
+    assert make("0.1") == make(F(1, 10))
 
 
 def test_spec_equality_ignores_its_row_cache():

@@ -20,11 +20,8 @@ from hyperverify.exact import (
 from hyperverify.errors import UnsupportedJ, VerificationError
 from hyperverify.hyper import (
     HyperSpec,
-    eval_terminating,
-    eval_weighted_sum,
     ratio_rows,
     series_in_z,
-    sum_rows,
     weighted_series,
 )
 from hyperverify.identities import (
@@ -37,9 +34,13 @@ from hyperverify.identities import (
 from hyperverify.series import TruncatedSeries, binomial_series
 from series_oracle import (
     compose,
+    eval_terminating,
     eval_terminating_direct,
+    eval_weighted_sum,
     fraction_gamma_simplify,
     fraction_poly_from_samples,
+    spec,
+    sum_rows,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -162,28 +163,28 @@ spec_parameters = st.one_of(st.integers(-4, 0).map(F), small_rationals)
     st.integers(0, 6),
     st.randoms(use_true_random=False),
 )
-def test_spec_from_pairs_equals_the_spec_from_fractions(
+def test_spec_of_unreduced_pairs_is_the_spec_of_reduced_pairs(
         nums, dens, arg, weight, offset, count, rng):
-    # A spec built from integer pairs, unreduced and with denominators of
-    # either sign, is the spec built from the Fractions: the same
-    # parameters, stop, poles, integer weight, rows and sums.
+    # Pairs scaled by a factor of either sign, so unreduced and with
+    # denominators of either sign, give the spec of their reduced pairs:
+    # the same fields, hash, stop, poles, integer weight, rows and sum.
     def pairs(values):
         scales = [rng.choice([1, -1]) * rng.randint(1, 3) for _ in values]
         return [(v.numerator * k, v.denominator * k)
                 for v, k in zip(values, scales)]
 
-    plain = HyperSpec(tuple(nums), tuple(dens), arg, weight=tuple(weight),
-                      power_offset=offset)
-    paired = HyperSpec.from_pairs(pairs(nums), pairs(dens), pairs([arg])[0],
-                                  weight=tuple(weight), power_offset=offset)
-    assert paired == plain
-    assert (paired.numerators, paired.denominators, paired.argument) == (
-        plain.numerators, plain.denominators, plain.argument)
-    assert (paired.stop, paired.poles, paired.integer_weight) == (
-        plain.stop, plain.poles, plain.integer_weight)
-    assert paired.rows(count) == plain.rows(count)
-    assert outcome(lambda: eval_terminating(paired)) == outcome(
-        lambda: eval_terminating(plain))
+    reduced = spec(nums, dens, arg, weight=weight, power_offset=offset)
+    scaled = HyperSpec(pairs(nums), pairs(dens), pairs([arg])[0],
+                       weight=tuple(weight), power_offset=offset)
+    assert scaled == reduced and hash(scaled) == hash(reduced)
+    assert (scaled.num_pairs, scaled.den_pairs, scaled.arg_pair) == (
+        tuple(x.as_integer_ratio() for x in nums),
+        tuple(x.as_integer_ratio() for x in dens), arg.as_integer_ratio())
+    assert (scaled.stop, scaled.poles, scaled.integer_weight) == (
+        reduced.stop, reduced.poles, reduced.integer_weight)
+    assert scaled.rows(count) == reduced.rows(count)
+    assert outcome(lambda: eval_terminating(scaled)) == outcome(
+        lambda: eval_terminating(reduced))
 
 
 @given(series_strategy(), series_strategy(), series_strategy())
@@ -285,7 +286,7 @@ def terminating_specs(
             max_size=2,
         )
     )
-    return HyperSpec((F(-stop), *extra_nums), tuple(dens), draw(arguments))
+    return spec((F(-stop), *extra_nums), tuple(dens), draw(arguments))
 
 
 @given(terminating_specs())
@@ -302,10 +303,10 @@ def test_terminating_sum_matches_direct_at_the_used_arguments(spec):
 
 @given(terminating_specs(), st.randoms(use_true_random=False))
 def test_parameter_reordering_is_invisible(spec, rng):
-    nums, dens = list(spec.numerators), list(spec.denominators)
+    nums, dens = list(spec.num_pairs), list(spec.den_pairs)
     rng.shuffle(nums)
     rng.shuffle(dens)
-    shuffled = HyperSpec(tuple(nums), tuple(dens), spec.argument)
+    shuffled = HyperSpec(nums, dens, spec.arg_pair)
     assert eval_terminating(shuffled) == eval_terminating(spec)
     assert series_in_z(shuffled, 6) == series_in_z(spec, 6)
 
@@ -313,7 +314,8 @@ def test_parameter_reordering_is_invisible(spec, rng):
 @given(terminating_specs())
 def test_series_coefficients_resum_to_value(spec):
     s = series_in_z(spec, 10)
-    total = sum(c * spec.argument ** n for n, c in enumerate(s.coefficients))
+    arg = F(*spec.arg_pair)
+    total = sum(c * arg ** n for n, c in enumerate(s.coefficients))
     assert total == eval_terminating(spec)
 
 
@@ -321,7 +323,7 @@ def test_series_coefficients_resum_to_value(spec):
 def weighted_specs(draw):
     # lower parameters never vanish, so no pole; a nonpositive-integer
     # upper parameter, when drawn, ends the terms early
-    return HyperSpec(
+    return spec(
         weight=tuple(draw(st.lists(rationals, min_size=1, max_size=3))),
         numerators=tuple(draw(st.lists(rationals, max_size=3))),
         denominators=tuple(draw(st.lists(safe_bases, max_size=3))),
@@ -333,10 +335,10 @@ def weighted_term(spec, n):
     """Term n of a weighted family, rebuilt from scratch in plain Fractions."""
     term = sum((c * n**k for k, c in enumerate(spec.weight)), F(0))
     term /= math.factorial(n)
-    for p in spec.numerators:
-        term *= rising(p, n)
-    for q in spec.denominators:
-        term /= rising(q, n)
+    for p in spec.num_pairs:
+        term *= rising(F(*p), n)
+    for q in spec.den_pairs:
+        term /= rising(F(*q), n)
     return term
 
 
@@ -408,7 +410,7 @@ def test_two_group_walk_matches_one_group_and_direct_sums(family, up_to):
                          f"parameter {q} vanishes at term {n}")
     else:
         assert split == sum(
-            (weighted_term(HyperSpec(nums, dens), n) * arg ** n
+            (weighted_term(spec(nums, dens), n) * arg ** n
              for n in alive), F(0))
 
 
@@ -423,17 +425,17 @@ def test_weighted_two_group_walk_matches_one_group_and_direct_sums(
     nums, dens, arg, (cn, cd) = family
     weight = tuple(weight)
     fractions = [F(c, w_den) for c in weight]
-    head = HyperSpec(nums[:cn], dens[:cd], arg, weight=fractions)
-    tail = HyperSpec(nums[cn:], dens[cd:])
+    head = spec(nums[:cn], dens[:cd], arg, weight=fractions)
+    tail = spec(nums[cn:], dens[cd:])
     split = outcome(lambda: sum_rows((head.rows(up_to), tail.rows(up_to)),
                                      up_to, weight, w_den))
     whole = outcome(lambda: sum_rows(
-        (HyperSpec(nums, dens, arg).rows(up_to),), up_to, weight, w_den))
+        (spec(nums, dens, arg).rows(up_to),), up_to, weight, w_den))
     assert split == whole
     if not isinstance(split, str):
         alive = [n for n in range(up_to + 1)
                  if all(rising(p, n) != 0 for p in nums)]
-        terms = HyperSpec(nums, dens, weight=fractions)
+        terms = spec(nums, dens, weight=fractions)
         assert split == sum((weighted_term(terms, n) * arg ** n
                              for n in alive), F(0))
     # walked to the family's stop, the specs give the same sum
@@ -449,11 +451,11 @@ def test_split_terminating_sum_matches_one_spec_and_direct_sum(family):
     # one spec of all the parameters, and the direct sum's value.
     nums, dens, arg, (cn, cd) = family
     split = outcome(lambda: eval_terminating(
-        HyperSpec(nums[:cn], dens[:cd], arg), HyperSpec(nums[cn:], dens[cd:])))
-    whole = outcome(lambda: eval_terminating(HyperSpec(nums, dens, arg)))
+        spec(nums[:cn], dens[:cd], arg), spec(nums[cn:], dens[cd:])))
+    whole = outcome(lambda: eval_terminating(spec(nums, dens, arg)))
     assert split == whole
     if not isinstance(whole, str):
-        assert whole == eval_terminating_direct(HyperSpec(nums, dens, arg))
+        assert whole == eval_terminating_direct(spec(nums, dens, arg))
 
 
 # pole-free picks for the transform invariants
@@ -518,9 +520,6 @@ def test_integer_newton_interpolation_matches_fraction_oracle(coeffs):
 
 
 ints_and_strs = st.one_of(st.integers(-9, 9), rationals.map(str))
-positive_ints_and_strs = st.one_of(
-    st.integers(1, 9), st.fractions(min_value=F(1, 12), max_value=6).map(str)
-)
 
 
 def all_fractions(values, inputs):
@@ -529,25 +528,14 @@ def all_fractions(values, inputs):
     ]
 
 
-@given(
-    st.lists(ints_and_strs, max_size=4),
-    st.lists(positive_ints_and_strs, max_size=3),
-    ints_and_strs,
-    st.lists(ints_and_strs, min_size=4, max_size=4),
-)
-def test_spec_constructors_normalise_int_and_str(nums, dens, arg, point):
-    spec = HyperSpec(tuple(nums), tuple(dens), arg)
-    assert all_fractions(spec.numerators + spec.denominators, nums + dens)
-    assert all_fractions((spec.argument,), (arg,))
-    weighted = HyperSpec(tuple(nums), tuple(dens), weight=tuple(nums))
-    assert all_fractions(weighted.weight, nums)
-    assert all_fractions(weighted.numerators + weighted.denominators, nums + dens)
+@given(st.lists(ints_and_strs, min_size=4, max_size=4))
+def test_value_constructors_normalise_int_and_str(point):
     assert all_fractions(TruncatedSeries(tuple(point)).coefficients, point)
     case = IdentityCase(0, *point)
     assert all_fractions((case.a, case.b, case.d, case.e), point)
     # a Fraction input is kept as it is, not rebuilt
     q = F(point[0])
-    assert HyperSpec((q,), ()).numerators[0] is q
+    assert TruncatedSeries((q,)).coefficients[0] is q
     assert IdentityCase(0, q, q, q, q).a is q
 
 
