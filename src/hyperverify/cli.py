@@ -181,7 +181,7 @@ def _record_json(rec: VerificationRecord) -> dict:
 
 def _sort_key(rec: VerificationRecord):
     def key(v):
-        return (0, Fraction(0)) if v is None else (1, Fraction(v))
+        return (0, 0) if v is None else (1, v)
 
     return (rec.check, key(rec.j), key(rec.a), key(rec.b), key(rec.d), key(rec.e))
 
@@ -415,10 +415,8 @@ def main(argv=None) -> int:
         print(f"hyperverify: --n must be >= 0, got {args.n}", file=sys.stderr)
         return 2
     try:
-        if not _is_rational_text(args.b):
-            raise ValueError(f"expected an integer or 'p/q', got {args.b!r}")
-        b = Fraction(args.b)
-    except (ValueError, ZeroDivisionError) as err:
+        b = _parse_rational(args.b, "--b")
+    except ConfigParseError as err:
         print(f"hyperverify: bad --b value: {err}", file=sys.stderr)
         return 2
     return table(args.j, b, args.n)

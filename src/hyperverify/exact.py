@@ -39,8 +39,7 @@ def pochhammer_duplication(d, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    d = Fraction(d)
-    p, q = d.numerator, d.denominator
+    p, q = as_fraction(d, "d").as_integer_ratio()
     return Fraction(
         math.prod((p + 2 * k * q) * (p + q + 2 * k * q) for k in range(n)),
         q ** (2 * n),
@@ -62,7 +61,9 @@ class GammaProduct(Value):
         merged = {}
         for arg, exp in factors:
             arg = as_fraction(arg, "a Gamma argument")
-            merged[arg] = merged.get(arg, 0) + int(exp)
+            if not isinstance(exp, int):
+                raise TypeError(f"a Gamma exponent must be an int, not {exp!r}")
+            merged[arg] = merged.get(arg, 0) + exp
         self.__dict__["factors"] = tuple(
             sorted((a, e) for a, e in merged.items() if e != 0))
 
@@ -74,9 +75,9 @@ class GammaProduct(Value):
         return cls(tuple(factors))
 
 
-def _ratio(x) -> tuple:
-    """The rational x as its integer pair, with no copy of a Fraction."""
-    return (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+def _ratio(x, name: str) -> tuple:
+    """The rational x as its integer pair, read by as_fraction."""
+    return as_fraction(x, name).as_integer_ratio()
 
 
 def _lone_gamma(p: int, q: int) -> int:

@@ -11,9 +11,10 @@ fetches each spec's integer ratio rows once, and walks them in one plain
 loop (_row_sum), which multiplies the groups' rows step by step, head
 group first, and raises at the first lower parameter that vanishes.  A
 sum keeps one running integer total over one denominator, and comes
-back as that unreduced integer pair; a series is walked by the same
-loop, which hands it each term, and comes back as integer numerators
-over one denominator, with no `Fraction`.
+back as that unreduced integer pair.  A series expansion steps one
+group's rows in the series walk (series._walk_terms), which keeps each
+term reduced, and comes back as integer numerators over their least
+common denominator, with no `Fraction`.
 """
 
 import math
@@ -26,8 +27,8 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _common_denominator,
-    _over_lcm,
     _reduced,
+    _walk_terms,
 )
 from .value import Value
 
@@ -134,22 +135,7 @@ def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
     return tuple(rows)
 
 
-def _weighted_terms(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
-    """weight(n) / w_den * term_n for n = 0..up_to, the terms those of
-    _row_sum's walk, as (integer numerators, their least common
-    denominator), reduced; the numerators end early when the terms die
-    out."""
-    terms = []
-    _row_sum(row_sets, up_to, weight, 1, terms)
-    nums, den = _over_lcm([(x // g, y // g) for x, y in terms
-                           for g in (math.gcd(x, y),)])
-    # the terms over den are reduced, so only w_den can cancel
-    g = math.gcd(w_den, *nums)
-    return [x // g for x in nums], den * (w_den // g)
-
-
-def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1,
-             terms=None) -> tuple:
+def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
     """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, the
     terms those of the family with every group's parameters, n!
     included, until a numerator product vanishes.  One loop walks the
@@ -158,13 +144,11 @@ def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1,
     ascending coefficients are read by Horner's rule, and the sum is one
     running integer total over one denominator, returned unreduced:
     (numerator, denominator), the denominator nonzero and of either sign.
-    A `terms` list gets each weighted term, as (numerator, denominator)."""
+    The loop only sums; a series steps its own walk (series._walk_terms)."""
     if up_to < 0:
         return 0, w_den
     weight = weight[::-1]
     total, num, den = weight[-1], 1, 1  # term 0 is 1
-    if terms is not None:
-        terms.append((total, 1))
     for n, rows in zip(range(1, up_to + 1), zip(*row_sets)):
         a, b = 1, n
         for ra, rb, pole in rows:
@@ -178,8 +162,6 @@ def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1,
         for c in weight:
             w = w * n + c
         total = total * b + w * num
-        if terms is not None:
-            terms.append((w * num, den))
     return total, den * w_den
 
 
@@ -213,7 +195,7 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     stop = check_lower(spec)
     limit = order if stop is None else min(order, stop)
     rows = ratio_rows(spec.num_pairs, spec.den_pairs, (1, 1), limit)
-    nums, den = _weighted_terms((rows,), limit, *spec.integer_weight)
+    nums, den = _walk_terms(rows, *spec.integer_weight)
     return _reduced(nums + [0] * (order + 1 - len(nums)), den)
 
 
@@ -221,8 +203,9 @@ def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
     """The term family rendered as a series in x: term n lands on
     degree 2n + offset, and no term is walked past the order."""
     up_to = (order - spec.power_offset) // 2
-    terms, den = _weighted_terms((spec.rows(up_to),), up_to,
-                                 *spec.integer_weight)
+    if up_to < 0:
+        return _reduced([0] * (order + 1), 1)
+    terms, den = _walk_terms(spec.rows(up_to), *spec.integer_weight)
     nums = [0] * (order + 1)
     start = spec.power_offset
     nums[start:start + 2 * len(terms):2] = terms

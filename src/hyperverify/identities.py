@@ -118,12 +118,12 @@ def _table_row(j: int):
 
 def coeff_A(j: int, b, n: int) -> Fraction:
     """Even-part weight for shift j, evaluated at (b, n)."""
-    return Fraction(_table_row(j)[0](Fraction(b), n))
+    return Fraction(_table_row(j)[0](as_fraction(b, "b"), n))
 
 
 def coeff_B(j: int, b, n: int) -> Fraction:
     """Odd-part weight for shift j, evaluated at (b, n)."""
-    return Fraction(_table_row(j)[1](Fraction(b), n))
+    return Fraction(_table_row(j)[1](as_fraction(b, "b"), n))
 
 
 def _poly_from_samples(samples) -> tuple:
@@ -193,7 +193,7 @@ def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
 def even_prefactor(j: int, b) -> Fraction:
     """Gamma prefactor of the even series part, reduced to a rational:
     Gamma(b) Gamma(1 - b) / (Gamma(b + max(j, 0)) Gamma(1 - b - (j+1)//2))."""
-    p, q = _ratio(b)
+    p, q = _ratio(b, "b")
     return _gamma_ratio(((p, q), (q - p, q)),
                         ((p + max(j, 0) * q, q), (q - p - (j + 1) // 2 * q, q)))
 
@@ -201,7 +201,7 @@ def even_prefactor(j: int, b) -> Fraction:
 def odd_prefactor(j: int, b) -> Fraction:
     """Gamma prefactor of the odd series part (without the 2a/(2b+j) factor):
     Gamma(-b) Gamma(1 + b) / (Gamma(-b - j//2) Gamma(b + max(j, 0)))."""
-    p, q = _ratio(b)
+    p, q = _ratio(b, "b")
     return _gamma_ratio(((-p, q), (q + p, q)),
                         ((-p - j // 2 * q, q), (p + max(j, 0) * q, q)))
 
@@ -256,7 +256,7 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     [x**(m+1)] F(w), so no binomial number is formed.
     """
     _table_row(j)
-    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    (an, ad), (bn, bd) = _ratio(a, "a"), _ratio(b, "b")
     spec = HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
     core = series_in_z(spec, order)
     c = [ck * (-2) ** k for k, ck in enumerate(core.numerators)]
@@ -278,7 +278,8 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     come from the row at argument 2 (see _Row) in `memo`, a dict or None.
     """
     _table_row(j)
-    row = _memoized(memo, _Row, j, Fraction(a), Fraction(b), TWO, memo=memo)
+    row = _memoized(memo, _Row, j, as_fraction(a, "a"), as_fraction(b, "b"),
+                    TWO, memo=memo)
     even, odd = row.part_heads
     total = weighted_series(even, order).scale(row.even_scale)
     if odd is not None:
@@ -295,7 +296,7 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     weight, and no Gamma prefactor, so agreement between the two is a
     real check, not a tautology.
     """
-    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    (an, ad), (bn, bd) = _ratio(a, "a"), _ratio(b, "b")
     spec = HyperSpec(((an, ad), (2 * an + ad, 2 * ad)), ((2 * bn + bd, 2 * bd),))
     return weighted_series(spec, order)
 
@@ -341,7 +342,7 @@ def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
     2b + j)."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
-                     _ratio(argument))
+                     _ratio(argument, "the argument"))
 
 
 def _column(d: Fraction, e: Fraction, tails=None) -> tuple:
@@ -581,7 +582,7 @@ def beta_moment(power: int, d, e) -> Fraction:
     half-shift duplication identity so that step is exercised on every
     pipeline case.
     """
-    d, e = Fraction(d), Fraction(e)
+    d, e = as_fraction(d, "d"), as_fraction(e, "e")
     n, odd = divmod(power, 2)
     if not odd:
         return pochhammer_duplication(d, n) / pochhammer_duplication(e, n)
@@ -789,9 +790,9 @@ def grid_sweep(
         raise ValueError(f"unknown checks: {unknown}")
     # one Fraction per set element, shared by every job that uses it
     a_set, b_set, d_set, e_set = (
-        [Fraction(x) for x in s] for s in (a_set, b_set, d_set, e_set)
-    )
-    theorem_argument = Fraction(theorem_argument)
+        [as_fraction(x, name) for x in s]
+        for s, name in zip((a_set, b_set, d_set, e_set), "abde"))
+    theorem_argument = as_fraction(theorem_argument, "theorem_argument")
     # one tuple of (d, e) columns, as integer pairs, shared by every row
     columns = tuple((d.as_integer_ratio(), e.as_integer_ratio())
                     for d in d_set for e in e_set)

@@ -17,6 +17,7 @@ import math
 import operator
 from fractions import Fraction
 
+from .errors import DenominatorPoleBeforeTermination
 from .value import Value, as_fraction
 
 
@@ -63,7 +64,7 @@ class TruncatedSeries(Value):
             sq * other.denominator)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = as_fraction(c, "a scale factor")
         return TruncatedSeries.over(
             [x * c.numerator for x in self.numerators],
             self.denominator * c.denominator)
@@ -96,15 +97,9 @@ def _set(series, numerators, denominator: int) -> None:
 
 def binomial_series(alpha, order: int) -> TruncatedSeries:
     """Expansion of (1 - x)**(-alpha): coefficient n is (alpha)_n / n!,
-    each a running reduced integer pair, all put over their least
-    common denominator."""
-    alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    terms, x, y = [(1, 1)], 1, 1
-    for n in range(order):
-        x, y = _times(x, y, p + n * q, q * (n + 1))
-        terms.append((x, y))
-    return _reduced(*_over_lcm(terms))
+    the terms of the 1F0 rows (p + n q, q) for alpha = p/q."""
+    p, q = as_fraction(alpha, "alpha").as_integer_ratio()
+    return _reduced(*_walk_terms([(p + n * q, q, None) for n in range(order)]))
 
 
 def _times(x: int, y: int, a: int, b: int) -> tuple:
@@ -117,9 +112,23 @@ def _times(x: int, y: int, a: int, b: int) -> tuple:
     return x // h * (a // g), y // g * (b // h)
 
 
-def _over_lcm(terms) -> tuple:
-    """(numerators, d) for the reduced pairs (x_k, y_k) put over their
-    least common denominator d, so that the result is reduced too."""
+def _walk_terms(rows, weight=(1,), w_den: int = 1) -> tuple:
+    """weight(n) / w_den * term_n for n = 0, 1, ... while the rows last,
+    term n the product of the ratios a/b of one group's rows (a, b, pole)
+    over n!, kept reduced by _times, the weight read by Horner's rule; as
+    (integer numerators, their least common denominator).  A row with a
+    pole raises at the step that walks it."""
+    weight = weight[::-1]
+    terms, x, y = [_times(1, 1, weight[-1], w_den)], 1, 1  # term 0 is 1
+    for n, (a, b, pole) in enumerate(rows, 1):
+        if pole is not None:
+            raise DenominatorPoleBeforeTermination(pole, n)
+        x, y = _times(x, y, a, b * n)
+        w = 0
+        for c in weight:
+            w = w * n + c
+        terms.append(_times(x, y, w, w_den))
+    # reduced pairs over their least common denominator stay reduced
     den = math.lcm(*(y for _, y in terms))
     return [x * (den // y) for x, y in terms], den
 

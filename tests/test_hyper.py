@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hyperverify import hyper
 from hyperverify.errors import (
     DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
@@ -16,6 +17,7 @@ from hyperverify.hyper import (
     weighted_series,
     weighted_termination,
 )
+from hyperverify.suites import KUMMER_SUITE, TRANSFORM_SUITE
 from series_oracle import (
     eval_terminating,
     eval_terminating_direct,
@@ -257,3 +259,14 @@ class TestWeightedSum:
         family = spec((F(1, 2),), (F(3, 2),), weight=(2, 1), power_offset=1)
         assert weighted_series(family, 0).coefficients == (0,)
         assert sum_rows((family.rows(0),), -1, (2, 1)) == 0
+
+
+def test_the_series_checks_never_reach_the_sum_loop(monkeypatch):
+    # A series expansion steps its own walk; only the sums use _row_sum.
+    expected = [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()]
+
+    def refuse(*args):
+        raise AssertionError("a series check reached hyper._row_sum")
+
+    monkeypatch.setattr(hyper, "_row_sum", refuse)
+    assert [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()] == expected

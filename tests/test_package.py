@@ -24,10 +24,22 @@ from hyperverify import (
     cli,
     suites,
 )
-from hyperverify.exact import GammaProduct, pochhammer
+from hyperverify.exact import GammaProduct, pochhammer, pochhammer_duplication
 from hyperverify.hyper import HyperSpec
-from hyperverify.identities import IdentityCase, VerificationRecord
-from hyperverify.series import TruncatedSeries
+from hyperverify.identities import (
+    IdentityCase,
+    VerificationRecord,
+    beta_moment,
+    coeff_A,
+    coeff_B,
+    even_prefactor,
+    gen_transform_lhs_series,
+    gen_transform_rhs_series,
+    grid_sweep,
+    kummer_rhs_series,
+    odd_prefactor,
+)
+from hyperverify.series import TruncatedSeries, binomial_series
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -143,16 +155,54 @@ def test_record_fields_and_status():
     assert list(vars(skipped)) == RECORD_FIELDS
 
 
+def _sweep(a=-2, b=F(1, 3), d=F(1, 2), e=4, argument=2):
+    return grid_sweep([3], [a], [b], [d], [e], ("theorem",),
+                      theorem_argument=argument)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda x: TruncatedSeries((1, x)), "a coefficient"),
     (lambda x: pochhammer(x, 2), "a"),
     (lambda x: GammaProduct.ratio((1,), (x,)), "a Gamma argument"),
-], ids=["TruncatedSeries", "pochhammer", "GammaProduct"])
+    (lambda x: pochhammer_duplication(x, 2), "d"),
+    (lambda x: binomial_series(x, 3), "alpha"),
+    (lambda x: binomial_series(1, 3).scale(x), "a scale factor"),
+    (lambda x: gen_transform_lhs_series(3, x, F(2, 7), 2), "a"),
+    (lambda x: gen_transform_lhs_series(3, -1, x, 2), "b"),
+    (lambda x: gen_transform_rhs_series(3, x, F(2, 7), 2), "a"),
+    (lambda x: gen_transform_rhs_series(3, -1, x, 2), "b"),
+    (lambda x: kummer_rhs_series(x, F(2, 7), 2), "a"),
+    (lambda x: kummer_rhs_series(-1, x, 2), "b"),
+    (lambda x: even_prefactor(3, x), "b"),
+    (lambda x: odd_prefactor(3, x), "b"),
+    (lambda x: coeff_A(3, x, 2), "b"),
+    (lambda x: coeff_B(3, x, 2), "b"),
+    (lambda x: beta_moment(3, x, 4), "d"),
+    (lambda x: beta_moment(3, F(1, 2), x), "e"),
+    (lambda x: _sweep(a=x), "a"),
+    (lambda x: _sweep(b=x), "b"),
+    (lambda x: _sweep(d=x), "d"),
+    (lambda x: _sweep(e=x), "e"),
+    (lambda x: _sweep(argument=x), "theorem_argument"),
+], ids=["TruncatedSeries", "pochhammer", "GammaProduct",
+        "pochhammer_duplication", "binomial_series", "scale",
+        "transform_lhs-a", "transform_lhs-b", "transform_rhs-a",
+        "transform_rhs-b", "kummer_rhs-a", "kummer_rhs-b", "even_prefactor",
+        "odd_prefactor", "coeff_A", "coeff_B", "beta_moment-d",
+        "beta_moment-e", "grid_sweep-a", "grid_sweep-b", "grid_sweep-d",
+        "grid_sweep-e", "grid_sweep-argument"])
 def test_exact_constructors_refuse_a_float(make, name):
     # 0.1 would be read at its binary value, not at 1/10
     with pytest.raises(TypeError, match=f"^{name} must be exact, not a float$"):
         make(0.1)
     assert make("0.1") == make(F(1, 10))
+
+
+@pytest.mark.parametrize("exp", [1.5, 1.0, F(1)])
+def test_a_gamma_exponent_must_be_an_int(exp):
+    # int(1.5) would truncate the exponent to 1
+    with pytest.raises(TypeError, match="^a Gamma exponent must be an int"):
+        GammaProduct(((F(1, 2), exp),))
 
 
 def test_spec_equality_ignores_its_row_cache():
