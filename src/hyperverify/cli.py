@@ -59,7 +59,8 @@ def _parse_rational(value, where: str) -> Fraction:
             raise ValueError("expected an integer or 'p/q'")
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise ConfigParseError(f"{where}: {value!r} is not a rational ({err})")
+        reason = err if isinstance(err, ValueError) else "zero denominator"
+        raise ConfigParseError(f"{where}: {value!r} is not a rational ({reason})")
     return q
 
 
@@ -415,9 +416,9 @@ def main(argv=None) -> int:
         print(f"hyperverify: --n must be >= 0, got {args.n}", file=sys.stderr)
         return 2
     try:
-        b = _parse_rational(args.b, "--b")
+        b = _parse_rational(args.b, "bad --b value")
     except ConfigParseError as err:
-        print(f"hyperverify: bad --b value: {err}", file=sys.stderr)
+        print(f"hyperverify: {err}", file=sys.stderr)
         return 2
     return table(args.j, b, args.n)
 

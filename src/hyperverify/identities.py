@@ -234,9 +234,9 @@ def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
 
 
 def _moment_tails(d: Fraction, e: Fraction) -> tuple:
-    """The half-shifted beta-moment tails of the even part, (d/2, d/2 +
-    1/2; e/2, e/2 + 1/2), and of the odd part, each parameter 1/2 higher,
-    each a spec, then d/e."""
+    """The half-shifted beta-moment tails both right sides read: the first
+    part's, (d/2, d/2 + 1/2; e/2, e/2 + 1/2), and the second's, each
+    parameter 1/2 higher, each a spec, then d/e."""
     (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
     hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
     he = [(en + k * ed, 2 * ed) for k in range(3)]
@@ -345,18 +345,36 @@ def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
                      _ratio(argument, "the argument"))
 
 
-def _column(d: Fraction, e: Fraction, tails=None) -> tuple:
+def _column(d: Fraction, e: Fraction) -> tuple:
     """One (d, e) column of the theorem family: (d, e, whether d is a
-    nonpositive integer, tails(d, e)).  The last is None with no tails
-    and at e = 0, which every check that reads them rejects first."""
-    return d, e, is_nonpositive_integer(d), tails(d, e) if tails and e != 0 else None
+    nonpositive integer, _moment_tails(d, e)), the last None at e = 0,
+    which every check that reads it rejects first."""
+    return d, e, is_nonpositive_integer(d), _moment_tails(d, e) if e != 0 else None
 
 
-def _columns(tails, columns) -> list:
+def _columns(columns) -> list:
     """The column table of a sweep's (d, e) integer pairs: each column (see
-    _column) followed by its pairs, which key its left side in a row."""
-    return [(*_column(Fraction(*key[0]), Fraction(*key[1]), tails), key)
+    _column) followed by its pairs, which key its left side in a row;
+    every check of a sweep reads the one table."""
+    return [(*_column(Fraction(*key[0]), Fraction(*key[1])), key)
             for key in columns]
+
+
+def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
+    """first_scale walk(first, first tail) + second_scale() (d/e)
+    walk(second, second tail) at a column, as an unreduced integer pair.
+    The second part is skipped when it is None or d = 0, and its scale is
+    read after the first walk, only where a column reaches it."""
+    first_tail, second_tail, d_over_e = column[3]
+    pn, pd = first_scale.as_integer_ratio()
+    sn, sd = walk(first, first_tail)
+    num, den = pn * sn, pd * sd
+    if second is None or column[0] == 0:
+        return num, den
+    (cn, cd), (dn, dd) = second_scale().as_integer_ratio(), d_over_e.as_integer_ratio()
+    sn, sd = walk(second, second_tail)
+    sn, sd = cn * dn * sn, cd * dd * sd
+    return num * sd + sn * den, den * sd
 
 
 def _invariant(compute):
@@ -436,42 +454,23 @@ class _Row:
                        lambda: Fraction(*self.lhs_pair(*column[:2])))
 
     def theorem_rhs_pair(self, column) -> tuple:
-        """theorem_rhs as an unreduced integer pair, as lhs_pair: each
-        part is its scale times its sum, and the two parts are added over
-        the product of their denominators; the column's tails are
-        _moment_tails."""
+        """theorem_rhs as an unreduced integer pair, as lhs_pair: the
+        even and odd weighted parts, summed by _two_parts."""
         _table_row(self.j)
         self._check_terminates(column)
-        d, (even_tail, odd_tail, d_over_e) = column[0], column[3]
         even, odd = self.part_heads
-        pn, pd = self.even_scale.as_integer_ratio()
-        sn, sd = _weighted_pair(even, even_tail)
-        num, den = pn * sn, pd * sd
-        if odd is not None and d != 0:
-            cn, cd = self.odd_scale.as_integer_ratio()
-            dn, dd = d_over_e.as_integer_ratio()
-            sn, sd = _weighted_pair(odd, odd_tail)
-            odd_num, odd_den = cn * dn * sn, cd * dd * sd
-            num, den = num * odd_den + odd_num * den, den * odd_den
-        return num, den
+        return _two_parts(_weighted_pair, column, even, self.even_scale,
+                          odd, lambda: self.odd_scale)
 
     def corollary_rhs_pair(self, column) -> tuple:
-        """corollary_rhs as an unreduced integer pair, as lhs_pair; the
-        column's tails are _corollary_tails."""
+        """corollary_rhs as an unreduced integer pair, as lhs_pair: the
+        two closed series, summed by _two_parts."""
         if abs(self.j) > COROLLARY_J_LIMIT:
             raise UnsupportedJ(self.j, limit=COROLLARY_J_LIMIT)
         self._check_terminates(column)
         first, scale, second = self.corollary_heads
-        first_tail, second_tail, d_over_e = column[3]
-        vn, vd = _terminating_pair(first, first_tail)
-        sn, sd = scale.as_integer_ratio()
-        dn, dd = d_over_e.as_integer_ratio()
-        sn, sd = sn * dn, sd * dd
-        if sn == 0:
-            return vn, vd
-        wn, wd = _terminating_pair(second, second_tail)
-        sn, sd = sn * wn, sd * wd
-        return vn * sd + sn * vd, vd * sd
+        return _two_parts(_terminating_pair, column, first, 1,
+                          second, lambda: scale)
 
     def moment_pair(self, column) -> tuple:
         """The pipeline's moment transform of the left-side polynomial,
@@ -507,13 +506,13 @@ def theorem_rhs(case: IdentityCase) -> Fraction:
     around floor(-d/2), depending on parity.
     """
     row = _Row(case.j, case.a, case.b, TWO)
-    return Fraction(*row.theorem_rhs_pair(_column(case.d, case.e, _moment_tails)))
+    return Fraction(*row.theorem_rhs_pair(_column(case.d, case.e)))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
     """The (j, a, b) part of corollary_rhs: the first series' head
     spec, the second's signed scale over d/e (which each case applies),
-    and the second series' head spec, or None at j = 0."""
+    and the second series' head spec, or None where the scale is 0."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     if j != 0 and 2 * bn + j * bd == 0:
         raise DenominatorPoleBeforeTermination(0)
@@ -546,18 +545,7 @@ def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
         c, x, y = -6, 2, -3
         second = ((a_one, a_half, at(3, 1, 4)), (at(3, -3, 4), at(2, -1, 2)))
     scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
-    return HyperSpec(*first), scale, HyperSpec(*second)
-
-
-def _corollary_tails(d: Fraction, e: Fraction) -> tuple:
-    """The d/e specs of corollary_rhs: (d/2, d/2 + 1/2; e/2, e/2 + 1/2)
-    for the first series, each parameter 1/2 higher for the second, then
-    d/e."""
-    (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
-    ds = [(dn, 2 * dd), (dn + dd, 2 * dd), (dn + 2 * dd, 2 * dd)]
-    es = [(en, 2 * ed), (en + ed, 2 * ed), (en + 2 * ed, 2 * ed)]
-    return (HyperSpec(ds[:2], es[:2]), HyperSpec(ds[1:], es[1:]),
-            Fraction(dn * ed, dd * en))
+    return HyperSpec(*first), scale, HyperSpec(*second) if scale else None
 
 
 def corollary_rhs(case: IdentityCase) -> Fraction:
@@ -566,13 +554,13 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
     Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
     one scaled by a signed rational multiple of a*d/e; the weights and
     prefactors are absorbed into the parameters, so this path shares only
-    the term walker with the weighted sums it cross-checks.  The second
-    series is skipped when its scale vanishes, so its parameters are never
-    validated for a dead term.  In a sweep this path reads none of the
-    weighted sums' values from its row.
+    the walker, the moment tails and _two_parts with the weighted sums it
+    cross-checks, and has its own heads, scales and legality rule.  A
+    second series whose scale or d vanishes is never built or walked.  In
+    a sweep this path reads none of the weighted sums' values.
     """
     row = _Row(case.j, case.a, case.b, TWO)
-    return Fraction(*row.corollary_rhs_pair(_column(case.d, case.e, _corollary_tails)))
+    return Fraction(*row.corollary_rhs_pair(_column(case.d, case.e)))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -686,10 +674,10 @@ def _evaluate_row(job, memo=None) -> list:
     over a tuple of (d, e) columns, each d and e an integer pair; its
     records come in column order, each side from a _Row method.  The
     row and the column table (see _columns) come from the memo, so the
-    row keeps its invariants and left sides for every check that reads
-    it; corollary and pipeline read the row at argument 2, whatever the
-    theorem's argument.  A kummer or transform row is one case, with no
-    columns.
+    row keeps its invariants and left sides, and the table its tails,
+    for every check that reads them; corollary and pipeline read the
+    row at argument 2, whatever the theorem's argument.  A kummer or
+    transform row is one case, with no columns.
     """
     check, j, a, b, columns, order, argument = job
     memo = {} if memo is None else memo
@@ -697,10 +685,7 @@ def _evaluate_row(job, memo=None) -> list:
     if columns is not None:
         row = _memoized(memo, _Row, j, a, b,
                         argument if check == "theorem" else TWO, memo=memo)
-        # the tails the check reads from its columns, looked up by name
-        tails = {"theorem": _moment_tails,
-                 "corollary": _corollary_tails}.get(check)
-        table = _memoized(memo, _columns, tails, columns)
+        table = _memoized(memo, _columns, columns)
     records = []
     for column in table:
         branch = "a" if row is not None and row.a_branch else "d" if column[2] else None
@@ -775,15 +760,16 @@ def grid_sweep(
     their names and each left side under its column, so theorem at
     argument 2, corollary and pipeline sum each left side once;
     corollary and pipeline always sum it at argument 2.  The memo keeps
-    the column tables, and the helpers that rows share, under (helper,
-    *args); the weighted heads and the scales are among them, so a
-    theorem row at argument 1 and a transform row build them once.  The
-    corollary closed forms read none of the weighted sums' values, since
-    they are their independent evaluation.  A kummer or transform job is
-    one case.  `memo` is the dict to keep the entries in, a fresh one
-    when None; since every entry is a pure function of its key, a memo
-    that earlier sweeps filled leaves every record as it is.  A pool's map pickles a
-    copy of the memo with each chunk of rows it sends.
+    one column table, moment tails included, per set of columns, and the
+    helpers that rows share, under (helper, *args); the weighted heads
+    and the scales are among them, so a theorem row at argument 1 and a
+    transform row build them once.  The corollary closed forms read none
+    of the weighted sums' values, since they are their independent
+    evaluation.  A kummer or transform job is one case.  `memo` is the
+    dict to keep the entries in, a fresh one when None; since every entry
+    is a pure function of its key, a memo that earlier sweeps filled
+    leaves every record as it is.  A pool's map pickles a copy of the
+    memo with each chunk of rows it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

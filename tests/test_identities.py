@@ -337,13 +337,14 @@ class TestCorollaries:
     def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
         # The closed forms are the independent cross-check of the weighted
         # sums: with every weighted-path helper broken, a corollary sweep
-        # (and so the memo it shares with theorem_lhs) still passes.
+        # (and so the memo it shares with theorem_lhs) still passes.  The
+        # moment tails are the column both right sides read, so they stay.
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
         for name in ("_part_heads", "_weight_poly", "even_prefactor",
-                     "odd_prefactor", "_odd_scale", "_moment_tails",
-                     "_weighted_pair", "weighted_series"):
+                     "odd_prefactor", "_odd_scale", "_weighted_pair",
+                     "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
@@ -571,6 +572,58 @@ class TestGridSweep:
         )
         assert all(r.equal for r in records)
         assert len(calls) == len(set(calls)) == 4
+
+    def test_one_column_table_per_sweep(self, monkeypatch):
+        # theorem and corollary read the same moment tails, so a sweep of
+        # both builds one column table and one pair of tails per column.
+        calls = {"_columns": 0, "_moment_tails": 0}
+
+        def counted(name):
+            fn = getattr(identities, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(identities, name, wrapper)
+
+        counted("_columns")
+        counted("_moment_tails")
+        records = grid_sweep(
+            range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
+            (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("theorem", "corollary"),
+        )
+        assert len(records) == 2 * 7 * 2 * 2 * 4 * 2
+        assert calls == {"_columns": 1, "_moment_tails": 8}
+
+    @pytest.mark.parametrize("check, sweep, walk", [
+        # a = 0 kills the corollaries' second series: each record walks
+        # its left side and its first series only
+        ("corollary", ((1, -2, 3), (0,), (F(1, 3),), (F(1, 2), -2), (4,)),
+         "_terminating_pair"),
+        # the odd weighted part is dead at j = 0, at a = 0 and at d = 0
+        ("theorem", ((0,), (-1,), (F(1, 3),), (F(1, 2), -2), (4,)),
+         "_weighted_pair"),
+        ("theorem", ((1, -2), (0,), (F(1, 3),), (F(1, 2), -2), (4,)),
+         "_weighted_pair"),
+        ("theorem", ((1, -2, 3), (-1,), (F(1, 3), F(2, 5)), (0,), (4,)),
+         "_weighted_pair"),
+    ])
+    def test_a_dead_second_part_is_never_walked(self, check, sweep, walk,
+                                                 monkeypatch):
+        calls = []
+        fn = getattr(identities, walk)
+
+        def counted(*specs):
+            calls.append(specs)
+            return fn(*specs)
+
+        monkeypatch.setattr(identities, walk, counted)
+        records = grid_sweep(*sweep, (check,))
+        assert all(r.status == "passed" for r in records), [
+            r.error for r in records if r.status != "passed"]
+        per_record = 2 if check == "corollary" else 1
+        assert len(calls) == per_record * len(records)
 
     def test_filled_memo_pickles(self, monkeypatch):
         # A pool pickles the memo with each share it sends.  A memo that

@@ -650,7 +650,7 @@ def fraction_sides(check, j, a, b, d, e, argument):
         return left(argument), rhs
     if check == "corollary":
         first, scale, second = identities._corollary_heads(j, a, b)
-        first_tail, second_tail, d_over_e = identities._corollary_tails(d, e)
+        first_tail, second_tail, d_over_e = identities._moment_tails(d, e)
         rhs = eval_terminating(first, first_tail)
         if scale * d_over_e != 0:
             rhs += scale * d_over_e * eval_terminating(second, second_tail)
