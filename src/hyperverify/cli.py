@@ -48,20 +48,31 @@ def _is_rational_text(text: str) -> bool:
     return len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts)
 
 
+def _shown(value) -> str:
+    """repr(value) for a message, cut to a short prefix."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigParseError(
-            f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
+            f"{where}: rationals must be integers or 'p/q' strings, "
+            f"got {_shown(value)}"
         )
-    try:
-        text = str(value)
-        if not _is_rational_text(text):
-            raise ValueError("expected an integer or 'p/q'")
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        reason = err if isinstance(err, ValueError) else "zero denominator"
-        raise ConfigParseError(f"{where}: {value!r} is not a rational ({reason})")
-    return q
+    text = str(value)
+    if not _is_rational_text(text):
+        reason = "expected an integer or 'p/q'"
+    else:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError:
+            # the text is well formed, so a part is past the interpreter's
+            # int-string conversion limit
+            reason = "too many digits"
+    raise ConfigParseError(f"{where}: {_shown(value)} is not a rational ({reason})")
 
 
 def _parse_rational_list(raw, where: str) -> tuple:
@@ -246,25 +257,20 @@ class ProcessPoolExecutor:
         return False
 
 
-def _pool_map(fn, items, jobs: int, shares: bool = False):
+def _pool_map(fn, items, jobs: int):
     """An order-preserving map over a process pool of at most `jobs`
     workers, one per CPU and one per item; the builtin map, with no pool,
-    when that leaves a single worker.
-
-    Workers take the items one at a time, or with `shares` one contiguous
-    share of ceil(len(items) / workers) items each.  `fn` is pickled once
-    per share, so a sweep's memo serves a whole share; that saves more
-    than the shares' uneven costs lose, since no worker can take over
-    part of another's share.
+    when that leaves a single worker.  Each worker takes one contiguous
+    share of ceil(len(items) / workers) items, and `fn` is pickled once
+    per share, so a memo that `fn` carries serves the whole share.
     """
     items = list(items)
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    chunksize = -(-len(items) // workers) if shares else 1
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        yield from pool.map(fn, items, chunksize=-(-len(items) // workers))
 
 
 def _sweep(config: SweepConfig, jobs: int) -> list:
@@ -272,8 +278,7 @@ def _sweep(config: SweepConfig, jobs: int) -> list:
     argument = 2 if config.theorem_argument == "two" else 1
     # The builtin map itself at --jobs 1, so that a tracer can time each
     # job: a row of the theorem family, or one kummer or transform case.
-    mapper = (map if jobs == 1
-              else functools.partial(_pool_map, jobs=jobs, shares=True))
+    mapper = map if jobs == 1 else functools.partial(_pool_map, jobs=jobs)
     records = grid_sweep(
         config.j_set, config.a_set, config.b_set, config.d_set,
         config.e_set, checks, series_order=config.series_order,
@@ -339,10 +344,9 @@ def _suite_summary(suite, memo) -> tuple:
 def selftest(jobs: int = 1) -> int:
     """Run the canonical suites with no config; print one line per suite.
 
-    The suites share one sweep memo, made for this call: in process every
-    suite reads the row invariants the earlier ones filled in.  On a pool
-    each suite is one task with its own copy of the empty memo, and all
-    of them are in flight at once.  The lines print in suite order.
+    The suites share one sweep memo, made for this call; on a pool each
+    worker's share of the suites shares its own copy of it.  The lines
+    print in suite order.
     """
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0

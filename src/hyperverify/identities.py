@@ -151,36 +151,22 @@ def _poly_from_samples(samples) -> tuple:
     return tuple(Fraction(c, den) for c in coeffs)
 
 
-_MISSING = object()
-
-
-def _stored(store, key, compute, /, *args, **kwargs):
-    """compute(*args, **kwargs), kept in the store dict under key at the
-    first lookup; every stored value is a hit, None included.  A
-    VerificationError that compute raises is kept too and raised again at
-    every lookup of its key, so a case raises what it would raise with
-    nothing stored, and a value that fails is still worked only once."""
-    value = store.get(key, _MISSING)
-    if value is _MISSING:
-        try:
-            value = compute(*args, **kwargs)
-        except VerificationError as err:
-            value = err
-        store[key] = value
-    if isinstance(value, VerificationError):
-        raise value.with_traceback(None)
-    return value
-
-
 def _memoized(memo, compute, /, *args, **kwargs):
     """compute(*args, **kwargs), kept in the memo dict, when one is given,
     under (compute, *args), each Fraction entered as its integer pair so a
-    lookup hashes no Fraction (see _stored)."""
+    lookup hashes no Fraction.  Every kept value is a hit, None included.
+    Only values are kept: a compute that raises raises again at its next
+    lookup, and each such helper raises before it sums anything."""
     if memo is None:
         return compute(*args, **kwargs)
-    return _stored(memo, (compute, *[x.as_integer_ratio() if type(x) is Fraction
-                                     else x for x in args]),
-                   compute, *args, **kwargs)
+    key = (compute, *[x.as_integer_ratio() if type(x) is Fraction else x
+                      for x in args])
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = memo[key] = compute(*args, **kwargs)
+    return value
 
 
 def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
@@ -377,32 +363,20 @@ def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
     return num * sd + sn * den, den * sd
 
 
-def _invariant(compute):
-    """A _Row attribute: compute(row) at its first read, kept in the row's
-    store under compute's name, so a filled memo still pickles.  A value
-    is also kept on the row itself, so the row's later reads are plain
-    attribute reads; a kept error is raised again at every read."""
-    return functools.cached_property(
-        lambda row: _stored(row.store, compute.__name__, compute, row))
-
-
 class _Row:
     """The (j, a, b) part of the theorem family's cases, with the argument
     of the left side's 3F2.  The per-case arithmetic of every check lives
     here: each method takes one column (see _column) and computes one
-    side of one case.  The row is the cache of what its cases share: its
-    store (see _stored) keeps each invariant under its name and each left
-    side under its column's (d, e) integer pairs.  An invariant is read
-    at the first column that needs it, in the order the case reads it,
-    and once it holds a value the row's later columns read it as a plain
-    attribute.  `memo` is the sweep memo, which keeps the row itself, the
+    side of one case.  The row caches what its cases share: each
+    invariant is a cached_property, read at the first column that needs
+    it, and `lefts` keeps each left side under its column's (d, e)
+    integer pairs.  `memo` is the sweep memo, which keeps the row, the
     weighted heads and the odd scale under (j, a, b) whatever the
-    argument, and the helpers scoped to (j, b) or (a, d, e), or None for
-    a one-case row."""
+    argument, or None for a one-case row."""
 
     def __init__(self, j: int, a: Fraction, b: Fraction, argument, memo=None):
         self.j, self.a, self.b, self.argument = j, a, b, argument
-        self.memo, self.store = memo, {}
+        self.memo, self.lefts = memo, {}
         self.a_branch = is_nonpositive_integer(a)
 
     def _check_terminates(self, column) -> None:
@@ -411,27 +385,27 @@ class _Row:
         if column[1] == 0:
             raise InvalidCase("e must be nonzero")
 
-    @_invariant
+    @functools.cached_property
     def lhs_head(self) -> HyperSpec:
         return _lhs_head(self.j, self.a, self.b, self.argument)
 
-    @_invariant
+    @functools.cached_property
     def part_heads(self) -> tuple:
         return _memoized(self.memo, _part_heads, self.j, self.a, self.b, memo=self.memo)
 
-    @_invariant
+    @functools.cached_property
     def even_scale(self) -> Fraction:
         return _memoized(self.memo, even_prefactor, self.j, self.b)
 
-    @_invariant
+    @functools.cached_property
     def odd_scale(self) -> Fraction:
         return _memoized(self.memo, _odd_scale, self.j, self.a, self.b, memo=self.memo)
 
-    @_invariant
+    @functools.cached_property
     def corollary_heads(self) -> tuple:
         return _corollary_heads(self.j, self.a, self.b)
 
-    @_invariant
+    @functools.cached_property
     def polynomial(self) -> tuple:
         """The transformation's left side at a = -m, an exact polynomial
         of degree 2m, and that degree."""
@@ -448,10 +422,12 @@ class _Row:
         return pn * sn, pd * sd
 
     def left(self, column) -> Fraction:
-        """The left side at a column of _columns, reduced, kept in the store:
-        theorem at argument 2, corollary and pipeline sum it once."""
-        return _stored(self.store, column[4],
-                       lambda: Fraction(*self.lhs_pair(*column[:2])))
+        """The left side at a column of _columns, reduced and kept in
+        `lefts`: theorem at argument 2, corollary and pipeline sum it once."""
+        key = column[4]
+        if key not in self.lefts:
+            self.lefts[key] = Fraction(*self.lhs_pair(*column[:2]))
+        return self.lefts[key]
 
     def theorem_rhs_pair(self, column) -> tuple:
         """theorem_rhs as an unreduced integer pair, as lhs_pair: the
@@ -751,25 +727,16 @@ def grid_sweep(
     summation identity is the transformation pushed through the beta
     moments, and every case splits into a row part and a column part.
 
-    Whatever a case shares is computed once per memo, by one rule (see
-    _stored): a value is worked at its first lookup and kept, and a
-    VerificationError it raises is kept too and raised again where a case
-    reaches it, so every record equals the one its case gives on its own.
-    The memo keeps each row (see _Row) under (j, a, b, argument), and the
-    row keeps its invariants (heads, scales, the left side's head) under
-    their names and each left side under its column, so theorem at
-    argument 2, corollary and pipeline sum each left side once;
-    corollary and pipeline always sum it at argument 2.  The memo keeps
-    one column table, moment tails included, per set of columns, and the
-    helpers that rows share, under (helper, *args); the weighted heads
-    and the scales are among them, so a theorem row at argument 1 and a
-    transform row build them once.  The corollary closed forms read none
-    of the weighted sums' values, since they are their independent
-    evaluation.  A kummer or transform job is one case.  `memo` is the
-    dict to keep the entries in, a fresh one when None; since every entry
-    is a pure function of its key, a memo that earlier sweeps filled
-    leaves every record as it is.  A pool's map pickles a copy of the
-    memo with each chunk of rows it sends.
+    Whatever cases share is kept once per memo (see _memoized), values
+    only, so every record equals the one its case gives on its own: each
+    row (see _Row) under (j, a, b, argument), the helpers scoped to
+    (j, b), (a, d, e) or a column's beta moments under (helper, *args),
+    and one column table, moment tails included, per set of columns.  A
+    kummer or transform job is one case.  `memo` is the dict to keep the
+    entries in, a fresh one when None; every entry is a pure function of
+    its key, so a memo that earlier sweeps filled leaves the records as
+    they are.  A pool's map pickles a copy of the memo with each share of
+    rows it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

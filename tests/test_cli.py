@@ -277,6 +277,21 @@ class TestTable:
         assert "aSet: '1/0' is not a rational (zero denominator)" in run_err
         assert "Fraction(" not in err + run_err
 
+    def test_too_many_digits_is_named_and_cut_short(self, tmp_path, capsys):
+        # a part past the interpreter's int-string conversion limit gets a
+        # reason of its own, and the message echoes a short prefix only
+        ones = "1" * 5000
+        code, out, err = invoke(["table", "--b", ones, "--n", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"hyperverify: bad --b value: '{ones[:39]}..."
+                       " is not a rational (too many digits)\n")
+        cfg = write_config(tmp_path, {"checks": ["theorem"],
+                                      "aSet": [f"{ones}/3"]})
+        code, _, run_err = invoke(["run", "--config", cfg], capsys)
+        assert code == 2
+        assert run_err == (f"hyperverify: config error: aSet: '{ones[:39]}..."
+                           " is not a rational (too many digits)\n")
+
     def test_accepts_a_signed_fraction(self, capsys):
         code, out, _ = invoke(["table", "--j", "0", "--b=-2/4", "--n", "1"],
                               capsys)
@@ -465,15 +480,16 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
-    # selftest: one map over the six suites, one suite per task, each
-    # task the suite summary under the call's one memo
+    # selftest: one map over the six suites, one contiguous share of
+    # ceil(6 / 3) = 2 suites per worker, each task the suite summary under
+    # the call's one memo
     assert cli.selftest(jobs=8) == 1
     capsys.readouterr()
     assert started == [3]
     [(fn, items, chunksize)] = mapped
     assert (fn.func, fn.args, list(fn.keywords)) == (
         cli._suite_summary, (), ["memo"])
-    assert (items, chunksize) == (list(ALL_SUITES), 1)
+    assert (items, chunksize) == (list(ALL_SUITES), 2)
 
     # run: at most one contiguous share of the job list per worker
     grid = TestDeterminism.GRID
@@ -530,7 +546,7 @@ class TestRealPool:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
 
     def test_shares_come_back_in_order(self):
-        out = list(cli._pool_map(_item_and_pid, range(5), jobs=2, shares=True))
+        out = list(cli._pool_map(_item_and_pid, range(5), jobs=2))
         assert [item for item, _ in out] == [0, 1, 2, 3, 4]
         # two contiguous shares, [0, 1, 2] and [3, 4], each in one worker
         pids = [pid for _, pid in out]
@@ -541,15 +557,18 @@ class TestRealPool:
     def test_a_task_error_reraises_and_leaves_no_worker(self, tmp_path):
         task = functools.partial(_touch_unless_negative, tmp_path)
         with pytest.raises(LookupError):
-            list(cli._pool_map(task, [-1, 1, 2, 3], jobs=2, shares=True))
+            list(cli._pool_map(task, [-1, 1, 2, 3], jobs=2))
         assert multiprocessing.active_children() == []
 
     def test_a_task_error_cancels_the_pending_tasks(self, tmp_path):
-        # One item per task: the first fails at once, and the tasks not
-        # yet handed to a worker are cancelled rather than run.
+        # One item per task, through the pool stand-in itself, since
+        # _pool_map's one share per worker leaves no task pending: the
+        # first fails at once, and the tasks not yet handed to a worker
+        # are cancelled rather than run.
         task = functools.partial(_touch_unless_negative, tmp_path)
         with pytest.raises(LookupError):
-            list(cli._pool_map(task, [-1, *range(1, 15)], jobs=2))
+            with cli.ProcessPoolExecutor(2) as pool:
+                list(pool.map(task, [-1, *range(1, 15)], chunksize=1))
         assert multiprocessing.active_children() == []
         assert len(list(tmp_path.iterdir())) < 14
 

@@ -481,44 +481,40 @@ class TestGridSweep:
         assert seen[0]["gamma"] == 4 + 2 * 2
         assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
 
-    def test_raised_entry_is_worked_once_per_sweep(self, monkeypatch):
-        # The left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
-        # a pole; the memo keeps the raised error, so every case of the
-        # row replays it and the prefactor is reduced once.
-        calls = []
-        gamma_ratio = identities._gamma_ratio
-
-        def counted_gamma(numerators, denominators):
-            calls.append((numerators, denominators))
-            return gamma_ratio(numerators, denominators)
-
-        monkeypatch.setattr(identities, "_gamma_ratio", counted_gamma)
-        records = grid_sweep(
-            range(-3, 4), (-3,), (F(1, 3), F(2, 7)), (F(1, 2),), (-3,),
-            ("corollary",),
-        )
-        assert len(records) == 14
-        assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
-        assert len(calls) == 1
-
-    def test_raised_row_invariant_is_worked_once_per_memo(self, monkeypatch):
-        # At (j, a, b) = (0, -2, -3/2) the pipeline's left-side polynomial
-        # meets its lower parameter 2b + j = -3; the row keeps the raised
-        # error, so its four columns replay one expansion.
-        calls = []
-        expand = identities.gen_transform_lhs_series
-
-        def counted(*args):
-            calls.append(args)
-            return expand(*args)
-
-        monkeypatch.setattr(identities, "gen_transform_lhs_series", counted)
-        records = grid_sweep((0,), (-2,), (F(-3, 2),), (F(1, 2), 1),
-                             (3, F(7, 2)), ("pipeline",))
-        assert [r.error for r in records] == [
-            "DenominatorPoleBeforeTermination: denominator parameter -3 "
-            "vanishes at term 4"] * 4
-        assert len(calls) == 1
+    @pytest.mark.parametrize("sweep, errors", [
+        # the left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
+        # a pole, in every case of the row
+        ((range(-3, 4), (-3,), (F(1, 3), F(2, 7)), (F(1, 2),), (-3,),
+          ("corollary",)), ["PoleError: Gamma(-3) is a pole"] * 14),
+        ((range(-3, 4), (-3,), (F(1, 3),), (F(1, 2),), (-3,),
+          ("corollary",)), ["PoleError: Gamma(-3) is a pole"] * 7),
+        # at (j, a, b) = (0, -2, -3/2) the pipeline's left-side polynomial
+        # meets its lower parameter 2b + j = -3, in each of four columns
+        (((0,), (-2,), (F(-3, 2),), (F(1, 2), 1), (3, F(7, 2)),
+          ("pipeline",)),
+         ["DenominatorPoleBeforeTermination: denominator parameter -3 "
+          "vanishes at term 4"] * 4),
+    ], ids=["lhs-pole-two-b", "lhs-pole-one-b", "polynomial-pole"])
+    def test_the_memo_keeps_values_only(self, sweep, errors):
+        # A helper or row invariant that raises is not kept, and raises
+        # again where the next case reaches it: a filled memo holds no
+        # error, pickles, and gives the records of a fresh memo and of
+        # each case on its own.
+        memo = {}
+        records = grid_sweep(*sweep, memo=memo)
+        assert [r.error for r in records] == errors
+        rows = [v for v in memo.values() if isinstance(v, identities._Row)]
+        assert rows
+        kept = [*memo.values(),
+                *(v for row in rows for v in (*vars(row).values(),
+                                              *row.lefts.values()))]
+        assert not any(isinstance(v, BaseException) for v in kept)
+        restored = pickle.loads(pickle.dumps(memo))
+        assert grid_sweep(*sweep, memo=restored) == records
+        assert grid_sweep(*sweep) == records
+        for rec in records:
+            job = (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, 24, 2)
+            assert identities._evaluate_case(job) == rec
 
     def test_row_errors_come_in_column_order(self):
         # At (j, a, b) = (1, 1/3, -1/2) both the odd scale's lower
@@ -627,7 +623,7 @@ class TestGridSweep:
 
     def test_filled_memo_pickles(self, monkeypatch):
         # A pool pickles the memo with each share it sends.  A memo that
-        # all six suites filled, rows and their stores included, comes
+        # all six suites filled, rows and their left sides included, comes
         # back whole: the suites read every Gamma prefactor from it, and
         # their records are those of a fresh run.
         memo = {}
@@ -643,23 +639,6 @@ class TestGridSweep:
         monkeypatch.setattr(identities, "_gamma_ratio", broken)
         for suite in suites.ALL_SUITES:
             assert suite.run(restored) == fresh[suite.name], suite.name
-
-    def test_memo_with_a_kept_error_pickles(self, monkeypatch):
-        # The left side's pole at (a, d, e) = (-3, 1/2, -3) is kept in the
-        # memo, and in each row's store, as the PoleError it raised.  A
-        # restored memo raises each one again, with no Gamma reduction.
-        sweep = (range(-3, 4), (-3,), (F(1, 3),), (F(1, 2),), (-3,), ("corollary",))
-        memo = {}
-        records = grid_sweep(*sweep, memo=memo)
-        assert {r.error for r in records} == {"PoleError: Gamma(-3) is a pole"}
-        assert any(isinstance(v, PoleError) for v in memo.values())
-        restored = pickle.loads(pickle.dumps(memo))
-
-        def broken(*args):
-            raise AssertionError("Gamma prefactor reduced again")
-
-        monkeypatch.setattr(identities, "_gamma_ratio", broken)
-        assert grid_sweep(*sweep, memo=restored) == records
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

@@ -259,7 +259,8 @@ def test_a_run_in_one_process_loads_no_process_pool():
     InvalidCase("e must be nonzero"),
 ], ids=lambda err: type(err).__name__)
 def test_errors_survive_a_pickle_round_trip(err):
-    # A sweep memo keeps the errors it raised, and a pool pickles memos.
+    # Each error type rebuilds itself from a pickle, as an error raised in
+    # a pool worker must to reach the parent.
     restored = pickle.loads(pickle.dumps(err))
     assert type(restored) is type(err)
     assert str(restored) == str(err) and restored.args == err.args
