@@ -54,6 +54,26 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _int_text(text: str) -> int:
+    """A command-line integer; the message of a bad one echoes a short
+    prefix only."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_shown(text)}") from None
+
+
+def _json_int(text: str) -> int:
+    """An integer literal of a config; one past the interpreter's
+    int-string conversion limit is named, with a short prefix only."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigParseError(
+            f"{_shown(text)} is not an integer (too many digits)") from None
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigParseError(
@@ -112,10 +132,10 @@ class SweepConfig(namedtuple(
         j_set = []
         for j in j_raw:
             if isinstance(j, bool) or not isinstance(j, int):
-                raise ConfigParseError(f"jSet: {j!r} is not an integer")
+                raise ConfigParseError(f"jSet: {_shown(j)} is not an integer")
             if abs(j) > J_LIMIT:
                 raise ConfigParseError(
-                    f"jSet: j={j} outside [{-J_LIMIT}, {J_LIMIT}]")
+                    f"jSet: j={_shown(j)} outside [{-J_LIMIT}, {J_LIMIT}]")
             j_set.append(j)
 
         order = raw.get("seriesOrder", 24)
@@ -123,13 +143,13 @@ class SweepConfig(namedtuple(
             raise ConfigParseError("seriesOrder: expected an integer")
         if not 1 <= order <= MAX_SERIES_ORDER:
             raise ConfigParseError(
-                f"seriesOrder: {order} outside [1, {MAX_SERIES_ORDER}]"
+                f"seriesOrder: {_shown(order)} outside [1, {MAX_SERIES_ORDER}]"
             )
 
         argument = raw.get("theoremArgument", "two")
         if argument not in ("one", "two"):
             raise ConfigParseError(
-                f"theoremArgument: {argument!r} is neither 'one' nor 'two'"
+                f"theoremArgument: {_shown(argument)} is neither 'one' nor 'two'"
             )
 
         a_set = _parse_rational_list(raw.get("aSet", []), "aSet")
@@ -139,8 +159,8 @@ class SweepConfig(namedtuple(
             for a in a_set:
                 if a.denominator == 1 and -2 * a > MAX_SERIES_ORDER:
                     raise ConfigParseError(
-                        f"aSet: a={a} gives the pipeline degree {-2 * a}, "
-                        f"past {MAX_SERIES_ORDER}"
+                        f"aSet: a={_shown(int(a))} gives the pipeline degree "
+                        f"{_shown(-2 * int(a))}, past {MAX_SERIES_ORDER}"
                     )
 
         return cls(
@@ -291,15 +311,10 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
     """Execute a sweep config and emit the JSON report; returns the exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as err:
-        # ValueError: malformed JSON, or an integer literal past the
-        # int-string conversion limit
-        print(f"hyperverify: config error: {err}", file=sys.stderr)
-        return 2
-    try:
+            raw = json.load(fh, parse_int=_json_int)
         config = SweepConfig.from_dict(raw)
-    except ConfigParseError as err:
+    except (OSError, ValueError, ConfigParseError) as err:
+        # ValueError: malformed JSON
         print(f"hyperverify: config error: {err}", file=sys.stderr)
         return 2
 
@@ -390,9 +405,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default 1)")
 
     p_table = sub.add_parser("table", help="print the weight table at (b, n)")
-    p_table.add_argument("--j", type=int, help="single shift (default: all)")
+    p_table.add_argument("--j", type=_int_text, help="single shift (default: all)")
     p_table.add_argument("--b", required=True, help="rational b, e.g. 1/3")
-    p_table.add_argument("--n", required=True, type=int, help="summation index")
+    p_table.add_argument("--n", required=True, type=_int_text,
+                         help="summation index")
     return parser
 
 
@@ -413,11 +429,12 @@ def main(argv=None) -> int:
         return selftest(args.jobs)
     # the subcommand is required, so this one is table
     if args.j is not None and abs(args.j) > J_LIMIT:
-        print(f"hyperverify: j={args.j} outside [{-J_LIMIT}, {J_LIMIT}]",
+        print(f"hyperverify: j={_shown(args.j)} outside [{-J_LIMIT}, {J_LIMIT}]",
               file=sys.stderr)
         return 2
     if args.n < 0:
-        print(f"hyperverify: --n must be >= 0, got {args.n}", file=sys.stderr)
+        print(f"hyperverify: --n must be >= 0, got {_shown(args.n)}",
+              file=sys.stderr)
         return 2
     try:
         b = _parse_rational(args.b, "bad --b value")

@@ -48,7 +48,7 @@ from .hyper import (
     series_in_z,
     weighted_series,
 )
-from .series import TruncatedSeries, _common_denominator, binomial_series
+from .series import TruncatedSeries, _common_denominator, _reduced, binomial_series
 from .value import Value, as_fraction
 
 TWO = Fraction(2)
@@ -254,6 +254,39 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
         substituted, core.denominator)
 
 
+def transform_lhs_recurrence(j: int, a, b, order: int) -> TruncatedSeries:
+    """gen_transform_lhs_series(j, a, b, order) by the three-term
+    recurrence of its coefficients, from the Gauss equation of the 2F1
+    (DLMF 15.10.1) in x: with c = 2b + j,
+
+        (n+1)(c+n) l_{n+1} = (2a+n) [j l_n + (2a+n-1) l_{n-1}],
+
+    l_0 = 1 and l_{-1} = 0, each l_n a reduced integer pair, all over
+    their least common denominator at the end.  Where c is a nonpositive
+    integer, whatever the order, it is gen_transform_lhs_series itself,
+    which sums the substitution and meets that pole as it does.  The
+    kummer check keeps gen_transform_lhs_series: at j = 0 this is the
+    term ratio of kummer_rhs_series."""
+    _table_row(j)
+    (an, ad), (bn, bd) = _ratio(a, "a"), _ratio(b, "b")
+    cn = 2 * bn + j * bd  # c over bd
+    if cn <= 0 and cn % bd == 0:
+        return gen_transform_lhs_series(j, a, b, order)
+    j_ad, terms = j * ad, [(1, 1)]
+    x0, y0, x, y = 0, 1, 1, 1  # l_{n-1} = x0/y0, l_n = x/y, at n = 0
+    for n in range(order):
+        u = 2 * an + n * ad  # 2a + n over ad
+        g = math.gcd(y0, y)
+        num = (j_ad * x * (y0 // g) + (u - ad) * x0 * (y // g)) * u * bd
+        den = y * (y0 // g) * ad * ad * (n + 1) * (cn + n * bd)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        x0, y0, x, y = x, y, num // g, den // g
+        terms.append((x, y))
+    # reduced pairs over their least common denominator stay reduced
+    den = math.lcm(*(y for _, y in terms))
+    return _reduced([x * (den // y) for x, y in terms], den)
+
+
 def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSeries:
     """Weighted even/odd pair for shift j, expanded to the given order.
 
@@ -310,11 +343,11 @@ class IdentityCase(Value):
         return None
 
 
-def _lhs_tail(a: Fraction, d: Fraction, e: Fraction) -> tuple:
+def _lhs_tail(a: tuple, d: tuple, e: tuple) -> tuple:
     """The left side's Gamma prefactor Gamma(e) Gamma(e - 2a - d) /
     (Gamma(e - 2a) Gamma(e - d)), then its 3F2's (a, d, e) spec
-    (d; 1 + 2a + d - e)."""
-    (an, ad), (dn, dd), (en, ed) = (x.as_integer_ratio() for x in (a, d, e))
+    (d; 1 + 2a + d - e), for a, d and e integer pairs."""
+    (an, ad), (dn, dd), (en, ed) = a, d, e
     # e, 2a and d over their common denominator den
     den = ad * dd * ed
     e_, a2, d_ = en * ad * dd, 2 * an * dd * ed, dn * ad * ed
@@ -377,7 +410,7 @@ class _Row:
     def __init__(self, j: int, a: Fraction, b: Fraction, argument, memo=None):
         self.j, self.a, self.b, self.argument = j, a, b, argument
         self.memo, self.lefts = memo, {}
-        self.a_branch = is_nonpositive_integer(a)
+        self.a_pair, self.a_branch = a.as_integer_ratio(), is_nonpositive_integer(a)
 
     def _check_terminates(self, column) -> None:
         if not (self.a_branch or column[2]):
@@ -408,15 +441,16 @@ class _Row:
     @functools.cached_property
     def polynomial(self) -> tuple:
         """The transformation's left side at a = -m, an exact polynomial
-        of degree 2m, and that degree."""
+        of degree at most 2m, and 2m."""
         degree = -2 * int(self.a)
-        return gen_transform_lhs_series(self.j, self.a, self.b, degree), degree
+        return transform_lhs_recurrence(self.j, self.a, self.b, degree), degree
 
-    def lhs_pair(self, d: Fraction, e: Fraction) -> tuple:
-        """theorem_lhs as an unreduced integer pair (numerator,
-        denominator), the denominator nonzero and of either sign."""
+    def lhs_pair(self, d: tuple, e: tuple) -> tuple:
+        """theorem_lhs at d and e, integer pairs, as an unreduced integer
+        pair (numerator, denominator), the denominator nonzero and of
+        either sign."""
         _table_row(self.j)
-        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a, d, e)
+        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair, d, e)
         pn, pd = prefactor.as_integer_ratio()
         sn, sd = _terminating_pair(self.lhs_head, tail)
         return pn * sn, pd * sd
@@ -426,7 +460,7 @@ class _Row:
         `lefts`: theorem at argument 2, corollary and pipeline sum it once."""
         key = column[4]
         if key not in self.lefts:
-            self.lefts[key] = Fraction(*self.lhs_pair(*column[:2]))
+            self.lefts[key] = Fraction(*self.lhs_pair(*key))
         return self.lefts[key]
 
     def theorem_rhs_pair(self, column) -> tuple:
@@ -470,7 +504,9 @@ def theorem_lhs(case: IdentityCase, argument=TWO) -> Fraction:
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
     """
-    return Fraction(*_Row(case.j, case.a, case.b, argument).lhs_pair(case.d, case.e))
+    row = _Row(case.j, case.a, case.b, argument)
+    d, e = case.d.as_integer_ratio(), case.e.as_integer_ratio()
+    return Fraction(*row.lhs_pair(d, e))
 
 
 def theorem_rhs(case: IdentityCase) -> Fraction:
@@ -576,7 +612,8 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
     """
     row = _Row(case.j, case.a, case.b, TWO)
     moments = row.moment_pair(_column(case.d, case.e))
-    return Fraction(*moments), Fraction(*row.lhs_pair(case.d, case.e))
+    left = row.lhs_pair(case.d.as_integer_ratio(), case.e.as_integer_ratio())
+    return Fraction(*moments), Fraction(*left)
 
 
 class VerificationRecord(Value):
@@ -630,10 +667,11 @@ def _sides(pair: tuple, value: Fraction) -> tuple:
 
 def _series_sides(check, j, a, b, order, memo) -> tuple:
     """The record's (lhs, rhs, equal) of one kummer or transform case."""
-    lhs = gen_transform_lhs_series(j or 0, a, b, order)
     if check == "kummer":
+        lhs = gen_transform_lhs_series(0, a, b, order)
         rhs = kummer_rhs_series(a, b, order)
     else:
+        lhs = transform_lhs_recurrence(j, a, b, order)
         rhs = gen_transform_rhs_series(j, a, b, order, memo)
     # the reduced integer form is unique, so the series compare as
     # integers; the Fractions are built for the record only, once for

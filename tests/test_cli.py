@@ -211,7 +211,7 @@ class TestConfigValidation:
 
     def test_integer_literal_past_the_string_limit_exits_two(
             self, tmp_path, capsys):
-        # json.load itself refuses a 5,000-digit literal with a ValueError
+        # json.load refuses a 5,000-digit literal through cli._json_int
         literal = "7" * 5000
         cfg = write_config(
             tmp_path, '{"checks": ["theorem"], "aSet": [' + literal + "]}")
@@ -291,6 +291,53 @@ class TestTable:
         assert code == 2
         assert run_err == (f"hyperverify: config error: aSet: '{ones[:39]}..."
                            " is not a rational (too many digits)\n")
+
+    @pytest.mark.parametrize("option", ["--n", "--j"])
+    def test_a_long_integer_option_is_cut_short(self, option, capsys):
+        ones = "1" * 5000
+        argv = ["table", "--b", "1", "--n", "0", option, ones]
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: "
+                            f"'{ones[:39]}...\n")
+        assert len(err) < 200
+        # one the interpreter can read, but out of range, is cut too
+        code, _, err = invoke(["table", "--b", "1", "--j", ones[:4000],
+                               "--n", "0"], capsys)
+        assert code == 2
+        assert err == f"hyperverify: j={ones[:40]}... outside [-5, 5]\n"
+
+    def test_a_config_integer_past_the_digit_limit_is_named(self, tmp_path,
+                                                             capsys):
+        # json reads the literal before any field check, so the message
+        # names the literal, with the reason _parse_rational gives
+        sevens = "7" * 5000
+        cfg = tmp_path / "digits.json"
+        cfg.write_text('{"checks": ["theorem"], "aSet": [%s]}' % sevens)
+        code, out, err = invoke(["run", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"hyperverify: config error: '{sevens[:39]}..."
+                       " is not an integer (too many digits)\n")
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"checks": ["theorem"], "jSet": [int("7" * 4000)]},
+         f"jSet: j={'7' * 40}... outside [-5, 5]"),
+        ({"checks": ["theorem"], "jSet": ["7" * 4000]},
+         f"jSet: '{'7' * 39}... is not an integer"),
+        ({"checks": ["theorem"], "seriesOrder": int("7" * 4000)},
+         f"seriesOrder: {'7' * 40}... outside [1, 256]"),
+        ({"checks": ["theorem"], "theoremArgument": "7" * 4000},
+         f"theoremArgument: '{'7' * 39}... is neither 'one' nor 'two'"),
+        ({"checks": ["pipeline"], "aSet": [-int("7" * 4000)]},
+         f"aSet: a=-{'7' * 39}... gives the pipeline degree "
+         f"{'1' + '5' * 39}..., past 256"),
+    ])
+    def test_a_long_config_value_is_cut_short(self, raw, message, tmp_path,
+                                             capsys):
+        code, out, err = invoke(["run", "--config", write_config(tmp_path, raw)],
+                                capsys)
+        assert (code, out) == (2, "")
+        assert err == f"hyperverify: config error: {message}\n"
 
     def test_accepts_a_signed_fraction(self, capsys):
         code, out, _ = invoke(["table", "--j", "0", "--b=-2/4", "--n", "1"],
@@ -425,7 +472,7 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"_gamma_ratio": 115, "ratio_rows": 1098, "_poly_from_samples": 66},
+        {"_gamma_ratio": 115, "ratio_rows": 988, "_poly_from_samples": 66},
     ] * 2
 
 

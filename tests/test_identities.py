@@ -659,9 +659,9 @@ class TestGridSweep:
         assert calls == [(j, b) for j in (1, 2) for b in (F(1, 3), F(2, 5))]
 
     @pytest.mark.parametrize("suite, calls", [
-        (suites.KUMMER_SUITE, 40), (suites.TRANSFORM_SUITE, 128),
+        (suites.KUMMER_SUITE, 40), (suites.TRANSFORM_SUITE, 84),
         (suites.THEOREM_A_SUITE, 328), (suites.THEOREM_D_SUITE, 420),
-        (suites.COROLLARY_SUITE, 232), (suites.PIPELINE_SUITE, 144),
+        (suites.COROLLARY_SUITE, 232), (suites.PIPELINE_SUITE, 78),
     ])
     def test_rows_are_reused_within_a_suite(self, suite, calls, monkeypatch):
         # Each group's ratio rows are built once per count it is summed

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from hyperverify.identities import (
     gen_transform_rhs_series,
     grid_sweep,
     kummer_rhs_series,
+    transform_lhs_recurrence,
 )
 from hyperverify.series import TruncatedSeries, binomial_series
 from series_oracle import (
@@ -486,6 +488,107 @@ def test_transform_parity_split(j, a, b):
         assert all(rhs[k] == lhs[k] for k in range(0, 12, 2))
 
 
+def recurrence_outcome(j, a, b, order):
+    """transform_lhs_recurrence's outcome, and how many times it fell back
+    on gen_transform_lhs_series."""
+    with mock.patch.object(identities, "gen_transform_lhs_series",
+                           wraps=gen_transform_lhs_series) as fallback:
+        got = outcome(lambda: transform_lhs_recurrence(j, a, b, order))
+    return got, fallback.call_count
+
+
+RECURRENCE_AS = (F(-3), F(0), F(1, 4), F(-2), F(2, 5), F(5))
+# b = 0, -1, -3, -5/2 and 1/2 put c = 2b + j on a nonpositive integer at
+# some j; b = 2/7 and -1/3 never do
+RECURRENCE_BS = (F(2, 7), F(-1, 3), F(0), F(-1), F(-5, 2), F(1, 2), F(-3))
+
+
+def test_recurrence_matches_its_oracle_on_the_grid():
+    # The three-term recurrence against the substitution on 11 x 6 x 7 =
+    # 462 points at order 16.  Where c = 2b + j is not a nonpositive
+    # integer it sums on its own and equals the substitution; at every
+    # other point it is the substitution, a value where 2a or b ends the
+    # 2F1 before its pole and the substitution's error where not.
+    kinds = {"recurrence": 0, "value": 0, "raises": 0}
+    for j in range(-5, 6):
+        for a in RECURRENCE_AS:
+            for b in RECURRENCE_BS:
+                want = outcome(lambda: gen_transform_lhs_series(j, a, b, 16))
+                got, fallbacks = recurrence_outcome(j, a, b, 16)
+                assert got == want, (j, a, b)
+                if not is_nonpositive_integer(2 * b + j):
+                    assert fallbacks == 0, (j, a, b)
+                    kinds["recurrence"] += 1
+                    continue
+                assert fallbacks == 1, (j, a, b)
+                kinds["raises" if isinstance(want, str) else "value"] += 1
+    assert kinds == {"recurrence": 216, "value": 164, "raises": 82}
+
+
+def test_recurrence_left_side_at_a_nonpositive_integer_a_is_a_polynomial():
+    # At a = -m the factor 2a + n stops the recurrence after x**(2m); on
+    # the grid's points where it sums on its own, x**(2m) is nonzero.
+    for j in range(-5, 6):
+        for m in (0, 2, 3):
+            for b in RECURRENCE_BS:
+                if is_nonpositive_integer(2 * b + j):
+                    continue
+                lhs = transform_lhs_recurrence(j, F(-m), b, 16)
+                degree = max(k for k, c in enumerate(lhs.coefficients) if c)
+                assert degree == 2 * m, (j, m, b)
+
+
+def test_recurrence_falls_back_to_a_value_before_the_pole():
+    # c = -3 would divide the recurrence by zero at x**4; b = -1 ends the
+    # 2F1 after w**1, so the substitution has a value:
+    # (1 - x)**(-1/2) (1 + w/6) = (1 - x)**(-1/2) - (x/3) (1 - x)**(-3/2)
+    j, a, b = -1, F(1, 4), F(-1)
+    lhs, fallbacks = recurrence_outcome(j, a, b, 6)
+    assert fallbacks == 1
+    assert lhs == gen_transform_lhs_series(j, a, b, 6)
+    assert lhs.coefficients == (1, F(1, 6), F(-1, 8), F(-5, 16), F(-175, 384),
+                                F(-147, 256), F(-693, 1024))
+
+
+@pytest.mark.parametrize("j, a, b, order, message", [
+    # c = -1: the pole meets live terms at term 2
+    (-2, F(1, 4), F(1, 2), 16, "denominator parameter -1 vanishes at term 2"),
+    # c = -31 lies past the order, and the substitution still refuses it
+    (-4, F(1, 4), F(-27, 2), 24,
+     "denominator parameter -31 vanishes at term 32"),
+])
+def test_recurrence_falls_back_to_the_pole_error(j, a, b, order, message):
+    got, fallbacks = recurrence_outcome(j, a, b, order)
+    assert fallbacks == 1
+    assert got == f"DenominatorPoleBeforeTermination: {message}"
+    assert outcome(lambda: gen_transform_lhs_series(j, a, b, order)) == got
+
+
+@settings(max_examples=60)
+@given(st.integers(-5, 5), small_rationals, small_rationals, st.integers(0, 20))
+def test_recurrence_matches_its_oracle(j, a, b, order):
+    got, _ = recurrence_outcome(j, a, b, order)
+    assert got == outcome(lambda: gen_transform_lhs_series(j, a, b, order))
+    if not isinstance(got, str):
+        assert math.gcd(got.denominator, *got.numerators) == 1
+
+
+def test_kummer_never_reads_the_recurrence():
+    # At j = 0 the recurrence is kummer_rhs_series's own term ratio, so
+    # the kummer check keeps the substitution as its left side.
+    def broken(*args):
+        raise AssertionError("kummer read the recurrence")
+
+    want = grid_sweep((), RECURRENCE_AS, RECURRENCE_BS, (), (), ("kummer",))
+    with mock.patch.object(identities, "transform_lhs_recurrence", broken), \
+            mock.patch.object(identities, "gen_transform_lhs_series",
+                              wraps=gen_transform_lhs_series) as lhs:
+        records = grid_sweep((), RECURRENCE_AS, RECURRENCE_BS, (), (),
+                             ("kummer",))
+    assert records == want
+    assert lhs.call_count == len(records) == 42
+
+
 def test_seeded_random_grid_for_weight_table_rows():
     # deterministic spot sampling across all rows, independent of hypothesis
     rng = random.Random(1729)
@@ -562,8 +665,8 @@ def test_pipeline_sweep_reduces_each_left_prefactor_once(js, a_s, b_s, d_s, e_s)
     with mock.patch.object(
         identities, "_gamma_ratio", wraps=identities._gamma_ratio
     ) as counted, mock.patch.object(
-        identities, "gen_transform_lhs_series",
-        wraps=identities.gen_transform_lhs_series,
+        identities, "transform_lhs_recurrence",
+        wraps=identities.transform_lhs_recurrence,
     ) as polys, mock.patch.object(
         identities, "beta_moment", wraps=identities.beta_moment
     ) as moment_calls:
@@ -636,7 +739,8 @@ def fraction_sides(check, j, a, b, d, e, argument):
     hyper's public sums and the parts combined in Fraction arithmetic,
     so independent of the integer pairs the package combines."""
     def left(argument=F(2)):
-        prefactor, tail = identities._lhs_tail(a, d, e)
+        prefactor, tail = identities._lhs_tail(
+            *(x.as_integer_ratio() for x in (a, d, e)))
         head = identities._lhs_head(j, a, b, argument)
         return prefactor * eval_terminating(head, tail)
 
