@@ -48,9 +48,9 @@ def _is_rational_text(text: str) -> bool:
     return len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts)
 
 
-def _shown(value) -> str:
-    """repr(value) for a message, cut to a short prefix."""
-    text = repr(value)
+def _shown(value, show=repr) -> str:
+    """show(value) for a message, cut to a short prefix."""
+    text = show(value)
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -112,7 +112,8 @@ class SweepConfig(namedtuple(
             raise ConfigParseError("config must be a JSON object")
         unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
         if unknown:
-            raise ConfigParseError(f"unknown config fields: {', '.join(unknown)}")
+            raise ConfigParseError(
+                f"unknown config fields: {_shown(', '.join(unknown), str)}")
 
         checks = raw.get("checks", [])
         if not isinstance(checks, list) or not all(
@@ -122,7 +123,7 @@ class SweepConfig(namedtuple(
         bad = sorted(set(checks) - set(CONFIG_CHECKS))
         if bad:
             raise ConfigParseError(
-                f"checks: unknown names {', '.join(bad)}; "
+                f"checks: unknown names {_shown(', '.join(bad), str)}; "
                 f"valid: {', '.join(CONFIG_CHECKS)}"
             )
 
@@ -397,11 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the checks described by a JSON config")
     p_run.add_argument("--config", required=True, help="path to the sweep config")
     p_run.add_argument("--out", help="write the report here instead of stdout")
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--jobs", type=_int_text, default=1,
                        help="worker processes (default 1)")
 
     p_self = sub.add_parser("selftest", help="run the built-in canonical suites")
-    p_self.add_argument("--jobs", type=int, default=1,
+    p_self.add_argument("--jobs", type=_int_text, default=1,
                         help="worker processes (default 1)")
 
     p_table = sub.add_parser("table", help="print the weight table at (b, n)")

@@ -51,8 +51,6 @@ from .hyper import (
 from .series import TruncatedSeries, _common_denominator, _reduced, binomial_series
 from .value import Value, as_fraction
 
-TWO = Fraction(2)
-
 
 # Weight table for the even (A) and odd (B) series parts, exactly as
 # tabulated; b is rational, n the summation index.  Do not simplify these
@@ -294,11 +292,11 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
     Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
     when it vanishes identically (weight zero, as at j = 0, or a = 0),
     so no Gamma poles are touched for dead terms.  The heads and scales
-    come from the row at argument 2 (see _Row) in `memo`, a dict or None.
+    come from the (j, a, b) row (see _Row) in `memo`, a dict or None.
     """
     _table_row(j)
     row = _memoized(memo, _Row, j, as_fraction(a, "a"), as_fraction(b, "b"),
-                    TWO, memo=memo)
+                    memo=memo)
     even, odd = row.part_heads
     total = weighted_series(even, order).scale(row.even_scale)
     if odd is not None:
@@ -343,25 +341,25 @@ class IdentityCase(Value):
         return None
 
 
-def _lhs_tail(a: tuple, d: tuple, e: tuple) -> tuple:
+def _lhs_tail(a: tuple, d: tuple, e: tuple, argument: tuple) -> tuple:
     """The left side's Gamma prefactor Gamma(e) Gamma(e - 2a - d) /
     (Gamma(e - 2a) Gamma(e - d)), then its 3F2's (a, d, e) spec
-    (d; 1 + 2a + d - e), for a, d and e integer pairs."""
+    (d; 1 + 2a + d - e) at the argument, all integer pairs."""
     (an, ad), (dn, dd), (en, ed) = a, d, e
     # e, 2a and d over their common denominator den
     den = ad * dd * ed
     e_, a2, d_ = en * ad * dd, 2 * an * dd * ed, dn * ad * ed
     prefactor = _gamma_ratio(((en, ed), (e_ - a2 - d_, den)),
                              ((e_ - a2, den), (e_ - d_, den)))
-    return prefactor, HyperSpec(((dn, dd),), ((den + a2 + d_ - e_, den),))
+    return prefactor, HyperSpec(((dn, dd),), ((den + a2 + d_ - e_, den),),
+                                argument)
 
 
-def _lhs_head(j: int, a: Fraction, b: Fraction, argument) -> HyperSpec:
-    """The left side's (j, a, b) part at argument: its 3F2's spec (2a, b;
-    2b + j)."""
+def _lhs_head(j: int, a: Fraction, b: Fraction) -> HyperSpec:
+    """The left side's (j, a, b) part: its 3F2's spec (2a, b; 2b + j),
+    whatever the argument, which the tail carries."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),),
-                     _ratio(argument, "the argument"))
+    return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
 
 
 def _column(d: Fraction, e: Fraction) -> tuple:
@@ -397,18 +395,17 @@ def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
 
 
 class _Row:
-    """The (j, a, b) part of the theorem family's cases, with the argument
-    of the left side's 3F2.  The per-case arithmetic of every check lives
-    here: each method takes one column (see _column) and computes one
-    side of one case.  The row caches what its cases share: each
-    invariant is a cached_property, read at the first column that needs
-    it, and `lefts` keeps each left side under its column's (d, e)
-    integer pairs.  `memo` is the sweep memo, which keeps the row, the
-    weighted heads and the odd scale under (j, a, b) whatever the
-    argument, or None for a one-case row."""
+    """The (j, a, b) part of the theorem family's cases.  The per-case
+    arithmetic of every check lives here: each method takes one column
+    (see _column) and computes one side of one case.  The row caches
+    what its cases share: each invariant is a cached_property, read at
+    the first column that needs it, and `lefts` keeps each left side
+    under its column's (d, e) pairs and the argument's pair.  `memo` is
+    the sweep memo, which keeps the row under (j, a, b), or None for a
+    one-case row."""
 
-    def __init__(self, j: int, a: Fraction, b: Fraction, argument, memo=None):
-        self.j, self.a, self.b, self.argument = j, a, b, argument
+    def __init__(self, j: int, a: Fraction, b: Fraction, memo=None):
+        self.j, self.a, self.b = j, a, b
         self.memo, self.lefts = memo, {}
         self.a_pair, self.a_branch = a.as_integer_ratio(), is_nonpositive_integer(a)
 
@@ -420,11 +417,11 @@ class _Row:
 
     @functools.cached_property
     def lhs_head(self) -> HyperSpec:
-        return _lhs_head(self.j, self.a, self.b, self.argument)
+        return _lhs_head(self.j, self.a, self.b)
 
     @functools.cached_property
     def part_heads(self) -> tuple:
-        return _memoized(self.memo, _part_heads, self.j, self.a, self.b, memo=self.memo)
+        return _part_heads(self.j, self.a, self.b, memo=self.memo)
 
     @functools.cached_property
     def even_scale(self) -> Fraction:
@@ -432,7 +429,7 @@ class _Row:
 
     @functools.cached_property
     def odd_scale(self) -> Fraction:
-        return _memoized(self.memo, _odd_scale, self.j, self.a, self.b, memo=self.memo)
+        return _odd_scale(self.j, self.a, self.b, memo=self.memo)
 
     @functools.cached_property
     def corollary_heads(self) -> tuple:
@@ -445,22 +442,23 @@ class _Row:
         degree = -2 * int(self.a)
         return transform_lhs_recurrence(self.j, self.a, self.b, degree), degree
 
-    def lhs_pair(self, d: tuple, e: tuple) -> tuple:
-        """theorem_lhs at d and e, integer pairs, as an unreduced integer
-        pair (numerator, denominator), the denominator nonzero and of
-        either sign."""
+    def lhs_pair(self, d: tuple, e: tuple, argument=(2, 1)) -> tuple:
+        """theorem_lhs at d, e and the argument, integer pairs, as an
+        unreduced integer pair (numerator, denominator), the denominator
+        nonzero and of either sign."""
         _table_row(self.j)
-        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair, d, e)
+        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair, d, e, argument)
         pn, pd = prefactor.as_integer_ratio()
         sn, sd = _terminating_pair(self.lhs_head, tail)
         return pn * sn, pd * sd
 
-    def left(self, column) -> Fraction:
-        """The left side at a column of _columns, reduced and kept in
-        `lefts`: theorem at argument 2, corollary and pipeline sum it once."""
-        key = column[4]
+    def left(self, column, argument=(2, 1)) -> Fraction:
+        """The left side at a column of _columns and an argument pair,
+        reduced and kept in `lefts`: theorem at argument 2, corollary and
+        pipeline sum it once."""
+        key = column[4], argument
         if key not in self.lefts:
-            self.lefts[key] = Fraction(*self.lhs_pair(*key))
+            self.lefts[key] = Fraction(*self.lhs_pair(*column[4], argument))
         return self.lefts[key]
 
     def theorem_rhs_pair(self, column) -> tuple:
@@ -498,15 +496,15 @@ class _Row:
                 poly.denominator * m_den)
 
 
-def theorem_lhs(case: IdentityCase, argument=TWO) -> Fraction:
+def theorem_lhs(case: IdentityCase, argument=2) -> Fraction:
     """Prefactor times the terminating 3F2.
 
     The series argument defaults to 2; passing argument=1 evaluates the
     (wrong) unit-argument variant, kept available as a negative control.
     """
-    row = _Row(case.j, case.a, case.b, argument)
+    row = _Row(case.j, case.a, case.b)
     d, e = case.d.as_integer_ratio(), case.e.as_integer_ratio()
-    return Fraction(*row.lhs_pair(d, e))
+    return Fraction(*row.lhs_pair(d, e, _ratio(argument, "the argument")))
 
 
 def theorem_rhs(case: IdentityCase) -> Fraction:
@@ -517,7 +515,7 @@ def theorem_rhs(case: IdentityCase) -> Fraction:
     part stops at -a and the odd part at -a - 1; on the d branch both stop
     around floor(-d/2), depending on parity.
     """
-    row = _Row(case.j, case.a, case.b, TWO)
+    row = _Row(case.j, case.a, case.b)
     return Fraction(*row.theorem_rhs_pair(_column(case.d, case.e)))
 
 
@@ -571,7 +569,7 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
     second series whose scale or d vanishes is never built or walked.  In
     a sweep this path reads none of the weighted sums' values.
     """
-    row = _Row(case.j, case.a, case.b, TWO)
+    row = _Row(case.j, case.a, case.b)
     return Fraction(*row.corollary_rhs_pair(_column(case.d, case.e)))
 
 
@@ -610,7 +608,7 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
 
     whose equality is the identity itself.
     """
-    row = _Row(case.j, case.a, case.b, TWO)
+    row = _Row(case.j, case.a, case.b)
     moments = row.moment_pair(_column(case.d, case.e))
     left = row.lhs_pair(case.d.as_integer_ratio(), case.e.as_integer_ratio())
     return Fraction(*moments), Fraction(*left)
@@ -646,8 +644,8 @@ def _error_tag(err: Exception) -> str:
     return f"Unexpected {type(err).__name__}: {err}"
 
 
-def verify_theorem(case: IdentityCase, argument=TWO) -> VerificationRecord:
-    """Evaluate both sides of the summation identity; never raises."""
+def verify_theorem(case: IdentityCase, argument=2) -> VerificationRecord:
+    """Evaluate both sides of the summation identity; errors are recorded."""
     return _evaluate_case(("theorem", case.j, case.a, case.b, case.d, case.e,
                            None, argument))
 
@@ -689,17 +687,16 @@ def _evaluate_row(job, memo=None) -> list:
     records come in column order, each side from a _Row method.  The
     row and the column table (see _columns) come from the memo, so the
     row keeps its invariants and left sides, and the table its tails,
-    for every check that reads them; corollary and pipeline read the
-    row at argument 2, whatever the theorem's argument.  A kummer or
-    transform row is one case, with no columns.
+    for every check that reads them.  The theorem sums its left side at
+    the job's argument.  A kummer or transform row is one case.
     """
     check, j, a, b, columns, order, argument = job
     memo = {} if memo is None else memo
     row, table = None, [(None, None, None, None)]
     if columns is not None:
-        row = _memoized(memo, _Row, j, a, b,
-                        argument if check == "theorem" else TWO, memo=memo)
+        row = _memoized(memo, _Row, j, a, b, memo=memo)
         table = _memoized(memo, _columns, columns)
+        argument = _ratio(argument, "the argument")
     records = []
     for column in table:
         branch = "a" if row is not None and row.a_branch else "d" if column[2] else None
@@ -712,7 +709,7 @@ def _evaluate_row(job, memo=None) -> list:
                 # surface with the offending argument named instead of as
                 # a generic lower-parameter failure.
                 rhs = row.theorem_rhs_pair(column)
-                rhs, lhs, equal = _sides(rhs, row.left(column))
+                rhs, lhs, equal = _sides(rhs, row.left(column, argument))
             elif check == "corollary":
                 # no closed form past the bound: skip before the 3F2 sum
                 if abs(j) > COROLLARY_J_LIMIT:
@@ -767,14 +764,14 @@ def grid_sweep(
 
     Whatever cases share is kept once per memo (see _memoized), values
     only, so every record equals the one its case gives on its own: each
-    row (see _Row) under (j, a, b, argument), the helpers scoped to
-    (j, b), (a, d, e) or a column's beta moments under (helper, *args),
-    and one column table, moment tails included, per set of columns.  A
-    kummer or transform job is one case.  `memo` is the dict to keep the
-    entries in, a fresh one when None; every entry is a pure function of
-    its key, so a memo that earlier sweeps filled leaves the records as
-    they are.  A pool's map pickles a copy of the memo with each share of
-    rows it sends.
+    row (see _Row) under (j, a, b), the helpers scoped to (j, b),
+    (a, d, e, argument) or a column's beta moments under (helper,
+    *args), and one column table, moment tails included, per set of
+    columns.  A kummer or transform job is one case.  `memo` is the
+    dict to keep the entries in, a fresh one when None; every entry is
+    a pure function of its key, so a memo that earlier sweeps filled
+    leaves the records as they are.  A pool's map pickles a copy of the
+    memo with each share of rows it sends.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -292,11 +292,15 @@ class TestTable:
         assert run_err == (f"hyperverify: config error: aSet: '{ones[:39]}..."
                            " is not a rational (too many digits)\n")
 
-    @pytest.mark.parametrize("option", ["--n", "--j"])
-    def test_a_long_integer_option_is_cut_short(self, option, capsys):
+    @pytest.mark.parametrize("argv, option", [
+        (["table", "--b", "1", "--n", "0"], "--n"),
+        (["table", "--b", "1", "--n", "0"], "--j"),
+        (["run", "--config", "unread.json"], "--jobs"),
+        (["selftest"], "--jobs"),
+    ], ids=["--n", "--j", "run---jobs", "selftest---jobs"])
+    def test_a_long_integer_option_is_cut_short(self, argv, option, capsys):
         ones = "1" * 5000
-        argv = ["table", "--b", "1", "--n", "0", option, ones]
-        code, out, err = invoke(argv, capsys)
+        code, out, err = invoke(argv + [option, ones], capsys)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {option}: invalid int value: "
                             f"'{ones[:39]}...\n")
@@ -331,6 +335,17 @@ class TestTable:
         ({"checks": ["pipeline"], "aSet": [-int("7" * 4000)]},
          f"aSet: a=-{'7' * 39}... gives the pipeline degree "
          f"{'1' + '5' * 39}..., past 256"),
+        # unknown names echo unquoted, and whole up to 40 characters
+        ({"checks": ["theorem", "7" * 5000]},
+         f"checks: unknown names {'7' * 40}...; "
+         "valid: theorem, corollaries, transform, kummer, pipeline"),
+        ({"checks": ["kumer", "theorem", "corolaries"]},
+         "checks: unknown names corolaries, kumer; "
+         "valid: theorem, corollaries, transform, kummer, pipeline"),
+        ({"checks": ["theorem"], "7" * 5000: 1},
+         f"unknown config fields: {'7' * 40}..."),
+        ({"checks": ["theorem"], "aset": [], "jset": []},
+         "unknown config fields: aset, jset"),
     ])
     def test_a_long_config_value_is_cut_short(self, raw, message, tmp_path,
                                              capsys):
@@ -484,9 +499,9 @@ def test_selftest_sums_each_left_side_once(monkeypatch, capsys):
     lhs_pair = identities._Row.lhs_pair
     calls = []
 
-    def counted(row, d, e):
-        calls.append((row.j, row.a, row.b, d, e))
-        return lhs_pair(row, d, e)
+    def counted(row, d, e, argument=(2, 1)):
+        calls.append((row.j, row.a, row.b, d, e, argument))
+        return lhs_pair(row, d, e, argument)
 
     monkeypatch.setattr(identities._Row, "lhs_pair", counted)
     seen = []

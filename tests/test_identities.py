@@ -569,6 +569,34 @@ class TestGridSweep:
         assert all(r.equal for r in records)
         assert len(calls) == len(set(calls)) == 4
 
+    def test_one_row_per_j_a_b_whatever_the_argument(self):
+        # Only the left side's tail reads the theorem's argument, so a
+        # theorem sweep at argument 1 shares its rows with corollary,
+        # pipeline and transform: one row per (j, a, b), no memo entry
+        # for the weighted heads or the odd scale beside the rows, and
+        # each row keeps both arguments' left sides of a column apart.
+        # They differ at d = 1/2 and e = 4; at (j, a, b, d, e) =
+        # (-3, -1, 1/3, 1, 4) both are 4/7.
+        js, a_s, b_s = (0, 1, -3), (-1, -2), (F(1, 3), F(2, 5))
+        d_s, e_s = (F(1, 2), 1), (4, F(13, 3))
+        memo = {}
+        records = grid_sweep(js, a_s, b_s, d_s, e_s,
+                             ("theorem", "corollary", "pipeline", "transform"),
+                             series_order=6, theorem_argument=1, memo=memo)
+        assert len(records) == 12 * (3 * 4 + 1)
+        rows = [v for v in memo.values() if isinstance(v, identities._Row)]
+        assert sorted((r.j, r.a, r.b) for r in rows) == sorted(
+            (j, a, b) for j in js for a in a_s for b in b_s)
+        assert not [key for key in memo if key[0] in (identities._part_heads,
+                                                      identities._odd_scale)]
+        for row in rows:
+            for d, e in ((d, e) for d in d_s for e in e_s):
+                pairs = F(d).as_integer_ratio(), F(e).as_integer_ratio()
+                one, two = row.lefts[pairs, (1, 1)], row.lefts[pairs, (2, 1)]
+                case = IdentityCase(row.j, row.a, row.b, d, e)
+                assert (one, two) == (theorem_lhs(case, 1), theorem_lhs(case))
+                assert one != two or (d, e) != (F(1, 2), 4)
+
     def test_one_column_table_per_sweep(self, monkeypatch):
         # theorem and corollary read the same moment tails, so a sweep of
         # both builds one column table and one pair of tails per column.

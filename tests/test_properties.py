@@ -740,8 +740,8 @@ def fraction_sides(check, j, a, b, d, e, argument):
     so independent of the integer pairs the package combines."""
     def left(argument=F(2)):
         prefactor, tail = identities._lhs_tail(
-            *(x.as_integer_ratio() for x in (a, d, e)))
-        head = identities._lhs_head(j, a, b, argument)
+            *(x.as_integer_ratio() for x in (a, d, e, argument)))
+        head = identities._lhs_head(j, a, b)
         return prefactor * eval_terminating(head, tail)
 
     if check == "theorem":
