@@ -230,45 +230,88 @@ def _exit_code(summary: dict) -> int:
     return 0 if summary["failed"] == 0 and summary["errored"] == 0 else 1
 
 
-def _map_share(fn, share):
-    """One pool task: fn over a contiguous share of a map's items."""
-    return [fn(item) for item in share]
+class WorkerError(RuntimeError):
+    """A pool worker ended without sending its results, or raised an
+    error that cannot be pickled; the message names the exit code, or
+    the error's type and message."""
+
+
+def _map_share(sender, fn, share):
+    """A pool worker's whole work: fn over its contiguous share of a
+    map's items, sent back over the pipe as (True, results), or as
+    (False, the error) when fn raises.  An error that does not survive
+    a pickle round trip, which the caller's read would need, goes as a
+    WorkerError."""
+    try:
+        reply = True, [fn(item) for item in share]
+    except Exception as exc:
+        import pickle
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = WorkerError(f"{type(exc).__name__}: {exc}")
+        reply = False, exc
+    sender.send(reply)
+
+
+class _Worker:
+    """One worker process and the read end of its one-way pipe."""
+
+    def __init__(self, fn, share):
+        import multiprocessing
+        self.receiver, sender = multiprocessing.Pipe(duplex=False)
+        self.process = multiprocessing.Process(
+            target=_map_share, args=(sender, fn, share))
+        self.process.start()
+        # the worker holds the only write end left, so its death reads as EOF
+        sender.close()
+
+    def result(self):
+        """The share's results, or its error raised here.  The reply is
+        read before the worker is joined: a large one fills the pipe,
+        and the worker cannot exit before it is read."""
+        try:
+            ok, value = self.receiver.recv()
+        except EOFError:
+            self.process.join()
+            raise WorkerError(
+                f"pool worker {self.process.pid} exited with code "
+                f"{self.process.exitcode} before it sent its results") from None
+        self.process.join()
+        if not ok:
+            raise value
+        return value
+
+    def stop(self):
+        """Terminate the worker unless it has been joined, join it and
+        close the pipe."""
+        self.process.terminate()
+        self.process.join()
+        self.receiver.close()
 
 
 class ProcessPoolExecutor:
-    """A process pool that imports concurrent.futures, and with it
-    multiprocessing, at its first submit, which starts the workers; a
-    run in one process loads neither.  Leaving the block joins them."""
+    """Worker processes, one per submit, each of which sends its one
+    reply back over a one-way pipe, so the caller runs no helper thread.
+    multiprocessing is imported at the first submit, so a run in one
+    process never loads it.  `max_workers` is the number of submits to
+    come.  Leaving the block terminates every worker whose reply was not
+    read, and joins them all."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        self._pool = None
+        self._workers = []
 
-    def submit(self, fn, *args):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor as Pool
-            self._pool = Pool(max_workers=self.max_workers)
-        return self._pool.submit(fn, *args)
-
-    def map(self, fn, items, chunksize=1):
-        """Executor.map over a list, one task per contiguous share of
-        chunksize items; an error cancels the shares still pending."""
-        futures = [self.submit(_map_share, fn, items[i:i + chunksize])
-                   for i in range(0, len(items), chunksize)]
-
-        def results():
-            try:
-                for future in futures:
-                    yield from future.result()
-            finally:
-                for future in futures:
-                    future.cancel()
-
-        return results()
+    def submit(self, fn, share):
+        """Start a worker that maps fn over the share; returns it, and
+        its result() gives the results in order."""
+        worker = _Worker(fn, share)
+        self._workers.append(worker)
+        return worker
 
     def shutdown(self):
-        if self._pool is not None:
-            self._pool.shutdown()
+        for worker in self._workers:
+            worker.stop()
 
     def __enter__(self):
         return self
@@ -279,19 +322,28 @@ class ProcessPoolExecutor:
 
 
 def _pool_map(fn, items, jobs: int):
-    """An order-preserving map over a process pool of at most `jobs`
-    workers, one per CPU and one per item; the builtin map, with no pool,
-    when that leaves a single worker.  Each worker takes one contiguous
-    share of ceil(len(items) / workers) items, and `fn` is pickled once
-    per share, so a memo that `fn` carries serves the whole share.
+    """An order-preserving map over at most `jobs` workers, one per CPU
+    and one per item; the builtin map, with no pool, when that leaves a
+    single worker.  Each worker takes one contiguous share of
+    ceil(len(items) / workers) items.  The caller is the first worker:
+    it starts one process for each later share, maps the first share
+    itself with `fn` as given, then reads the other shares' results in
+    order.  Each process gets its own copy of `fn`, so a memo that `fn`
+    carries serves the whole share there, and the caller's share works
+    the caller's memo itself.
     """
     items = list(items)
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=-(-len(items) // workers))
+    size = -(-len(items) // workers)
+    shares = [items[i:i + size] for i in range(0, len(items), size)]
+    with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
+        later = [pool.submit(fn, share) for share in shares[1:]]
+        yield from map(fn, shares[0])
+        for worker in later:
+            yield from worker.result()
 
 
 def _sweep(config: SweepConfig, jobs: int) -> list:
@@ -360,9 +412,10 @@ def _suite_summary(suite, memo) -> tuple:
 def selftest(jobs: int = 1) -> int:
     """Run the canonical suites with no config; print one line per suite.
 
-    The suites share one sweep memo, made for this call; on a pool each
-    worker's share of the suites shares its own copy of it.  The lines
-    print in suite order.
+    The suites share one sweep memo, made for this call; on a pool the
+    caller's own share of the suites works that memo, and each worker
+    process's share works its own copy of it.  The lines print in suite
+    order.
     """
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0

@@ -770,8 +770,9 @@ def grid_sweep(
     columns.  A kummer or transform job is one case.  `memo` is the
     dict to keep the entries in, a fresh one when None; every entry is
     a pure function of its key, so a memo that earlier sweeps filled
-    leaves the records as they are.  A pool's map pickles a copy of the
-    memo with each share of rows it sends.
+    leaves the records as they are.  Under cli's pool map the caller
+    works its own share of rows with this memo, and each worker process
+    works its share with its own copy.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -5,9 +5,11 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -516,13 +518,14 @@ def test_selftest_sums_each_left_side_once(monkeypatch, capsys):
 def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch, tmp_path, capsys
 ):
-    # A stub pool records how it is built and what it maps, and maps in
-    # process, so no worker process is started.
+    # A stub pool records how it is built and which shares it is handed,
+    # and maps them in process, so no worker process is started.  The
+    # caller maps the first share itself, so the stub sees the rest.
     from hyperverify import identities
     from hyperverify.suites import ALL_SUITES
 
     started = []
-    mapped = []
+    submitted = []
 
     class StubPool:
         def __init__(self, max_workers):
@@ -534,26 +537,28 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            mapped.append((fn, items, chunksize))
-            return map(fn, items)
+        def submit(self, fn, share):
+            submitted.append((fn, share))
+            return types.SimpleNamespace(result=lambda: list(map(fn, share)))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
     # selftest: one map over the six suites, one contiguous share of
-    # ceil(6 / 3) = 2 suites per worker, each task the suite summary under
-    # the call's one memo
+    # ceil(6 / 3) = 2 suites per worker, the first in the caller and the
+    # other two in two worker processes, each task the suite summary
+    # under the call's one memo
     assert cli.selftest(jobs=8) == 1
     capsys.readouterr()
-    assert started == [3]
-    [(fn, items, chunksize)] = mapped
+    assert started == [2]
+    [(fn, second), (same_fn, third)] = submitted
+    assert fn is same_fn
     assert (fn.func, fn.args, list(fn.keywords)) == (
         cli._suite_summary, (), ["memo"])
-    assert (items, chunksize) == (list(ALL_SUITES), 2)
+    assert (second, third) == (list(ALL_SUITES[2:4]), list(ALL_SUITES[4:]))
 
-    # run: at most one contiguous share of the job list per worker
+    # run: at most one contiguous share of the job list per worker, the
+    # caller's first and one worker's after it
     grid = TestDeterminism.GRID
     sweep_jobs = []
 
@@ -570,19 +575,17 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     )
     grid_cfg = write_config(tmp_path, grid, "grid.json")
     assert invoke(["run", "--config", grid_cfg, "--jobs", "2"], capsys)[0] == 1
-    assert started == [3, 2]
-    _, items, chunksize = mapped[1]
-    shares = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-    assert len(shares) <= 2
-    assert [job for share in shares for job in share] == sweep_jobs
+    assert started == [2, 1]
+    _, share = submitted[2]
+    assert share == sweep_jobs[len(sweep_jobs) - len(sweep_jobs) // 2:]
 
     # a one-record run, and any run on a single CPU, start no pool
     one_cfg = write_config(tmp_path, CANONICAL_CONFIG)
     assert invoke(["run", "--config", one_cfg, "--jobs", "2"], capsys)[0] == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert invoke(["run", "--config", grid_cfg, "--jobs", "8"], capsys)[0] == 1
-    assert started == [3, 2]
-    assert len(mapped) == 2
+    assert started == [2, 1]
+    assert len(submitted) == 3
 
 
 def _item_and_pid(item):
@@ -591,12 +594,30 @@ def _item_and_pid(item):
 
 
 def _touch_unless_negative(folder, item):
-    """A pool task: refuse a negative item at once; otherwise wait a
-    little, then leave a file named after the item."""
+    """A pool task: refuse a negative item at once; otherwise wait item / 4
+    seconds, then leave a file named after the item."""
     if item < 0:
         raise LookupError(item)
-    time.sleep(0.25)
+    time.sleep(item / 4)
     (folder / str(item)).touch()
+    return item
+
+
+def _exit_if_negative(item):
+    """A pool task: end the process at a negative item, with no reply."""
+    if item < 0:
+        os._exit(3)
+    return item
+
+
+def _raise_unpicklable(item):
+    """A pool task: pass item 0 back; raise any other as an error whose
+    class, defined in here, cannot be pickled."""
+    class LocalError(Exception):
+        pass
+
+    if item:
+        raise LocalError(f"item {item}")
     return item
 
 
@@ -607,32 +628,84 @@ class TestRealPool:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
 
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        """Fail a test whose pool hangs instead of hanging the session."""
+        def hung(signum, frame):
+            raise TimeoutError("the pool did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_shares_come_back_in_order(self):
         out = list(cli._pool_map(_item_and_pid, range(5), jobs=2))
         assert [item for item, _ in out] == [0, 1, 2, 3, 4]
-        # two contiguous shares, [0, 1, 2] and [3, 4], each in one worker
+        # two contiguous shares: [0, 1, 2] in the caller, [3, 4] in one worker
         pids = [pid for _, pid in out]
-        assert os.getpid() not in pids
-        assert len(set(pids[:3])) == len(set(pids[3:])) == 1
+        assert pids[:3] == [os.getpid()] * 3
+        assert pids[3] == pids[4] != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_a_task_error_reraises_and_leaves_no_worker(self, tmp_path):
+        # The caller's own share [-1, 1] fails at once, and the worker's
+        # share [2, 3] is terminated before it writes.
         task = functools.partial(_touch_unless_negative, tmp_path)
         with pytest.raises(LookupError):
             list(cli._pool_map(task, [-1, 1, 2, 3], jobs=2))
         assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
 
-    def test_a_task_error_cancels_the_pending_tasks(self, tmp_path):
-        # One item per task, through the pool stand-in itself, since
-        # _pool_map's one share per worker leaves no task pending: the
-        # first fails at once, and the tasks not yet handed to a worker
-        # are cancelled rather than run.
+    def test_a_task_error_stops_the_other_workers(self, monkeypatch, tmp_path):
+        # Three shares, one item each: the caller writes 0 at once, the
+        # second worker fails at once, and the third is terminated
+        # before it writes 4 a second later.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         task = functools.partial(_touch_unless_negative, tmp_path)
         with pytest.raises(LookupError):
-            with cli.ProcessPoolExecutor(2) as pool:
-                list(pool.map(task, [-1, *range(1, 15)], chunksize=1))
+            list(cli._pool_map(task, [0, -1, 4], jobs=3))
         assert multiprocessing.active_children() == []
-        assert len(list(tmp_path.iterdir())) < 14
+        assert [path.name for path in tmp_path.iterdir()] == ["0"]
+
+    def test_a_dead_worker_raises_and_does_not_hang(self):
+        with pytest.raises(cli.WorkerError, match="exited with code 3"):
+            list(cli._pool_map(_exit_if_negative, [1, -1], jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_that_cannot_be_pickled_is_named(self):
+        with pytest.raises(cli.WorkerError, match="^LocalError: item 1$"):
+            list(cli._pool_map(_raise_unpicklable, [0, 1], jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_closing_the_map_early_stops_the_workers(self, tmp_path):
+        # The caller's share is [0, 1]; the worker's [4, 8] would write
+        # its first file a second in.
+        task = functools.partial(_touch_unless_negative, tmp_path)
+        results = cli._pool_map(task, [0, 1, 4, 8], jobs=2)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert [path.name for path in tmp_path.iterdir()] == ["0"]
+
+    def test_three_workers_keep_record_order_and_bytes(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli.selftest(jobs=1) == 1
+        serial = capsys.readouterr().out
+        assert cli.selftest(jobs=3) == 1
+        assert capsys.readouterr().out == serial
+        cfg = write_config(tmp_path, TestDeterminism.GRID)
+        reports = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"report-{jobs}.json"
+            invoke(["run", "--config", cfg, "--out", str(out), "--jobs", jobs],
+                   capsys)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")

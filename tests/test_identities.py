@@ -534,9 +534,9 @@ class TestGridSweep:
                 invalid, pole, invalid, pole + " vanishes at term 1"]
 
     def test_argument_one_builds_each_rows_heads_once(self, monkeypatch):
-        # theorem at argument 1 and transform read different rows of one
-        # (j, a, b); the weighted heads are keyed on (j, a, b) alone, so
-        # the 44 rows build 44 heads, not 88.
+        # theorem at argument 1 and transform read the one row of each
+        # (j, a, b), which builds its weighted heads once, so the 44 rows
+        # build 44 heads, not 88.
         calls = []
         part_heads = identities._part_heads
 
