@@ -5,18 +5,21 @@ quotient times argument**n, times a polynomial weight in n.  A plain pFq
 has the unit weight.  The module finds where a family terminates, applies
 the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
-sum may take several specs as the groups of one family, the parameters of
-all of them together.  A sum takes the family's stop once from its specs,
-fetches each spec's integer ratio rows once, and walks them in one plain
-loop (_row_sum), which multiplies the groups' rows step by step, head
-group first, and raises at the first lower parameter that vanishes.  A
-sum keeps one running integer total over one denominator, and comes
-back as that unreduced integer pair.  A series expansion steps one
-group's rows in the series walk (series._walk_terms), which keeps each
-term reduced, and comes back as integer numerators over their least
-common denominator, with no `Fraction`.
+sum takes a head spec and an optional tail spec as the two groups of one
+family, the parameters of both together, and runs in one kernel (_pair):
+it takes the smaller of the two stops, applies the legality rule only
+where it is asked for and a spec has a pole, returns the weight's
+constant term at stop 0 without building a row, and otherwise walks the
+head's and the tail's integer ratio rows in one zip, head group first,
+raising at the first lower parameter that vanishes.  A sum keeps one
+running integer total over one denominator, and comes back as that
+unreduced integer pair.  A series expansion steps one group's rows in
+the series walk (series._walk_terms), which keeps each term reduced, and
+comes back as integer numerators over their least common denominator,
+with no `Fraction`.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -88,24 +91,25 @@ def weighted_termination(spec: HyperSpec) -> int | None:
                default=None)
 
 
-def _stop(specs) -> int | None:
-    """The termination index of the family with every spec's parameters."""
-    stop = None
-    for spec in specs:
-        if spec.stop is not None and (stop is None or spec.stop < stop):
-            stop = spec.stop
+def _stop(head: HyperSpec, tail: HyperSpec | None = None) -> int | None:
+    """The termination index of the family with both specs' parameters:
+    the smaller of their stops."""
+    stop = head.stop
+    if tail is not None and tail.stop is not None and (
+            stop is None or tail.stop < stop):
+        return tail.stop
     return stop
 
 
-def check_lower(*specs) -> int | None:
+def check_lower(head: HyperSpec, tail: HyperSpec | None = None) -> int | None:
     """The legality rule of the family with the specs' parameters: no
     lower parameter beta may vanish (at term 1 - beta) while terms are
     alive, that is before the family's stop (None: never).  Of those
     that do, the earliest to vanish, the largest beta, is named, as the
     walk would meet it.  Returns the stop."""
-    stop = _stop(specs)
-    live = [beta for spec in specs for beta in spec.poles
-            if stop is None or stop > -beta]
+    stop = _stop(head, tail)
+    live = [beta for spec in (head, tail) if spec is not None
+            for beta in spec.poles if stop is None or stop > -beta]
     if live:
         beta = max(live)
         raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
@@ -135,57 +139,62 @@ def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
     return tuple(rows)
 
 
-def _row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
-    """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, the
-    terms those of the family with every group's parameters, n!
-    included, until a numerator product vanishes.  One loop walks the
-    row sets: step n multiplies the groups' rows of that step, head group
-    first, and a lower parameter vanishing there raises.  The weight's
-    ascending coefficients are read by Horner's rule, and the sum is one
-    running integer total over one denominator, returned unreduced:
-    (numerator, denominator), the denominator nonzero and of either sign.
-    The loop only sums; a series steps its own walk (series._walk_terms)."""
-    if up_to < 0:
-        return 0, w_den
-    weight = weight[::-1]
-    total, num, den = weight[-1], 1, 1  # term 0 is 1
-    for n, rows in zip(range(1, up_to + 1), zip(*row_sets)):
-        a, b = 1, n
-        for ra, rb, pole in rows:
-            if pole is not None:
-                raise DenominatorPoleBeforeTermination(pole, n)
-            a *= ra
-            b *= rb
-        num *= a
+def _pair(head: HyperSpec, tail: HyperSpec | None, legal: bool) -> tuple:
+    """Exact sum over n = 0..stop of weight(n) / w_den * term_n, the
+    terms those of the family with the head's and the tail's parameters,
+    n! included, and the head's weight; the stop is the smaller of the
+    two specs' stops.  With `legal`, the legality rule (check_lower)
+    runs first, and only when a spec has a pole.  At stop 0 no row is
+    built.  Otherwise one loop walks the head's and the tail's rows
+    together until a numerator product vanishes: step n multiplies the
+    two rows of that step, and a lower parameter vanishing there raises,
+    the head's named first.  The weight's ascending coefficients are
+    read by Horner's rule, and the sum is one running integer total over
+    one denominator, returned unreduced: (numerator, denominator), the
+    denominator nonzero and of either sign.  The loop only sums; a
+    series steps its own walk (series._walk_terms)."""
+    if legal and (head.poles or tail is not None and tail.poles):
+        stop = check_lower(head, tail)
+    else:
+        stop = _stop(head, tail)
+    if stop is None:
+        raise NonTerminatingSeries(
+            "no numerator parameter is a nonpositive integer")
+    weight, w_den = head.integer_weight
+    if stop == 0:
+        return weight[0], w_den
+    horner = weight[::-1]
+    tail_rows = _NO_ROWS if tail is None else tail.rows(stop)
+    total, num, den = weight[0], 1, 1  # term 0 is 1
+    for n, (ha, hb, head_pole), (ta, tb, tail_pole) in zip(
+            range(1, stop + 1), head.rows(stop), tail_rows):
+        b = n * hb * tb
+        if not b:
+            raise DenominatorPoleBeforeTermination(
+                tail_pole if head_pole is None else head_pole, n)
+        num *= ha * ta
         den *= b
         w = 0
-        for c in weight:
+        for c in horner:
             w = w * n + c
         total = total * b + w * num
     return total, den * w_den
 
 
-def _sum_to(specs, stop) -> tuple:
-    """Sum of the family with the specs' parameters and the first one's
-    weight, up to stop, the family's stop, as _row_sum's unreduced pair:
-    each spec's rows are fetched once and walked in one loop."""
-    if stop is None:
-        raise NonTerminatingSeries(
-            "no numerator parameter is a nonpositive integer")
-    return _row_sum([spec.rows(stop) for spec in specs], stop,
-                    *specs[0].integer_weight)
+# the rows of a missing tail: a unit ratio with no pole at every step
+_NO_ROWS = itertools.repeat((1, 1, None))
 
 
-def _weighted_pair(*specs: HyperSpec) -> tuple:
-    """_sum_to the family's stop: a lower parameter is only rejected
+def _weighted_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
+    """_pair at the family's stop: a lower parameter is only rejected
     where the walk meets it."""
-    return _sum_to(specs, _stop(specs))
+    return _pair(head, tail, False)
 
 
-def _terminating_pair(*specs: HyperSpec) -> tuple:
-    """_weighted_pair under the legality rule (checked first), which
-    gives the stop the walk takes."""
-    return _sum_to(specs, check_lower(*specs))
+def _terminating_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
+    """_pair under the legality rule, which gives the stop the walk
+    takes."""
+    return _pair(head, tail, True)
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:

@@ -124,14 +124,16 @@ def coeff_B(j: int, b, n: int) -> Fraction:
     return Fraction(_table_row(j)[1](as_fraction(b, "b"), n))
 
 
-def _poly_from_samples(samples) -> tuple:
+def _poly_from_samples(samples, den: int = 1) -> tuple:
     """Ascending monomial coefficients of the polynomial through
-    (0, samples[0]), (1, samples[1]), ... via Newton forward differences.
+    (0, samples[0] / den), (1, samples[1] / den), ... via Newton forward
+    differences.
 
     Exact for any polynomial of degree < len(samples).  The differences run
     on integers: the samples over their common denominator, each Newton
     term scaled by (len - 1)! / k! so that one division ends it."""
-    level, den = _common_denominator(samples)
+    level, common = _common_denominator(samples)
+    den *= common
     top = len(samples) - 1
     coeffs = [0] * len(samples)
     falling = [1]  # coefficients of n(n-1)...(n-k+1), ascending
@@ -167,11 +169,39 @@ def _memoized(memo, compute, /, *args, **kwargs):
     return value
 
 
-def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
-    """The table entry at fixed b as a polynomial in n (degree <= 2;
-    six samples keep the interpolation exact with room to spare)."""
+# The weight polynomials have degree <= 2 in b and in n; they are sampled
+# on the nodes 0..5 of each, which keeps the interpolation exact with room
+# to spare.
+_NODES = range(6)
+
+
+def _table_samples(j: int, part: int) -> tuple:
+    """The table entry on the integer grid: row n holds its values at
+    (b, n) for the nodes b, n = 0..5."""
     fn = _table_row(j)[part]
-    return _poly_from_samples([fn(b, n) for n in range(6)])
+    return tuple(tuple(fn(b, n) for b in _NODES) for n in _NODES)
+
+
+def _lagrange(p: int, q: int) -> tuple:
+    """(weights, den): integers with f(p/q) = sum_i weights[i] f(i) / den
+    for every polynomial f of degree <= 5, the Lagrange weights of b = p/q
+    on the nodes 0..5, all over den = 120 q**5."""
+    factors = [p - k * q for k in _NODES]
+    weights = [(-1) ** (5 - i) * math.comb(5, i)
+               * math.prod(factors[:i] + factors[i + 1:]) for i in _NODES]
+    return weights, 120 * q ** 5
+
+
+def _weight_poly(j: int, b: Fraction, part: int, *, memo=None) -> tuple:
+    """The table entry at fixed b as a polynomial in n.  No entry is
+    evaluated at b itself: the entry's samples on the integer grid (see
+    _table_samples) and the Lagrange weights of b (see _lagrange), each
+    kept in `memo` for the sweep, give its six samples at b in integer
+    arithmetic, and _poly_from_samples interpolates those in n."""
+    weights, den = _memoized(memo, _lagrange, *b.as_integer_ratio())
+    grid = _memoized(memo, _table_samples, j, part)
+    return _poly_from_samples(
+        [sum(map(operator.mul, weights, row)) for row in grid], den)
 
 
 def even_prefactor(j: int, b) -> Fraction:
@@ -194,7 +224,8 @@ def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     """The even and the odd weighted term family before any tail, each a
     spec; the odd one is None when that part vanishes identically (a = 0,
     or a zero weight as at j = 0), so no Gamma poles are touched for it."""
-    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
+    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part, memo=memo)
+                      for part in (0, 1))
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
     # b + (j + k)/2 over 2 bd
@@ -362,19 +393,35 @@ def _lhs_head(j: int, a: Fraction, b: Fraction) -> HyperSpec:
     return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
 
 
-def _column(d: Fraction, e: Fraction) -> tuple:
-    """One (d, e) column of the theorem family: (d, e, whether d is a
-    nonpositive integer, _moment_tails(d, e)), the last None at e = 0,
-    which every check that reads it rejects first."""
-    return d, e, is_nonpositive_integer(d), _moment_tails(d, e) if e != 0 else None
+class _Column:
+    """One (d, e) column of the theorem family, or no column (the
+    default), as a kummer or transform case has: d, e, whether d is a
+    nonpositive integer, and the (d, e) integer pairs, which key its
+    left side in a row.  Its moment tails are built at their first
+    read.  Only the two right sides read them, and a sweep keeps its
+    columns in one column table (see _columns), so each column's tails
+    are built at most once per sweep, and never for the pipeline."""
+
+    def __init__(self, d: Fraction | None = None, e: Fraction | None = None):
+        self.d, self.e, self.d_branch, self.pairs = d, e, False, None
+        if d is not None:
+            self.d_branch = is_nonpositive_integer(d)
+            self.pairs = d.as_integer_ratio(), e.as_integer_ratio()
+
+    @functools.cached_property
+    def tails(self) -> tuple:
+        """_moment_tails(d, e); every check that reads them rejects
+        e = 0 first."""
+        return _moment_tails(self.d, self.e)
+
+
+_NO_COLUMN = _Column()
 
 
 def _columns(columns) -> list:
-    """The column table of a sweep's (d, e) integer pairs: each column (see
-    _column) followed by its pairs, which key its left side in a row;
-    every check of a sweep reads the one table."""
-    return [(*_column(Fraction(*key[0]), Fraction(*key[1])), key)
-            for key in columns]
+    """The column table of a sweep's (d, e) integer pairs, one _Column
+    each; every check of a sweep reads the one table."""
+    return [_Column(Fraction(*d), Fraction(*e)) for d, e in columns]
 
 
 def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
@@ -382,11 +429,11 @@ def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
     walk(second, second tail) at a column, as an unreduced integer pair.
     The second part is skipped when it is None or d = 0, and its scale is
     read after the first walk, only where a column reaches it."""
-    first_tail, second_tail, d_over_e = column[3]
+    first_tail, second_tail, d_over_e = column.tails
     pn, pd = first_scale.as_integer_ratio()
     sn, sd = walk(first, first_tail)
     num, den = pn * sn, pd * sd
-    if second is None or column[0] == 0:
+    if second is None or column.d == 0:
         return num, den
     (cn, cd), (dn, dd) = second_scale().as_integer_ratio(), d_over_e.as_integer_ratio()
     sn, sd = walk(second, second_tail)
@@ -397,7 +444,7 @@ def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
 class _Row:
     """The (j, a, b) part of the theorem family's cases.  The per-case
     arithmetic of every check lives here: each method takes one column
-    (see _column) and computes one side of one case.  The row caches
+    (see _Column) and computes one side of one case.  The row caches
     what its cases share: each invariant is a cached_property, read at
     the first column that needs it, and `lefts` keeps each left side
     under its column's (d, e) pairs and the argument's pair.  `memo` is
@@ -410,9 +457,9 @@ class _Row:
         self.a_pair, self.a_branch = a.as_integer_ratio(), is_nonpositive_integer(a)
 
     def _check_terminates(self, column) -> None:
-        if not (self.a_branch or column[2]):
+        if not (self.a_branch or column.d_branch):
             raise InvalidCase("neither a nor d is a nonpositive integer")
-        if column[1] == 0:
+        if column.e == 0:
             raise InvalidCase("e must be nonzero")
 
     @functools.cached_property
@@ -456,9 +503,9 @@ class _Row:
         """The left side at a column of _columns and an argument pair,
         reduced and kept in `lefts`: theorem at argument 2, corollary and
         pipeline sum it once."""
-        key = column[4], argument
+        key = column.pairs, argument
         if key not in self.lefts:
-            self.lefts[key] = Fraction(*self.lhs_pair(*column[4], argument))
+            self.lefts[key] = Fraction(*self.lhs_pair(*column.pairs, argument))
         return self.lefts[key]
 
     def theorem_rhs_pair(self, column) -> tuple:
@@ -486,7 +533,7 @@ class _Row:
         _table_row(self.j)
         if not self.a_branch:
             raise InvalidCase("pipeline needs a to be a nonpositive integer")
-        d, e = column[:2]
+        d, e = column.d, column.e
         if not 0 < d < e:
             raise InvalidCase("pipeline needs d > 0 and e - d > 0")
         poly, degree = self.polynomial
@@ -516,7 +563,7 @@ def theorem_rhs(case: IdentityCase) -> Fraction:
     around floor(-d/2), depending on parity.
     """
     row = _Row(case.j, case.a, case.b)
-    return Fraction(*row.theorem_rhs_pair(_column(case.d, case.e)))
+    return Fraction(*row.theorem_rhs_pair(_Column(case.d, case.e)))
 
 
 def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
@@ -570,7 +617,7 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
     a sweep this path reads none of the weighted sums' values.
     """
     row = _Row(case.j, case.a, case.b)
-    return Fraction(*row.corollary_rhs_pair(_column(case.d, case.e)))
+    return Fraction(*row.corollary_rhs_pair(_Column(case.d, case.e)))
 
 
 def beta_moment(power: int, d, e) -> Fraction:
@@ -609,7 +656,7 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
     whose equality is the identity itself.
     """
     row = _Row(case.j, case.a, case.b)
-    moments = row.moment_pair(_column(case.d, case.e))
+    moments = row.moment_pair(_Column(case.d, case.e))
     left = row.lhs_pair(case.d.as_integer_ratio(), case.e.as_integer_ratio())
     return Fraction(*moments), Fraction(*left)
 
@@ -686,20 +733,21 @@ def _evaluate_row(job, memo=None) -> list:
     over a tuple of (d, e) columns, each d and e an integer pair; its
     records come in column order, each side from a _Row method.  The
     row and the column table (see _columns) come from the memo, so the
-    row keeps its invariants and left sides, and the table its tails,
-    for every check that reads them.  The theorem sums its left side at
-    the job's argument.  A kummer or transform row is one case.
+    row keeps its invariants and left sides for every check that reads
+    them, and the table each column's moment tails from their first
+    read.  The theorem sums its left side at the job's argument.  A
+    kummer or transform row is one case.
     """
     check, j, a, b, columns, order, argument = job
     memo = {} if memo is None else memo
-    row, table = None, [(None, None, None, None)]
+    row, table = None, [_NO_COLUMN]
     if columns is not None:
         row = _memoized(memo, _Row, j, a, b, memo=memo)
         table = _memoized(memo, _columns, columns)
         argument = _ratio(argument, "the argument")
     records = []
     for column in table:
-        branch = "a" if row is not None and row.a_branch else "d" if column[2] else None
+        branch = "a" if row is not None and row.a_branch else "d" if column.d_branch else None
         try:
             if row is None:
                 lhs, rhs, equal = _series_sides(check, j, a, b, order, memo)
@@ -723,7 +771,7 @@ def _evaluate_row(job, memo=None) -> list:
         except Exception as err:  # noqa: BLE001 - embed bugs as errored records
             lhs = rhs = equal = None
             error = _error_tag(err)
-        records.append(VerificationRecord(check, j, a, b, column[0], column[1],
+        records.append(VerificationRecord(check, j, a, b, column.d, column.e,
                                           branch, lhs, rhs, equal, error))
     return records
 
@@ -765,12 +813,13 @@ def grid_sweep(
     Whatever cases share is kept once per memo (see _memoized), values
     only, so every record equals the one its case gives on its own: each
     row (see _Row) under (j, a, b), the helpers scoped to (j, b),
-    (a, d, e, argument) or a column's beta moments under (helper,
-    *args), and one column table, moment tails included, per set of
-    columns.  A kummer or transform job is one case.  `memo` is the
-    dict to keep the entries in, a fresh one when None; every entry is
-    a pure function of its key, so a memo that earlier sweeps filled
-    leaves the records as they are.  Under cli's pool map the caller
+    (a, d, e, argument), a column's beta moments, a weight entry's
+    integer samples or a b's Lagrange weights under (helper, *args), and
+    one column table per set of columns, whose columns keep their moment
+    tails (see _Column).  A kummer or transform job is one case.  `memo`
+    is the dict to keep the entries in, a fresh one when None; every
+    entry is a pure function of its key, so a memo that earlier sweeps
+    filled leaves the records as they are.  Under cli's pool map the caller
     works its own share of rows with this memo, and each worker process
     works its share with its own copy.
     """

@@ -5,19 +5,22 @@ the Moebius substitution; the cubic-time Horner composition here
 recomputes it the direct way at small orders.  The package interpolates
 the weight polynomials with integer Newton differences; the plain
 Fraction Newton loop here is the reference they are checked against.
-The package sums a terminating series by iterated integer term ratios;
-the direct sum here rebuilds every term from scratch instead.  The
-package builds its specs from integer pairs and keeps each sum as an
-integer pair; `spec` and the three sums here let the tests state a spec
-in rationals and read a sum as one Fraction.  The package reduces Gamma
-products on integer pairs; the Fraction reduction here, with one
-Pochhammer symbol per pair, is the reference it is checked against.
+The package sums a terminating series by iterated integer term ratios
+in one two-group kernel; `row_sum` here is the general loop over any
+number of groups that the kernel replaced, and the direct sum here
+rebuilds every term from scratch instead.  The package builds its specs
+from integer pairs and keeps each sum as an integer pair; `spec` and the
+three sums here let the tests state a spec in rationals and read a sum
+as one Fraction.  The package reduces Gamma products on integer pairs;
+the Fraction reduction here, with one Pochhammer symbol per pair, is the
+reference it is checked against.
 """
 
 import math
 from fractions import Fraction
 
 from hyperverify.errors import (
+    DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
     PoleError,
     TranscendentalResidue,
@@ -26,9 +29,10 @@ from hyperverify.errors import (
 from hyperverify.exact import pochhammer
 from hyperverify.hyper import (
     HyperSpec,
-    _row_sum,
     _terminating_pair,
     _weighted_pair,
+    check_lower,
+    ratio_rows,
 )
 from hyperverify.series import TruncatedSeries
 
@@ -97,9 +101,60 @@ def spec(numerators, denominators, argument=1, *, weight=(1,), power_offset=0):
                      power_offset=power_offset)
 
 
-# hyper's integer sums, each reduced to one Fraction
+def row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
+    """Exact sum over n = 0..up_to of weight(n) / w_den * term_n, the
+    terms those of the family with every group's parameters, n!
+    included, until a numerator product vanishes: the general loop over
+    any number of row sets that the package's two-group kernel
+    (hyper._pair) replaced, kept as its reference.  Step n multiplies
+    the groups' rows of that step, first group first, and a lower
+    parameter vanishing there raises.  The weight's ascending
+    coefficients are read by Horner's rule, and the sum is one running
+    integer total over one denominator, returned unreduced."""
+    if up_to < 0:
+        return 0, w_den
+    weight = weight[::-1]
+    total, num, den = weight[-1], 1, 1  # term 0 is 1
+    for n, rows in zip(range(1, up_to + 1), zip(*row_sets)):
+        a, b = 1, n
+        for ra, rb, pole in rows:
+            if pole is not None:
+                raise DenominatorPoleBeforeTermination(pole, n)
+            a *= ra
+            b *= rb
+        num *= a
+        den *= b
+        w = 0
+        for c in weight:
+            w = w * n + c
+        total = total * b + w * num
+    return total, den * w_den
+
+
+def chain_pair(specs, legal: bool) -> tuple:
+    """The family with the specs' parameters and the first one's weight,
+    summed as the package did before its kernel: the legality rule
+    (check_lower) on every call with `legal`, else the smallest of the
+    specs' stops; NonTerminatingSeries without a stop; then every spec's
+    rows, built afresh to the stop, through row_sum."""
+    if legal:
+        stop = check_lower(*specs)
+    else:
+        stop = min((s.stop for s in specs if s.stop is not None), default=None)
+    if stop is None:
+        raise NonTerminatingSeries(
+            "no numerator parameter is a nonpositive integer")
+    rows = [ratio_rows(s.num_pairs, s.den_pairs, s.arg_pair, stop)
+            for s in specs]
+    return row_sum(rows, stop, *specs[0].integer_weight)
+
+
 def sum_rows(*args) -> Fraction:
-    return Fraction(*_row_sum(*args))
+    """row_sum reduced to one Fraction."""
+    return Fraction(*row_sum(*args))
+
+
+# hyper's integer sums, each reduced to one Fraction
 
 
 def eval_terminating(*specs) -> Fraction:

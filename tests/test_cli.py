@@ -489,7 +489,7 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"_gamma_ratio": 115, "ratio_rows": 988, "_poly_from_samples": 66},
+        {"_gamma_ratio": 115, "ratio_rows": 860, "_poly_from_samples": 66},
     ] * 2
 
 

@@ -48,7 +48,8 @@ class TestTermination:
 
 
 def truncated_sum(family, up_to):
-    """The family's weighted terms summed for n = 0..up_to, whatever its stop."""
+    """The family's weighted terms summed for n = 0..up_to, whatever its
+    stop, by the reference loop."""
     return sum_rows((family.rows(up_to),), up_to, *family.integer_weight)
 
 
@@ -262,11 +263,11 @@ class TestWeightedSum:
 
 
 def test_the_series_checks_never_reach_the_sum_loop(monkeypatch):
-    # A series expansion steps its own walk; only the sums use _row_sum.
+    # A series expansion steps its own walk; only the sums use _pair.
     expected = [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()]
 
     def refuse(*args):
-        raise AssertionError("a series check reached hyper._row_sum")
+        raise AssertionError("a series check reached hyper._pair")
 
-    monkeypatch.setattr(hyper, "_row_sum", refuse)
+    monkeypatch.setattr(hyper, "_pair", refuse)
     assert [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()] == expected

@@ -479,7 +479,8 @@ class TestGridSweep:
         # 4 distinct (a, d, e) left-side prefactors, plus even and odd
         # prefactors for 2 values of b
         assert seen[0]["gamma"] == 4 + 2 * 2
-        assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
+        # the row is sampled once on its 6 x 6 integer grid of (b, n)
+        assert seen[0]["row"] == 6 * 6
 
     @pytest.mark.parametrize("sweep, errors", [
         # the left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
@@ -620,6 +621,24 @@ class TestGridSweep:
         assert len(records) == 2 * 7 * 2 * 2 * 4 * 2
         assert calls == {"_columns": 1, "_moment_tails": 8}
 
+    def test_pipeline_builds_no_moment_tails(self, monkeypatch):
+        # Only the two right sides read the moment tails, at their first
+        # read: a pipeline-only sweep and a pipeline case build none.
+        calls = []
+        moment_tails = identities._moment_tails
+
+        def counted(*args):
+            calls.append(args)
+            return moment_tails(*args)
+
+        monkeypatch.setattr(identities, "_moment_tails", counted)
+        records = grid_sweep((-1, 2), (-1, -2), (F(1, 3),), (F(1, 2), 1),
+                             (3, F(7, 2)), ("pipeline",))
+        assert len(records) == 16 and all(r.equal for r in records)
+        lhs, rhs = beta_integral_pipeline(IdentityCase(2, -2, F(1, 3), 1, 3))
+        assert lhs == rhs
+        assert calls == []
+
     @pytest.mark.parametrize("check, sweep, walk", [
         # a = 0 kills the corollaries' second series: each record walks
         # its left side and its first series only
@@ -688,13 +707,14 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("suite, calls", [
         (suites.KUMMER_SUITE, 40), (suites.TRANSFORM_SUITE, 84),
-        (suites.THEOREM_A_SUITE, 328), (suites.THEOREM_D_SUITE, 420),
-        (suites.COROLLARY_SUITE, 232), (suites.PIPELINE_SUITE, 78),
+        (suites.THEOREM_A_SUITE, 302), (suites.THEOREM_D_SUITE, 330),
+        (suites.COROLLARY_SUITE, 214), (suites.PIPELINE_SUITE, 78),
     ])
     def test_rows_are_reused_within_a_suite(self, suite, calls, monkeypatch):
         # Each group's ratio rows are built once per count it is summed
-        # to and reused by every case of its row or column: the number of
-        # rows built per canonical suite is pinned.
+        # to and reused by every case of its row or column, and a sum
+        # that stops at term 0 builds none: the number of rows built per
+        # canonical suite is pinned.
         built = []
         ratio_rows = hyper.ratio_rows
 

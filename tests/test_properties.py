@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperverify import identities
+from hyperverify import hyper, identities
 from hyperverify.exact import (
     GammaProduct,
     _gamma_ratio,
@@ -18,7 +18,12 @@ from hyperverify.exact import (
     pochhammer,
     pochhammer_duplication,
 )
-from hyperverify.errors import UnsupportedJ, VerificationError
+from hyperverify.errors import (
+    DenominatorPoleBeforeTermination,
+    NonTerminatingSeries,
+    UnsupportedJ,
+    VerificationError,
+)
 from hyperverify.hyper import (
     HyperSpec,
     ratio_rows,
@@ -35,6 +40,7 @@ from hyperverify.identities import (
 )
 from hyperverify.series import TruncatedSeries, binomial_series
 from series_oracle import (
+    chain_pair,
     compose,
     eval_terminating,
     eval_terminating_direct,
@@ -460,6 +466,53 @@ def test_split_terminating_sum_matches_one_spec_and_direct_sum(family):
         assert whole == eval_terminating_direct(spec(nums, dens, arg))
 
 
+@st.composite
+def kernel_families(draw):
+    """(head, tail or None): a head spec with an argument, 0 included so
+    that its rows end before the stop, and a weight over an integer
+    denominator, and a tail spec of the other parameters or none."""
+    nums, dens, _, (cn, cd) = draw(split_families())
+    arg = draw(st.sampled_from([F(1), F(2), F(-2, 3), F(0)]))
+    weight = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+    w_den = draw(st.integers(1, 6))
+    head = spec(nums[:cn], dens[:cd], arg, weight=[F(c, w_den) for c in weight])
+    tail = spec(nums[cn:], dens[cd:]) if draw(st.booleans()) else None
+    return head, tail
+
+
+@given(kernel_families(), st.booleans())
+# stop 0: the constant term alone
+@example((spec((0, F(1, 2)), (-3,), 2, weight=(F(5, 2), 1)),
+          spec((F(1, 3),), (-1,))), True)
+# the argument 0 ends the head's rows before the stop
+@example((spec((-3,), (F(1, 2),), 0, weight=(2,)), spec((F(1, 3),), (2,))),
+         False)
+# a head and a tail pole at the same step: the head's is named
+@example((spec((-4,), (-2,), 2), spec((F(1, 3),), (-2,))), False)
+@example((spec((-4,), (-2,), 2), spec((F(1, 3),), (-2,))), True)
+# a tail pole before the head's
+@example((spec((-4,), (-2,), 2), spec((F(1, 3),), (-1,))), False)
+def test_kernel_matches_the_reference_loop(family, legal):
+    # One and two groups, with and without the legality rule: the kernel
+    # gives the unreduced pair of the loop it replaced, or raises the same
+    # error with the same message.
+    head, tail = family
+    specs = (head,) if tail is None else (head, tail)
+    kernel = hyper._terminating_pair if legal else hyper._weighted_pair
+    assert outcome(lambda: kernel(head, tail)) == outcome(
+        lambda: chain_pair(specs, legal))
+
+
+def test_kernel_pole_errors_name_the_step():
+    head, tail = spec((-4,), (-2,), 2), spec((F(1, 3),), (-2,))
+    for kernel in (hyper._terminating_pair, hyper._weighted_pair):
+        with pytest.raises(DenominatorPoleBeforeTermination,
+                           match=r"^denominator parameter -2 vanishes at term 3$"):
+            kernel(head, tail)
+    with pytest.raises(NonTerminatingSeries):
+        hyper._terminating_pair(spec((F(1, 2),), (3,)), spec((), ()))
+
+
 # pole-free picks for the transform invariants
 transform_bs = st.sampled_from(
     [F(1, 3), F(2, 7), F(2, 5), F(3, 8), F(5, 4), F(7, 5)]
@@ -620,6 +673,26 @@ def test_integer_newton_interpolation_matches_fraction_oracle(coeffs):
         coeffs.pop()
     assert poly == tuple(coeffs)
     assert all(type(c) is F for c in poly)
+
+
+# b for the weight polynomials: integers, the grid's own nodes among
+# them, negative values and large denominators
+weight_bs = st.one_of(
+    st.integers(-40, 40).map(F), rationals,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12))
+
+
+@given(st.sampled_from(sorted(identities.COEFF_TABLE)), st.sampled_from((0, 1)),
+       weight_bs)
+def test_weight_polynomial_matches_the_table_at_any_b(j, part, b):
+    # The polynomial comes from the entry's samples on the integer grid;
+    # at b it must give the table entry evaluated at b itself, for every n.
+    entry = identities.coeff_A if part == 0 else identities.coeff_B
+    poly = identities._weight_poly(j, b, part)
+    assert poly == identities._weight_poly(j, b, part, memo={})
+    assert all(type(c) is F for c in poly)
+    for n in range(21):
+        assert sum(c * n**k for k, c in enumerate(poly)) == entry(j, b, n)
 
 
 ints_and_strs = st.one_of(st.integers(-9, 9), rationals.map(str))
