@@ -86,23 +86,22 @@ def summary(values) -> dict:
 
 
 def fold(columns, entries, seeds, seconds) -> dict:
-    specs = {m["name"]: m for m in json.loads(
-        compare.BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
+    specs = compare.metric_specs()
     labels = list(columns)
     contexts = [e["context"] for lines in entries.values() for e in lines]
     by_label = {label: compare.by_metric(lines)[0]
                 for label, lines in entries.items()}
+    units = compare.by_metric(entries[labels[0]])[1]
     workloads = {}
     for (workload, name), base in sorted(by_label[labels[0]].items()):
-        spec = specs.get(name)
-        if spec is None:
+        better, bound = specs.get(name, (None, None))
+        if bound is None:  # not an end-to-end metric
             continue
-        row = {"unit": spec["unit"], "better": spec["better"],
-               "bound": spec["bound"], labels[0]: summary(base)}
+        row = {"unit": units[name], "better": better, "bound": bound,
+               labels[0]: summary(base)}
         for label in labels[1:]:
             values = by_label[label][(workload, name)]
-            result, won, pairs = compare.verdict(base, values, spec["better"],
-                                                 spec["bound"])
+            result, won, pairs = compare.verdict(base, values, better, bound)
             row[label] = summary(values)
             row[f"{label}_vs_{labels[0]}"] = {
                 "verdict": result, "won": won, "pairs": pairs}

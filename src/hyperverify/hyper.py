@@ -7,9 +7,9 @@ the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
 sum takes a head spec and an optional tail spec as the two groups of one
 family, the parameters of both together, and runs in one kernel (_pair):
-it takes the smaller of the two stops, applies the legality rule only
-where it is asked for and a spec has a pole, returns the weight's
-constant term at stop 0 without building a row, and otherwise walks the
+it takes the smaller of the two stops, applies the legality rule where
+it is asked for, returns the weight's constant term at stop 0 without
+building a row, and otherwise walks the
 head's and the tail's integer ratio rows in one zip, head group first,
 raising at the first lower parameter that vanishes.  A sum keeps one
 running integer total over one denominator, and comes back as that
@@ -144,19 +144,16 @@ def _pair(head: HyperSpec, tail: HyperSpec | None, legal: bool) -> tuple:
     terms those of the family with the head's and the tail's parameters,
     n! included, and the head's weight; the stop is the smaller of the
     two specs' stops.  With `legal`, the legality rule (check_lower)
-    runs first, and only when a spec has a pole.  At stop 0 no row is
-    built.  Otherwise one loop walks the head's and the tail's rows
-    together until a numerator product vanishes: step n multiplies the
+    gives the stop.  At stop 0 no row is built.  Otherwise one loop
+    walks the head's and the tail's rows together until a numerator
+    product vanishes: step n multiplies the
     two rows of that step, and a lower parameter vanishing there raises,
     the head's named first.  The weight's ascending coefficients are
     read by Horner's rule, and the sum is one running integer total over
     one denominator, returned unreduced: (numerator, denominator), the
     denominator nonzero and of either sign.  The loop only sums; a
     series steps its own walk (series._walk_terms)."""
-    if legal and (head.poles or tail is not None and tail.poles):
-        stop = check_lower(head, tail)
-    else:
-        stop = _stop(head, tail)
+    stop = check_lower(head, tail) if legal else _stop(head, tail)
     if stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer")

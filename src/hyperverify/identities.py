@@ -124,16 +124,14 @@ def coeff_B(j: int, b, n: int) -> Fraction:
     return Fraction(_table_row(j)[1](as_fraction(b, "b"), n))
 
 
-def _poly_from_samples(samples, den: int = 1) -> tuple:
+def _poly_from_samples(samples) -> tuple:
     """Ascending monomial coefficients of the polynomial through
-    (0, samples[0] / den), (1, samples[1] / den), ... via Newton forward
-    differences.
+    (0, samples[0]), (1, samples[1]), ... via Newton forward differences.
 
     Exact for any polynomial of degree < len(samples).  The differences run
     on integers: the samples over their common denominator, each Newton
     term scaled by (len - 1)! / k! so that one division ends it."""
-    level, common = _common_denominator(samples)
-    den *= common
+    level, den = _common_denominator(samples)
     top = len(samples) - 1
     coeffs = [0] * len(samples)
     falling = [1]  # coefficients of n(n-1)...(n-k+1), ascending
@@ -169,39 +167,11 @@ def _memoized(memo, compute, /, *args, **kwargs):
     return value
 
 
-# The weight polynomials have degree <= 2 in b and in n; they are sampled
-# on the nodes 0..5 of each, which keeps the interpolation exact with room
-# to spare.
-_NODES = range(6)
-
-
-def _table_samples(j: int, part: int) -> tuple:
-    """The table entry on the integer grid: row n holds its values at
-    (b, n) for the nodes b, n = 0..5."""
+def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
+    """The table entry at fixed b as a polynomial in n (degree <= 2;
+    six samples keep the interpolation exact with room to spare)."""
     fn = _table_row(j)[part]
-    return tuple(tuple(fn(b, n) for b in _NODES) for n in _NODES)
-
-
-def _lagrange(p: int, q: int) -> tuple:
-    """(weights, den): integers with f(p/q) = sum_i weights[i] f(i) / den
-    for every polynomial f of degree <= 5, the Lagrange weights of b = p/q
-    on the nodes 0..5, all over den = 120 q**5."""
-    factors = [p - k * q for k in _NODES]
-    weights = [(-1) ** (5 - i) * math.comb(5, i)
-               * math.prod(factors[:i] + factors[i + 1:]) for i in _NODES]
-    return weights, 120 * q ** 5
-
-
-def _weight_poly(j: int, b: Fraction, part: int, *, memo=None) -> tuple:
-    """The table entry at fixed b as a polynomial in n.  No entry is
-    evaluated at b itself: the entry's samples on the integer grid (see
-    _table_samples) and the Lagrange weights of b (see _lagrange), each
-    kept in `memo` for the sweep, give its six samples at b in integer
-    arithmetic, and _poly_from_samples interpolates those in n."""
-    weights, den = _memoized(memo, _lagrange, *b.as_integer_ratio())
-    grid = _memoized(memo, _table_samples, j, part)
-    return _poly_from_samples(
-        [sum(map(operator.mul, weights, row)) for row in grid], den)
+    return _poly_from_samples([fn(b, n) for n in range(6)])
 
 
 def even_prefactor(j: int, b) -> Fraction:
@@ -224,8 +194,7 @@ def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
     """The even and the odd weighted term family before any tail, each a
     spec; the odd one is None when that part vanishes identically (a = 0,
     or a zero weight as at j = 0), so no Gamma poles are touched for it."""
-    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part, memo=memo)
-                      for part in (0, 1))
+    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
     # b + (j + k)/2 over 2 bd
@@ -813,15 +782,14 @@ def grid_sweep(
     Whatever cases share is kept once per memo (see _memoized), values
     only, so every record equals the one its case gives on its own: each
     row (see _Row) under (j, a, b), the helpers scoped to (j, b),
-    (a, d, e, argument), a column's beta moments, a weight entry's
-    integer samples or a b's Lagrange weights under (helper, *args), and
-    one column table per set of columns, whose columns keep their moment
-    tails (see _Column).  A kummer or transform job is one case.  `memo`
-    is the dict to keep the entries in, a fresh one when None; every
-    entry is a pure function of its key, so a memo that earlier sweeps
-    filled leaves the records as they are.  Under cli's pool map the caller
-    works its own share of rows with this memo, and each worker process
-    works its share with its own copy.
+    (a, d, e, argument) or a column's beta moments under (helper,
+    *args), and one column table per set of columns, whose columns keep
+    their moment tails (see _Column).  A kummer or transform job is one
+    case.  `memo` is the dict to keep the entries in, a fresh one when
+    None; every entry is a pure function of its key, so a memo that
+    earlier sweeps filled leaves the records as they are.  Under cli's
+    pool map the caller works its own share of rows with this memo, and
+    each worker process works its share with its own copy.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -186,6 +186,15 @@ class TestWeightedSum:
             F(1, 2) + (F(1, 2) - 3 + 2) + (F(1, 2) - 6 + 8) / 2
             + (F(1, 2) - 9 + 18) / 6
         )
+        # with (-3)_n upstairs and argument 2 the package's sum stops at
+        # n = 3: term n is weight(n) (-3)_n 2^n / n!
+        stopped = spec(weight=(F(1, 2), -3, 2), numerators=(-3,),
+                       denominators=(), argument=2)
+        expected = (F(1, 2) + (F(1, 2) - 3 + 2) * -3 * 2
+                    + (F(1, 2) - 6 + 8) * 6 * 4 / 2
+                    + (F(1, 2) - 9 + 18) * -6 * 8 / 6)
+        assert eval_weighted_sum(stopped) == truncated_sum(stopped, 3) == expected
+        assert expected == F(-85, 2)
 
     def test_weight_absorption_cross_check(self):
         # (-(b+1+2n)/(b+1)) absorbed as (b/2+3/2)_n / (b/2+1/2)_n: the
@@ -214,7 +223,7 @@ class TestWeightedSum:
         # numerator dies at the same step the denominator would vanish:
         # the sum is over by then, no pole is hit
         family = spec(weight=(1,), numerators=(-2,), denominators=(-2,))
-        assert truncated_sum(family, 4) == eval_weighted_sum(family)
+        assert truncated_sum(family, 4) == eval_weighted_sum(family) == F(5, 2)
 
     def test_pole_message_and_earlier_numerator_death(self):
         # -2 first vanishes in the factor that builds term 3 while (-5)_n
@@ -260,6 +269,10 @@ class TestWeightedSum:
         family = spec((F(1, 2),), (F(3, 2),), weight=(2, 1), power_offset=1)
         assert weighted_series(family, 0).coefficients == (0,)
         assert sum_rows((family.rows(0),), -1, (2, 1)) == 0
+        # a sum that stops at n = 0 is the weight's constant term alone
+        dead = spec((0,), (F(3, 2),), weight=(2, 1), power_offset=1)
+        assert eval_weighted_sum(dead) == eval_terminating(dead, spec((), ())) == 2
+        assert weighted_series(dead, 3).coefficients == (0, 2, 0, 0)
 
 
 def test_the_series_checks_never_reach_the_sum_loop(monkeypatch):

@@ -479,8 +479,7 @@ class TestGridSweep:
         # 4 distinct (a, d, e) left-side prefactors, plus even and odd
         # prefactors for 2 values of b
         assert seen[0]["gamma"] == 4 + 2 * 2
-        # the row is sampled once on its 6 x 6 integer grid of (b, n)
-        assert seen[0]["row"] == 6 * 6
+        assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
 
     @pytest.mark.parametrize("sweep, errors", [
         # the left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
