@@ -237,7 +237,7 @@ class WorkerError(RuntimeError):
 
 
 def _map_share(sender, fn, share):
-    """A pool worker's whole work: fn over its contiguous share of a
+    """A pool worker's whole work: fn over its round-robin share of a
     map's items, sent back over the pipe as (True, results), or as
     (False, the error) when fn raises.  An error that does not survive
     a pickle round trip, which the caller's read would need, goes as a
@@ -324,26 +324,30 @@ class ProcessPoolExecutor:
 def _pool_map(fn, items, jobs: int):
     """An order-preserving map over at most `jobs` workers, one per CPU
     and one per item; the builtin map, with no pool, when that leaves a
-    single worker.  Each worker takes one contiguous share of
-    ceil(len(items) / workers) items.  The caller is the first worker:
-    it starts one process for each later share, maps the first share
-    itself with `fn` as given, then reads the other shares' results in
-    order.  Each process gets its own copy of `fn`, so a memo that `fn`
-    carries serves the whole share there, and the caller's share works
-    the caller's memo itself.
+    single worker.  The items are dealt round-robin: item i goes to
+    share i mod workers, so neighbouring items, which often cost alike,
+    land on different workers.  The caller is share 0: it starts one
+    process for each later share, maps its whole share itself with `fn`
+    as given, then yields the results in item order, reading a worker's
+    one reply when that worker's first item comes up.  Each process
+    gets its own copy of `fn`, so a memo that `fn` carries serves the
+    whole share there, and the caller's share works the caller's memo
+    itself.
     """
     items = list(items)
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    size = -(-len(items) // workers)
-    shares = [items[i:i + size] for i in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
+    shares = [items[k::workers] for k in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         later = [pool.submit(fn, share) for share in shares[1:]]
-        yield from map(fn, shares[0])
-        for worker in later:
-            yield from worker.result()
+        replies = [list(map(fn, shares[0]))]
+        for i in range(len(items)):
+            k = i % workers
+            if k == len(replies):
+                replies.append(later[k - 1].result())
+            yield replies[k][i // workers]
 
 
 def _sweep(config: SweepConfig, jobs: int) -> list:
@@ -413,9 +417,9 @@ def selftest(jobs: int = 1) -> int:
     """Run the canonical suites with no config; print one line per suite.
 
     The suites share one sweep memo, made for this call; on a pool the
-    caller's own share of the suites works that memo, and each worker
-    process's share works its own copy of it.  The lines print in suite
-    order.
+    suites are dealt round-robin, the caller's own share works that
+    memo, and each worker process's share works its own copy of it.
+    The lines print in suite order.
     """
     totals = {"passed": 0, "failed": 0, "errored": 0, "skipped": 0}
     count = 0

@@ -788,8 +788,9 @@ def grid_sweep(
     case.  `memo` is the dict to keep the entries in, a fresh one when
     None; every entry is a pure function of its key, so a memo that
     earlier sweeps filled leaves the records as they are.  Under cli's
-    pool map the caller works its own share of rows with this memo, and
-    each worker process works its share with its own copy.
+    pool map the rows are dealt round-robin, the caller works its own
+    share with this memo, and each worker process works its share with
+    its own copy.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

@@ -544,10 +544,10 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
-    # selftest: one map over the six suites, one contiguous share of
-    # ceil(6 / 3) = 2 suites per worker, the first in the caller and the
-    # other two in two worker processes, each task the suite summary
-    # under the call's one memo
+    # selftest: one map over the six suites, dealt round-robin to three
+    # workers, so suite i goes to share i mod 3: share 0 in the caller
+    # and the other two in two worker processes, each task the suite
+    # summary under the call's one memo
     assert cli.selftest(jobs=8) == 1
     capsys.readouterr()
     assert started == [2]
@@ -555,10 +555,10 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     assert fn is same_fn
     assert (fn.func, fn.args, list(fn.keywords)) == (
         cli._suite_summary, (), ["memo"])
-    assert (second, third) == (list(ALL_SUITES[2:4]), list(ALL_SUITES[4:]))
+    assert (second, third) == (list(ALL_SUITES[1::3]), list(ALL_SUITES[2::3]))
 
-    # run: at most one contiguous share of the job list per worker, the
-    # caller's first and one worker's after it
+    # run: the job list dealt round-robin to two workers, the even jobs
+    # in the caller and the odd ones in one worker
     grid = TestDeterminism.GRID
     sweep_jobs = []
 
@@ -577,7 +577,7 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     assert invoke(["run", "--config", grid_cfg, "--jobs", "2"], capsys)[0] == 1
     assert started == [2, 1]
     _, share = submitted[2]
-    assert share == sweep_jobs[len(sweep_jobs) - len(sweep_jobs) // 2:]
+    assert share == sweep_jobs[1::2]
 
     # a one-record run, and any run on a single CPU, start no pool
     one_cfg = write_config(tmp_path, CANONICAL_CONFIG)
@@ -643,10 +643,10 @@ class TestRealPool:
     def test_shares_come_back_in_order(self):
         out = list(cli._pool_map(_item_and_pid, range(5), jobs=2))
         assert [item for item, _ in out] == [0, 1, 2, 3, 4]
-        # two contiguous shares: [0, 1, 2] in the caller, [3, 4] in one worker
+        # dealt round-robin: [0, 2, 4] in the caller, [1, 3] in one worker
         pids = [pid for _, pid in out]
-        assert pids[:3] == [os.getpid()] * 3
-        assert pids[3] == pids[4] != os.getpid()
+        assert pids[::2] == [os.getpid()] * 3
+        assert pids[1] == pids[3] != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_a_task_error_reraises_and_leaves_no_worker(self, tmp_path):
@@ -654,7 +654,7 @@ class TestRealPool:
         # share [2, 3] is terminated before it writes.
         task = functools.partial(_touch_unless_negative, tmp_path)
         with pytest.raises(LookupError):
-            list(cli._pool_map(task, [-1, 1, 2, 3], jobs=2))
+            list(cli._pool_map(task, [-1, 2, 1, 3], jobs=2))
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
 
@@ -680,14 +680,15 @@ class TestRealPool:
         assert multiprocessing.active_children() == []
 
     def test_closing_the_map_early_stops_the_workers(self, tmp_path):
-        # The caller's share is [0, 1]; the worker's [4, 8] would write
-        # its first file a second in.
+        # The caller maps its whole share [0, 1] before the first result
+        # comes back; the worker's [4, 8] would write its first file a
+        # second in.
         task = functools.partial(_touch_unless_negative, tmp_path)
-        results = cli._pool_map(task, [0, 1, 4, 8], jobs=2)
+        results = cli._pool_map(task, [0, 4, 1, 8], jobs=2)
         assert next(results) == 0
         results.close()
         assert multiprocessing.active_children() == []
-        assert [path.name for path in tmp_path.iterdir()] == ["0"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
 
     def test_three_workers_keep_record_order_and_bytes(
         self, monkeypatch, tmp_path, capsys
@@ -751,8 +752,8 @@ def test_golden_report_is_byte_identical(tmp_path, capsys):
 
 
 def test_golden_report_under_a_pool(tmp_path, capsys):
-    """The same digest from worker processes, each evaluating one
-    contiguous share of the jobs with its own memo (in process on a
+    """The same digest from worker processes, each evaluating its
+    round-robin share of the jobs with its own memo (in process on a
     single-CPU host)."""
     assert_golden_report(tmp_path, capsys, jobs=2)
 
