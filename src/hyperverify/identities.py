@@ -176,18 +176,26 @@ def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
 
 def even_prefactor(j: int, b) -> Fraction:
     """Gamma prefactor of the even series part, reduced to a rational:
-    Gamma(b) Gamma(1 - b) / (Gamma(b + max(j, 0)) Gamma(1 - b - (j+1)//2))."""
+    Gamma(b) Gamma(1 - b) / (Gamma(b + J) Gamma(1 - b - K)), J = max(j, 0)
+    and K = (j+1)//2.  The reflection formula (DLMF 5.5.3) turns it into
+    (-1)^J Gamma(1 - b - J) / Gamma(1 - b - K), a rational function of b
+    whose arguments all move as -b, so at an integer b the pole pairing
+    takes its limit with the right sign."""
     p, q = _ratio(b, "b")
-    return _gamma_ratio(((p, q), (q - p, q)),
-                        ((p + max(j, 0) * q, q), (q - p - (j + 1) // 2 * q, q)))
+    big_j = max(j, 0)
+    return (-1) ** big_j * _gamma_ratio(
+        ((q - p - big_j * q, q),), ((q - p - (j + 1) // 2 * q, q),))
 
 
 def odd_prefactor(j: int, b) -> Fraction:
     """Gamma prefactor of the odd series part (without the 2a/(2b+j) factor):
-    Gamma(-b) Gamma(1 + b) / (Gamma(-b - j//2) Gamma(b + max(j, 0)))."""
+    Gamma(-b) Gamma(1 + b) / (Gamma(-b - j//2) Gamma(b + J)), J = max(j, 0),
+    which the reflection formula turns into
+    -(-1)^J Gamma(1 - b - J) / Gamma(-b - j//2) (see even_prefactor)."""
     p, q = _ratio(b, "b")
-    return _gamma_ratio(((-p, q), (q + p, q)),
-                        ((-p - j // 2 * q, q), (p + max(j, 0) * q, q)))
+    big_j = max(j, 0)
+    return -(-1) ** big_j * _gamma_ratio(
+        ((q - p - big_j * q, q),), ((-p - j // 2 * q, q),))
 
 
 def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:

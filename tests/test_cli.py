@@ -710,22 +710,22 @@ class TestRealPool:
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
-GOLDEN_SHA256 = "14a13cb57f38409c3af37e649bc73e4ea52f02d1e3113fe29c950a41d0e606a3"
+GOLDEN_SHA256 = "9663eb5c460a42a42075c2ec9780fd03fe2f7b055c8ee06b6da6e479b50455a6"
 
 
 # A second digest guards the argument that the theorem's left side
 # carries: the same grid with the 3F2 summed at argument 1.
-GOLDEN_ONE_SHA256 = "31450df05aa600d4654890d88f65adaeefdb96b6e0cb182077c3d3dd324976f3"
+GOLDEN_ONE_SHA256 = "27e2e9fb08827e2b45f7f40c7f47b8d738dd0d23a37618b8a967d8010c834ec6"
 
 
 def assert_golden_report(tmp_path, capsys, jobs, argument=None):
     config = str(GOLDEN_CONFIG)
-    summary = {"passed": 398, "failed": 94, "errored": 0, "skipped": 1200}
+    summary = {"passed": 414, "failed": 78, "errored": 0, "skipped": 1200}
     digest = GOLDEN_SHA256
     if argument is not None:
         raw = json.loads(GOLDEN_CONFIG.read_text())
         config = write_config(tmp_path, dict(raw, theoremArgument=argument))
-        summary = {"passed": 238, "failed": 254, "errored": 0, "skipped": 1200}
+        summary = {"passed": 241, "failed": 251, "errored": 0, "skipped": 1200}
         digest = GOLDEN_ONE_SHA256
     out = tmp_path / "report.json"
     assert cli.run(config, str(out), jobs=jobs) == 1

@@ -99,6 +99,17 @@ class TestPrefactors:
         with pytest.raises(PoleError):
             even_prefactor(-2, 1)
 
+    def test_integer_b_takes_the_limit_of_the_rational_function(self):
+        # At j = 3 the prefactors are 1/(b + 2) and -1/(b + 2).  At b = -1
+        # the old four-Gamma form paired poles that move in opposite
+        # directions and took the wrong sign, so these records failed.
+        assert even_prefactor(3, -1) == 1
+        assert odd_prefactor(3, -1) == -1
+        [theorem] = grid_sweep((3,), (-3,), (-1,), (0,), (4,), ("theorem",))
+        assert (theorem.lhs, theorem.rhs, theorem.status) == (1, 1, "passed")
+        [transform] = grid_sweep((5,), (5,), (-2,), (), (), ("transform",))
+        assert transform.status == "passed"
+
 
 class TestKummer:
     def test_trivial_exponent(self):

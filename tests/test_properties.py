@@ -157,6 +157,19 @@ def test_integer_gamma_core_matches_the_fraction_reduction(factors, rng):
                                         integer_pairs(lower, rng))) == expected
 
 
+@given(st.integers(-5, 5),
+       rationals.filter(lambda b: b.denominator > 1))
+def test_reflected_prefactors_match_the_four_gamma_forms(j, b):
+    # Away from the integers no Gamma argument of either form is a pole,
+    # so the four-Gamma quotients the prefactors are defined by are right
+    # there, and the reflected one-ratio forms must give their values.
+    big_j, k = max(j, 0), (j + 1) // 2
+    even = GammaProduct.ratio((b, 1 - b), (b + big_j, 1 - b - k))
+    odd = GammaProduct.ratio((-b, 1 + b), (-b - j // 2, b + big_j))
+    assert identities.even_prefactor(j, b) == gamma_simplify(even)
+    assert identities.odd_prefactor(j, b) == gamma_simplify(odd)
+
+
 # spec parameters: nonpositive integers (stops and poles) and negative
 # rationals among the rest
 spec_parameters = st.one_of(st.integers(-4, 0).map(F), small_rationals)
