@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import PoleError, TranscendentalResidue
-from .value import Value, as_fraction
+from .value import as_fraction
 
 
 def is_nonpositive_integer(q) -> bool:
@@ -46,35 +46,6 @@ def pochhammer_duplication(d, n: int) -> Fraction:
     )
 
 
-class GammaProduct(Value):
-    """Formal product of Gamma factors prod Gamma(arg_i)**exp_i awaiting reduction.
-
-    Factors with equal arguments are merged at construction time and zero
-    net exponents dropped.  Gamma(x)/Gamma(x) therefore disappears before
-    any pole reasoning happens; this matters because legitimate prefactors
-    contain such pairs at pole arguments and must still reduce to 1.
-    """
-
-    _fields = ("factors",)
-
-    def __init__(self, factors: tuple):
-        merged = {}
-        for arg, exp in factors:
-            arg = as_fraction(arg, "a Gamma argument")
-            if not isinstance(exp, int):
-                raise TypeError(f"a Gamma exponent must be an int, not {exp!r}")
-            merged[arg] = merged.get(arg, 0) + exp
-        self.__dict__["factors"] = tuple(
-            sorted((a, e) for a, e in merged.items() if e != 0))
-
-    @classmethod
-    def ratio(cls, numerators, denominators=()):
-        """Gamma(n1)...Gamma(nk) / (Gamma(d1)...Gamma(dm))."""
-        factors = [(a, 1) for a in numerators]
-        factors += [(a, -1) for a in denominators]
-        return cls(tuple(factors))
-
-
 def _ratio(x, name: str) -> tuple:
     """The rational x as its integer pair, read by as_fraction."""
     return as_fraction(x, name).as_integer_ratio()
@@ -89,19 +60,11 @@ def _lone_gamma(p: int, q: int) -> int:
     return math.factorial(p - 1)
 
 
-def gamma_simplify(product: GammaProduct) -> Fraction:
-    """Reduce a Gamma product to an exact rational, or raise (see
-    _gamma_ratio, which does the work on the product's integer pairs)."""
-    upper, lower = [], []
-    for arg, exp in product.factors:
-        (upper if exp > 0 else lower).extend([arg.as_integer_ratio()] * abs(exp))
-    return _gamma_ratio(upper, lower)
-
-
-def _gamma_ratio(numerators, denominators) -> Fraction:
+def gamma_ratio(numerators, denominators) -> Fraction:
     """Reduce Gamma(n_1)...Gamma(n_k) / (Gamma(d_1)...Gamma(d_m)), each
     argument an integer pair (p, q), q > 0, to an exact rational, or raise;
-    one Fraction is built, at the end.
+    one Fraction is built, at the end.  A float in a pair is refused with
+    TypeError, by math.gcd.
 
     Equal arguments cancel first, so Gamma(x)/Gamma(x) disappears before
     any pole reasoning happens: legitimate prefactors contain such pairs

@@ -36,8 +36,8 @@ from .errors import (
     VerificationError,
 )
 from .exact import (
-    _gamma_ratio,
     _ratio,
+    gamma_ratio,
     is_nonpositive_integer,
     pochhammer_duplication,
 )
@@ -183,7 +183,7 @@ def even_prefactor(j: int, b) -> Fraction:
     takes its limit with the right sign."""
     p, q = _ratio(b, "b")
     big_j = max(j, 0)
-    return (-1) ** big_j * _gamma_ratio(
+    return (-1) ** big_j * gamma_ratio(
         ((q - p - big_j * q, q),), ((q - p - (j + 1) // 2 * q, q),))
 
 
@@ -194,7 +194,7 @@ def odd_prefactor(j: int, b) -> Fraction:
     -(-1)^J Gamma(1 - b - J) / Gamma(-b - j//2) (see even_prefactor)."""
     p, q = _ratio(b, "b")
     big_j = max(j, 0)
-    return -(-1) ** big_j * _gamma_ratio(
+    return -(-1) ** big_j * gamma_ratio(
         ((q - p - big_j * q, q),), ((-p - j // 2 * q, q),))
 
 
@@ -357,8 +357,8 @@ def _lhs_tail(a: tuple, d: tuple, e: tuple, argument: tuple) -> tuple:
     # e, 2a and d over their common denominator den
     den = ad * dd * ed
     e_, a2, d_ = en * ad * dd, 2 * an * dd * ed, dn * ad * ed
-    prefactor = _gamma_ratio(((en, ed), (e_ - a2 - d_, den)),
-                             ((e_ - a2, den), (e_ - d_, den)))
+    prefactor = gamma_ratio(((en, ed), (e_ - a2 - d_, den)),
+                            ((e_ - a2, den), (e_ - d_, den)))
     return prefactor, HyperSpec(((dn, dd),), ((den + a2 + d_ - e_, den),),
                                 argument)
 
@@ -466,27 +466,23 @@ class _Row:
         degree = -2 * int(self.a)
         return transform_lhs_recurrence(self.j, self.a, self.b, degree), degree
 
-    def lhs_pair(self, d: tuple, e: tuple, argument=(2, 1)) -> tuple:
-        """theorem_lhs at d, e and the argument, integer pairs, as an
-        unreduced integer pair (numerator, denominator), the denominator
-        nonzero and of either sign."""
-        _table_row(self.j)
-        prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair, d, e, argument)
-        pn, pd = prefactor.as_integer_ratio()
-        sn, sd = _terminating_pair(self.lhs_head, tail)
-        return pn * sn, pd * sd
-
     def left(self, column, argument=(2, 1)) -> Fraction:
-        """The left side at a column of _columns and an argument pair,
-        reduced and kept in `lefts`: theorem at argument 2, corollary and
-        pipeline sum it once."""
+        """theorem_lhs at a column and an argument pair, reduced and kept
+        in `lefts`: theorem at argument 2, corollary and pipeline sum it
+        once."""
         key = column.pairs, argument
         if key not in self.lefts:
-            self.lefts[key] = Fraction(*self.lhs_pair(*column.pairs, argument))
+            _table_row(self.j)
+            prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair,
+                                        *column.pairs, argument)
+            pn, pd = prefactor.as_integer_ratio()
+            sn, sd = _terminating_pair(self.lhs_head, tail)
+            self.lefts[key] = Fraction(pn * sn, pd * sd)
         return self.lefts[key]
 
     def theorem_rhs_pair(self, column) -> tuple:
-        """theorem_rhs as an unreduced integer pair, as lhs_pair: the
+        """theorem_rhs as an unreduced integer pair (numerator,
+        denominator), the denominator nonzero and of either sign: the
         even and odd weighted parts, summed by _two_parts."""
         _table_row(self.j)
         self._check_terminates(column)
@@ -495,8 +491,8 @@ class _Row:
                           odd, lambda: self.odd_scale)
 
     def corollary_rhs_pair(self, column) -> tuple:
-        """corollary_rhs as an unreduced integer pair, as lhs_pair: the
-        two closed series, summed by _two_parts."""
+        """corollary_rhs as an unreduced integer pair, as
+        theorem_rhs_pair: the two closed series, summed by _two_parts."""
         if abs(self.j) > COROLLARY_J_LIMIT:
             raise UnsupportedJ(self.j, limit=COROLLARY_J_LIMIT)
         self._check_terminates(column)
@@ -527,8 +523,7 @@ def theorem_lhs(case: IdentityCase, argument=2) -> Fraction:
     (wrong) unit-argument variant, kept available as a negative control.
     """
     row = _Row(case.j, case.a, case.b)
-    d, e = case.d.as_integer_ratio(), case.e.as_integer_ratio()
-    return Fraction(*row.lhs_pair(d, e, _ratio(argument, "the argument")))
+    return row.left(_Column(case.d, case.e), _ratio(argument, "the argument"))
 
 
 def theorem_rhs(case: IdentityCase) -> Fraction:
@@ -632,10 +627,8 @@ def beta_integral_pipeline(case: IdentityCase) -> tuple:
 
     whose equality is the identity itself.
     """
-    row = _Row(case.j, case.a, case.b)
-    moments = row.moment_pair(_Column(case.d, case.e))
-    left = row.lhs_pair(case.d.as_integer_ratio(), case.e.as_integer_ratio())
-    return Fraction(*moments), Fraction(*left)
+    row, column = _Row(case.j, case.a, case.b), _Column(case.d, case.e)
+    return Fraction(*row.moment_pair(column)), row.left(column)
 
 
 class VerificationRecord(Value):

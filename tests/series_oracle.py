@@ -193,17 +193,23 @@ def _fraction_lone_gamma(arg: Fraction) -> Fraction:
     return Fraction(math.factorial(arg.numerator - 1))
 
 
-def fraction_gamma_simplify(product) -> Fraction:
-    """A GammaProduct reduced in Fraction arithmetic: its factors split
-    into classes of arguments that differ by integers, visited in the
-    order of arg - floor(arg); within a class the sorted numerator and
-    denominator arguments are paired in order, each pair a Pochhammer
-    symbol, a vanished one multiplied in zeroing the product and one
-    divided by raising; the unpaired ones are (m-1)!, poles, or
-    irrational."""
+def fraction_gamma_simplify(numerators, denominators) -> Fraction:
+    """Gamma(n_1)...Gamma(n_k) / (Gamma(d_1)...Gamma(d_m)) reduced in
+    Fraction arithmetic: equal arguments merge into one net exponent,
+    and those left split into classes of arguments that differ by
+    integers, visited in the order of arg - floor(arg); within a class
+    the sorted numerator and denominator arguments are paired in order,
+    each pair a Pochhammer symbol, a vanished one multiplied in zeroing
+    the product and one divided by raising; the unpaired ones are
+    (m-1)!, poles, or irrational."""
+    net = {}
+    for sign, args in ((1, numerators), (-1, denominators)):
+        for arg in map(Fraction, args):
+            net[arg] = net.get(arg, 0) + sign
     classes = {}
-    for arg, exp in product.factors:
-        classes.setdefault(arg - math.floor(arg), []).append((arg, exp))
+    for arg, exp in net.items():
+        if exp:
+            classes.setdefault(arg - math.floor(arg), []).append((arg, exp))
     result = Fraction(1)
     vanished = False
     for _, entries in sorted(classes.items()):

@@ -479,17 +479,17 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(identities, "_gamma_ratio")
+    counted(identities, "gamma_ratio")
     counted(hyper, "ratio_rows")
     counted(identities, "_poly_from_samples")
     seen = []
     for _ in range(2):
-        counts.update(_gamma_ratio=0, ratio_rows=0, _poly_from_samples=0)
+        counts.update(gamma_ratio=0, ratio_rows=0, _poly_from_samples=0)
         assert cli.selftest(jobs=1) == 1
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"_gamma_ratio": 115, "ratio_rows": 860, "_poly_from_samples": 66},
+        {"gamma_ratio": 115, "ratio_rows": 860, "_poly_from_samples": 66},
     ] * 2
 
 
@@ -498,14 +498,18 @@ def test_selftest_sums_each_left_side_once(monkeypatch, capsys):
     # each with a left side.  The corollary suite reads the 336 that
     # theorem-a kept under the same rows and columns at argument 2, so
     # one selftest sums 1,144.  A second call counts the same.
-    lhs_pair = identities._Row.lhs_pair
+    # A sum is a left side that a row's `lefts` gains.
+    left = identities._Row.left
     calls = []
 
-    def counted(row, d, e, argument=(2, 1)):
-        calls.append((row.j, row.a, row.b, d, e, argument))
-        return lhs_pair(row, d, e, argument)
+    def counted(row, column, argument=(2, 1)):
+        kept = len(row.lefts)
+        value = left(row, column, argument)
+        if len(row.lefts) > kept:
+            calls.append((row.j, row.a, row.b, column.pairs, argument))
+        return value
 
-    monkeypatch.setattr(identities._Row, "lhs_pair", counted)
+    monkeypatch.setattr(identities._Row, "left", counted)
     seen = []
     for _ in range(2):
         calls.clear()

@@ -372,7 +372,7 @@ class TestCorollaries:
         def broken(*args, **kwargs):
             raise AssertionError("left side summed for a skipped record")
 
-        monkeypatch.setattr(identities._Row, "lhs_pair", broken)
+        monkeypatch.setattr(identities, "_lhs_tail", broken)
         monkeypatch.setattr(identities, "_terminating_pair", broken)
         records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
                              ("corollary",))
@@ -464,7 +464,7 @@ class TestGridSweep:
         # and the counts themselves show each (j, b) and (a, d, e) is worked
         # once.
         calls = {"gamma": 0, "row": 0}
-        gamma_ratio = identities._gamma_ratio
+        gamma_ratio = identities.gamma_ratio
         row = COEFF_TABLE[3]
 
         def counted_gamma(numerators, denominators):
@@ -475,7 +475,7 @@ class TestGridSweep:
             calls["row"] += 1
             return row[0](b, n)
 
-        monkeypatch.setattr(identities, "_gamma_ratio", counted_gamma)
+        monkeypatch.setattr(identities, "gamma_ratio", counted_gamma)
         monkeypatch.setitem(COEFF_TABLE, 3, (counted_row, row[1]))
         seen = []
         for _ in range(2):
@@ -693,7 +693,7 @@ class TestGridSweep:
         def broken(*args):
             raise AssertionError("Gamma prefactor reduced again")
 
-        monkeypatch.setattr(identities, "_gamma_ratio", broken)
+        monkeypatch.setattr(identities, "gamma_ratio", broken)
         for suite in suites.ALL_SUITES:
             assert suite.run(restored) == fresh[suite.name], suite.name
 

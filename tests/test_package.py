@@ -24,7 +24,7 @@ from hyperverify import (
     cli,
     suites,
 )
-from hyperverify.exact import GammaProduct, pochhammer, pochhammer_duplication
+from hyperverify.exact import pochhammer, pochhammer_duplication
 from hyperverify.hyper import HyperSpec
 from hyperverify.identities import (
     IdentityCase,
@@ -64,14 +64,9 @@ def test_readme_library_example_runs():
     assert out.getvalue() == "PoleError: Gamma(0) is a pole\n"
 
 
-# The seven value types.  Each entry builds one value, an equal value by
+# The six value types.  Each entry builds one value, an equal value by
 # another construction, and a value with one field changed.
 VALUES = {
-    "GammaProduct": (
-        lambda: GammaProduct(((F(1, 2), 1), (3, -1), (2, 1), (2, -1))),
-        lambda: GammaProduct.ratio((F(1, 2),), (3,)),
-        lambda: GammaProduct.ratio((F(1, 2),), (4,)),
-    ),
     "TruncatedSeries": (
         lambda: TruncatedSeries((1, F(1, 2), F(1, 3))),
         lambda: TruncatedSeries.over((12, 6, 4), 12),
@@ -112,7 +107,7 @@ VALUES = {
                                 theorem_argument="one"),
     ),
 }
-PUBLIC_VALUES = ("GammaProduct", "TruncatedSeries", "HyperSpec", "IdentityCase",
+PUBLIC_VALUES = ("TruncatedSeries", "HyperSpec", "IdentityCase",
                  "VerificationRecord")
 RECORD_FIELDS = ["check", "j", "a", "b", "d", "e", "branch", "lhs", "rhs",
                  "equal", "error"]
@@ -163,7 +158,6 @@ def _sweep(a=-2, b=F(1, 3), d=F(1, 2), e=4, argument=2):
 @pytest.mark.parametrize("make, name", [
     (lambda x: TruncatedSeries((1, x)), "a coefficient"),
     (lambda x: pochhammer(x, 2), "a"),
-    (lambda x: GammaProduct.ratio((1,), (x,)), "a Gamma argument"),
     (lambda x: pochhammer_duplication(x, 2), "d"),
     (lambda x: binomial_series(x, 3), "alpha"),
     (lambda x: binomial_series(1, 3).scale(x), "a scale factor"),
@@ -184,25 +178,17 @@ def _sweep(a=-2, b=F(1, 3), d=F(1, 2), e=4, argument=2):
     (lambda x: _sweep(d=x), "d"),
     (lambda x: _sweep(e=x), "e"),
     (lambda x: _sweep(argument=x), "theorem_argument"),
-], ids=["TruncatedSeries", "pochhammer", "GammaProduct",
-        "pochhammer_duplication", "binomial_series", "scale",
-        "transform_lhs-a", "transform_lhs-b", "transform_rhs-a",
-        "transform_rhs-b", "kummer_rhs-a", "kummer_rhs-b", "even_prefactor",
-        "odd_prefactor", "coeff_A", "coeff_B", "beta_moment-d",
-        "beta_moment-e", "grid_sweep-a", "grid_sweep-b", "grid_sweep-d",
-        "grid_sweep-e", "grid_sweep-argument"])
+], ids=["TruncatedSeries", "pochhammer", "pochhammer_duplication",
+        "binomial_series", "scale", "transform_lhs-a", "transform_lhs-b",
+        "transform_rhs-a", "transform_rhs-b", "kummer_rhs-a", "kummer_rhs-b",
+        "even_prefactor", "odd_prefactor", "coeff_A", "coeff_B",
+        "beta_moment-d", "beta_moment-e", "grid_sweep-a", "grid_sweep-b",
+        "grid_sweep-d", "grid_sweep-e", "grid_sweep-argument"])
 def test_exact_constructors_refuse_a_float(make, name):
     # 0.1 would be read at its binary value, not at 1/10
     with pytest.raises(TypeError, match=f"^{name} must be exact, not a float$"):
         make(0.1)
     assert make("0.1") == make(F(1, 10))
-
-
-@pytest.mark.parametrize("exp", [1.5, 1.0, F(1)])
-def test_a_gamma_exponent_must_be_an_int(exp):
-    # int(1.5) would truncate the exponent to 1
-    with pytest.raises(TypeError, match="^a Gamma exponent must be an int"):
-        GammaProduct(((F(1, 2), exp),))
 
 
 def test_spec_equality_ignores_its_row_cache():

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from hyperverify import hyper, identities
 from hyperverify.exact import (
-    GammaProduct,
-    _gamma_ratio,
-    gamma_simplify,
+    gamma_ratio,
     is_nonpositive_integer,
     pochhammer,
     pochhammer_duplication,
@@ -85,9 +83,14 @@ def test_duplication_matches_plain_pochhammer(d, n):
     assert pochhammer_duplication(d, n) == pochhammer(d, 2 * n)
 
 
+def pairs(args):
+    """The rationals as integer pairs (p, q), q > 0, in lowest terms."""
+    return [F(x).as_integer_ratio() for x in args]
+
+
 @given(safe_bases, st.integers(0, 12))
 def test_gamma_ratio_reduces_to_pochhammer(q, k):
-    value = gamma_simplify(GammaProduct.ratio((q + k,), (q,)))
+    value = gamma_ratio(pairs([q + k]), pairs([q]))
     assert value == pochhammer(q, k)
 
 
@@ -95,22 +98,24 @@ def test_gamma_ratio_reduces_to_pochhammer(q, k):
     st.lists(st.tuples(safe_bases, st.integers(0, 8)), min_size=1, max_size=4),
     st.randoms(use_true_random=False),
 )
-def test_gamma_simplify_permutation_invariance(pairs, rng):
-    factors = []
+def test_gamma_simplify_permutation_invariance(bases, rng):
+    upper, lower = [], []
     expected = F(1)
-    for q, k in pairs:
-        factors += [(q + k, 1), (q, -1)]
+    for q, k in bases:
+        upper.append(q + k)
+        lower.append(q)
         expected *= pochhammer(q, k)
-    assert gamma_simplify(GammaProduct(tuple(factors))) == expected
-    rng.shuffle(factors)
-    assert gamma_simplify(GammaProduct(tuple(factors))) == expected
+    assert gamma_ratio(pairs(upper), pairs(lower)) == expected
+    rng.shuffle(upper)
+    rng.shuffle(lower)
+    assert gamma_ratio(pairs(upper), pairs(lower)) == expected
 
 
 @given(safe_bases, st.integers(0, 6))
 def test_gamma_exponent_split_invariance(q, k):
-    doubled = GammaProduct(((q + k, 2), (q, -2)))
-    split = GammaProduct(((q + k, 1), (q + k, 1), (q, -1), (q, -1)))
-    assert gamma_simplify(doubled) == gamma_simplify(split)
+    # a repeated argument is a squared factor
+    doubled = gamma_ratio(pairs([q + k, q + k]), pairs([q, q]))
+    assert doubled == gamma_ratio(pairs([q + k]), pairs([q])) ** 2
 
 
 # Gamma arguments: a few classes mod 1, each at integer shifts around the
@@ -124,11 +129,11 @@ gamma_arguments = st.builds(lambda r, k: r + k,
 def integer_pairs(args, rng):
     """The arguments as integer pairs (p, q), q > 0, some not in lowest
     terms, in the given order."""
-    pairs = []
+    out = []
     for arg in args:
         k = rng.randint(1, 3)
-        pairs.append((arg.numerator * k, arg.denominator * k))
-    return pairs
+        out.append((arg.numerator * k, arg.denominator * k))
+    return out
 
 
 @settings(max_examples=300)
@@ -144,17 +149,17 @@ def integer_pairs(args, rng):
 # Gamma(1/2) after it still raises
 @example([(F(2), 1), (F(-1), -1), (F(1, 2), 1)], random.Random(0))
 def test_integer_gamma_core_matches_the_fraction_reduction(factors, rng):
-    # gamma_simplify and the integer core it wraps give the value, or the
-    # error type and text, of the Fraction reduction, with the arguments
-    # unmerged, in any order and as unreduced pairs.
-    product = GammaProduct(tuple(factors))
-    expected = outcome(lambda: fraction_gamma_simplify(product))
-    assert outcome(lambda: gamma_simplify(product)) == expected
-    rng.shuffle(factors)
+    # gamma_ratio gives the value, or the error type and text, of the
+    # Fraction reduction, with the arguments unmerged, in any order and
+    # as unreduced pairs.
     upper = [a for a, e in factors if e > 0 for _ in range(e)]
     lower = [a for a, e in factors if e < 0 for _ in range(-e)]
-    assert outcome(lambda: _gamma_ratio(integer_pairs(upper, rng),
-                                        integer_pairs(lower, rng))) == expected
+    expected = outcome(lambda: fraction_gamma_simplify(upper, lower))
+    assert outcome(lambda: gamma_ratio(pairs(upper), pairs(lower))) == expected
+    rng.shuffle(upper)
+    rng.shuffle(lower)
+    assert outcome(lambda: gamma_ratio(integer_pairs(upper, rng),
+                                       integer_pairs(lower, rng))) == expected
 
 
 @given(st.integers(-5, 5),
@@ -164,10 +169,10 @@ def test_reflected_prefactors_match_the_four_gamma_forms(j, b):
     # so the four-Gamma quotients the prefactors are defined by are right
     # there, and the reflected one-ratio forms must give their values.
     big_j, k = max(j, 0), (j + 1) // 2
-    even = GammaProduct.ratio((b, 1 - b), (b + big_j, 1 - b - k))
-    odd = GammaProduct.ratio((-b, 1 + b), (-b - j // 2, b + big_j))
-    assert identities.even_prefactor(j, b) == gamma_simplify(even)
-    assert identities.odd_prefactor(j, b) == gamma_simplify(odd)
+    even = gamma_ratio(pairs([b, 1 - b]), pairs([b + big_j, 1 - b - k]))
+    odd = gamma_ratio(pairs([-b, 1 + b]), pairs([-b - j // 2, b + big_j]))
+    assert identities.even_prefactor(j, b) == even
+    assert identities.odd_prefactor(j, b) == odd
 
 
 # spec parameters: nonpositive integers (stops and poles) and negative
@@ -753,7 +758,7 @@ def test_pipeline_sweep_reduces_each_left_prefactor_once(js, a_s, b_s, d_s, e_s)
     rows = {(j, a, b) for j in js for a, _, _ in reached for b in b_s}
     moments = {(p, d, e) for a, d, e in reached for p in range(1 - 2 * int(a))}
     with mock.patch.object(
-        identities, "_gamma_ratio", wraps=identities._gamma_ratio
+        identities, "gamma_ratio", wraps=identities.gamma_ratio
     ) as counted, mock.patch.object(
         identities, "transform_lhs_recurrence",
         wraps=identities.transform_lhs_recurrence,
