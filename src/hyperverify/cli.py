@@ -1,10 +1,10 @@
 """Batch verification driver: config in, deterministic JSON report out.
 
 Exit codes: 0 when every evaluated case passed (skips are fine), 1 when any
-identity failed or a check crashed, 2 for config or I/O problems.  Reports
-carry rationals as exact "p/q" strings and contain no timestamps, so a
-given build produces byte-identical output for a given config, regardless
-of --jobs.
+identity failed or a check crashed, 2 for config, option or I/O problems
+and for a table weight too long to print.  Reports carry rationals as
+exact "p/q" strings and contain no timestamps, so a given build produces
+byte-identical output for a given config, regardless of --jobs.
 """
 
 import argparse
@@ -437,10 +437,18 @@ def selftest(jobs: int = 1) -> int:
 
 
 def table(j: int | None, b, n: int) -> int:
-    """Print the even/odd weight table evaluated at (b, n)."""
+    """Print the even/odd weight table evaluated at (b, n).  Every line is
+    formatted before any prints, so a weight past the interpreter's
+    int-string conversion limit prints nothing and exits 2."""
     shifts = [j] if j is not None else J_FULL
-    for shift in shifts:
-        print(f"j={shift:<3} A={coeff_A(shift, b, n)} B={coeff_B(shift, b, n)}")
+    try:
+        lines = [f"j={s:<3} A={coeff_A(s, b, n)} B={coeff_B(s, b, n)}"
+                 for s in shifts]
+    except ValueError:
+        print("hyperverify: a weight at this (b, n) has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

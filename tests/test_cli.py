@@ -380,6 +380,24 @@ class TestTable:
         assert (code, out) == (2, "")
         assert "--b" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--j", "4", "--b", "1", "--n", "9" * 3000],
+        ["--b", "7" * 2500, "--n", "1"],
+    ], ids=["long-n", "long-b"])
+    def test_a_weight_past_the_digit_limit_prints_nothing(self, argv, capsys):
+        # the quadratic weights pass the int-string conversion limit; no
+        # line prints, and the exit code is a usage error's, not a failed
+        # identity's
+        code, out, err = invoke(["table"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == ("hyperverify: a weight at this (b, n) has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    def test_a_long_index_with_constant_weights_prints(self, capsys):
+        code, out, _ = invoke(
+            ["table", "--j", "1", "--b", "1", "--n", "9" * 3000], capsys)
+        assert (code, out) == (0, "j=1   A=-1 B=1\n")
+
     def test_rejects_negative_index(self, capsys):
         code, out, err = invoke(
             ["table", "--j", "3", "--b", "1/3", "--n", "-2"], capsys)
@@ -417,19 +435,20 @@ class TestDeterminism:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_records_sorted_by_check_then_case(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.GRID)
-        _, out, _ = invoke(["run", "--config", cfg], capsys)
-        records = json.loads(out)["records"]
-        keys = [
-            (
-                r["check"],
-                r["j"] if r["j"] is not None else -99,
-                F(r["a"]) if r["a"] else F(0),
-                F(r["d"]) if r["d"] else F(0),
-            )
-            for r in records
-        ]
-        assert keys == sorted(keys)
+        # The second grid repeats values and declares b out of order: the
+        # records of a repeated value are neighbours, not interleaved.
+        def rank(value):  # a missing field sorts first
+            return (0, F(0)) if value is None else (1, F(value))
+
+        repeats = dict(self.GRID, aSet=["-1", "-1"], bSet=["2/5", "1/3"],
+                       dSet=["1/2", "1/2"])
+        for grid in (self.GRID, repeats):
+            cfg = write_config(tmp_path, grid)
+            _, out, _ = invoke(["run", "--config", cfg], capsys)
+            records = json.loads(out)["records"]
+            keys = [(r["check"],) + tuple(rank(r[f]) for f in "jabde")
+                    for r in records]
+            assert keys == sorted(keys)
 
 
 def test_selftest_parallel_matches_serial(monkeypatch, capsys):
@@ -693,6 +712,38 @@ class TestRealPool:
         results.close()
         assert multiprocessing.active_children() == []
         assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
+
+    def test_the_caller_closes_each_write_end(self, monkeypatch):
+        # the worker holds the only write end left, so its death reads as
+        # EOF in the caller, not as a hang
+        senders = []
+        pipe = multiprocessing.Pipe
+
+        def kept(duplex=True):
+            receiver, sender = pipe(duplex=duplex)
+            senders.append(sender)
+            return receiver, sender
+
+        monkeypatch.setattr(multiprocessing, "Pipe", kept)
+        with cli.ProcessPoolExecutor(max_workers=1) as pool:
+            worker = pool.submit(_item_and_pid, [7])
+            assert len(senders) == 1 and senders[0].closed
+            assert [item for item, _ in worker.result()] == [7]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_selftest_under_each_start_method(self, method, monkeypatch,
+                                              capsys):
+        # fork is the default on Linux up to Python 3.13; forkserver is
+        # from 3.14, and spawn is the default on macOS and Windows
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(multiprocessing, "Process", context.Process)
+        monkeypatch.setattr(multiprocessing, "Pipe", context.Pipe)
+        assert cli.selftest(jobs=1) == 1
+        serial = capsys.readouterr().out
+        assert cli.selftest(jobs=2) == 1
+        assert capsys.readouterr().out == serial
+        assert multiprocessing.active_children() == []
 
     def test_three_workers_keep_record_order_and_bytes(
         self, monkeypatch, tmp_path, capsys
