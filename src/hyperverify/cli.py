@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every evaluated case passed (skips are fine), 1 when any
 identity failed or a check crashed, 2 for config, option or I/O problems
-and for a table weight too long to print.  Reports carry rationals as
-exact "p/q" strings and contain no timestamps, so a given build produces
-byte-identical output for a given config, regardless of --jobs.
+and for a record value or a table weight too long to print.  Reports
+carry rationals as exact "p/q" strings and contain no timestamps, so a
+given build produces byte-identical output for a given config,
+regardless of --jobs.
 """
 
 import argparse
@@ -213,10 +214,9 @@ def _record_json(rec: VerificationRecord) -> dict:
 
 
 def _sort_key(rec: VerificationRecord):
-    def key(v):
-        return (0, 0) if v is None else (1, v)
-
-    return (rec.check, key(rec.j), key(rec.a), key(rec.b), key(rec.d), key(rec.e))
+    # within one check a field is None in every record or in none, and
+    # equal Nones never reach <, so the fields sort as they are
+    return rec.check, rec.j, rec.a, rec.b, rec.d, rec.e
 
 
 def _summary(records) -> dict:
@@ -377,11 +377,15 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
 
     records = _sweep(config, jobs)
     summary = _summary(records)
-    report = {
-        "config": config.echo(),
-        "records": [_record_json(r) for r in records],
-        "summary": summary,
-    }
+    # every record is formatted before anything is written, so a value
+    # past the int-string conversion limit writes no report
+    try:
+        formatted = [_record_json(r) for r in records]
+    except ValueError:
+        print("hyperverify: a record value has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
+    report = {"config": config.echo(), "records": formatted, "summary": summary}
     body = json.dumps(report, indent=2) + "\n"
     try:
         if out_path is None:

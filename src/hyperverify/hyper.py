@@ -6,17 +6,16 @@ has the unit weight.  The module finds where a family terminates, applies
 the legality rule for its lower parameters, sums terminating instances
 exactly, and expands a family as a series in its argument or in x.  A
 sum takes a head spec and an optional tail spec as the two groups of one
-family, the parameters of both together, and runs in one kernel (_pair):
-it takes the smaller of the two stops, applies the legality rule where
-it is asked for, returns the weight's constant term at stop 0 without
-building a row, and otherwise walks the
-head's and the tail's integer ratio rows in one zip, head group first,
-raising at the first lower parameter that vanishes.  A sum keeps one
-running integer total over one denominator, and comes back as that
-unreduced integer pair.  A series expansion steps one group's rows in
-the series walk (series._walk_terms), which keeps each term reduced, and
-comes back as integer numerators over their least common denominator,
-with no `Fraction`.
+family, the parameters of both together, and runs in one kernel
+(_terminating_pair): the legality rule gives it the smaller of the two
+stops, it returns the weight's constant term at stop 0 without building
+a row, and otherwise walks the head's and the tail's integer ratio rows
+in one zip.  A sum keeps one running integer total over one
+denominator, and comes back as that unreduced integer pair.  A series
+expansion steps one group's rows in the series walk
+(series._walk_terms), which keeps each term reduced, and comes back as
+integer numerators over their least common denominator, with no
+`Fraction`.
 """
 
 import itertools
@@ -51,9 +50,10 @@ class HyperSpec(Value):
     reduces so that q > 0; the weight is a tuple of Fractions.
 
     A spec also keeps, uncompared: `stop`, the smallest M with every term
-    beyond M zero, or None; `poles`, its nonpositive-integer lower
-    parameters in order; `integer_weight`, the weight as (integers, their
-    denominator); and `_rows`, its ratio rows by count, built as needed.
+    beyond M zero, or None; `first_pole`, its largest nonpositive-integer
+    lower parameter, the earliest to vanish, or None; `integer_weight`,
+    the weight as (integers, their denominator); and `_rows`, its ratio
+    rows by count, built as needed.
     """
 
     _fields = ("num_pairs", "den_pairs", "arg_pair", "weight", "power_offset")
@@ -66,7 +66,8 @@ class HyperSpec(Value):
             arg_pair=_lowest(argument), weight=weight,
             power_offset=power_offset,
             integer_weight=_common_denominator(weight),
-            poles=tuple(p for p, q in dens if q == 1 and p <= 0), _rows={})
+            first_pole=max((p for p, q in dens if q == 1 and p <= 0),
+                           default=None), _rows={})
         self.__dict__["stop"] = weighted_termination(self)
 
     def rows(self, count: int) -> tuple:
@@ -91,28 +92,22 @@ def weighted_termination(spec: HyperSpec) -> int | None:
                default=None)
 
 
-def _stop(head: HyperSpec, tail: HyperSpec | None = None) -> int | None:
-    """The termination index of the family with both specs' parameters:
-    the smaller of their stops."""
-    stop = head.stop
-    if tail is not None and tail.stop is not None and (
-            stop is None or tail.stop < stop):
-        return tail.stop
-    return stop
-
-
 def check_lower(head: HyperSpec, tail: HyperSpec | None = None) -> int | None:
     """The legality rule of the family with the specs' parameters: no
     lower parameter beta may vanish (at term 1 - beta) while terms are
-    alive, that is before the family's stop (None: never).  Of those
-    that do, the earliest to vanish, the largest beta, is named, as the
-    walk would meet it.  Returns the stop."""
-    stop = _stop(head, tail)
-    live = [beta for spec in (head, tail) if spec is not None
-            for beta in spec.poles if stop is None or stop > -beta]
-    if live:
-        beta = max(live)
-        raise DenominatorPoleBeforeTermination(beta, int(1 - beta))
+    alive, that is before the family's stop, the smaller of the specs'
+    stops (None: never).  Only the earliest pole to vanish, the larger
+    of the specs' first poles, can be the first one alive, so it alone
+    is compared and named.  Returns the stop."""
+    stop, pole = head.stop, head.first_pole
+    if tail is not None:
+        if tail.stop is not None and (stop is None or tail.stop < stop):
+            stop = tail.stop
+        if tail.first_pole is not None and (
+                pole is None or tail.first_pole > pole):
+            pole = tail.first_pole
+    if pole is not None and (stop is None or stop > -pole):
+        raise DenominatorPoleBeforeTermination(pole, 1 - pole)
     return stop
 
 
@@ -139,21 +134,19 @@ def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
     return tuple(rows)
 
 
-def _pair(head: HyperSpec, tail: HyperSpec | None, legal: bool) -> tuple:
+def _terminating_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
     """Exact sum over n = 0..stop of weight(n) / w_den * term_n, the
     terms those of the family with the head's and the tail's parameters,
-    n! included, and the head's weight; the stop is the smaller of the
-    two specs' stops.  With `legal`, the legality rule (check_lower)
-    gives the stop.  At stop 0 no row is built.  Otherwise one loop
-    walks the head's and the tail's rows together until a numerator
-    product vanishes: step n multiplies the
-    two rows of that step, and a lower parameter vanishing there raises,
-    the head's named first.  The weight's ascending coefficients are
-    read by Horner's rule, and the sum is one running integer total over
-    one denominator, returned unreduced: (numerator, denominator), the
-    denominator nonzero and of either sign.  The loop only sums; a
-    series steps its own walk (series._walk_terms)."""
-    stop = check_lower(head, tail) if legal else _stop(head, tail)
+    n! included, and the head's weight; the legality rule (check_lower)
+    gives the stop, so no lower parameter vanishes in the walk.  At stop
+    0 no row is built.  Otherwise one loop walks the head's and the
+    tail's rows together until a numerator product vanishes: step n
+    multiplies the two rows of that step.  The weight's ascending
+    coefficients are read by Horner's rule, and the sum is one running
+    integer total over one denominator, returned unreduced: (numerator,
+    denominator), the denominator nonzero and of either sign.  The loop
+    only sums; a series steps its own walk (series._walk_terms)."""
+    stop = check_lower(head, tail)
     if stop is None:
         raise NonTerminatingSeries(
             "no numerator parameter is a nonpositive integer")
@@ -163,12 +156,9 @@ def _pair(head: HyperSpec, tail: HyperSpec | None, legal: bool) -> tuple:
     horner = weight[::-1]
     tail_rows = _NO_ROWS if tail is None else tail.rows(stop)
     total, num, den = weight[0], 1, 1  # term 0 is 1
-    for n, (ha, hb, head_pole), (ta, tb, tail_pole) in zip(
+    for n, (ha, hb, _), (ta, tb, _) in zip(
             range(1, stop + 1), head.rows(stop), tail_rows):
         b = n * hb * tb
-        if not b:
-            raise DenominatorPoleBeforeTermination(
-                tail_pole if head_pole is None else head_pole, n)
         num *= ha * ta
         den *= b
         w = 0
@@ -180,18 +170,6 @@ def _pair(head: HyperSpec, tail: HyperSpec | None, legal: bool) -> tuple:
 
 # the rows of a missing tail: a unit ratio with no pole at every step
 _NO_ROWS = itertools.repeat((1, 1, None))
-
-
-def _weighted_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
-    """_pair at the family's stop: a lower parameter is only rejected
-    where the walk meets it."""
-    return _pair(head, tail, False)
-
-
-def _terminating_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
-    """_pair under the legality rule, which gives the stop the walk
-    takes."""
-    return _pair(head, tail, True)
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:

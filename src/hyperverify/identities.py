@@ -44,7 +44,6 @@ from .exact import (
 from .hyper import (
     HyperSpec,
     _terminating_pair,
-    _weighted_pair,
     series_in_z,
     weighted_series,
 )
@@ -401,19 +400,20 @@ def _columns(columns) -> list:
     return [_Column(Fraction(*d), Fraction(*e)) for d, e in columns]
 
 
-def _two_parts(walk, column, first, first_scale, second, second_scale) -> tuple:
-    """first_scale walk(first, first tail) + second_scale() (d/e)
-    walk(second, second tail) at a column, as an unreduced integer pair.
-    The second part is skipped when it is None or d = 0, and its scale is
-    read after the first walk, only where a column reaches it."""
+def _two_parts(column, first, first_scale, second, second_scale) -> tuple:
+    """first_scale sum(first, first tail) + second_scale() (d/e)
+    sum(second, second tail) at a column, each sum _terminating_pair, as
+    an unreduced integer pair.  The second part is skipped when it is
+    None or d = 0, and its scale is read after the first sum, only where
+    a column reaches it."""
     first_tail, second_tail, d_over_e = column.tails
     pn, pd = first_scale.as_integer_ratio()
-    sn, sd = walk(first, first_tail)
+    sn, sd = _terminating_pair(first, first_tail)
     num, den = pn * sn, pd * sd
     if second is None or column.d == 0:
         return num, den
     (cn, cd), (dn, dd) = second_scale().as_integer_ratio(), d_over_e.as_integer_ratio()
-    sn, sd = walk(second, second_tail)
+    sn, sd = _terminating_pair(second, second_tail)
     sn, sd = cn * dn * sn, cd * dd * sd
     return num * sd + sn * den, den * sd
 
@@ -487,8 +487,8 @@ class _Row:
         _table_row(self.j)
         self._check_terminates(column)
         even, odd = self.part_heads
-        return _two_parts(_weighted_pair, column, even, self.even_scale,
-                          odd, lambda: self.odd_scale)
+        return _two_parts(column, even, self.even_scale, odd,
+                          lambda: self.odd_scale)
 
     def corollary_rhs_pair(self, column) -> tuple:
         """corollary_rhs as an unreduced integer pair, as
@@ -497,8 +497,7 @@ class _Row:
             raise UnsupportedJ(self.j, limit=COROLLARY_J_LIMIT)
         self._check_terminates(column)
         first, scale, second = self.corollary_heads
-        return _two_parts(_terminating_pair, column, first, 1,
-                          second, lambda: scale)
+        return _two_parts(column, first, 1, second, lambda: scale)
 
     def moment_pair(self, column) -> tuple:
         """The pipeline's moment transform of the left-side polynomial,
@@ -510,8 +509,7 @@ class _Row:
         if not 0 < d < e:
             raise InvalidCase("pipeline needs d > 0 and e - d > 0")
         poly, degree = self.polynomial
-        moments, m_den = _memoized(self.memo, _moments, degree, d, e,
-                                   memo=self.memo)
+        moments, m_den = _memoized(self.memo, _moments, degree, d, e)
         return (sum(map(operator.mul, poly.numerators, moments)),
                 poly.denominator * m_den)
 
@@ -583,10 +581,10 @@ def corollary_rhs(case: IdentityCase) -> Fraction:
     Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
     one scaled by a signed rational multiple of a*d/e; the weights and
     prefactors are absorbed into the parameters, so this path shares only
-    the walker, the moment tails and _two_parts with the weighted sums it
-    cross-checks, and has its own heads, scales and legality rule.  A
-    second series whose scale or d vanishes is never built or walked.  In
-    a sweep this path reads none of the weighted sums' values.
+    the sum kernel, the moment tails and _two_parts with the weighted sums
+    it cross-checks: its heads and its scales are its own.  A second
+    series whose scale or d vanishes is never built or walked.  In a
+    sweep this path reads none of the weighted sums' values.
     """
     row = _Row(case.j, case.a, case.b)
     return Fraction(*row.corollary_rhs_pair(_Column(case.d, case.e)))
@@ -606,13 +604,11 @@ def beta_moment(power: int, d, e) -> Fraction:
     return (d / e) * pochhammer_duplication(d + 1, n) / pochhammer_duplication(e + 1, n)
 
 
-def _moments(degree: int, d: Fraction, e: Fraction, *, memo=None) -> tuple:
+def _moments(degree: int, d: Fraction, e: Fraction) -> tuple:
     """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
     common denominator)."""
-    return _common_denominator([
-        _memoized(memo, beta_moment, p, d, e)
-        for p in range(degree + 1)
-    ])
+    return _common_denominator([beta_moment(p, d, e)
+                                for p in range(degree + 1)])
 
 
 def beta_integral_pipeline(case: IdentityCase) -> tuple:

@@ -9,11 +9,11 @@ The package sums a terminating series by iterated integer term ratios
 in one two-group kernel; `row_sum` here is the general loop over any
 number of groups that the kernel replaced, and the direct sum here
 rebuilds every term from scratch instead.  The package builds its specs
-from integer pairs and keeps each sum as an integer pair; `spec` and the
-three sums here let the tests state a spec in rationals and read a sum
-as one Fraction.  The package reduces Gamma products on integer pairs;
-the Fraction reduction here, with one Pochhammer symbol per pair, is the
-reference it is checked against.
+from integer pairs and keeps each sum as an integer pair; `spec` and
+`eval_terminating` here let the tests state a spec in rationals and
+read a sum as one Fraction.  The package reduces Gamma products on
+integer pairs; the Fraction reduction here, with one Pochhammer symbol
+per pair, is the reference it is checked against.
 """
 
 import math
@@ -30,7 +30,6 @@ from hyperverify.exact import pochhammer
 from hyperverify.hyper import (
     HyperSpec,
     _terminating_pair,
-    _weighted_pair,
     check_lower,
     ratio_rows,
 )
@@ -106,9 +105,9 @@ def row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
     terms those of the family with every group's parameters, n!
     included, until a numerator product vanishes: the general loop over
     any number of row sets that the package's two-group kernel
-    (hyper._pair) replaced, kept as its reference.  Step n multiplies
-    the groups' rows of that step, first group first, and a lower
-    parameter vanishing there raises.  The weight's ascending
+    (hyper._terminating_pair) replaced, kept as its reference.  Step n
+    multiplies the groups' rows of that step, first group first, and a
+    lower parameter vanishing there raises.  The weight's ascending
     coefficients are read by Horner's rule, and the sum is one running
     integer total over one denominator, returned unreduced."""
     if up_to < 0:
@@ -135,8 +134,9 @@ def chain_pair(specs, legal: bool) -> tuple:
     """The family with the specs' parameters and the first one's weight,
     summed as the package did before its kernel: the legality rule
     (check_lower) on every call with `legal`, else the smallest of the
-    specs' stops; NonTerminatingSeries without a stop; then every spec's
-    rows, built afresh to the stop, through row_sum."""
+    specs' stops, with a pole only raised where row_sum meets it;
+    NonTerminatingSeries without a stop; then every spec's rows, built
+    afresh to the stop, through row_sum."""
     if legal:
         stop = check_lower(*specs)
     else:
@@ -154,15 +154,9 @@ def sum_rows(*args) -> Fraction:
     return Fraction(*row_sum(*args))
 
 
-# hyper's integer sums, each reduced to one Fraction
-
-
 def eval_terminating(*specs) -> Fraction:
+    """hyper's integer sum reduced to one Fraction."""
     return Fraction(*_terminating_pair(*specs))
-
-
-def eval_weighted_sum(*specs) -> Fraction:
-    return Fraction(*_weighted_pair(*specs))
 
 
 def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:

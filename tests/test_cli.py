@@ -141,6 +141,23 @@ class TestRun:
                 elif value is not None:
                     assert reparses(value)
 
+    def test_a_record_value_past_the_digit_limit_writes_no_report(
+            self, tmp_path, capsys):
+        # d = 10**2500 + 1 gives a theorem side of more digits than the
+        # int-string conversion limit: every record is formatted first, so
+        # nothing is written, and the exit code is a usage error's
+        cfg = write_config(tmp_path, {
+            "checks": ["theorem"], "jSet": [0], "aSet": [-1], "bSet": ["1/3"],
+            "dSet": [str(10**2500 + 1)], "eSet": ["13/3"]})
+        message = ("hyperverify: a record value has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+        target = tmp_path / "report.json"
+        for out_args in (["--out", str(target)], []):
+            code, out, err = invoke(
+                ["run", "--config", cfg, "--jobs", "1"] + out_args, capsys)
+            assert (code, out, err) == (2, "", message)
+        assert not target.exists()
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -819,6 +836,28 @@ def test_golden_report_at_argument_one(tmp_path, capsys, jobs):
     then compare the unit-argument 3F2 with the right side, so this digest
     pins the argument the left side's sums carry."""
     assert_golden_report(tmp_path, capsys, jobs=jobs, argument="one")
+
+
+# The five-check grid: every check over all eleven shifts, with the
+# a = 0, d = 0 and e = 0 columns and the j = +-1, +-4 rows that the golden
+# config lacks, where _two_parts skips its second part.
+FIVE_CHECK_CONFIG = Path(__file__).with_name("five_check_config.json")
+FIVE_CHECK_SHA256 = "1743503685fcdd29033ed1a91633f64e90b0b8f7668a82b86a8d664fe4cd2d39"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_five_check_report_is_byte_identical(tmp_path, capsys, jobs):
+    """The five-check grid's report, pinned by its sha256 as the golden
+    report is, and kept the same by any change meant to keep verdicts."""
+    out = tmp_path / "report.json"
+    assert cli.run(str(FIVE_CHECK_CONFIG), str(out), jobs=jobs) == 1
+    capsys.readouterr()
+    body = out.read_bytes()
+    report = json.loads(body)
+    assert len(report["records"]) == 28944
+    assert report["summary"] == {
+        "passed": 9522, "failed": 539, "errored": 0, "skipped": 18883}
+    assert hashlib.sha256(body).hexdigest() == FIVE_CHECK_SHA256
 
 
 # A left side whose lower parameter vanishes only after the last

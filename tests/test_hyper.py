@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hyperverify import hyper
+from hyperverify import hyper, identities
 from hyperverify.errors import (
     DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
@@ -21,7 +21,6 @@ from hyperverify.suites import KUMMER_SUITE, TRANSFORM_SUITE
 from series_oracle import (
     eval_terminating,
     eval_terminating_direct,
-    eval_weighted_sum,
     spec,
     sum_rows,
 )
@@ -86,7 +85,7 @@ class TestLegality:
         # the list order.
         head = spec((F(1, 2),), (-3, -2))
         tail = spec((-3,), (-1,))
-        assert head.poles == (-3, -2) and tail.poles == (-1,)
+        assert head.first_pole == -2 and tail.first_pole == -1
         check_lower(spec((F(1, 2),), (-3,)), spec((-3,), ()))
         for specs in ((head, tail), (tail, head)):
             with pytest.raises(DenominatorPoleBeforeTermination,
@@ -172,11 +171,11 @@ class TestWeightedSum:
             1,
         )
         assert weighted_termination(family) == family.stop == 2
-        assert eval_weighted_sum(family) == eval_terminating(plain)
+        assert eval_terminating(family) == eval_terminating(plain)
 
     def test_zero_weight(self):
         family = spec(weight=(0,), numerators=(-3,), denominators=(2,))
-        assert eval_weighted_sum(family) == 0
+        assert eval_terminating(family) == 0
 
     def test_polynomial_weight_horner(self):
         # no parameters: term n is weight(n) / n!
@@ -193,7 +192,7 @@ class TestWeightedSum:
         expected = (F(1, 2) + (F(1, 2) - 3 + 2) * -3 * 2
                     + (F(1, 2) - 6 + 8) * 6 * 4 / 2
                     + (F(1, 2) - 9 + 18) * -6 * 8 / 6)
-        assert eval_weighted_sum(stopped) == truncated_sum(stopped, 3) == expected
+        assert eval_terminating(stopped) == truncated_sum(stopped, 3) == expected
         assert expected == F(-85, 2)
 
     def test_weight_absorption_cross_check(self):
@@ -211,19 +210,19 @@ class TestWeightedSum:
             (b / 2 + F(1, 2), b + F(3, 2), e / 2, e / 2 + F(1, 2)),
             1,
         )
-        lhs = F(-1, b + 1) * eval_weighted_sum(weighted)
+        lhs = F(-1, b + 1) * eval_terminating(weighted)
         assert lhs == eval_terminating(absorbed) == F(26, 25)
 
     def test_denominator_pole_before_termination_raises(self):
         family = spec(weight=(1,), numerators=(-5,), denominators=(-2,))
         with pytest.raises(DenominatorPoleBeforeTermination):
-            eval_weighted_sum(family)
+            eval_terminating(family)
 
     def test_numerator_death_shields_denominator(self):
         # numerator dies at the same step the denominator would vanish:
         # the sum is over by then, no pole is hit
         family = spec(weight=(1,), numerators=(-2,), denominators=(-2,))
-        assert truncated_sum(family, 4) == eval_weighted_sum(family) == F(5, 2)
+        assert truncated_sum(family, 4) == eval_terminating(family) == F(5, 2)
 
     def test_pole_message_and_earlier_numerator_death(self):
         # -2 first vanishes in the factor that builds term 3 while (-5)_n
@@ -233,7 +232,7 @@ class TestWeightedSum:
             weight=(F(1, 2), 3), numerators=(-5, F(2, 3)),
             denominators=(F(1, 2), -2), power_offset=1,
         )
-        for evaluate in (eval_weighted_sum, lambda s: weighted_series(s, 11)):
+        for evaluate in (eval_terminating, lambda s: weighted_series(s, 11)):
             with pytest.raises(
                 DenominatorPoleBeforeTermination,
                 match=r"^denominator parameter -2 vanishes at term 3$",
@@ -244,7 +243,7 @@ class TestWeightedSum:
             denominators=(F(1, 2), -3), power_offset=1,
         )
         terms = (F(1, 2), F(28, 9), F(130, 81))
-        assert eval_weighted_sum(dead) == truncated_sum(dead, 11) == sum(terms)
+        assert eval_terminating(dead) == truncated_sum(dead, 11) == sum(terms)
         assert sum(terms) == F(845, 162)
         assert weighted_series(dead, 11).coefficients == (
             (0, terms[0], 0, terms[1], 0, terms[2]) + (0,) * 6
@@ -271,16 +270,18 @@ class TestWeightedSum:
         assert sum_rows((family.rows(0),), -1, (2, 1)) == 0
         # a sum that stops at n = 0 is the weight's constant term alone
         dead = spec((0,), (F(3, 2),), weight=(2, 1), power_offset=1)
-        assert eval_weighted_sum(dead) == eval_terminating(dead, spec((), ())) == 2
+        assert eval_terminating(dead) == eval_terminating(dead, spec((), ())) == 2
         assert weighted_series(dead, 3).coefficients == (0, 2, 0, 0)
 
 
 def test_the_series_checks_never_reach_the_sum_loop(monkeypatch):
-    # A series expansion steps its own walk; only the sums use _pair.
+    # A series expansion steps its own walk; only the sums use
+    # _terminating_pair.
     expected = [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()]
 
     def refuse(*args):
-        raise AssertionError("a series check reached hyper._pair")
+        raise AssertionError("a series check reached the sum loop")
 
-    monkeypatch.setattr(hyper, "_pair", refuse)
+    monkeypatch.setattr(hyper, "_terminating_pair", refuse)
+    monkeypatch.setattr(identities, "_terminating_pair", refuse)
     assert [KUMMER_SUITE.run(), TRANSFORM_SUITE.run()] == expected

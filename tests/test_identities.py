@@ -347,16 +347,18 @@ class TestCorollaries:
 
     def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
         # The closed forms are the independent cross-check of the weighted
-        # sums: with every weighted-path helper broken, a corollary sweep
-        # (and so the memo it shares with theorem_lhs) still passes.  The
-        # moment tails are the column both right sides read, so they stay.
+        # sums: with every weighted-path helper and the row's weighted
+        # right side broken, a corollary sweep (and so the memo it shares
+        # with theorem_lhs) still passes.  The moment tails are the column
+        # both right sides read, and the sum kernel is the one both walk,
+        # so they stay.
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
         for name in ("_part_heads", "_weight_poly", "even_prefactor",
-                     "odd_prefactor", "_odd_scale", "_weighted_pair",
-                     "weighted_series"):
+                     "odd_prefactor", "_odd_scale", "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
+        monkeypatch.setattr(identities._Row, "theorem_rhs_pair", broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
             (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
@@ -365,35 +367,6 @@ class TestCorollaries:
         assert all(r.status == "passed" for r in records), [
             r.error for r in records if r.status != "passed"
         ][:3]
-
-    def test_sweep_skips_large_shifts_before_the_integer_left_side(
-            self, monkeypatch):
-        # the records evaluate the left side in its integer form
-        def broken(*args, **kwargs):
-            raise AssertionError("left side summed for a skipped record")
-
-        monkeypatch.setattr(identities, "_lhs_tail", broken)
-        monkeypatch.setattr(identities, "_terminating_pair", broken)
-        records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
-                             ("corollary",))
-        assert [r.error for r in records] == [
-            f"UnsupportedJ: shift j={j} not supported (|j| must be <= 3)"
-            for j in (4, -5) for _ in range(4)
-        ]
-
-    def test_sweep_never_reads_the_integer_weighted_path(self, monkeypatch):
-        # As above, for the integer forms the records are evaluated on.
-        def broken(*args, **kwargs):
-            raise AssertionError("corollary reached the weighted path")
-
-        monkeypatch.setattr(identities, "_weighted_pair", broken)
-        monkeypatch.setattr(identities._Row, "theorem_rhs_pair", broken)
-        records = grid_sweep(
-            range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
-            (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
-        )
-        assert len(records) == 7 * 2 * 2 * 4 * 2
-        assert all(r.status == "passed" for r in records)
 
 
 class TestPipeline:
@@ -650,20 +623,21 @@ class TestGridSweep:
         assert calls == []
 
     @pytest.mark.parametrize("check, sweep, walk", [
-        # a = 0 kills the corollaries' second series: each record walks
-        # its left side and its first series only
+        # a = 0 kills the corollaries' second series
         ("corollary", ((1, -2, 3), (0,), (F(1, 3),), (F(1, 2), -2), (4,)),
          "_terminating_pair"),
         # the odd weighted part is dead at j = 0, at a = 0 and at d = 0
         ("theorem", ((0,), (-1,), (F(1, 3),), (F(1, 2), -2), (4,)),
-         "_weighted_pair"),
+         "_terminating_pair"),
         ("theorem", ((1, -2), (0,), (F(1, 3),), (F(1, 2), -2), (4,)),
-         "_weighted_pair"),
+         "_terminating_pair"),
         ("theorem", ((1, -2, 3), (-1,), (F(1, 3), F(2, 5)), (0,), (4,)),
-         "_weighted_pair"),
+         "_terminating_pair"),
     ])
     def test_a_dead_second_part_is_never_walked(self, check, sweep, walk,
                                                  monkeypatch):
+        # each record walks its left side and its first part only, both
+        # through the one sum, `walk`
         calls = []
         fn = getattr(identities, walk)
 
@@ -675,8 +649,7 @@ class TestGridSweep:
         records = grid_sweep(*sweep, (check,))
         assert all(r.status == "passed" for r in records), [
             r.error for r in records if r.status != "passed"]
-        per_record = 2 if check == "corollary" else 1
-        assert len(calls) == per_record * len(records)
+        assert len(calls) == 2 * len(records)
 
     def test_filled_memo_pickles(self, monkeypatch):
         # A pool pickles the memo with each share it sends.  A memo that
