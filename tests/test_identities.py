@@ -347,18 +347,16 @@ class TestCorollaries:
 
     def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
         # The closed forms are the independent cross-check of the weighted
-        # sums: with every weighted-path helper and the row's weighted
-        # right side broken, a corollary sweep (and so the memo it shares
-        # with theorem_lhs) still passes.  The moment tails are the column
-        # both right sides read, and the sum kernel is the one both walk,
-        # so they stay.
+        # sums: with every weighted-path helper broken, a corollary sweep
+        # (and so the memo it shares with theorem_lhs) still passes.  The
+        # moment tails are the column both right sides read, and the sum
+        # kernel is the one both walk, so they stay.
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
         for name in ("_part_heads", "_weight_poly", "even_prefactor",
                      "odd_prefactor", "_odd_scale", "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
-        monkeypatch.setattr(identities._Row, "theorem_rhs_pair", broken)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
             (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
@@ -367,6 +365,39 @@ class TestCorollaries:
         assert all(r.status == "passed" for r in records), [
             r.error for r in records if r.status != "passed"
         ][:3]
+
+    def test_sweep_skips_large_shifts_before_the_integer_left_side(
+            self, monkeypatch):
+        # As above, one level up: the records read the left side as the
+        # row's integer form, _Row.left on the row's head, and a skipped
+        # record reaches neither.
+        def broken(*args, **kwargs):
+            raise AssertionError("left side summed for a skipped record")
+
+        monkeypatch.setattr(identities._Row, "left", broken)
+        monkeypatch.setattr(identities._Row, "lhs_head", property(broken))
+        records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
+                             ("corollary",))
+        assert [r.error for r in records] == [
+            f"UnsupportedJ: shift j={j} not supported (|j| must be <= 3)"
+            for j in (4, -5) for _ in range(4)
+        ]
+
+    def test_sweep_never_reads_the_integer_weighted_path(self, monkeypatch):
+        # As above, for the row the records are evaluated on: its weighted
+        # right side and the weighted invariants it caches stay unread.
+        def broken(*args, **kwargs):
+            raise AssertionError("corollary reached the weighted path")
+
+        monkeypatch.setattr(identities._Row, "theorem_rhs_pair", broken)
+        for name in ("part_heads", "even_scale", "odd_scale"):
+            monkeypatch.setattr(identities._Row, name, property(broken))
+        records = grid_sweep(
+            range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
+            (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
+        )
+        assert len(records) == 7 * 2 * 2 * 4 * 2
+        assert all(r.status == "passed" for r in records)
 
 
 class TestPipeline:
