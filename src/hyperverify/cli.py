@@ -299,7 +299,6 @@ class ProcessPoolExecutor:
     read, and joins them all."""
 
     def __init__(self, max_workers):
-        self.max_workers = max_workers
         self._workers = []
 
     def submit(self, fn, share):
@@ -370,8 +369,8 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_int=_json_int)
         config = SweepConfig.from_dict(raw)
-    except (OSError, ValueError, ConfigParseError) as err:
-        # ValueError: malformed JSON
+    except (OSError, ValueError, RecursionError, ConfigParseError) as err:
+        # ValueError: malformed JSON; RecursionError: nested too deep
         print(f"hyperverify: config error: {err}", file=sys.stderr)
         return 2
 

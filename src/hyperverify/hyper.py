@@ -2,17 +2,20 @@
 
 One type, HyperSpec, covers every series here: term n is a Pochhammer
 quotient times argument**n, times a polynomial weight in n.  A plain pFq
-has the unit weight.  The module finds where a family terminates, applies
-the legality rule for its lower parameters, sums terminating instances
-exactly, and expands a family as a series in its argument or in x.  A
-sum takes a head spec and an optional tail spec as the two groups of one
-family, the parameters of both together, and runs in one kernel
+has the unit weight.  This is the one module that turns parameters into
+ratio rows and the one that knows about poles: it finds where a family
+terminates, applies the legality rule for its lower parameters
+(check_lower) before every walk, sums terminating instances exactly,
+and expands a family as a series in its argument or in x.  A sum takes
+a head spec and an optional tail spec as the two groups of one family,
+the parameters of both together, and runs in one kernel
 (_terminating_pair): the legality rule gives it the smaller of the two
 stops, it returns the weight's constant term at stop 0 without building
 a row, and otherwise walks the head's and the tail's integer ratio rows
 in one zip.  A sum keeps one running integer total over one
 denominator, and comes back as that unreduced integer pair.  A series
-expansion steps one group's rows in the series walk
+expansion takes the same rule over its whole family, whatever the
+order, then steps one group's rows in the series walk
 (series._walk_terms), which keeps each term reduced, and comes back as
 integer numerators over their least common denominator, with no
 `Fraction`.
@@ -112,12 +115,13 @@ def check_lower(head: HyperSpec, tail: HyperSpec | None = None) -> int | None:
 
 
 def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
-    """Integer rows (a_n, b_n, pole), n = 0 .. count-1, of one parameter
-    group: a_n / b_n is its share of the ratio of term n+1 to term n of
-    prod (num_i)_n / prod (den_i)_n * argument**n, n! left to the caller,
-    and pole is -n when a lower parameter vanishes at n, else None.  The
-    parameters and the argument are integer pairs (p, q), q > 0.  Never
-    raises; ends before the step where the numerators vanish."""
+    """Integer rows (a_n, b_n), n = 0 .. count-1, of one parameter group:
+    a_n / b_n is its share of the ratio of term n+1 to term n of
+    prod (num_i)_n / prod (den_i)_n * argument**n, n! left to the caller.
+    The parameters and the argument are integer pairs (p, q), q > 0.
+    Never raises, and ends before the step where the numerators vanish;
+    b_n is 0 where a lower parameter vanishes at n, which the legality
+    rule (check_lower) keeps every walk from reaching."""
     an, ad = argument
     a_const = an * math.prod(qd for _, qd in denominators)
     b_const = ad * math.prod(pd for _, pd in numerators)
@@ -130,7 +134,7 @@ def ratio_rows(numerators, denominators, argument, count: int) -> tuple:
             break
         for qn, qd in denominators:
             b *= qn + n * qd
-        rows.append((a, b, None if b else -n))
+        rows.append((a, b))
     return tuple(rows)
 
 
@@ -156,7 +160,7 @@ def _terminating_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
     horner = weight[::-1]
     tail_rows = _NO_ROWS if tail is None else tail.rows(stop)
     total, num, den = weight[0], 1, 1  # term 0 is 1
-    for n, (ha, hb, _), (ta, tb, _) in zip(
+    for n, (ha, hb), (ta, tb) in zip(
             range(1, stop + 1), head.rows(stop), tail_rows):
         b = n * hb * tb
         num *= ha * ta
@@ -168,8 +172,8 @@ def _terminating_pair(head: HyperSpec, tail: HyperSpec | None = None) -> tuple:
     return total, den * w_den
 
 
-# the rows of a missing tail: a unit ratio with no pole at every step
-_NO_ROWS = itertools.repeat((1, 1, None))
+# the rows of a missing tail: a unit ratio at every step
+_NO_ROWS = itertools.repeat((1, 1))
 
 
 def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
@@ -184,8 +188,10 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
 
 
 def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
-    """The term family rendered as a series in x: term n lands on
-    degree 2n + offset, and no term is walked past the order."""
+    """The term family rendered as a series in x under the legality
+    rule: term n lands on degree 2n + offset, and no term is walked past
+    the order."""
+    check_lower(spec)
     up_to = (order - spec.power_offset) // 2
     if up_to < 0:
         return _reduced([0] * (order + 1), 1)

@@ -47,7 +47,7 @@ from .hyper import (
     series_in_z,
     weighted_series,
 )
-from .series import TruncatedSeries, _common_denominator, _reduced, binomial_series
+from .series import TruncatedSeries, _common_denominator, _reduced
 from .value import Value, as_fraction
 
 
@@ -255,8 +255,8 @@ def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     while level:
         substituted.append(level[0])
         level = list(map(operator.add, level, level[1:]))
-    return binomial_series(Fraction(2 * an, ad), order) * TruncatedSeries.over(
-        substituted, core.denominator)
+    binomial = series_in_z(HyperSpec(((2 * an, ad),), ()), order)  # (1-x)**(-2a)
+    return binomial * TruncatedSeries.over(substituted, core.denominator)
 
 
 def transform_lhs_recurrence(j: int, a, b, order: int) -> TruncatedSeries:
@@ -314,11 +314,11 @@ def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSe
 def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
     """2F1(a, a+1/2; b+1/2; x**2) as a series in x.
 
-    It shares only the term walker and the placement on x**2 of
-    weighted_series with the shifted right side at j = 0.  It has its
-    own parameters, a unit weight in place of the interpolated table
-    weight, and no Gamma prefactor, so agreement between the two is a
-    real check, not a tautology.
+    It shares only the legality rule, the term walker and the placement
+    on x**2 of weighted_series with the shifted right side at j = 0.  It
+    has its own parameters, a unit weight in place of the interpolated
+    table weight, and no Gamma prefactor, so agreement between the two
+    is a real check, not a tautology.
     """
     (an, ad), (bn, bd) = _ratio(a, "a"), _ratio(b, "b")
     spec = HyperSpec(((an, ad), (2 * an + ad, 2 * ad)), ((2 * bn + bd, 2 * bd),))

@@ -9,7 +9,9 @@ compare integers.  `*`, `+` and `scale` are integer operations on that
 form, and the `Fraction` coefficients are built only when first read.
 Binary operations truncate to the smaller operand order, which is the
 honest amount of shared information; nothing is combined or compared
-beyond it.
+beyond it.  The module holds integer series only: `hyper` turns
+parameters into the ratio rows that `_walk_terms` steps, and applies
+the legality rule before it hands them over.
 """
 
 import functools
@@ -17,7 +19,6 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DenominatorPoleBeforeTermination
 from .value import Value, as_fraction
 
 
@@ -95,13 +96,6 @@ def _set(series, numerators, denominator: int) -> None:
     series.__dict__.update(numerators=tuple(numerators), denominator=denominator)
 
 
-def binomial_series(alpha, order: int) -> TruncatedSeries:
-    """Expansion of (1 - x)**(-alpha): coefficient n is (alpha)_n / n!,
-    the terms of the 1F0 rows (p + n q, q) for alpha = p/q."""
-    p, q = as_fraction(alpha, "alpha").as_integer_ratio()
-    return _reduced(*_walk_terms([(p + n * q, q, None) for n in range(order)]))
-
-
 def _times(x: int, y: int, a: int, b: int) -> tuple:
     """x/y * a/b in lowest terms, for x/y in lowest terms and b != 0:
     a/b is reduced, then each numerator is cancelled crosswise against
@@ -114,15 +108,12 @@ def _times(x: int, y: int, a: int, b: int) -> tuple:
 
 def _walk_terms(rows, weight=(1,), w_den: int = 1) -> tuple:
     """weight(n) / w_den * term_n for n = 0, 1, ... while the rows last,
-    term n the product of the ratios a/b of one group's rows (a, b, pole)
-    over n!, kept reduced by _times, the weight read by Horner's rule; as
-    (integer numerators, their least common denominator).  A row with a
-    pole raises at the step that walks it."""
+    term n the product of the ratios a/b of one group's rows (a, b), no
+    b zero, over n!, kept reduced by _times, the weight read by Horner's
+    rule; as (integer numerators, their least common denominator)."""
     weight = weight[::-1]
     terms, x, y = [_times(1, 1, weight[-1], w_den)], 1, 1  # term 0 is 1
-    for n, (a, b, pole) in enumerate(rows, 1):
-        if pole is not None:
-            raise DenominatorPoleBeforeTermination(pole, n)
+    for n, (a, b) in enumerate(rows, 1):
         x, y = _times(x, y, a, b * n)
         w = 0
         for c in weight:

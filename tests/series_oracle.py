@@ -1,10 +1,11 @@
 """Plain-Fraction oracles kept for the tests.
 
 The package expands the transformation's left side by the closed form of
-the Moebius substitution; the cubic-time Horner composition here
-recomputes it the direct way at small orders.  The package interpolates
-the weight polynomials with integer Newton differences; the plain
-Fraction Newton loop here is the reference they are checked against.
+the Moebius substitution; the cubic-time Horner composition here, with
+the Fraction recurrence of the binomial factor, recomputes it the direct
+way at small orders.  The package interpolates the weight polynomials
+with integer Newton differences; the plain Fraction Newton loop here is
+the reference they are checked against.
 The package sums a terminating series by iterated integer term ratios
 in one two-group kernel; `row_sum` here is the general loop over any
 number of groups that the kernel replaced, and the direct sum here
@@ -63,6 +64,15 @@ def _constant(value, order: int) -> TruncatedSeries:
     return TruncatedSeries((Fraction(value),) + (Fraction(0),) * order)
 
 
+def binomial(alpha, order: int) -> TruncatedSeries:
+    """(1 - x)**(-alpha) by the Fraction recurrence of its coefficients,
+    c_0 = 1 and c_{n+1} = c_n (alpha + n) / (n + 1)."""
+    coeffs = [Fraction(1)]
+    for n in range(order):
+        coeffs.append(coeffs[-1] * (alpha + n) / (n + 1))
+    return TruncatedSeries(coeffs)
+
+
 def mobius_arg(order: int) -> TruncatedSeries:
     """The substitution argument -2x/(1 - x) as a series: 0, then -2 forever."""
     return TruncatedSeries((Fraction(0),) + (Fraction(-2),) * order)
@@ -106,19 +116,20 @@ def row_sum(row_sets, up_to: int, weight=(1,), w_den: int = 1) -> tuple:
     included, until a numerator product vanishes: the general loop over
     any number of row sets that the package's two-group kernel
     (hyper._terminating_pair) replaced, kept as its reference.  Step n
-    multiplies the groups' rows of that step, first group first, and a
-    lower parameter vanishing there raises.  The weight's ascending
-    coefficients are read by Horner's rule, and the sum is one running
-    integer total over one denominator, returned unreduced."""
+    multiplies the groups' rows (a, b) of that step, first group first;
+    a row with b = 0 has a lower factor that vanished, the parameter
+    1 - n, and raises there.  The weight's ascending coefficients are
+    read by Horner's rule, and the sum is one running integer total over
+    one denominator, returned unreduced."""
     if up_to < 0:
         return 0, w_den
     weight = weight[::-1]
     total, num, den = weight[-1], 1, 1  # term 0 is 1
     for n, rows in zip(range(1, up_to + 1), zip(*row_sets)):
         a, b = 1, n
-        for ra, rb, pole in rows:
-            if pole is not None:
-                raise DenominatorPoleBeforeTermination(pole, n)
+        for ra, rb in rows:
+            if rb == 0:
+                raise DenominatorPoleBeforeTermination(1 - n, n)
             a *= ra
             b *= rb
         num *= a

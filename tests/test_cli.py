@@ -178,6 +178,11 @@ class TestConfigValidation:
             {"checks": ["theorem"], "jSet": 3},
             {"checks": ["theorem"], "jSet": ["1"]},
             {"checks": ["theorem"], "seriesOrder": "24"},
+            # nested past the interpreter's recursion limit, whole or in
+            # a field: json raises RecursionError before any field check
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-whole"),
+            pytest.param('{"checks": ["theorem"], "aSet": %s}'
+                         % ("[" * 100_000 + "]" * 100_000), id="nested-aSet"),
         ],
     )
     def test_malformed_configs_exit_two(self, tmp_path, capsys, payload):
@@ -525,7 +530,7 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"gamma_ratio": 115, "ratio_rows": 860, "_poly_from_samples": 66},
+        {"gamma_ratio": 115, "ratio_rows": 880, "_poly_from_samples": 66},
     ] * 2
 
 

@@ -36,8 +36,7 @@ from hyperverify.identities import (
     kummer_rhs_series,
     odd_prefactor,
 )
-from hyperverify.series import binomial_series
-from series_oracle import compose, mobius_arg, spec
+from series_oracle import binomial, compose, mobius_arg, spec
 
 
 class TestWeightTable:
@@ -131,6 +130,18 @@ class TestKummer:
         a, b = F(-2), F(2, 7)
         assert gen_transform_rhs_series(0, a, b, 12) == kummer_rhs_series(a, b, 12)
 
+    @pytest.mark.parametrize("right_side", [
+        kummer_rhs_series,
+        lambda a, b, order: gen_transform_rhs_series(0, a, b, order),
+    ], ids=["kummer", "transform"])
+    def test_right_side_pole_past_the_series_order(self, right_side):
+        # The lower parameter b + 1/2 = -4 vanishes at term 5 with the
+        # terms alive, and order 8 asks for terms 0..4 only: the legality
+        # rule holds for the whole series, as on the left side.
+        with pytest.raises(DenominatorPoleBeforeTermination,
+                           match=r"^denominator parameter -4 vanishes at term 5$"):
+            right_side(F(1, 4), F(-9, 2), 8)
+
 
 class TestGenTransform:
     def test_negative_shift_case(self):
@@ -159,7 +170,7 @@ class TestGenTransform:
                     with pytest.raises(DenominatorPoleBeforeTermination):
                         gen_transform_lhs_series(j, a, b, order)
                     continue
-                oracle = binomial_series(2 * a, order) * compose(
+                oracle = binomial(2 * a, order) * compose(
                     core, mobius_arg(order)
                 )
                 for n in range(order + 1):
@@ -171,7 +182,7 @@ class TestGenTransform:
         # one case well past the canonical order 24 meets the oracle too.
         j, a, b, order = 3, F(1, 4), F(2, 7), 40
         core = series_in_z(spec((2 * a, b), (2 * b + j,)), order)
-        oracle = binomial_series(2 * a, order) * compose(core, mobius_arg(order))
+        oracle = binomial(2 * a, order) * compose(core, mobius_arg(order))
         assert gen_transform_lhs_series(j, a, b, order) == oracle
 
     def test_both_sides_at_the_order_cap(self):
@@ -720,7 +731,7 @@ class TestGridSweep:
         assert calls == [(j, b) for j in (1, 2) for b in (F(1, 3), F(2, 5))]
 
     @pytest.mark.parametrize("suite, calls", [
-        (suites.KUMMER_SUITE, 40), (suites.TRANSFORM_SUITE, 84),
+        (suites.KUMMER_SUITE, 60), (suites.TRANSFORM_SUITE, 84),
         (suites.THEOREM_A_SUITE, 302), (suites.THEOREM_D_SUITE, 330),
         (suites.COROLLARY_SUITE, 214), (suites.PIPELINE_SUITE, 78),
     ])
@@ -728,7 +739,8 @@ class TestGridSweep:
         # Each group's ratio rows are built once per count it is summed
         # to and reused by every case of its row or column, and a sum
         # that stops at term 0 builds none: the number of rows built per
-        # canonical suite is pinned.
+        # canonical suite is pinned.  A kummer case builds three sets:
+        # its left side's 2F1 and binomial factor, and its right side.
         built = []
         ratio_rows = hyper.ratio_rows
 

@@ -24,6 +24,7 @@ from hyperverify.errors import (
 )
 from hyperverify.hyper import (
     HyperSpec,
+    check_lower,
     ratio_rows,
     series_in_z,
     weighted_series,
@@ -36,8 +37,9 @@ from hyperverify.identities import (
     kummer_rhs_series,
     transform_lhs_recurrence,
 )
-from hyperverify.series import TruncatedSeries, binomial_series
+from hyperverify.series import TruncatedSeries
 from series_oracle import (
+    binomial,
     chain_pair,
     compose,
     eval_terminating,
@@ -280,16 +282,16 @@ def test_series_operations_match_plain_fractions(cs, ds, c):
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=10),
        st.integers(1, 16))
 def test_binomial_series_inverse_pair(alpha, order):
-    product = binomial_series(alpha, order) * binomial_series(-alpha, order)
+    # (1 - x)**(-alpha) is the 1F0 series of the upper parameter alpha
+    product = (series_in_z(spec((alpha,), ()), order)
+               * series_in_z(spec((-alpha,), ()), order))
     assert product.coefficients == (1,) + (0,) * order
 
 
 @given(rationals, st.integers(0, 30))
 def test_binomial_series_matches_the_fraction_recurrence(alpha, order):
-    coeffs = [F(1)]
-    for n in range(order):
-        coeffs.append(coeffs[-1] * (alpha + n) / (n + 1))
-    assert binomial_series(alpha, order).coefficients == tuple(coeffs)
+    assert series_in_z(spec((alpha,), ()), order).coefficients == (
+        binomial(alpha, order).coefficients)
 
 
 @given(series_strategy(8), series_strategy(8), series_strategy(8))
@@ -384,9 +386,30 @@ def test_weighted_sum_and_series_match_per_term_oracle(spec, up_to):
 def test_expansions_come_back_in_reduced_form(spec, order, alpha):
     # each expansion builds its integer form directly; it must be the one
     # that its coefficients give
+    binomial_spec = HyperSpec((alpha.as_integer_ratio(),), ())
     for s in (weighted_series(spec, order), series_in_z(spec, order),
-              binomial_series(alpha, order)):
+              series_in_z(binomial_spec, order)):
         assert s == TruncatedSeries(s.coefficients)
+
+
+@given(st.lists(spec_parameters, max_size=3),
+       st.lists(spec_parameters, max_size=3),
+       st.lists(small_rationals, min_size=1, max_size=3),
+       st.integers(0, 1), st.integers(0, 12))
+# the lower parameter -4 vanishes at term 5, past the order's terms
+@example([F(1, 4), F(3, 4)], [-4], [1], 0, 8)
+def test_series_expansions_take_the_legality_rule(
+        nums, dens, weight, offset, order):
+    # Both expansions raise exactly when check_lower raises, with its
+    # message, whatever the order: the rule holds for the whole series.
+    family = spec(nums, dens, weight=weight, power_offset=offset)
+    rule = outcome(lambda: check_lower(family))
+    for expand in (weighted_series, series_in_z):
+        result = outcome(lambda: expand(family, order))
+        if isinstance(rule, str):
+            assert result == rule
+        else:
+            assert isinstance(result, TruncatedSeries)
 
 
 # Parameters that end the terms early or vanish as lower parameters are

@@ -1,5 +1,5 @@
-"""Truncated series arithmetic, the stock expansions, and the composition
-oracle in series_oracle.py."""
+"""Truncated series arithmetic, the binomial series as a 1F0 expansion,
+and the composition oracle in series_oracle.py."""
 
 import random
 from fractions import Fraction as F
@@ -7,12 +7,18 @@ from fractions import Fraction as F
 import pytest
 
 from hyperverify.exact import pochhammer
-from hyperverify.series import TruncatedSeries, binomial_series
-from series_oracle import NonzeroConstantTerm, compose, mobius_arg
+from hyperverify.hyper import series_in_z
+from hyperverify.series import TruncatedSeries
+from series_oracle import NonzeroConstantTerm, compose, mobius_arg, spec
 
 
 def S(*coeffs):
     return TruncatedSeries(tuple(F(c) for c in coeffs))
+
+
+def binomial_1f0(alpha, order):
+    """(1 - x)**(-alpha): the 1F0 series of the upper parameter alpha."""
+    return series_in_z(spec((alpha,), ()), order)
 
 
 def convolve(f, g, order):
@@ -57,24 +63,24 @@ class TestArithmetic:
 
 class TestBinomialSeries:
     def test_zero_exponent(self):
-        assert binomial_series(0, 5).coefficients == (1, 0, 0, 0, 0, 0)
+        assert binomial_1f0(0, 5).coefficients == (1, 0, 0, 0, 0, 0)
 
     def test_geometric(self):
-        assert binomial_series(1, 6).coefficients == (1,) * 7
+        assert binomial_1f0(1, 6).coefficients == (1,) * 7
 
     def test_exact_square(self):
-        assert binomial_series(-2, 5).coefficients == (1, -2, 1, 0, 0, 0)
+        assert binomial_1f0(-2, 5).coefficients == (1, -2, 1, 0, 0, 0)
 
     def test_coefficients_are_pochhammer_over_factorial(self):
         alpha = F(-7, 3)
         fact = 1
-        for n, c in enumerate(binomial_series(alpha, 9).coefficients):
+        for n, c in enumerate(binomial_1f0(alpha, 9).coefficients):
             assert c == pochhammer(alpha, n) / fact
             fact *= n + 1
 
     def test_multiplicative_inverse_pair(self):
         alpha = F(5, 7)
-        one = binomial_series(alpha, 12) * binomial_series(-alpha, 12)
+        one = binomial_1f0(alpha, 12) * binomial_1f0(-alpha, 12)
         assert one.coefficients == (1,) + (0,) * 12
 
 
@@ -102,7 +108,7 @@ class TestCompose:
         n = 7
         geom = S(*([1] * (n + 1)))  # 1/(1-y)
         x = S(*([0, 1] + [0] * (n - 1)))
-        assert compose(geom, x) == binomial_series(1, n)
+        assert compose(geom, x) == binomial_1f0(1, n)
 
     def test_quadratic_transform_left_side_by_hand(self):
         # (1 - y + y^2/3) at y = -2x/(1-x), times (1-x)^2, collapses to 1 + x^2/3.
