@@ -197,44 +197,6 @@ def odd_prefactor(j: int, b) -> Fraction:
         ((q - p - big_j * q, q),), ((-p - j // 2 * q, q),))
 
 
-def _part_heads(j: int, a: Fraction, b: Fraction, *, memo=None) -> tuple:
-    """The even and the odd weighted term family before any tail, each a
-    spec; the odd one is None when that part vanishes identically (a = 0,
-    or a zero weight as at j = 0), so no Gamma poles are touched for it."""
-    w_even, w_odd = (_memoized(memo, _weight_poly, j, b, part) for part in (0, 1))
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
-    # b + (j + k)/2 over 2 bd
-    shift = [(2 * bn + (j + k) * bd, 2 * bd) for k in range(3)]
-    even = HyperSpec(((an, ad), a_half, (bn + (j + 1) // 2 * bd, bd)),
-                     shift[:2], weight=w_even)
-    odd = HyperSpec((a_half, a_one, (bn + (1 + j // 2) * bd, bd)),
-                    shift[1:], weight=w_odd, power_offset=1)
-    live = an != 0 and w_odd != (0,)
-    return even, (odd if live else None)
-
-
-def _odd_scale(j: int, a: Fraction, b: Fraction, *, memo=None) -> Fraction:
-    """2a/(2b+j) times the odd Gamma prefactor."""
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    lower = 2 * bn + j * bd  # 2b + j over bd
-    if lower == 0:
-        raise DenominatorPoleBeforeTermination(0)
-    pn, pd = _memoized(memo, odd_prefactor, j, b).as_integer_ratio()
-    return Fraction(2 * an * bd * pn, ad * lower * pd)
-
-
-def _moment_tails(d: Fraction, e: Fraction) -> tuple:
-    """The half-shifted beta-moment tails both right sides read: the first
-    part's, (d/2, d/2 + 1/2; e/2, e/2 + 1/2), and the second's, each
-    parameter 1/2 higher, each a spec, then d/e."""
-    (dn, dd), (en, ed) = d.as_integer_ratio(), e.as_integer_ratio()
-    hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
-    he = [(en + k * ed, 2 * ed) for k in range(3)]
-    return (HyperSpec(hd[:2], he[:2]), HyperSpec(hd[1:], he[1:]),
-            Fraction(dn * ed, dd * en))
-
-
 def gen_transform_lhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     """(1-x)**(-2a) * 2F1(2a, b; 2b+j; -2x/(1-x)) expanded to the given order.
 
@@ -338,15 +300,6 @@ class IdentityCase(Value):
         for name, value in zip("abde", (a, b, d, e)):
             self.__dict__[name] = as_fraction(value, name)
 
-    @functools.cached_property
-    def branch(self) -> str | None:
-        """Which hypothesis parameter terminates the identity, if any."""
-        if is_nonpositive_integer(self.a):
-            return "a"
-        if is_nonpositive_integer(self.d):
-            return "d"
-        return None
-
 
 def _lhs_tail(a: tuple, d: tuple, e: tuple, argument: tuple) -> tuple:
     """The left side's Gamma prefactor Gamma(e) Gamma(e - 2a - d) /
@@ -360,13 +313,6 @@ def _lhs_tail(a: tuple, d: tuple, e: tuple, argument: tuple) -> tuple:
                             ((e_ - a2, den), (e_ - d_, den)))
     return prefactor, HyperSpec(((dn, dd),), ((den + a2 + d_ - e_, den),),
                                 argument)
-
-
-def _lhs_head(j: int, a: Fraction, b: Fraction) -> HyperSpec:
-    """The left side's (j, a, b) part: its 3F2's spec (2a, b; 2b + j),
-    whatever the argument, which the tail carries."""
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + j * bd, bd),))
 
 
 class _Column:
@@ -386,9 +332,15 @@ class _Column:
 
     @functools.cached_property
     def tails(self) -> tuple:
-        """_moment_tails(d, e); every check that reads them rejects
-        e = 0 first."""
-        return _moment_tails(self.d, self.e)
+        """The half-shifted beta-moment tails both right sides read: the
+        first part's, (d/2, d/2 + 1/2; e/2, e/2 + 1/2), and the second's,
+        each parameter 1/2 higher, each a spec, then d/e.  Every check
+        that reads them rejects e = 0 first."""
+        (dn, dd), (en, ed) = self.pairs
+        hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
+        he = [(en + k * ed, 2 * ed) for k in range(3)]
+        return (HyperSpec(hd[:2], he[:2]), HyperSpec(hd[1:], he[1:]),
+                Fraction(dn * ed, dd * en))
 
 
 _NO_COLUMN = _Column()
@@ -431,7 +383,8 @@ class _Row:
     def __init__(self, j: int, a: Fraction, b: Fraction, memo=None):
         self.j, self.a, self.b = j, a, b
         self.memo, self.lefts = memo, {}
-        self.a_pair, self.a_branch = a.as_integer_ratio(), is_nonpositive_integer(a)
+        self.a_pair, self.b_pair = a.as_integer_ratio(), b.as_integer_ratio()
+        self.a_branch = is_nonpositive_integer(a)
 
     def _check_terminates(self, column) -> None:
         if not (self.a_branch or column.d_branch):
@@ -441,11 +394,29 @@ class _Row:
 
     @functools.cached_property
     def lhs_head(self) -> HyperSpec:
-        return _lhs_head(self.j, self.a, self.b)
+        """The left side's 3F2 spec (2a, b; 2b + j), whatever the
+        argument, which the tail carries."""
+        (an, ad), (bn, bd) = self.a_pair, self.b_pair
+        return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + self.j * bd, bd),))
 
     @functools.cached_property
     def part_heads(self) -> tuple:
-        return _part_heads(self.j, self.a, self.b, memo=self.memo)
+        """The even and the odd weighted term family before any tail, each
+        a spec; the odd one is None when that part vanishes identically
+        (a = 0, or a zero weight as at j = 0), so no Gamma poles are
+        touched for it."""
+        j, (an, ad), (bn, bd) = self.j, self.a_pair, self.b_pair
+        w_even, w_odd = (_memoized(self.memo, _weight_poly, j, self.b, part)
+                         for part in (0, 1))
+        a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
+        # b + (j + k)/2 over 2 bd
+        shift = [(2 * bn + (j + k) * bd, 2 * bd) for k in range(3)]
+        even = HyperSpec(((an, ad), a_half, (bn + (j + 1) // 2 * bd, bd)),
+                         shift[:2], weight=w_even)
+        odd = HyperSpec((a_half, a_one, (bn + (1 + j // 2) * bd, bd)),
+                        shift[1:], weight=w_odd, power_offset=1)
+        live = an != 0 and w_odd != (0,)
+        return even, (odd if live else None)
 
     @functools.cached_property
     def even_scale(self) -> Fraction:
@@ -453,11 +424,55 @@ class _Row:
 
     @functools.cached_property
     def odd_scale(self) -> Fraction:
-        return _odd_scale(self.j, self.a, self.b, memo=self.memo)
+        """2a/(2b+j) times the odd Gamma prefactor."""
+        (an, ad), (bn, bd) = self.a_pair, self.b_pair
+        lower = 2 * bn + self.j * bd  # 2b + j over bd
+        if lower == 0:
+            raise DenominatorPoleBeforeTermination(0)
+        pn, pd = _memoized(self.memo, odd_prefactor, self.j,
+                           self.b).as_integer_ratio()
+        return Fraction(2 * an * bd * pn, ad * lower * pd)
 
     @functools.cached_property
     def corollary_heads(self) -> tuple:
-        return _corollary_heads(self.j, self.a, self.b)
+        """The corollaries' (j, a, b) part: the first series' head spec,
+        the second's signed scale over d/e (which each case applies), and
+        the second series' head spec, or None where the scale is 0."""
+        j, (an, ad), (bn, bd) = self.j, self.a_pair, self.b_pair
+
+        def at(x, y, z):  # (x b + y) / z as an integer pair
+            return x * bn + y * bd, z * bd
+
+        a0, a_half, a_one = (an, ad), (2 * an + ad, 2 * ad), (an + ad, ad)
+        if j == 0:
+            return HyperSpec((a0, a_half), (at(2, 1, 2),)), 0, None
+        # the first series, c, x, y of the scale c a / (x b + y), the second
+        if j == 1:
+            first = ((a0, a_half), (at(2, 1, 2),))
+            c, x, y, second = 2, 2, 1, ((a_half, a_one), (at(2, 3, 2),))
+        elif j == -1:
+            first = ((a0, a_half), (at(2, -1, 2),))
+            c, x, y, second = -2, 2, -1, ((a_half, a_one), (at(2, 1, 2),))
+        elif j == 2:
+            first = ((a0, a_half, at(1, 3, 2)), (at(1, 1, 2), at(2, 3, 2)))
+            c, x, y, second = 2, 1, 1, ((a_half, a_one), (at(2, 3, 2),))
+        elif j == -2:
+            first = ((a0, a_half, at(1, 1, 2)), (at(1, -1, 2), at(2, -1, 2)))
+            c, x, y, second = -2, 1, -1, ((a_half, a_one), (at(2, -1, 2),))
+        elif j == 3:
+            first = ((a0, a_half, at(1, 6, 4)), (at(1, 2, 4), at(2, 3, 2)))
+            c, x, y = 6, 2, 3
+            second = ((a_half, a_one, at(3, 10, 4)), (at(3, 6, 4), at(2, 5, 2)))
+        elif j == -3:
+            first = ((a0, a_half, at(1, 3, 4)), (at(1, -1, 4), at(2, -3, 2)))
+            c, x, y = -6, 2, -3
+            second = ((a_one, a_half, at(3, 1, 4)), (at(3, -3, 4), at(2, -1, 2)))
+        else:
+            raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
+        if x * bn + y * bd == 0:  # 2b + j = 0
+            raise DenominatorPoleBeforeTermination(0)
+        scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
+        return HyperSpec(*first), scale, HyperSpec(*second) if scale else None
 
     @functools.cached_property
     def polynomial(self) -> tuple:
@@ -491,17 +506,25 @@ class _Row:
                           lambda: self.odd_scale)
 
     def corollary_rhs_pair(self, column) -> tuple:
-        """corollary_rhs as an unreduced integer pair, as
-        theorem_rhs_pair: the two closed series, summed by _two_parts."""
-        if abs(self.j) > COROLLARY_J_LIMIT:
-            raise UnsupportedJ(self.j, limit=COROLLARY_J_LIMIT)
+        """The closed single-series right side for |j| <= 3, as an
+        unreduced integer pair, as theorem_rhs_pair: one 4F3/5F4 at unit
+        argument, plus (for j != 0) a second one scaled by a signed
+        rational multiple of a*d/e, summed by _two_parts.  The weights and
+        prefactors are absorbed into the parameters, so this path shares
+        only the sum kernel, the moment tails and _two_parts with the
+        weighted sums it cross-checks: its heads and its scales are its
+        own, and it reads none of the weighted sums' values."""
         self._check_terminates(column)
         first, scale, second = self.corollary_heads
         return _two_parts(column, first, 1, second, lambda: scale)
 
     def moment_pair(self, column) -> tuple:
-        """The pipeline's moment transform of the left-side polynomial,
-        sum c_p (d)_p / (e)_p, as an unreduced integer pair."""
+        """The pipeline's replay of the derivation: the moment transform
+        of the left-side polynomial, sum c_p (d)_p / (e)_p, as an
+        unreduced integer pair, whose equality with `left` is the
+        identity itself.  It needs the a branch, where the left side is
+        an exact polynomial of degree 2m, and d > 0, e - d > 0, the
+        convergence regime of the underlying integrals."""
         _table_row(self.j)
         if not self.a_branch:
             raise InvalidCase("pipeline needs a to be a nonpositive integer")
@@ -536,60 +559,6 @@ def theorem_rhs(case: IdentityCase) -> Fraction:
     return Fraction(*row.theorem_rhs_pair(_Column(case.d, case.e)))
 
 
-def _corollary_heads(j: int, a: Fraction, b: Fraction) -> tuple:
-    """The (j, a, b) part of corollary_rhs: the first series' head
-    spec, the second's signed scale over d/e (which each case applies),
-    and the second series' head spec, or None where the scale is 0."""
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    if j != 0 and 2 * bn + j * bd == 0:
-        raise DenominatorPoleBeforeTermination(0)
-
-    def at(x, y, z):  # (x b + y) / z as an integer pair
-        return x * bn + y * bd, z * bd
-
-    a0, a_half, a_one = (an, ad), (2 * an + ad, 2 * ad), (an + ad, ad)
-    if j == 0:
-        return HyperSpec((a0, a_half), (at(2, 1, 2),)), 0, None
-    # the first series, c, x, y of the scale c a / (x b + y), the second
-    if j == 1:
-        first = ((a0, a_half), (at(2, 1, 2),))
-        c, x, y, second = 2, 2, 1, ((a_half, a_one), (at(2, 3, 2),))
-    elif j == -1:
-        first = ((a0, a_half), (at(2, -1, 2),))
-        c, x, y, second = -2, 2, -1, ((a_half, a_one), (at(2, 1, 2),))
-    elif j == 2:
-        first = ((a0, a_half, at(1, 3, 2)), (at(1, 1, 2), at(2, 3, 2)))
-        c, x, y, second = 2, 1, 1, ((a_half, a_one), (at(2, 3, 2),))
-    elif j == -2:
-        first = ((a0, a_half, at(1, 1, 2)), (at(1, -1, 2), at(2, -1, 2)))
-        c, x, y, second = -2, 1, -1, ((a_half, a_one), (at(2, -1, 2),))
-    elif j == 3:
-        first = ((a0, a_half, at(1, 6, 4)), (at(1, 2, 4), at(2, 3, 2)))
-        c, x, y = 6, 2, 3
-        second = ((a_half, a_one, at(3, 10, 4)), (at(3, 6, 4), at(2, 5, 2)))
-    else:  # j == -3
-        first = ((a0, a_half, at(1, 3, 4)), (at(1, -1, 4), at(2, -3, 2)))
-        c, x, y = -6, 2, -3
-        second = ((a_one, a_half, at(3, 1, 4)), (at(3, -3, 4), at(2, -1, 2)))
-    scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
-    return HyperSpec(*first), scale, HyperSpec(*second) if scale else None
-
-
-def corollary_rhs(case: IdentityCase) -> Fraction:
-    """Closed single-series right side for |j| <= 3.
-
-    Each value is one 4F3/5F4 at unit argument, plus (for j != 0) a second
-    one scaled by a signed rational multiple of a*d/e; the weights and
-    prefactors are absorbed into the parameters, so this path shares only
-    the sum kernel, the moment tails and _two_parts with the weighted sums
-    it cross-checks: its heads and its scales are its own.  A second
-    series whose scale or d vanishes is never built or walked.  In a
-    sweep this path reads none of the weighted sums' values.
-    """
-    row = _Row(case.j, case.a, case.b)
-    return Fraction(*row.corollary_rhs_pair(_Column(case.d, case.e)))
-
-
 def beta_moment(power: int, d, e) -> Fraction:
     """Normalized moment of x**power against x**(d-1) (1-x)**(e-d-1) on [0, 1].
 
@@ -609,22 +578,6 @@ def _moments(degree: int, d: Fraction, e: Fraction) -> tuple:
     common denominator)."""
     return _common_denominator([beta_moment(p, d, e)
                                 for p in range(degree + 1)])
-
-
-def beta_integral_pipeline(case: IdentityCase) -> tuple:
-    """Replay the derivation of the summation identity on one case.
-
-    Requires the a branch (so the transformation's left side is an exact
-    polynomial of degree 2m) and d > 0, e - d > 0 (the convergence regime
-    of the underlying integrals).  Returns the pair
-
-        (moment transform of the left-side polynomial,
-         prefactor times the terminating 3F2 at argument 2)
-
-    whose equality is the identity itself.
-    """
-    row, column = _Row(case.j, case.a, case.b), _Column(case.d, case.e)
-    return Fraction(*row.moment_pair(column)), row.left(column)
 
 
 class VerificationRecord(Value):

@@ -14,7 +14,10 @@ from integer pairs and keeps each sum as an integer pair; `spec` and
 `eval_terminating` here let the tests state a spec in rationals and
 read a sum as one Fraction.  The package reduces Gamma products on
 integer pairs; the Fraction reduction here, with one Pochhammer symbol
-per pair, is the reference it is checked against.
+per pair, is the reference it is checked against.  The package keeps
+the corollary and pipeline sides as methods of a (j, a, b) row over one
+(d, e) column; `corollary_rhs` and `beta_integral_pipeline` here read
+them on one case, each pair as a Fraction.
 """
 
 import math
@@ -34,6 +37,7 @@ from hyperverify.hyper import (
     check_lower,
     ratio_rows,
 )
+from hyperverify.identities import _Column, _Row
 from hyperverify.series import TruncatedSeries
 
 
@@ -168,6 +172,19 @@ def sum_rows(*args) -> Fraction:
 def eval_terminating(*specs) -> Fraction:
     """hyper's integer sum reduced to one Fraction."""
     return Fraction(*_terminating_pair(*specs))
+
+
+def corollary_rhs(case) -> Fraction:
+    """The closed corollary right side of one case, |j| <= 3."""
+    row = _Row(case.j, case.a, case.b)
+    return Fraction(*row.corollary_rhs_pair(_Column(case.d, case.e)))
+
+
+def beta_integral_pipeline(case) -> tuple:
+    """(the moment transform of the left-side polynomial, the left side)
+    of one case, whose equality is the identity itself."""
+    row, column = _Row(case.j, case.a, case.b), _Column(case.d, case.e)
+    return Fraction(*row.moment_pair(column)), row.left(column)
 
 
 def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:

@@ -28,9 +28,7 @@ from hyperverify.exact import (
 )
 from hyperverify.identities import (
     COEFF_TABLE,
-    beta_integral_pipeline,
     beta_moment,
-    corollary_rhs,
     gen_transform_lhs_series,
     grid_sweep,
 )
@@ -44,6 +42,7 @@ from hyperverify.suites import (
     THEOREM_D_SUITE,
     TRANSFORM_SUITE,
 )
+from series_oracle import beta_integral_pipeline, corollary_rhs
 
 # as tabulated, each suite fails exactly its j=-5 slice
 CLEAN_SUITE_FAILURES = {

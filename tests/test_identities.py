@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -24,11 +25,9 @@ from hyperverify.hyper import series_in_z
 from hyperverify.identities import (
     COEFF_TABLE,
     _weight_poly,
-    beta_integral_pipeline,
     beta_moment,
     coeff_A,
     coeff_B,
-    corollary_rhs,
     even_prefactor,
     gen_transform_lhs_series,
     gen_transform_rhs_series,
@@ -36,7 +35,27 @@ from hyperverify.identities import (
     kummer_rhs_series,
     odd_prefactor,
 )
-from series_oracle import binomial, compose, mobius_arg, spec
+from series_oracle import (
+    beta_integral_pipeline,
+    binomial,
+    compose,
+    corollary_rhs,
+    mobius_arg,
+    spec,
+)
+
+
+def count_builds(monkeypatch, owner, name, calls, key):
+    """Make the cached_property owner.name append key(instance) to
+    `calls` each time it builds its value; its caching stays its own."""
+    prop = vars(owner)[name]
+    build = prop.func
+
+    def counted(self):
+        calls.append(key(self))
+        return build(self)
+
+    monkeypatch.setattr(prop, "func", counted)
 
 
 class TestWeightTable:
@@ -341,14 +360,25 @@ class TestCorollaries:
             with pytest.raises(UnsupportedJ):
                 corollary_rhs(IdentityCase(j, -1, F(1, 3), 1, 4))
 
+    @pytest.mark.parametrize("j", [4, -5])
+    def test_row_has_no_closed_form_outside_small_shifts(self, j):
+        # the heads name each shift they cover and refuse the others,
+        # rather than read them as j = -3, and at b = -j/2 too, where a
+        # covered shift meets its scale's pole 2b + j = 0
+        for b in (F(1, 3), F(-j, 2)):
+            with pytest.raises(UnsupportedJ, match=(
+                    rf"^shift j={j} not supported \(\|j\| must be <= 3\)$")):
+                identities._Row(j, F(-1), b).corollary_heads
+
     def test_sweep_skips_large_shifts_before_the_left_side(self, monkeypatch):
-        # The row path sums the left side from its memoized tail and head;
-        # a skipped record reaches none of them.
+        # The row path sums the left side from its memoized tail and the
+        # row's head; a skipped record reaches none of them.
         def broken(*args, **kwargs):
             raise AssertionError("left side summed for a skipped record")
 
-        for name in ("_lhs_tail", "_lhs_head", "_terminating_pair"):
+        for name in ("_lhs_tail", "_terminating_pair"):
             monkeypatch.setattr(identities, name, broken)
+        monkeypatch.setattr(identities._Row, "lhs_head", property(broken))
         records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
                              ("corollary",))
         assert [r.error for r in records] == [
@@ -365,9 +395,11 @@ class TestCorollaries:
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
-        for name in ("_part_heads", "_weight_poly", "even_prefactor",
-                     "odd_prefactor", "_odd_scale", "weighted_series"):
+        for name in ("_weight_poly", "even_prefactor", "odd_prefactor",
+                     "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
+        for name in ("part_heads", "odd_scale"):
+            monkeypatch.setattr(identities._Row, name, property(broken))
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
             (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
@@ -564,13 +596,8 @@ class TestGridSweep:
         # (j, a, b), which builds its weighted heads once, so the 44 rows
         # build 44 heads, not 88.
         calls = []
-        part_heads = identities._part_heads
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return part_heads(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "_part_heads", counted)
+        count_builds(monkeypatch, identities._Row, "part_heads", calls,
+                     lambda row: (row.j, row.a, row.b))
         records = grid_sweep(range(-5, 6), (-1, -2), (F(1, 3), F(2, 5)),
                              (F(1, 2), 1), (4,), ("theorem", "transform"),
                              theorem_argument=1)
@@ -581,13 +608,8 @@ class TestGridSweep:
         # transform and theorem read one row per (j, a, b) at argument 2,
         # so the weighted heads are built once per row, not per check.
         calls = []
-        part_heads = identities._part_heads
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return part_heads(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "_part_heads", counted)
+        count_builds(monkeypatch, identities._Row, "part_heads", calls,
+                     lambda row: (row.j, row.a, row.b))
         records = grid_sweep(
             (3,), (-1, -2), (F(1, 3), F(2, 5)), (F(1, 2), 1), (4,),
             ("theorem", "transform"),
@@ -598,9 +620,8 @@ class TestGridSweep:
     def test_one_row_per_j_a_b_whatever_the_argument(self):
         # Only the left side's tail reads the theorem's argument, so a
         # theorem sweep at argument 1 shares its rows with corollary,
-        # pipeline and transform: one row per (j, a, b), no memo entry
-        # for the weighted heads or the odd scale beside the rows, and
-        # each row keeps both arguments' left sides of a column apart.
+        # pipeline and transform: one row per (j, a, b), and each row
+        # keeps both arguments' left sides of a column apart.
         # They differ at d = 1/2 and e = 4; at (j, a, b, d, e) =
         # (-3, -1, 1/3, 1, 4) both are 4/7.
         js, a_s, b_s = (0, 1, -3), (-1, -2), (F(1, 3), F(2, 5))
@@ -613,8 +634,6 @@ class TestGridSweep:
         rows = [v for v in memo.values() if isinstance(v, identities._Row)]
         assert sorted((r.j, r.a, r.b) for r in rows) == sorted(
             (j, a, b) for j in js for a in a_s for b in b_s)
-        assert not [key for key in memo if key[0] in (identities._part_heads,
-                                                      identities._odd_scale)]
         for row in rows:
             for d, e in ((d, e) for d in d_s for e in e_s):
                 pairs = F(d).as_integer_ratio(), F(e).as_integer_ratio()
@@ -626,37 +645,30 @@ class TestGridSweep:
     def test_one_column_table_per_sweep(self, monkeypatch):
         # theorem and corollary read the same moment tails, so a sweep of
         # both builds one column table and one pair of tails per column.
-        calls = {"_columns": 0, "_moment_tails": 0}
+        tables, tails = [], []
+        columns = identities._columns
 
-        def counted(name):
-            fn = getattr(identities, name)
+        def counted(*args):
+            tables.append(args)
+            return columns(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(identities, name, wrapper)
-
-        counted("_columns")
-        counted("_moment_tails")
+        monkeypatch.setattr(identities, "_columns", counted)
+        count_builds(monkeypatch, identities._Column, "tails", tails,
+                     lambda column: column.pairs)
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
             (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("theorem", "corollary"),
         )
         assert len(records) == 2 * 7 * 2 * 2 * 4 * 2
-        assert calls == {"_columns": 1, "_moment_tails": 8}
+        assert len(tables) == 1
+        assert len(tails) == len(set(tails)) == 8
 
     def test_pipeline_builds_no_moment_tails(self, monkeypatch):
         # Only the two right sides read the moment tails, at their first
         # read: a pipeline-only sweep and a pipeline case build none.
         calls = []
-        moment_tails = identities._moment_tails
-
-        def counted(*args):
-            calls.append(args)
-            return moment_tails(*args)
-
-        monkeypatch.setattr(identities, "_moment_tails", counted)
+        count_builds(monkeypatch, identities._Column, "tails", calls,
+                     lambda column: column.pairs)
         records = grid_sweep((-1, 2), (-1, -2), (F(1, 3),), (F(1, 2), 1),
                              (3, F(7, 2)), ("pipeline",))
         assert len(records) == 16 and all(r.equal for r in records)
@@ -711,6 +723,20 @@ class TestGridSweep:
         monkeypatch.setattr(identities, "gamma_ratio", broken)
         for suite in suites.ALL_SUITES:
             assert suite.run(restored) == fresh[suite.name], suite.name
+
+    def test_memo_keeps_each_helper_at_its_scope(self):
+        # All six suites on one memo: one row per (j, a, b), the weight
+        # polynomials and the prefactors per (j, b), the left side's tail
+        # per (a, d, e, argument), the moments per (degree, d, e) and one
+        # column table per set of columns.  Whatever else a row computes,
+        # it keeps itself.
+        memo = {}
+        for suite in suites.ALL_SUITES:
+            suite.run(memo)
+        heads = Counter(key[0].__name__ for key in memo)
+        assert heads == {"_Row": 165, "_weight_poly": 66, "_lhs_tail": 52,
+                         "even_prefactor": 33, "odd_prefactor": 30,
+                         "_moments": 12, "_columns": 3}
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

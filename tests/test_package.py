@@ -38,6 +38,7 @@ from hyperverify.identities import (
     grid_sweep,
     kummer_rhs_series,
     odd_prefactor,
+    verify_theorem,
 )
 from hyperverify.series import TruncatedSeries
 
@@ -201,9 +202,9 @@ def test_spec_equality_ignores_its_row_cache():
 def test_case_normalizes_its_parameters_and_finds_its_branch():
     case = IdentityCase(3, -2, 1, F(1, 2), 4)
     assert [type(x) for x in (case.a, case.b, case.d, case.e)] == [F] * 4
-    assert case.branch == "a"
-    assert IdentityCase(3, F(1, 3), 1, -1, 4).branch == "d"
-    assert IdentityCase(3, F(1, 3), 1, F(1, 2), 4).branch is None
+    assert verify_theorem(case).branch == "a"
+    assert verify_theorem(IdentityCase(3, F(1, 3), 1, -1, 4)).branch == "d"
+    assert verify_theorem(IdentityCase(3, F(1, 3), 1, F(1, 2), 4)).branch is None
 
 
 def test_importing_the_cli_loads_no_dataclasses_machinery():

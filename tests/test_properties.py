@@ -39,9 +39,11 @@ from hyperverify.identities import (
 )
 from hyperverify.series import TruncatedSeries
 from series_oracle import (
+    beta_integral_pipeline,
     binomial,
     chain_pair,
     compose,
+    corollary_rhs,
     eval_terminating,
     eval_terminating_direct,
     fraction_gamma_simplify,
@@ -837,8 +839,8 @@ def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
 
 def public_sides(job):
     """(lhs, rhs, error tag) of a theorem, corollary or pipeline job from
-    the public functions, each side a Fraction, in the order in which the
-    record's evaluation raises."""
+    the one-case functions, each side a Fraction, in the order in which
+    the record's evaluation raises."""
     check, j, a, b, d, e, _, argument = job
     case = IdentityCase(j, a, b, d, e)
     try:
@@ -849,9 +851,9 @@ def public_sides(job):
             if abs(j) > identities.COROLLARY_J_LIMIT:
                 raise UnsupportedJ(j, limit=identities.COROLLARY_J_LIMIT)
             lhs = identities.theorem_lhs(case)
-            rhs = identities.corollary_rhs(case)
+            rhs = corollary_rhs(case)
         else:
-            lhs, rhs = identities.beta_integral_pipeline(case)
+            lhs, rhs = beta_integral_pipeline(case)
     except VerificationError as err:
         return None, None, f"{type(err).__name__}: {err}"
     return lhs, rhs, None
@@ -861,23 +863,23 @@ def fraction_sides(check, j, a, b, d, e, argument):
     """Both sides of a job that evaluates, each part a Fraction from
     hyper's public sums and the parts combined in Fraction arithmetic,
     so independent of the integer pairs the package combines."""
+    row = identities._Row(j, a, b)
+
     def left(argument=F(2)):
         prefactor, tail = identities._lhs_tail(
             *(x.as_integer_ratio() for x in (a, d, e, argument)))
-        head = identities._lhs_head(j, a, b)
-        return prefactor * eval_terminating(head, tail)
+        return prefactor * eval_terminating(row.lhs_head, tail)
 
     if check == "theorem":
-        even_tail, odd_tail, d_over_e = identities._moment_tails(d, e)
-        even, odd = identities._part_heads(j, a, b)
+        even_tail, odd_tail, d_over_e = identities._Column(d, e).tails
+        even, odd = row.part_heads
         rhs = identities.even_prefactor(j, b) * eval_terminating(even, even_tail)
         if odd is not None and d != 0:
-            rhs += (identities._odd_scale(j, a, b) * d_over_e
-                    * eval_terminating(odd, odd_tail))
+            rhs += row.odd_scale * d_over_e * eval_terminating(odd, odd_tail)
         return left(argument), rhs
     if check == "corollary":
-        first, scale, second = identities._corollary_heads(j, a, b)
-        first_tail, second_tail, d_over_e = identities._moment_tails(d, e)
+        first, scale, second = row.corollary_heads
+        first_tail, second_tail, d_over_e = identities._Column(d, e).tails
         rhs = eval_terminating(first, first_tail)
         if scale * d_over_e != 0:
             rhs += scale * d_over_e * eval_terminating(second, second_tail)
@@ -917,9 +919,9 @@ branch_values = st.one_of(st.integers(-4, 0).map(F), small_rationals)
 @example("theorem", 3, F(1, 4), F(-5, 2), F(-4), F(-3), F(2))
 def test_integer_sides_give_the_public_fractions(check, j, a, b, d, e, argument):
     # The records compare each side as an integer pair; what they carry
-    # is exactly what the public functions return, which is what Fraction
+    # is exactly what the one-case functions return, which is what Fraction
     # arithmetic on the same sums gives, and so is the verdict.  A skip
-    # carries the text the public functions raise.
+    # carries the text the one-case functions raise.
     job = (check, j, a, b, d, e, 6, argument)
     rec = identities._evaluate_case(job)
     lhs, rhs, error = public_sides(job)
@@ -947,17 +949,19 @@ def test_row_sweep_equals_the_public_single_case_functions(
         js, a_s, b_s, d_s, e_s, argument):
     # Both branches, poles (integer b), e = 0, d = 0, negative b and
     # |j| > 3: every row record of theorem, corollary and pipeline, swept
-    # together over one memo, is the record the public functions give
+    # together over one memo, is the record the one-case functions give
     # for its case alone, error tag included.
     records = grid_sweep(js, a_s, b_s, d_s, e_s,
                          ("theorem", "corollary", "pipeline"),
                          theorem_argument=argument)
     assert len(records) == 3 * len(js) * len(a_s) * len(b_s) * len(d_s) * len(e_s)
     for rec in records:
-        case = IdentityCase(rec.j, rec.a, rec.b, rec.d, rec.e)
         lhs, rhs, error = public_sides(
             (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, None, F(argument)))
+        # the parameter that terminates the identity, a before d
+        branch = next((name for name, x in (("a", rec.a), ("d", rec.d))
+                       if x.denominator == 1 and x <= 0), None)
         expected = identities.VerificationRecord(
-            rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, case.branch,
+            rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, branch,
             lhs, rhs, None if error else lhs == rhs, error)
         assert rec == expected
