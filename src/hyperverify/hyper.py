@@ -16,9 +16,9 @@ in one zip.  A sum keeps one running integer total over one
 denominator, and comes back as that unreduced integer pair.  A series
 expansion takes the same rule over its whole family, whatever the
 order, then steps one group's rows in the series walk
-(series._walk_terms), which keeps each term reduced, and comes back as
-integer numerators over their least common denominator, with no
-`Fraction`.
+(series._walk_terms), which keeps each term reduced, and hands its
+integer numerators over their least common denominator to
+TruncatedSeries.over, with no `Fraction`.
 """
 
 import itertools
@@ -29,12 +29,7 @@ from .errors import (
     DenominatorPoleBeforeTermination,
     NonTerminatingSeries,
 )
-from .series import (
-    TruncatedSeries,
-    _common_denominator,
-    _reduced,
-    _walk_terms,
-)
+from .series import TruncatedSeries, _common_denominator, _walk_terms
 from .value import Value
 
 
@@ -184,7 +179,7 @@ def series_in_z(spec: HyperSpec, order: int) -> TruncatedSeries:
     limit = order if stop is None else min(order, stop)
     rows = ratio_rows(spec.num_pairs, spec.den_pairs, (1, 1), limit)
     nums, den = _walk_terms(rows, *spec.integer_weight)
-    return _reduced(nums + [0] * (order + 1 - len(nums)), den)
+    return TruncatedSeries.over(nums + [0] * (order + 1 - len(nums)), den)
 
 
 def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
@@ -194,9 +189,9 @@ def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
     check_lower(spec)
     up_to = (order - spec.power_offset) // 2
     if up_to < 0:
-        return _reduced([0] * (order + 1), 1)
+        return TruncatedSeries.over([0] * (order + 1), 1)
     terms, den = _walk_terms(spec.rows(up_to), *spec.integer_weight)
     nums = [0] * (order + 1)
     start = spec.power_offset
     nums[start:start + 2 * len(terms):2] = terms
-    return _reduced(nums, den)
+    return TruncatedSeries.over(nums, den)

@@ -47,7 +47,7 @@ from .hyper import (
     series_in_z,
     weighted_series,
 )
-from .series import TruncatedSeries, _common_denominator, _reduced
+from .series import TruncatedSeries, _common_denominator
 from .value import Value, as_fraction
 
 
@@ -149,13 +149,11 @@ def _poly_from_samples(samples) -> tuple:
 
 
 def _memoized(memo, compute, /, *args, **kwargs):
-    """compute(*args, **kwargs), kept in the memo dict, when one is given,
-    under (compute, *args), each Fraction entered as its integer pair so a
-    lookup hashes no Fraction.  Every kept value is a hit, None included.
-    Only values are kept: a compute that raises raises again at its next
-    lookup, and each such helper raises before it sums anything."""
-    if memo is None:
-        return compute(*args, **kwargs)
+    """compute(*args, **kwargs), kept in the memo dict under (compute,
+    *args), each Fraction entered as its integer pair so a lookup hashes
+    no Fraction.  Every kept value is a hit, None included.  Only values
+    are kept: a compute that raises raises again at its next lookup, and
+    each such helper raises before it sums anything."""
     key = (compute, *[x.as_integer_ratio() if type(x) is Fraction else x
                       for x in args])
     try:
@@ -251,26 +249,14 @@ def transform_lhs_recurrence(j: int, a, b, order: int) -> TruncatedSeries:
         terms.append((x, y))
     # reduced pairs over their least common denominator stay reduced
     den = math.lcm(*(y for _, y in terms))
-    return _reduced([x * (den // y) for x, y in terms], den)
+    return TruncatedSeries.over([x * (den // y) for x, y in terms], den)
 
 
-def gen_transform_rhs_series(j: int, a, b, order: int, memo=None) -> TruncatedSeries:
-    """Weighted even/odd pair for shift j, expanded to the given order.
-
-    The even part is scaled by its Gamma prefactor; the odd part by its
-    Gamma prefactor times 2a/(2b+j).  The odd part is skipped outright
-    when it vanishes identically (weight zero, as at j = 0, or a = 0),
-    so no Gamma poles are touched for dead terms.  The heads and scales
-    come from the (j, a, b) row (see _Row) in `memo`, a dict or None.
-    """
+def gen_transform_rhs_series(j: int, a, b, order: int) -> TruncatedSeries:
+    """Weighted even/odd pair for shift j, expanded to the given order:
+    the transform_rhs of a fresh (j, a, b) row (see _Row)."""
     _table_row(j)
-    row = _memoized(memo, _Row, j, as_fraction(a, "a"), as_fraction(b, "b"),
-                    memo=memo)
-    even, odd = row.part_heads
-    total = weighted_series(even, order).scale(row.even_scale)
-    if odd is not None:
-        total = total + weighted_series(odd, order).scale(row.odd_scale)
-    return total
+    return _Row(j, as_fraction(a, "a"), as_fraction(b, "b")).transform_rhs(order)
 
 
 def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
@@ -377,12 +363,12 @@ class _Row:
     what its cases share: each invariant is a cached_property, read at
     the first column that needs it, and `lefts` keeps each left side
     under its column's (d, e) pairs and the argument's pair.  `memo` is
-    the sweep memo, which keeps the row under (j, a, b), or None for a
-    one-case row."""
+    the sweep memo, which keeps the row under (j, a, b); a one-case row,
+    made with none, keeps a memo of its own."""
 
     def __init__(self, j: int, a: Fraction, b: Fraction, memo=None):
         self.j, self.a, self.b = j, a, b
-        self.memo, self.lefts = memo, {}
+        self.memo, self.lefts = {} if memo is None else memo, {}
         self.a_pair, self.b_pair = a.as_integer_ratio(), b.as_integer_ratio()
         self.a_branch = is_nonpositive_integer(a)
 
@@ -480,6 +466,18 @@ class _Row:
         of degree at most 2m, and 2m."""
         degree = -2 * int(self.a)
         return transform_lhs_recurrence(self.j, self.a, self.b, degree), degree
+
+    def transform_rhs(self, order: int) -> TruncatedSeries:
+        """The transformation's weighted even/odd pair, expanded to the
+        given order.  The even part is scaled by its Gamma prefactor; the
+        odd part by its Gamma prefactor times 2a/(2b+j).  The odd part is
+        skipped outright when it vanishes identically (weight zero, as at
+        j = 0, or a = 0), so no Gamma poles are touched for dead terms."""
+        even, odd = self.part_heads
+        total = weighted_series(even, order).scale(self.even_scale)
+        if odd is not None:
+            total = total + weighted_series(odd, order).scale(self.odd_scale)
+        return total
 
     def left(self, column, argument=(2, 1)) -> Fraction:
         """theorem_lhs at a column and an argument pair, reduced and kept
@@ -629,14 +627,8 @@ def _sides(pair: tuple, value: Fraction) -> tuple:
     return Fraction(n, d), value, False
 
 
-def _series_sides(check, j, a, b, order, memo) -> tuple:
+def _series_sides(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple:
     """The record's (lhs, rhs, equal) of one kummer or transform case."""
-    if check == "kummer":
-        lhs = gen_transform_lhs_series(0, a, b, order)
-        rhs = kummer_rhs_series(a, b, order)
-    else:
-        lhs = transform_lhs_recurrence(j, a, b, order)
-        rhs = gen_transform_rhs_series(j, a, b, order, memo)
     # the reduced integer form is unique, so the series compare as
     # integers; the Fractions are built for the record only, once for
     # both sides when they agree
@@ -645,31 +637,36 @@ def _series_sides(check, j, a, b, order, memo) -> tuple:
     return lhs, lhs if equal else rhs.coefficients, equal
 
 
-def _evaluate_row(job, memo=None) -> list:
-    """Worker for one grid row; top level so process pools can import it.
+def _evaluate_row(job, table, order, argument, memo) -> list:
+    """Worker for one job (check, j, a, b); top level so process pools
+    can import it.
 
-    A theorem, corollary or pipeline row is one (j, a, b) of its check
-    over a tuple of (d, e) columns, each d and e an integer pair; its
-    records come in column order, each side from a _Row method.  The
-    row and the column table (see _columns) come from the memo, so the
-    row keeps its invariants and left sides for every check that reads
-    them, and the table each column's moment tails from their first
-    read.  The theorem sums its left side at the job's argument.  A
-    kummer or transform row is one case.
+    Every check but kummer reads the (j, a, b) row (see _Row), which it
+    takes from the memo, so the row keeps its invariants and left sides
+    for every check that reads them.  A theorem, corollary or pipeline
+    job runs the row over the sweep's column table (see _columns), whose
+    columns keep their moment tails from their first read; its records
+    come in column order, each side from a _Row method, and the theorem
+    sums its left side at the argument, an integer pair.  A kummer or
+    transform job is one case, at the series order.
     """
-    check, j, a, b, columns, order, argument = job
-    memo = {} if memo is None else memo
-    row, table = None, [_NO_COLUMN]
-    if columns is not None:
-        row = _memoized(memo, _Row, j, a, b, memo=memo)
-        table = _memoized(memo, _columns, columns)
-        argument = _ratio(argument, "the argument")
+    check, j, a, b = job
+    row = None if check == "kummer" else _memoized(memo, _Row, j, a, b,
+                                                   memo=memo)
+    series = check in ("kummer", "transform")
     records = []
-    for column in table:
-        branch = "a" if row is not None and row.a_branch else "d" if column.d_branch else None
+    for column in (_NO_COLUMN,) if series else table:
+        branch = (None if series else "a" if row.a_branch
+                  else "d" if column.d_branch else None)
         try:
-            if row is None:
-                lhs, rhs, equal = _series_sides(check, j, a, b, order, memo)
+            if check == "kummer":
+                lhs, rhs, equal = _series_sides(
+                    gen_transform_lhs_series(0, a, b, order),
+                    kummer_rhs_series(a, b, order))
+            elif check == "transform":
+                lhs, rhs, equal = _series_sides(
+                    transform_lhs_recurrence(j, a, b, order),
+                    row.transform_rhs(order))
             elif check == "theorem":
                 # The weighted side runs the Gamma-prefactor
                 # simplification, so it goes first: pole exclusions then
@@ -697,11 +694,11 @@ def _evaluate_row(job, memo=None) -> list:
 
 def _evaluate_case(job, memo=None) -> VerificationRecord:
     """The record of one grid point (check, j, a, b, d, e, order,
-    argument), as its row with the one column gives it."""
+    argument), as its job with a one-column table gives it."""
     check, j, a, b, d, e, order, argument = job
-    columns = (None if check in ("kummer", "transform")
-               else ((d.as_integer_ratio(), e.as_integer_ratio()),))
-    return _evaluate_row((check, j, a, b, columns, order, argument), memo)[0]
+    return _evaluate_row((check, j, a, b), [_Column(d, e)], order,
+                         _ratio(argument, "the argument"),
+                         {} if memo is None else memo)[0]
 
 
 def grid_sweep(
@@ -724,23 +721,25 @@ def grid_sweep(
     sweep the reduced product.  `mapper` may be a pool's order-preserving
     map; per-case errors are embedded in the records, never raised.
 
-    The theorem, corollary and pipeline checks sweep one (j, a, b) row at
-    a time over the row's (d, e) columns, so each job is one row: the
-    summation identity is the transformation pushed through the beta
-    moments, and every case splits into a row part and a column part.
+    Every job is (check, j, a, b).  The theorem, corollary and pipeline
+    checks sweep one (j, a, b) row at a time over the sweep's (d, e)
+    columns: the summation identity is the transformation pushed through
+    the beta moments, and every case splits into a row part and a column
+    part.  The column table, the series order and the argument's pair
+    are bound once into the mapped function, the table looked up only
+    when a theorem-family check runs.
 
     Whatever cases share is kept once per memo (see _memoized), values
     only, so every record equals the one its case gives on its own: each
     row (see _Row) under (j, a, b), the helpers scoped to (j, b),
     (a, d, e, argument) or a column's beta moments under (helper,
     *args), and one column table per set of columns, whose columns keep
-    their moment tails (see _Column).  A kummer or transform job is one
-    case.  `memo` is the dict to keep the entries in, a fresh one when
-    None; every entry is a pure function of its key, so a memo that
-    earlier sweeps filled leaves the records as they are.  Under cli's
-    pool map the rows are dealt round-robin, the caller works its own
-    share with this memo, and each worker process works its share with
-    its own copy.
+    their moment tails (see _Column).  `memo` is the dict to keep the
+    entries in, a fresh one when None; every entry is a pure function of
+    its key, so a memo that earlier sweeps filled leaves the records as
+    they are.  Under cli's pool map the jobs are dealt round-robin, the
+    caller works its own share with this memo, and each worker process
+    works its share with its own copy.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -749,18 +748,20 @@ def grid_sweep(
     a_set, b_set, d_set, e_set = (
         [as_fraction(x, name) for x in s]
         for s, name in zip((a_set, b_set, d_set, e_set), "abde"))
-    theorem_argument = as_fraction(theorem_argument, "theorem_argument")
-    # one tuple of (d, e) columns, as integer pairs, shared by every row
+    argument = _ratio(theorem_argument, "theorem_argument")
+    # the (d, e) columns, as integer pairs, that every row runs over
     columns = tuple((d.as_integer_ratio(), e.as_integer_ratio())
                     for d in d_set for e in e_set)
-    jobs = []
-    for check in (c for c in CHECK_NAMES if c in checks):
-        row_columns = None if check in ("kummer", "transform") else columns
-        if row_columns != ():
-            jobs += [(check, j, a, b, row_columns, series_order,
-                      theorem_argument)
-                     for j in ((None,) if check == "kummer" else j_set)
-                     for a in a_set for b in b_set]
+    run = [c for c in CHECK_NAMES if c in checks
+           and (columns or c in ("kummer", "transform"))]
+    jobs = [(check, j, a, b) for check in run
+            for j in ((None,) if check == "kummer" else j_set)
+            for a in a_set for b in b_set]
     memo = {} if memo is None else memo
-    rows = mapper(functools.partial(_evaluate_row, memo=memo), jobs)
+    table = None
+    if not set(run) <= {"kummer", "transform"}:
+        table = _memoized(memo, _columns, columns)
+    rows = mapper(functools.partial(_evaluate_row, table=table,
+                                    order=series_order, argument=argument,
+                                    memo=memo), jobs)
     return [record for row in rows for record in row]

@@ -5,8 +5,9 @@ power series in one variable: coefficients for x**0 .. x**order, stored
 densely with explicit zeros.  It holds integer numerators over one
 positive denominator, reduced so that the denominator and all numerators
 have no common factor; that form is unique, so equality and hashing
-compare integers.  `*`, `+` and `scale` are integer operations on that
-form, and the `Fraction` coefficients are built only when first read.
+compare integers.  `over` is the one integer constructor, which reduces;
+`*`, `+` and `scale` are integer operations through it, and the
+`Fraction` coefficients are built only when first read.
 Binary operations truncate to the smaller operand order, which is the
 honest amount of shared information; nothing is combined or compared
 beyond it.  The module holds integer series only: `hyper` turns
@@ -27,21 +28,26 @@ class TruncatedSeries(Value):
 
     def __init__(self, coefficients):
         coeffs = tuple(as_fraction(c, "a coefficient") for c in coefficients)
-        _set(self, *_common_denominator(coeffs))
-        self.__dict__["coefficients"] = coeffs
+        integers = TruncatedSeries.over(*_common_denominator(coeffs))
+        self.__dict__.update(vars(integers), coefficients=coeffs)
 
     @classmethod
     def over(cls, numerators, denominator: int) -> "TruncatedSeries":
-        """The series with coefficient k numerators[k] / denominator."""
+        """The series with coefficient k numerators[k] / denominator, in
+        its reduced form: the one integer constructor."""
         nums = tuple(numerators)
         if denominator == 0:
             raise ZeroDivisionError("a series over the denominator 0")
+        if not nums:
+            raise ValueError("a series needs at least its constant coefficient")
         if denominator < 0:
             nums, denominator = tuple(-x for x in nums), -denominator
         g = math.gcd(denominator, *nums)
         if g > 1:
             nums, denominator = tuple(x // g for x in nums), denominator // g
-        return _reduced(nums, denominator)
+        series = object.__new__(cls)
+        series.__dict__.update(numerators=nums, denominator=denominator)
+        return series
 
     @functools.cached_property
     def coefficients(self) -> tuple:
@@ -80,20 +86,6 @@ class TruncatedSeries(Value):
         return TruncatedSeries.over(
             [sum(map(operator.mul, p, q[m::-1])) for m in range(n + 1)],
             self.denominator * other.denominator)
-
-
-def _reduced(numerators, denominator: int) -> TruncatedSeries:
-    """The series numerators[k] / denominator, which the caller has
-    already reduced (denominator > 0, no factor common to all)."""
-    series = object.__new__(TruncatedSeries)
-    _set(series, numerators, denominator)
-    return series
-
-
-def _set(series, numerators, denominator: int) -> None:
-    if not numerators:
-        raise ValueError("a series needs at least its constant coefficient")
-    series.__dict__.update(numerators=tuple(numerators), denominator=denominator)
 
 
 def _times(x: int, y: int, a: int, b: int) -> tuple:
