@@ -675,9 +675,11 @@ def _evaluate_row(job, table, order, argument, memo) -> list:
                 rhs = row.theorem_rhs_pair(column)
                 rhs, lhs, equal = _sides(rhs, row.left(column, argument))
             elif check == "corollary":
-                # no closed form past the bound: skip before the 3F2 sum
+                # no closed form past the bound, and no identity outside
+                # the hypotheses: skip both before the 3F2 sum
                 if abs(j) > COROLLARY_J_LIMIT:
                     raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
+                row._check_terminates(column)
                 lhs = row.left(column)
                 rhs, lhs, equal = _sides(row.corollary_rhs_pair(column), lhs)
             else:  # pipeline

@@ -787,12 +787,12 @@ class TestRealPool:
 
 
 GOLDEN_CONFIG = Path(__file__).with_name("golden_config.json")
-GOLDEN_SHA256 = "9663eb5c460a42a42075c2ec9780fd03fe2f7b055c8ee06b6da6e479b50455a6"
+GOLDEN_SHA256 = "dc082d06a79ab01fa6e12cc25f19153114064eb8084b874c278d4f4f65c6a493"
 
 
 # A second digest guards the argument that the theorem's left side
 # carries: the same grid with the 3F2 summed at argument 1.
-GOLDEN_ONE_SHA256 = "27e2e9fb08827e2b45f7f40c7f47b8d738dd0d23a37618b8a967d8010c834ec6"
+GOLDEN_ONE_SHA256 = "4724b92a63366d6fb80cd70e6ab0075a48829b91b32c21ebe930b54e03fa52c2"
 
 
 def assert_golden_report(tmp_path, capsys, jobs, argument=None):
@@ -847,7 +847,7 @@ def test_golden_report_at_argument_one(tmp_path, capsys, jobs):
 # a = 0, d = 0 and e = 0 columns and the j = +-1, +-4 rows that the golden
 # config lacks, where _two_parts skips its second part.
 FIVE_CHECK_CONFIG = Path(__file__).with_name("five_check_config.json")
-FIVE_CHECK_SHA256 = "1743503685fcdd29033ed1a91633f64e90b0b8f7668a82b86a8d664fe4cd2d39"
+FIVE_CHECK_SHA256 = "6d3cae5c291116cec5c05f81012ba7e2043326fc25c97973fa72bb531355aea4"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

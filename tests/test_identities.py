@@ -315,7 +315,7 @@ class TestTheorem:
     def test_zero_e_is_rejected(self):
         case = IdentityCase(0, -1, F(1, 3), 1, 0)
         assert verify_theorem(case).error == "InvalidCase: e must be nonzero"
-        # a corollary sweep never gets here: the left side's pole comes first
+        # the corollary's own check, which a sweep runs before its left side
         with pytest.raises(InvalidCase, match="^e must be nonzero$"):
             corollary_rhs(case)
 
@@ -408,6 +408,26 @@ class TestCorollaries:
         assert all(r.status == "passed" for r in records), [
             r.error for r in records if r.status != "passed"
         ][:3]
+
+    def test_sweep_tests_the_hypotheses_before_the_left_side(
+            self, monkeypatch):
+        # Outside the identity's hypotheses (neither a nor d a nonpositive
+        # integer, or e = 0) a corollary record names the reason that the
+        # theorem record at the same point names, and sums no left side
+        # that could meet a pole or a transcendental Gamma ratio first.
+        def broken(*args, **kwargs):
+            raise AssertionError("left side summed outside the hypotheses")
+
+        monkeypatch.setattr(identities._Row, "left", broken)
+        for point, reason in [
+            ((1, F(1, 3), F(1, 3), F(1, 2), 4),
+             "neither a nor d is a nonpositive integer"),
+            ((1, -1, F(1, 3), F(1, 2), 0), "e must be nonzero"),
+        ]:
+            reason = f"InvalidCase: {reason}"
+            assert verify_theorem(IdentityCase(*point)).error == reason
+            records = grid_sweep(*[(x,) for x in point], ("corollary",))
+            assert [r.error for r in records] == [reason]
 
     def test_sweep_skips_large_shifts_before_the_integer_left_side(
             self, monkeypatch):

@@ -18,6 +18,7 @@ from hyperverify.exact import (
 )
 from hyperverify.errors import (
     DenominatorPoleBeforeTermination,
+    InvalidCase,
     NonTerminatingSeries,
     UnsupportedJ,
     VerificationError,
@@ -850,6 +851,11 @@ def public_sides(job):
         elif check == "corollary":
             if abs(j) > identities.COROLLARY_J_LIMIT:
                 raise UnsupportedJ(j, limit=identities.COROLLARY_J_LIMIT)
+            # the identity's hypotheses, before the left side
+            if not (is_nonpositive_integer(a) or is_nonpositive_integer(d)):
+                raise InvalidCase("neither a nor d is a nonpositive integer")
+            if e == 0:
+                raise InvalidCase("e must be nonzero")
             lhs = identities.theorem_lhs(case)
             rhs = corollary_rhs(case)
         else:
