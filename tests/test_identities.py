@@ -371,14 +371,14 @@ class TestCorollaries:
                 identities._Row(j, F(-1), b).corollary_heads
 
     def test_sweep_skips_large_shifts_before_the_left_side(self, monkeypatch):
-        # The row path sums the left side from its memoized tail and the
-        # row's head; a skipped record reaches none of them.
+        # The left side is summed from its memoized tail by the one sum
+        # kernel; a skipped record reaches neither module-level helper.
+        # The row's own members are the integer twin's below.
         def broken(*args, **kwargs):
             raise AssertionError("left side summed for a skipped record")
 
         for name in ("_lhs_tail", "_terminating_pair"):
             monkeypatch.setattr(identities, name, broken)
-        monkeypatch.setattr(identities._Row, "lhs_head", property(broken))
         records = grid_sweep((4, -5), (-1,), (F(1, 3),), (1, -2), (4, -3),
                              ("corollary",))
         assert [r.error for r in records] == [
@@ -388,18 +388,17 @@ class TestCorollaries:
 
     def test_sweep_never_reads_the_weighted_path(self, monkeypatch):
         # The closed forms are the independent cross-check of the weighted
-        # sums: with every weighted-path helper broken, a corollary sweep
-        # (and so the memo it shares with theorem_lhs) still passes.  The
-        # moment tails are the column both right sides read, and the sum
-        # kernel is the one both walk, so they stay.
+        # sums: with every module-level weighted-path helper broken, a
+        # corollary sweep (and so the memo it shares with theorem_lhs)
+        # still passes.  The moment tails are the column both right sides
+        # read, and the sum kernel is the one both walk, so they stay.
+        # The row's own members are the integer twin's below.
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
 
         for name in ("_weight_poly", "even_prefactor", "odd_prefactor",
                      "weighted_series"):
             monkeypatch.setattr(identities, name, broken)
-        for name in ("part_heads", "odd_scale"):
-            monkeypatch.setattr(identities._Row, name, property(broken))
         records = grid_sweep(
             range(-3, 4), (-1, -2), (F(1, 3), F(2, 5)),
             (F(1, 2), 1, -1, -2), (4, F(13, 3)), ("corollary",),
@@ -431,9 +430,9 @@ class TestCorollaries:
 
     def test_sweep_skips_large_shifts_before_the_integer_left_side(
             self, monkeypatch):
-        # As above, one level up: the records read the left side as the
-        # row's integer form, _Row.left on the row's head, and a skipped
-        # record reaches neither.
+        # As above, one level up, with only the row's members broken: the
+        # records read the left side as _Row.left on the row's head, and
+        # a skipped record reaches neither.
         def broken(*args, **kwargs):
             raise AssertionError("left side summed for a skipped record")
 
@@ -447,7 +446,7 @@ class TestCorollaries:
         ]
 
     def test_sweep_never_reads_the_integer_weighted_path(self, monkeypatch):
-        # As above, for the row the records are evaluated on: its weighted
+        # As above, with only the row's members broken: its weighted
         # right side and the weighted invariants it caches stay unread.
         def broken(*args, **kwargs):
             raise AssertionError("corollary reached the weighted path")
