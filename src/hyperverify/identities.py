@@ -760,9 +760,8 @@ def grid_sweep(
             for j in ((None,) if check == "kummer" else j_set)
             for a in a_set for b in b_set]
     memo = {} if memo is None else memo
-    table = None
-    if not set(run) <= {"kummer", "transform"}:
-        table = _memoized(memo, _columns, columns)
+    table = (None if set(run) <= {"kummer", "transform"}
+             else _memoized(memo, _columns, columns))
     rows = mapper(functools.partial(_evaluate_row, table=table,
                                     order=series_order, argument=argument,
                                     memo=memo), jobs)
