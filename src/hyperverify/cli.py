@@ -236,13 +236,16 @@ class WorkerError(RuntimeError):
     the error's type and message."""
 
 
-def _map_share(sender, fn, share):
-    """A pool worker's whole work: fn over its round-robin share of a
-    map's items, sent back over the pipe as (True, results), or as
-    (False, the error) when fn raises.  An error that does not survive
-    a pickle round trip, which the caller's read would need, goes as a
-    WorkerError."""
+def _map_share(sender, fn, share, cpus):
+    """A pool worker's whole work: pinned to its CPU set `cpus` (None
+    where the platform has no affinity calls), fn over its round-robin
+    share of a map's items, sent back over the pipe as (True, results),
+    or as (False, the error) when fn raises.  An error that does not
+    survive a pickle round trip, which the caller's read would need,
+    goes as a WorkerError."""
     try:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
         reply = True, [fn(item) for item in share]
     except Exception as exc:
         import pickle
@@ -257,11 +260,11 @@ def _map_share(sender, fn, share):
 class _Worker:
     """One worker process and the read end of its one-way pipe."""
 
-    def __init__(self, fn, share):
+    def __init__(self, fn, share, cpus):
         import multiprocessing
         self.receiver, sender = multiprocessing.Pipe(duplex=False)
         self.process = multiprocessing.Process(
-            target=_map_share, args=(sender, fn, share))
+            target=_map_share, args=(sender, fn, share, cpus))
         self.process.start()
         # the worker holds the only write end left, so its death reads as EOF
         sender.close()
@@ -296,23 +299,45 @@ class ProcessPoolExecutor:
     multiprocessing is imported at the first submit, so a run in one
     process never loads it.  `max_workers` is the number of submits to
     come.  Leaving the block terminates every worker whose reply was not
-    read, and joins them all."""
+    read, and joins them all.
+
+    Each share gets its own CPUs: the process's CPU mask is dealt
+    round-robin into `max_workers + 1` sets, wrapping round when there
+    are more shares than CPUs.  Entering the block pins the caller,
+    share 0, to the first set; each worker pins itself to the next one;
+    shutdown gives the caller back its whole mask.  Left to itself,
+    Linux may start a worker on the busy caller's own CPU and keep the
+    two there, so the shares take turns instead of running at once.
+    Where the platform has no affinity calls, nothing is pinned."""
 
     def __init__(self, max_workers):
         self._workers = []
+        self._mask = None
+        self._cpus = [None] * (max_workers + 1)
+        if hasattr(os, "sched_setaffinity"):
+            self._mask = os.sched_getaffinity(0)
+            cpus = sorted(self._mask)
+            self._cpus = [set(cpus[k % len(cpus)::max_workers + 1])
+                          for k in range(max_workers + 1)]
 
     def submit(self, fn, share):
         """Start a worker that maps fn over the share; returns it, and
         its result() gives the results in order."""
-        worker = _Worker(fn, share)
+        worker = _Worker(fn, share, self._cpus[len(self._workers) + 1])
         self._workers.append(worker)
         return worker
 
     def shutdown(self):
-        for worker in self._workers:
-            worker.stop()
+        try:
+            for worker in self._workers:
+                worker.stop()
+        finally:
+            if self._mask is not None:
+                os.sched_setaffinity(0, self._mask)
 
     def __enter__(self):
+        if self._mask is not None:
+            os.sched_setaffinity(0, self._cpus[0])
         return self
 
     def __exit__(self, *exc):

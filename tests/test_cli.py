@@ -638,6 +638,37 @@ def _item_and_pid(item):
     return item, os.getpid()
 
 
+def _cpu_mask():
+    """This process's CPU mask, or None where the platform has no
+    affinity calls."""
+    if hasattr(os, "sched_getaffinity"):
+        return frozenset(os.sched_getaffinity(0))
+    return None
+
+
+# The pool places its shares only where it can pin, and two shares get
+# disjoint CPU sets only from a mask of two CPUs or more.
+PLACEABLE = hasattr(os, "sched_setaffinity") and len(_cpu_mask()) >= 2
+
+
+def _pid_and_cpus(item):
+    """A pool task: the process that mapped the item and its CPU mask."""
+    return os.getpid(), _cpu_mask()
+
+
+def assert_placed():
+    """Map one item per share at --jobs 2: the caller's and the worker's
+    CPU sets are disjoint and lie inside the caller's mask, and the
+    caller has that whole mask back after the map."""
+    before = _cpu_mask()
+    [(caller, mine), (worker, theirs)] = cli._pool_map(
+        _pid_and_cpus, [0, 1], jobs=2)
+    assert caller == os.getpid() != worker
+    assert mine.isdisjoint(theirs)
+    assert mine | theirs <= before
+    assert _cpu_mask() == before
+
+
 def _touch_unless_negative(folder, item):
     """A pool task: refuse a negative item at once; otherwise wait item / 4
     seconds, then leave a file named after the item."""
@@ -698,10 +729,12 @@ class TestRealPool:
         # The caller's own share [-1, 1] fails at once, and the worker's
         # share [2, 3] is terminated before it writes.
         task = functools.partial(_touch_unless_negative, tmp_path)
+        before = _cpu_mask()
         with pytest.raises(LookupError):
             list(cli._pool_map(task, [-1, 2, 1, 3], jobs=2))
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
+        assert _cpu_mask() == before
 
     def test_a_task_error_stops_the_other_workers(self, monkeypatch, tmp_path):
         # Three shares, one item each: the caller writes 0 at once, the
@@ -715,9 +748,11 @@ class TestRealPool:
         assert [path.name for path in tmp_path.iterdir()] == ["0"]
 
     def test_a_dead_worker_raises_and_does_not_hang(self):
+        before = _cpu_mask()
         with pytest.raises(cli.WorkerError, match="exited with code 3"):
             list(cli._pool_map(_exit_if_negative, [1, -1], jobs=2))
         assert multiprocessing.active_children() == []
+        assert _cpu_mask() == before
 
     def test_an_error_that_cannot_be_pickled_is_named(self):
         with pytest.raises(cli.WorkerError, match="^LocalError: item 1$"):
@@ -729,11 +764,32 @@ class TestRealPool:
         # comes back; the worker's [4, 8] would write its first file a
         # second in.
         task = functools.partial(_touch_unless_negative, tmp_path)
+        before = _cpu_mask()
         results = cli._pool_map(task, [0, 4, 1, 8], jobs=2)
         assert next(results) == 0
         results.close()
         assert multiprocessing.active_children() == []
         assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
+        assert _cpu_mask() == before
+
+    @pytest.mark.skipif(not PLACEABLE,
+                        reason="needs affinity calls and two CPUs in the mask")
+    def test_the_caller_and_a_worker_run_on_disjoint_cpus(self):
+        # Left to itself, Linux starts the worker on the busy caller's
+        # CPU and keeps both there; the pool pins each share to its own.
+        assert_placed()
+        assert multiprocessing.active_children() == []
+
+    def test_without_affinity_calls_nothing_is_pinned(self, monkeypatch,
+                                                      capsys):
+        # macOS has neither call; the pool then runs its shares unplaced
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli.selftest(jobs=1) == 1
+        serial = capsys.readouterr().out
+        assert cli.selftest(jobs=2) == 1
+        assert capsys.readouterr().out == serial
+        assert multiprocessing.active_children() == []
 
     def test_the_caller_closes_each_write_end(self, monkeypatch):
         # the worker holds the only write end left, so its death reads as
@@ -765,6 +821,8 @@ class TestRealPool:
         serial = capsys.readouterr().out
         assert cli.selftest(jobs=2) == 1
         assert capsys.readouterr().out == serial
+        if PLACEABLE:  # the worker pins itself, whatever started it
+            assert_placed()
         assert multiprocessing.active_children() == []
 
     def test_three_workers_keep_record_order_and_bytes(
