@@ -237,12 +237,11 @@ class WorkerError(RuntimeError):
 
 
 def _map_share(sender, fn, share, cpus):
-    """A pool worker's whole work: pinned to its CPU set `cpus` (None
-    where the platform has no affinity calls), fn over its round-robin
-    share of a map's items, sent back over the pipe as (True, results),
-    or as (False, the error) when fn raises.  An error that does not
-    survive a pickle round trip, which the caller's read would need,
-    goes as a WorkerError."""
+    """A pool worker's whole work: pinned to its CPU set `cpus` unless
+    that is None, fn over its round-robin share of a map's items, sent
+    back over the pipe as (True, results), or as (False, the error) when
+    fn raises.  An error that does not survive a pickle round trip,
+    which the caller's read would need, goes as a WorkerError."""
     try:
         if cpus is not None:
             os.sched_setaffinity(0, cpus)
@@ -293,6 +292,13 @@ class _Worker:
         self.receiver.close()
 
 
+def _cpu_mask():
+    """The CPUs this process may run on; empty without affinity calls."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set()
+
+
 class ProcessPoolExecutor:
     """Worker processes, one per submit, each of which sends its one
     reply back over a one-way pipe, so the caller runs no helper thread.
@@ -302,23 +308,19 @@ class ProcessPoolExecutor:
     read, and joins them all.
 
     Each share gets its own CPUs: the process's CPU mask is dealt
-    round-robin into `max_workers + 1` sets, wrapping round when there
-    are more shares than CPUs.  Entering the block pins the caller,
-    share 0, to the first set; each worker pins itself to the next one;
-    shutdown gives the caller back its whole mask.  Left to itself,
-    Linux may start a worker on the busy caller's own CPU and keep the
-    two there, so the shares take turns instead of running at once.
-    Where the platform has no affinity calls, nothing is pinned."""
+    round-robin into `max_workers + 1` sets; entering the block pins the
+    caller, share 0, to the first, each worker pins itself to the next,
+    and shutdown gives the caller back its whole mask.  Left to itself,
+    Linux may start a worker on the busy caller's CPU and keep the two
+    there, so the shares take turns.  A share with no CPU of its own,
+    as with no affinity calls, keeps the mask it is started with."""
 
     def __init__(self, max_workers):
         self._workers = []
-        self._mask = None
-        self._cpus = [None] * (max_workers + 1)
-        if hasattr(os, "sched_setaffinity"):
-            self._mask = os.sched_getaffinity(0)
-            cpus = sorted(self._mask)
-            self._cpus = [set(cpus[k % len(cpus)::max_workers + 1])
-                          for k in range(max_workers + 1)]
+        self._mask = _cpu_mask()
+        cpus = sorted(self._mask)
+        self._cpus = [set(cpus[k::max_workers + 1]) or None
+                      for k in range(max_workers + 1)]
 
     def submit(self, fn, share):
         """Start a worker that maps fn over the share; returns it, and
@@ -332,11 +334,11 @@ class ProcessPoolExecutor:
             for worker in self._workers:
                 worker.stop()
         finally:
-            if self._mask is not None:
+            if self._mask:
                 os.sched_setaffinity(0, self._mask)
 
     def __enter__(self):
-        if self._mask is not None:
+        if self._cpus[0]:
             os.sched_setaffinity(0, self._cpus[0])
         return self
 
@@ -345,33 +347,30 @@ class ProcessPoolExecutor:
         return False
 
 
-def _pool_map(fn, items, jobs: int):
+def _pool_map(fn, items, jobs: int) -> list:
     """An order-preserving map over at most `jobs` workers, one per CPU
-    and one per item; the builtin map, with no pool, when that leaves a
-    single worker.  The items are dealt round-robin: item i goes to
-    share i mod workers, so neighbouring items, which often cost alike,
-    land on different workers.  The caller is share 0: it starts one
-    process for each later share, maps its whole share itself with `fn`
-    as given, then yields the results in item order, reading a worker's
-    one reply when that worker's first item comes up.  Each process
-    gets its own copy of `fn`, so a memo that `fn` carries serves the
-    whole share there, and the caller's share works the caller's memo
-    itself.
+    the process may run on and one per item; the builtin map, with no
+    pool, when that leaves a single worker.  The items are dealt
+    round-robin: item i goes to share i mod workers, so neighbouring
+    items, which often cost alike, land on different workers.  The
+    caller is share 0: it starts one process for each later share, maps
+    its whole share itself with `fn` as given, then reads each worker's
+    one reply.  The list of results, in item order, is returned after
+    the pool has shut down, so no worker outlives the call.  Each
+    process gets its own copy of `fn`, so a memo that `fn` carries
+    serves the whole share there, and the caller's share works the
+    caller's memo itself.
     """
     items = list(items)
-    workers = min(jobs, os.cpu_count() or 1, len(items))
+    workers = min(jobs, len(_cpu_mask()) or os.cpu_count() or 1, len(items))
     if workers <= 1:
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     shares = [items[k::workers] for k in range(workers)]
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         later = [pool.submit(fn, share) for share in shares[1:]]
         replies = [list(map(fn, shares[0]))]
-        for i in range(len(items)):
-            k = i % workers
-            if k == len(replies):
-                replies.append(later[k - 1].result())
-            yield replies[k][i // workers]
+        replies += [worker.result() for worker in later]
+    return [replies[i % workers][i // workers] for i in range(len(items))]
 
 
 def _sweep(config: SweepConfig, jobs: int) -> list:

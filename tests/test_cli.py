@@ -587,7 +587,7 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
             return types.SimpleNamespace(result=lambda: list(map(fn, share)))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_cpu_mask", lambda: {0, 1, 2})
 
     # selftest: one map over the six suites, dealt round-robin to three
     # workers, so suite i goes to share i mod 3: share 0 in the caller
@@ -624,11 +624,15 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     _, share = submitted[2]
     assert share == sweep_jobs[1::2]
 
-    # a one-record run, and any run on a single CPU, start no pool
+    # a one-record run, and any run on a single CPU, start no pool, even
+    # where the host has more CPUs than the process may run on
     one_cfg = write_config(tmp_path, CANONICAL_CONFIG)
     assert invoke(["run", "--config", one_cfg, "--jobs", "2"], capsys)[0] == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_cpu_mask", lambda: {0})
     assert invoke(["run", "--config", grid_cfg, "--jobs", "8"], capsys)[0] == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli.selftest(jobs=2) == 1
+    capsys.readouterr()
     assert started == [2, 1]
     assert len(submitted) == 3
 
@@ -697,12 +701,21 @@ def _raise_unpicklable(item):
     return item
 
 
+def allow_shares(monkeypatch, shares):
+    """Let the pool run `shares` real workers: placed on the process's
+    CPU mask where it has that many CPUs, and otherwise unplaced, with
+    no mask and a CPU count of `shares`."""
+    if len(cli._cpu_mask()) < shares:
+        monkeypatch.setattr(cli, "_cpu_mask", set)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: shares)
+
+
 class TestRealPool:
     """_pool_map over real worker processes."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_shares(monkeypatch, 2)
 
     @pytest.fixture(autouse=True)
     def bounded(self):
@@ -717,13 +730,15 @@ class TestRealPool:
         signal.signal(signal.SIGALRM, previous)
 
     def test_shares_come_back_in_order(self):
-        out = list(cli._pool_map(_item_and_pid, range(5), jobs=2))
+        before = _cpu_mask()
+        out = cli._pool_map(_item_and_pid, range(5), jobs=2)
         assert [item for item, _ in out] == [0, 1, 2, 3, 4]
         # dealt round-robin: [0, 2, 4] in the caller, [1, 3] in one worker
         pids = [pid for _, pid in out]
         assert pids[::2] == [os.getpid()] * 3
         assert pids[1] == pids[3] != os.getpid()
         assert multiprocessing.active_children() == []
+        assert _cpu_mask() == before
 
     def test_a_task_error_reraises_and_leaves_no_worker(self, tmp_path):
         # The caller's own share [-1, 1] fails at once, and the worker's
@@ -731,7 +746,7 @@ class TestRealPool:
         task = functools.partial(_touch_unless_negative, tmp_path)
         before = _cpu_mask()
         with pytest.raises(LookupError):
-            list(cli._pool_map(task, [-1, 2, 1, 3], jobs=2))
+            cli._pool_map(task, [-1, 2, 1, 3], jobs=2)
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
         assert _cpu_mask() == before
@@ -740,37 +755,41 @@ class TestRealPool:
         # Three shares, one item each: the caller writes 0 at once, the
         # second worker fails at once, and the third is terminated
         # before it writes 4 a second later.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        allow_shares(monkeypatch, 3)
         task = functools.partial(_touch_unless_negative, tmp_path)
+        before = _cpu_mask()
         with pytest.raises(LookupError):
-            list(cli._pool_map(task, [0, -1, 4], jobs=3))
+            cli._pool_map(task, [0, -1, 4], jobs=3)
         assert multiprocessing.active_children() == []
         assert [path.name for path in tmp_path.iterdir()] == ["0"]
+        assert _cpu_mask() == before
 
     def test_a_dead_worker_raises_and_does_not_hang(self):
         before = _cpu_mask()
         with pytest.raises(cli.WorkerError, match="exited with code 3"):
-            list(cli._pool_map(_exit_if_negative, [1, -1], jobs=2))
+            cli._pool_map(_exit_if_negative, [1, -1], jobs=2)
         assert multiprocessing.active_children() == []
         assert _cpu_mask() == before
 
     def test_an_error_that_cannot_be_pickled_is_named(self):
+        before = _cpu_mask()
         with pytest.raises(cli.WorkerError, match="^LocalError: item 1$"):
-            list(cli._pool_map(_raise_unpicklable, [0, 1], jobs=2))
+            cli._pool_map(_raise_unpicklable, [0, 1], jobs=2)
         assert multiprocessing.active_children() == []
+        assert _cpu_mask() == before
 
-    def test_closing_the_map_early_stops_the_workers(self, tmp_path):
-        # The caller maps its whole share [0, 1] before the first result
-        # comes back; the worker's [4, 8] would write its first file a
-        # second in.
+    def test_the_pool_is_gone_when_the_map_returns(self, tmp_path):
+        # The caller maps its share [0, 1] and the worker its [4, 8],
+        # which writes its last file three seconds in; the map returns
+        # after that, with the worker joined and the mask given back.
         task = functools.partial(_touch_unless_negative, tmp_path)
         before = _cpu_mask()
         results = cli._pool_map(task, [0, 4, 1, 8], jobs=2)
-        assert next(results) == 0
-        results.close()
         assert multiprocessing.active_children() == []
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
         assert _cpu_mask() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "0", "1", "4", "8"]
+        assert results == [0, 4, 1, 8]
 
     @pytest.mark.skipif(not PLACEABLE,
                         reason="needs affinity calls and two CPUs in the mask")
@@ -828,7 +847,7 @@ class TestRealPool:
     def test_three_workers_keep_record_order_and_bytes(
         self, monkeypatch, tmp_path, capsys
     ):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        allow_shares(monkeypatch, 3)
         assert cli.selftest(jobs=1) == 1
         serial = capsys.readouterr().out
         assert cli.selftest(jobs=3) == 1
