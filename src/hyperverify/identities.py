@@ -54,6 +54,8 @@ from .value import Value, as_fraction
 # Weight table for the even (A) and odd (B) series parts, exactly as
 # tabulated; b is rational, n the summation index.  Do not simplify these
 # expressions: the whole point of the series check is to audit them.
+# Entries use only +, -, * and ** with integer constants, so a sweep
+# reads each one once on the symbols b and n (see _weight_terms).
 COEFF_TABLE = {
     5: (
         lambda b, n: -4 * (1 - b - 2 * n) ** 2
@@ -123,29 +125,73 @@ def coeff_B(j: int, b, n: int) -> Fraction:
     return Fraction(_table_row(j)[1](as_fraction(b, "b"), n))
 
 
-def _poly_from_samples(samples) -> tuple:
-    """Ascending monomial coefficients of the polynomial through
-    (0, samples[0]), (1, samples[1]), ... via Newton forward differences.
+class _Symbolic(dict):
+    """A polynomial in (b, n) with integer coefficients, as the dict
+    {(i, k): c} of its terms c b**i n**k: what a table entry gives when
+    it is handed the symbols b and n.  It has only what the table uses,
+    +, - and * with ints and with each other, and ** to a nonnegative
+    int; anything else, / included, raises TypeError."""
 
-    Exact for any polynomial of degree < len(samples).  The differences run
-    on integers: the samples over their common denominator, each Newton
-    term scaled by (len - 1)! / k! so that one division ends it."""
-    level, den = _common_denominator(samples)
-    top = len(samples) - 1
-    coeffs = [0] * len(samples)
-    falling = [1]  # coefficients of n(n-1)...(n-k+1), ascending
-    for k in range(len(samples)):
-        w = level[0] * (math.factorial(top) // math.factorial(k))
-        for i, c in enumerate(falling):
-            coeffs[i] += w * c
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-        falling = [0] + falling
-        for i in range(len(falling) - 1):
-            falling[i] -= k * falling[i + 1]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    den *= math.factorial(top)
-    return tuple(Fraction(c, den) for c in coeffs)
+    def __add__(self, other):
+        other = _symbolic(other)
+        if other is None:
+            return NotImplemented
+        total = _Symbolic(self)
+        for e, c in other.items():
+            total[e] = total.get(e, 0) + c
+        return total
+
+    def __mul__(self, other):
+        other = _symbolic(other)
+        if other is None:
+            return NotImplemented
+        product = _Symbolic()
+        for (i, k), c in self.items():
+            for (i2, k2), c2 in other.items():
+                e = i + i2, k + k2
+                product[e] = product.get(e, 0) + c * c2
+        return product
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, power):
+        if type(power) is not int or power < 0:
+            return NotImplemented
+        return functools.reduce(operator.mul, [self] * power, _symbolic(1))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _symbolic(x):
+    """x as a _Symbolic, or None where it is neither one nor an int."""
+    if isinstance(x, int):
+        return _Symbolic({(0, 0): x})
+    return x if isinstance(x, _Symbolic) else None
+
+
+def _weight_terms(j: int, part: int) -> tuple:
+    """The table entry read once on the symbols b and n: for each power
+    of n, ascending, the integer coefficients of its polynomial in b,
+    ascending, all padded to the entry's degree in b.  An entry that is
+    not such a polynomial raises TypeError here."""
+    value = _symbolic(_table_row(j)[part](_Symbolic({(1, 0): 1}),
+                                          _Symbolic({(0, 1): 1})))
+    if value is None:
+        raise TypeError(f"the weight entry ({j}, {part}) is not a polynomial "
+                        "in b and n with integer coefficients")
+    terms = {e: c for e, c in value.items() if c} or {(0, 0): 0}
+    rows = [[0] * (1 + max(i for i, _ in terms))
+            for _ in range(1 + max(k for _, k in terms))]
+    for (i, k), c in terms.items():
+        rows[k][i] = c
+    return tuple(map(tuple, rows))
 
 
 def _memoized(memo, compute, /, *args, **kwargs):
@@ -164,11 +210,20 @@ def _memoized(memo, compute, /, *args, **kwargs):
     return value
 
 
-def _weight_poly(j: int, b: Fraction, part: int) -> tuple:
-    """The table entry at fixed b as a polynomial in n (degree <= 2;
-    six samples keep the interpolation exact with room to spare)."""
-    fn = _table_row(j)[part]
-    return _poly_from_samples([fn(b, n) for n in range(6)])
+def _weight_poly(j: int, b: Fraction, part: int, memo=None) -> tuple:
+    """The table entry at fixed b as a polynomial in n, ascending
+    coefficients with no trailing zero, (0,) where it vanishes: the
+    entry's terms (see _weight_terms), kept in the sweep memo under
+    (j, part), at b = p/q over the one denominator q**(degree in b)."""
+    rows = _memoized({} if memo is None else memo, _weight_terms, j, part)
+    p, q = b.as_integer_ratio()
+    top = len(rows[0]) - 1
+    powers = [p ** i * q ** (top - i) for i in range(top + 1)]
+    coeffs = [Fraction(sum(map(operator.mul, row, powers)), q ** top)
+              for row in rows]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def even_prefactor(j: int, b) -> Fraction:
@@ -264,9 +319,9 @@ def kummer_rhs_series(a, b, order: int) -> TruncatedSeries:
 
     It shares only the legality rule, the term walker and the placement
     on x**2 of weighted_series with the shifted right side at j = 0.  It
-    has its own parameters, a unit weight in place of the interpolated
-    table weight, and no Gamma prefactor, so agreement between the two
-    is a real check, not a tautology.
+    has its own parameters, a unit weight in place of the table weight,
+    and no Gamma prefactor, so agreement between the two is a real
+    check, not a tautology.
     """
     (an, ad), (bn, bd) = _ratio(a, "a"), _ratio(b, "b")
     spec = HyperSpec(((an, ad), (2 * an + ad, 2 * ad)), ((2 * bn + bd, 2 * bd),))
@@ -392,8 +447,8 @@ class _Row:
         (a = 0, or a zero weight as at j = 0), so no Gamma poles are
         touched for it."""
         j, (an, ad), (bn, bd) = self.j, self.a_pair, self.b_pair
-        w_even, w_odd = (_memoized(self.memo, _weight_poly, j, self.b, part)
-                         for part in (0, 1))
+        w_even, w_odd = (_memoized(self.memo, _weight_poly, j, self.b, part,
+                                   memo=self.memo) for part in (0, 1))
         a_half, a_one = (2 * an + ad, 2 * ad), (an + ad, ad)
         # b + (j + k)/2 over 2 bd
         shift = [(2 * bn + (j + k) * bd, 2 * bd) for k in range(3)]
@@ -507,11 +562,12 @@ class _Row:
         """The closed single-series right side for |j| <= 3, as an
         unreduced integer pair, as theorem_rhs_pair: one 4F3/5F4 at unit
         argument, plus (for j != 0) a second one scaled by a signed
-        rational multiple of a*d/e, summed by _two_parts.  The weights and
-        prefactors are absorbed into the parameters, so this path shares
-        only the sum kernel, the moment tails and _two_parts with the
-        weighted sums it cross-checks: its heads and its scales are its
-        own, and it reads none of the weighted sums' values."""
+        rational multiple of a*d/e, summed by _two_parts.  The table
+        weights and prefactors are absorbed into the parameters, and no
+        table entry is read, so this path shares only the sum kernel, the
+        moment tails and _two_parts with the weighted sums it
+        cross-checks: its heads and its scales are its own, and it reads
+        none of the weighted sums' values."""
         self._check_terminates(column)
         first, scale, second = self.corollary_heads
         return _two_parts(column, first, 1, second, lambda: scale)

@@ -3,9 +3,7 @@
 The package expands the transformation's left side by the closed form of
 the Moebius substitution; the cubic-time Horner composition here, with
 the Fraction recurrence of the binomial factor, recomputes it the direct
-way at small orders.  The package interpolates the weight polynomials
-with integer Newton differences; the plain Fraction Newton loop here is
-the reference they are checked against.
+way at small orders.
 The package sums a terminating series by iterated integer term ratios
 in one two-group kernel; `row_sum` here is the general loop over any
 number of groups that the kernel replaced, and the direct sum here
@@ -80,30 +78,6 @@ def binomial(alpha, order: int) -> TruncatedSeries:
 def mobius_arg(order: int) -> TruncatedSeries:
     """The substitution argument -2x/(1 - x) as a series: 0, then -2 forever."""
     return TruncatedSeries((Fraction(0),) + (Fraction(-2),) * order)
-
-
-def fraction_poly_from_samples(samples) -> tuple:
-    """Ascending monomial coefficients of the polynomial through
-    (0, samples[0]), (1, samples[1]), ... via Newton forward differences.
-
-    Exact for any polynomial of degree < len(samples)."""
-    deltas = []
-    level = [Fraction(s) for s in samples]
-    while level:
-        deltas.append(level[0])
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-    coeffs = [Fraction(0)] * len(deltas)
-    falling = [Fraction(1)]  # coefficients of n(n-1)...(n-k+1), ascending
-    for k, delta in enumerate(deltas):
-        w = delta / math.factorial(k)
-        for i, c in enumerate(falling):
-            coeffs[i] += w * c
-        falling = [Fraction(0)] + falling
-        for i in range(len(falling) - 1):
-            falling[i] -= k * falling[i + 1]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def spec(numerators, denominators, argument=1, *, weight=(1,), power_offset=0):

@@ -504,7 +504,7 @@ def test_selftest_parallel_matches_serial(monkeypatch, capsys):
 def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
     # In process the six suites share one memo, so each row invariant is
     # worked once per selftest: Gamma prefactors reduced, ratio rows
-    # built and weight rows interpolated.  The corollary suite reads the
+    # built and weight entries read.  The corollary suite reads the
     # moment tails, and so the rows, that theorem-a built.  A second call
     # counts the same, so no cache outlives the call that made it.
     from hyperverify import hyper
@@ -522,15 +522,15 @@ def test_selftest_shares_one_memo_per_call(monkeypatch, capsys):
 
     counted(identities, "gamma_ratio")
     counted(hyper, "ratio_rows")
-    counted(identities, "_poly_from_samples")
+    counted(identities, "_weight_terms")
     seen = []
     for _ in range(2):
-        counts.update(gamma_ratio=0, ratio_rows=0, _poly_from_samples=0)
+        counts.update(gamma_ratio=0, ratio_rows=0, _weight_terms=0)
         assert cli.selftest(jobs=1) == 1
         seen.append(dict(counts))
     capsys.readouterr()
     assert seen == [
-        {"gamma_ratio": 115, "ratio_rows": 880, "_poly_from_samples": 66},
+        {"gamma_ratio": 115, "ratio_rows": 880, "_weight_terms": 22},
     ] * 2
 
 
@@ -870,6 +870,16 @@ GOLDEN_SHA256 = "dc082d06a79ab01fa6e12cc25f19153114064eb8084b874c278d4f4f65c6a49
 # A second digest guards the argument that the theorem's left side
 # carries: the same grid with the 3F2 summed at argument 1.
 GOLDEN_ONE_SHA256 = "4724b92a63366d6fb80cd70e6ab0075a48829b91b32c21ebe930b54e03fa52c2"
+
+# And selftest's stdout: its six suite lines, the total and the verdict.
+SELFTEST_SHA256 = "348dbbe25d15f8ae2cf109a935ee06cdcc9d8713a5e2de9ce6f0564302e1b8f0"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_selftest_output_is_byte_identical(capsys, jobs):
+    assert cli.selftest(jobs=jobs) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256
 
 
 def assert_golden_report(tmp_path, capsys, jobs, argument=None):

@@ -25,6 +25,7 @@ from hyperverify.hyper import series_in_z
 from hyperverify.identities import (
     COEFF_TABLE,
     _weight_poly,
+    _weight_terms,
     beta_moment,
     coeff_A,
     coeff_B,
@@ -90,6 +91,45 @@ class TestWeightTable:
                         coeff_A(j, b, n)
                     assert sum(c * n ** k for k, c in enumerate(poly_b)) == \
                         coeff_B(j, b, n)
+
+    def test_an_entry_of_any_degree_is_read_exactly(self, monkeypatch):
+        # the read takes no samples, so no degree is too high for it
+        monkeypatch.setitem(COEFF_TABLE, 3, (
+            lambda b, n: n ** 7 - 3 * b ** 4 * n, COEFF_TABLE[3][1]))
+        rows = _weight_terms(3, 0)
+        assert (len(rows[0]) - 1, len(rows) - 1) == (4, 7)
+        for b in (F(1, 3), F(-7, 5), 2):
+            poly = _weight_poly(3, b, 0)
+            for n in range(21):
+                assert sum(c * n ** k for k, c in enumerate(poly)) == \
+                    coeff_A(3, b, n)
+
+    def test_an_entry_that_divides_is_refused(self, monkeypatch):
+        # only +, -, * and ** with integer constants read as a polynomial
+        # with integer coefficients
+        monkeypatch.setitem(COEFF_TABLE, 3, (
+            COEFF_TABLE[3][0], lambda b, n: (b + 2 * n) / 2))
+        assert coeff_B(3, F(1, 3), 1) == F(7, 6)
+        with pytest.raises(TypeError):
+            _weight_poly(3, F(1, 3), 1)
+
+    def test_degrees_of_the_table_as_tabulated(self):
+        # (degree in b, degree in n) of A_j and B_j, read off the table:
+        # none is above 2 in either symbol
+        degrees = {}
+        for j in COEFF_TABLE:
+            for part, name in enumerate("AB"):
+                rows = _weight_terms(j, part)
+                degrees[name, j] = len(rows[0]) - 1, len(rows) - 1
+        two, one, zero = (2, 2), (1, 1), (0, 0)
+        assert degrees == {
+            **{("A", j): two for j in (5, 4, -4, -5)},
+            **{("A", j): one for j in (3, 2, -2, -3)},
+            **{("A", j): zero for j in (1, 0, -1)},
+            **{("B", j): two for j in (5, -5)},
+            **{("B", j): one for j in (4, 3, -3, -4)},
+            **{("B", j): zero for j in (2, 1, 0, -1, -2)},
+        }
 
 
 class TestPrefactors:
@@ -528,7 +568,7 @@ class TestGridSweep:
         # Count Gamma reductions and the calls into one table row over two
         # identical sweeps: equal counts mean no memo outlives its sweep,
         # and the counts themselves show each (j, b) and (a, d, e) is worked
-        # once.
+        # once, and the table entry read once.
         calls = {"gamma": 0, "row": 0}
         gamma_ratio = identities.gamma_ratio
         row = COEFF_TABLE[3]
@@ -556,7 +596,7 @@ class TestGridSweep:
         # 4 distinct (a, d, e) left-side prefactors, plus even and odd
         # prefactors for 2 values of b
         assert seen[0]["gamma"] == 4 + 2 * 2
-        assert seen[0]["row"] == 2 * 6  # one 6-point interpolation per b
+        assert seen[0]["row"] == 1  # one read on the symbols, whatever b
 
     @pytest.mark.parametrize("sweep, errors", [
         # the left side's Gamma prefactor at (a, d, e) = (-3, 1/2, -3) has
@@ -745,17 +785,18 @@ class TestGridSweep:
 
     def test_memo_keeps_each_helper_at_its_scope(self):
         # All six suites on one memo: one row per (j, a, b), the weight
-        # polynomials and the prefactors per (j, b), the left side's tail
-        # per (a, d, e, argument), the moments per (degree, d, e) and one
-        # column table per set of columns.  Whatever else a row computes,
-        # it keeps itself.
+        # polynomials and the prefactors per (j, b), each table entry's
+        # terms per (j, part), the left side's tail per (a, d, e,
+        # argument), the moments per (degree, d, e) and one column table
+        # per set of columns.  Whatever else a row computes, it keeps
+        # itself.
         memo = {}
         for suite in suites.ALL_SUITES:
             suite.run(memo)
         heads = Counter(key[0].__name__ for key in memo)
-        assert heads == {"_Row": 165, "_weight_poly": 66, "_lhs_tail": 52,
-                         "even_prefactor": 33, "odd_prefactor": 30,
-                         "_moments": 12, "_columns": 3}
+        assert heads == {"_Row": 165, "_weight_poly": 66, "_weight_terms": 22,
+                         "_lhs_tail": 52, "even_prefactor": 33,
+                         "odd_prefactor": 30, "_moments": 12, "_columns": 3}
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

@@ -48,7 +48,6 @@ from series_oracle import (
     eval_terminating,
     eval_terminating_direct,
     fraction_gamma_simplify,
-    fraction_poly_from_samples,
     spec,
     sum_rows,
 )
@@ -717,19 +716,6 @@ def test_seeded_random_grid_for_weight_table_rows():
         assert a_val.denominator >= 1 and b_val.denominator >= 1
 
 
-@given(st.lists(st.one_of(rationals, st.integers(-6, 6)), min_size=1, max_size=6))
-def test_integer_newton_interpolation_matches_fraction_oracle(coeffs):
-    # samples of a polynomial of degree <= 5 at n = 0..5, ints mixed in as
-    # the table rows return them
-    samples = [sum(c * n**k for k, c in enumerate(coeffs)) for n in range(6)]
-    poly = identities._poly_from_samples(samples)
-    assert poly == fraction_poly_from_samples(samples)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    assert poly == tuple(coeffs)
-    assert all(type(c) is F for c in poly)
-
-
 # b for the weight polynomials: integers, negative values and large
 # denominators
 weight_bs = st.one_of(
@@ -740,8 +726,8 @@ weight_bs = st.one_of(
 @given(st.sampled_from(sorted(identities.COEFF_TABLE)), st.sampled_from((0, 1)),
        weight_bs)
 def test_weight_polynomial_matches_the_table_at_any_b(j, part, b):
-    # The polynomial comes from six samples of the entry at b, n = 0..5;
-    # it must give the table entry at b for every n, well past the samples.
+    # The polynomial comes from the entry read on the symbols b and n,
+    # then b substituted; it must give the table entry at b for every n.
     entry = identities.coeff_A if part == 0 else identities.coeff_B
     poly = identities._weight_poly(j, b, part)
     assert all(type(c) is F for c in poly)
