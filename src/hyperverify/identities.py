@@ -310,7 +310,6 @@ def transform_lhs_recurrence(j: int, a, b, order: int) -> TruncatedSeries:
 def gen_transform_rhs_series(j: int, a, b, order: int) -> TruncatedSeries:
     """Weighted even/odd pair for shift j, expanded to the given order:
     the transform_rhs of a fresh (j, a, b) row (see _Row)."""
-    _table_row(j)
     return _Row(j, as_fraction(a, "a"), as_fraction(b, "b")).transform_rhs(order)
 
 
@@ -375,13 +374,14 @@ class _Column:
     def tails(self) -> tuple:
         """The half-shifted beta-moment tails both right sides read: the
         first part's, (d/2, d/2 + 1/2; e/2, e/2 + 1/2), and the second's,
-        each parameter 1/2 higher, each a spec, then d/e.  Every check
-        that reads them rejects e = 0 first."""
+        each parameter 1/2 higher, each a spec, then d/e as an unreduced
+        integer pair, whose numerator is 0 exactly where d is.  Every
+        check that reads them rejects e = 0 first."""
         (dn, dd), (en, ed) = self.pairs
         hd = [(dn + k * dd, 2 * dd) for k in range(3)]  # d/2 + k/2
         he = [(en + k * ed, 2 * ed) for k in range(3)]
         return (HyperSpec(hd[:2], he[:2]), HyperSpec(hd[1:], he[1:]),
-                Fraction(dn * ed, dd * en))
+                (dn * ed, dd * en))
 
 
 _NO_COLUMN = _Column()
@@ -396,34 +396,38 @@ def _columns(columns) -> list:
 def _two_parts(column, first, first_scale, second, second_scale) -> tuple:
     """first_scale sum(first, first tail) + second_scale() (d/e)
     sum(second, second tail) at a column, each sum _terminating_pair, as
-    an unreduced integer pair.  The second part is skipped when it is
-    None or d = 0, and its scale is read after the first sum, only where
-    a column reaches it."""
-    first_tail, second_tail, d_over_e = column.tails
-    pn, pd = first_scale.as_integer_ratio()
+    an unreduced integer pair, each scale an integer pair too.  The
+    second part is skipped when it is None or d = 0, and its scale is
+    read after the first sum, only where a column reaches it."""
+    first_tail, second_tail, (dn, dd) = column.tails
+    pn, pd = first_scale
     sn, sd = _terminating_pair(first, first_tail)
     num, den = pn * sn, pd * sd
-    if second is None or column.d == 0:
+    if second is None or dn == 0:
         return num, den
-    (cn, cd), (dn, dd) = second_scale().as_integer_ratio(), d_over_e.as_integer_ratio()
+    cn, cd = second_scale()
     sn, sd = _terminating_pair(second, second_tail)
     sn, sd = cn * dn * sn, cd * dd * sd
     return num * sd + sn * den, den * sd
 
 
 class _Row:
-    """The (j, a, b) part of the theorem family's cases.  The per-case
-    arithmetic of every check lives here: each method takes one column
-    (see _Column) and computes one side of one case.  The row caches
-    what its cases share: each invariant is a cached_property, read at
-    the first column that needs it, and `lefts` keeps each left side
-    under its column's (d, e) pairs and the argument's pair.  `memo` is
-    the sweep memo, which keeps the row under (j, a, b); a one-case row,
-    made with none, keeps a memo of its own."""
+    """The (j, a, b) part of the theorem family's cases, for a shift j
+    of the table: a row is refused (UnsupportedJ) at any other.  The
+    per-case arithmetic of every check lives here: each method takes one
+    column (see _Column) and computes one side of one case.  The row
+    caches what its cases share: each invariant is a cached_property,
+    read at the first column that needs it, and `lefts` keeps each left
+    side under its column's (d, e) pairs and the argument's pair.
+    `memo` is the sweep memo, which keeps the row under (j, a, b) and
+    the left sides' prefactors and tails in one table per (a, argument),
+    which `tails` holds by argument; a one-case row, made with none,
+    keeps a memo of its own."""
 
     def __init__(self, j: int, a: Fraction, b: Fraction, memo=None):
+        _table_row(j)
         self.j, self.a, self.b = j, a, b
-        self.memo, self.lefts = {} if memo is None else memo, {}
+        self.memo, self.lefts, self.tails = {} if memo is None else memo, {}, {}
         self.a_pair, self.b_pair = a.as_integer_ratio(), b.as_integer_ratio()
         self.a_branch = is_nonpositive_integer(a)
 
@@ -460,25 +464,29 @@ class _Row:
         return even, (odd if live else None)
 
     @functools.cached_property
-    def even_scale(self) -> Fraction:
-        return _memoized(self.memo, even_prefactor, self.j, self.b)
+    def even_scale(self) -> tuple:
+        """The even Gamma prefactor as an integer pair."""
+        return _memoized(self.memo, even_prefactor, self.j,
+                         self.b).as_integer_ratio()
 
     @functools.cached_property
-    def odd_scale(self) -> Fraction:
-        """2a/(2b+j) times the odd Gamma prefactor."""
+    def odd_scale(self) -> tuple:
+        """2a/(2b+j) times the odd Gamma prefactor, as an unreduced
+        integer pair."""
         (an, ad), (bn, bd) = self.a_pair, self.b_pair
         lower = 2 * bn + self.j * bd  # 2b + j over bd
         if lower == 0:
             raise DenominatorPoleBeforeTermination(0)
         pn, pd = _memoized(self.memo, odd_prefactor, self.j,
                            self.b).as_integer_ratio()
-        return Fraction(2 * an * bd * pn, ad * lower * pd)
+        return 2 * an * bd * pn, ad * lower * pd
 
     @functools.cached_property
     def corollary_heads(self) -> tuple:
         """The corollaries' (j, a, b) part: the first series' head spec,
-        the second's signed scale over d/e (which each case applies), and
-        the second series' head spec, or None where the scale is 0."""
+        the second's signed scale over d/e (which each case applies) as
+        an unreduced integer pair, and the second series' head spec, or
+        None where the scale is 0."""
         j, (an, ad), (bn, bd) = self.j, self.a_pair, self.b_pair
 
         def at(x, y, z):  # (x b + y) / z as an integer pair
@@ -486,7 +494,7 @@ class _Row:
 
         a0, a_half, a_one = (an, ad), (2 * an + ad, 2 * ad), (an + ad, ad)
         if j == 0:
-            return HyperSpec((a0, a_half), (at(2, 1, 2),)), 0, None
+            return HyperSpec((a0, a_half), (at(2, 1, 2),)), (0, 1), None
         # the first series, c, x, y of the scale c a / (x b + y), the second
         if j == 1:
             first = ((a0, a_half), (at(2, 1, 2),))
@@ -512,8 +520,8 @@ class _Row:
             raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
         if x * bn + y * bd == 0:  # 2b + j = 0
             raise DenominatorPoleBeforeTermination(0)
-        scale = Fraction(c * an * bd, ad * (x * bn + y * bd))
-        return HyperSpec(*first), scale, HyperSpec(*second) if scale else None
+        scale = c * an * bd, ad * (x * bn + y * bd)
+        return HyperSpec(*first), scale, HyperSpec(*second) if an else None
 
     @functools.cached_property
     def polynomial(self) -> tuple:
@@ -529,30 +537,39 @@ class _Row:
         skipped outright when it vanishes identically (weight zero, as at
         j = 0, or a = 0), so no Gamma poles are touched for dead terms."""
         even, odd = self.part_heads
-        total = weighted_series(even, order).scale(self.even_scale)
+        total = weighted_series(even, order).scale(Fraction(*self.even_scale))
         if odd is not None:
-            total = total + weighted_series(odd, order).scale(self.odd_scale)
+            total = total + weighted_series(odd, order).scale(
+                Fraction(*self.odd_scale))
         return total
 
-    def left(self, column, argument=(2, 1)) -> Fraction:
-        """theorem_lhs at a column and an argument pair, reduced and kept
-        in `lefts`: theorem at argument 2, corollary and pipeline sum it
-        once."""
+    def left(self, column, argument=(2, 1)) -> tuple:
+        """theorem_lhs at a column and an argument pair, as an unreduced
+        integer pair kept in `lefts`: theorem at argument 2, corollary
+        and pipeline sum it once.  Its prefactor, as an integer pair, and
+        its tail are kept in the tail table of (a, argument) under the
+        column's pairs, and the row fetches that table once per
+        argument."""
         key = column.pairs, argument
-        if key not in self.lefts:
-            _table_row(self.j)
-            prefactor, tail = _memoized(self.memo, _lhs_tail, self.a_pair,
-                                        *column.pairs, argument)
-            pn, pd = prefactor.as_integer_ratio()
-            sn, sd = _terminating_pair(self.lhs_head, tail)
-            self.lefts[key] = Fraction(pn * sn, pd * sd)
-        return self.lefts[key]
+        left = self.lefts.get(key)
+        if left is None:
+            tails = self.tails.get(argument)
+            if tails is None:
+                tails = self.tails[argument] = self.memo.setdefault(
+                    (_lhs_tail, self.a_pair, argument), {})
+            tail = tails.get(column.pairs)
+            if tail is None:
+                prefactor, spec = _lhs_tail(self.a_pair, *column.pairs, argument)
+                tail = tails[column.pairs] = prefactor.as_integer_ratio(), spec
+            (pn, pd), spec = tail
+            sn, sd = _terminating_pair(self.lhs_head, spec)
+            left = self.lefts[key] = pn * sn, pd * sd
+        return left
 
     def theorem_rhs_pair(self, column) -> tuple:
         """theorem_rhs as an unreduced integer pair (numerator,
         denominator), the denominator nonzero and of either sign: the
         even and odd weighted parts, summed by _two_parts."""
-        _table_row(self.j)
         self._check_terminates(column)
         even, odd = self.part_heads
         return _two_parts(column, even, self.even_scale, odd,
@@ -570,7 +587,7 @@ class _Row:
         none of the weighted sums' values."""
         self._check_terminates(column)
         first, scale, second = self.corollary_heads
-        return _two_parts(column, first, 1, second, lambda: scale)
+        return _two_parts(column, first, (1, 1), second, lambda: scale)
 
     def moment_pair(self, column) -> tuple:
         """The pipeline's replay of the derivation: the moment transform
@@ -579,7 +596,6 @@ class _Row:
         identity itself.  It needs the a branch, where the left side is
         an exact polynomial of degree 2m, and d > 0, e - d > 0, the
         convergence regime of the underlying integrals."""
-        _table_row(self.j)
         if not self.a_branch:
             raise InvalidCase("pipeline needs a to be a nonpositive integer")
         d, e = column.d, column.e
@@ -598,7 +614,8 @@ def theorem_lhs(case: IdentityCase, argument=2) -> Fraction:
     (wrong) unit-argument variant, kept available as a negative control.
     """
     row = _Row(case.j, case.a, case.b)
-    return row.left(_Column(case.d, case.e), _ratio(argument, "the argument"))
+    return Fraction(*row.left(_Column(case.d, case.e),
+                              _ratio(argument, "the argument")))
 
 
 def theorem_rhs(case: IdentityCase) -> Fraction:
@@ -634,6 +651,28 @@ def _moments(degree: int, d: Fraction, e: Fraction) -> tuple:
                                 for p in range(degree + 1)])
 
 
+class _Side:
+    """The lhs or rhs of a sweep's record: the first read of either
+    builds both values from the record's forms, one value where the
+    sweep kept one form for both, and keeps them in its __dict__ in
+    place of the forms, where a record made with values has them from
+    the start."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        lhs, rhs = record._forms
+        value = _side_value(lhs)
+        values = {"lhs": value,
+                  "rhs": value if rhs is lhs else _side_value(rhs)}
+        record.__dict__.update(values)
+        record.__dict__.pop("_forms", None)
+        return values[self.name]
+
+
 class VerificationRecord(Value):
     """Outcome of one check on one grid point.
 
@@ -641,6 +680,14 @@ class VerificationRecord(Value):
     the full coefficient tuples, so `equal` always means `lhs == rhs`
     literally.  `error` carries the tag of a validation failure (the point
     is then skipped) or an `Unexpected ...` tag for genuine bugs.
+
+    A sweep's record (see _swept) keeps its two sides in the exact
+    integer form the sweep holds, and builds their values at its first
+    read of lhs or rhs, then keeps them in place of the forms (see
+    _Side): a reduced TruncatedSeries reads as its coefficient tuple,
+    and an unreduced integer pair (numerator, denominator) as its
+    Fraction.  Equality, hash, repr and pickle see the values, whatever
+    form a record keeps.
     """
 
     _fields = ("check", "j", "a", "b", "d", "e", "branch", "lhs", "rhs",
@@ -650,6 +697,21 @@ class VerificationRecord(Value):
                  branch=None, lhs=None, rhs=None, equal=None, error=None):
         self.__dict__.update(check=check, j=j, a=a, b=b, d=d, e=e, branch=branch,
                              lhs=lhs, rhs=rhs, equal=equal, error=error)
+
+    @classmethod
+    def _swept(cls, check, j, a, b, d, e, branch, forms, equal, error):
+        """The record with the sides `forms`, (lhs, rhs) in their sweep
+        forms; a record with no sides, where `forms` is None, is a plain
+        one."""
+        if forms is None:
+            return cls(check, j, a, b, d, e, branch, equal=equal, error=error)
+        record = object.__new__(cls)
+        record.__dict__.update(check=check, j=j, a=a, b=b, d=d, e=e,
+                               branch=branch, equal=equal, error=error,
+                               _forms=forms)
+        return record
+
+    lhs, rhs = _Side(), _Side()
 
     @property
     def status(self) -> str:
@@ -673,24 +735,22 @@ def verify_theorem(case: IdentityCase, argument=2) -> VerificationRecord:
 CHECK_NAMES = ("kummer", "transform", "theorem", "corollary", "pipeline")
 
 
-def _sides(pair: tuple, value: Fraction) -> tuple:
-    """(the pair as a Fraction, value, whether they are equal): the
-    unreduced integer pair is compared crosswise with the reduced value,
-    and the value stands for both when they agree."""
-    n, d = pair
-    if n * value.denominator == value.numerator * d:
-        return value, value, True
-    return Fraction(n, d), value, False
+def _side_value(form):
+    """A record side's value from its sweep form (see VerificationRecord)."""
+    return Fraction(*form) if type(form) is tuple else form.coefficients
 
 
-def _series_sides(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple:
-    """The record's (lhs, rhs, equal) of one kummer or transform case."""
-    # the reduced integer form is unique, so the series compare as
-    # integers; the Fractions are built for the record only, once for
-    # both sides when they agree
-    equal = lhs == rhs
-    lhs = lhs.coefficients
-    return lhs, lhs if equal else rhs.coefficients, equal
+def _sides(lhs, rhs) -> tuple:
+    """A record's ((lhs, rhs), equal) from its two sides in their sweep
+    forms: reduced TruncatedSeries, whose integer form is unique, so
+    they compare as integers, or unreduced integer pairs, compared
+    crosswise.  Equal sides keep one form, so a record that reads them
+    builds one value."""
+    if type(lhs) is tuple:
+        equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
+    else:
+        equal = lhs == rhs
+    return (lhs, lhs if equal else rhs), equal
 
 
 def _evaluate_row(job, table, order, argument, memo) -> list:
@@ -699,54 +759,62 @@ def _evaluate_row(job, table, order, argument, memo) -> list:
 
     Every check but kummer reads the (j, a, b) row (see _Row), which it
     takes from the memo, so the row keeps its invariants and left sides
-    for every check that reads them.  A theorem, corollary or pipeline
-    job runs the row over the sweep's column table (see _columns), whose
-    columns keep their moment tails from their first read; its records
-    come in column order, each side from a _Row method, and the theorem
-    sums its left side at the argument, an integer pair.  A kummer or
-    transform job is one case, at the series order.
+    for every check that reads them.  What the row alone decides, its
+    shift and, for a corollary, the closed forms' bound, is checked once
+    for all its columns.  A theorem, corollary or pipeline job runs the
+    row over the sweep's column table (see _columns), whose columns keep
+    their moment tails from their first read; its records come in column
+    order, each side from a _Row method as an integer pair, and the
+    theorem sums its left side at the argument.  A kummer or transform
+    job is one case, at the series order.  Each record keeps its sides
+    in these forms (see VerificationRecord).
     """
     check, j, a, b = job
-    row = None if check == "kummer" else _memoized(memo, _Row, j, a, b,
-                                                   memo=memo)
     series = check in ("kummer", "transform")
+    a_branch = is_nonpositive_integer(a)
+    try:
+        # no closed form past the bound: skip before the 3F2 sum
+        if check == "corollary" and abs(j) > COROLLARY_J_LIMIT:
+            raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
+        row = None if check == "kummer" else _memoized(memo, _Row, j, a, b,
+                                                       memo=memo)
+        row_error = None
+    except Exception as err:  # noqa: BLE001 - embed bugs as errored records
+        row_error = _error_tag(err)
     records = []
     for column in (_NO_COLUMN,) if series else table:
-        branch = (None if series else "a" if row.a_branch
+        branch = (None if series else "a" if a_branch
                   else "d" if column.d_branch else None)
-        try:
-            if check == "kummer":
-                lhs, rhs, equal = _series_sides(
-                    gen_transform_lhs_series(0, a, b, order),
-                    kummer_rhs_series(a, b, order))
-            elif check == "transform":
-                lhs, rhs, equal = _series_sides(
-                    transform_lhs_recurrence(j, a, b, order),
-                    row.transform_rhs(order))
-            elif check == "theorem":
-                # The weighted side runs the Gamma-prefactor
-                # simplification, so it goes first: pole exclusions then
-                # surface with the offending argument named instead of as
-                # a generic lower-parameter failure.
-                rhs = row.theorem_rhs_pair(column)
-                rhs, lhs, equal = _sides(rhs, row.left(column, argument))
-            elif check == "corollary":
-                # no closed form past the bound, and no identity outside
-                # the hypotheses: skip both before the 3F2 sum
-                if abs(j) > COROLLARY_J_LIMIT:
-                    raise UnsupportedJ(j, limit=COROLLARY_J_LIMIT)
-                row._check_terminates(column)
-                lhs = row.left(column)
-                rhs, lhs, equal = _sides(row.corollary_rhs_pair(column), lhs)
-            else:  # pipeline
-                lhs = row.moment_pair(column)
-                lhs, rhs, equal = _sides(lhs, row.left(column))
-            error = None
-        except Exception as err:  # noqa: BLE001 - embed bugs as errored records
-            lhs = rhs = equal = None
-            error = _error_tag(err)
-        records.append(VerificationRecord(check, j, a, b, column.d, column.e,
-                                          branch, lhs, rhs, equal, error))
+        forms = equal = None
+        error = row_error
+        if error is None:
+            try:
+                if check == "kummer":
+                    forms, equal = _sides(gen_transform_lhs_series(0, a, b, order),
+                                          kummer_rhs_series(a, b, order))
+                elif check == "transform":
+                    forms, equal = _sides(transform_lhs_recurrence(j, a, b, order),
+                                          row.transform_rhs(order))
+                elif check == "theorem":
+                    # The weighted side runs the Gamma-prefactor
+                    # simplification, so it goes first: pole exclusions
+                    # then surface with the offending argument named
+                    # instead of as a generic lower-parameter failure.
+                    rhs = row.theorem_rhs_pair(column)
+                    forms, equal = _sides(row.left(column, argument), rhs)
+                elif check == "corollary":
+                    # no identity outside the hypotheses: skip before the
+                    # 3F2 sum
+                    row._check_terminates(column)
+                    lhs = row.left(column)
+                    forms, equal = _sides(lhs, row.corollary_rhs_pair(column))
+                else:  # pipeline
+                    lhs = row.moment_pair(column)
+                    forms, equal = _sides(lhs, row.left(column))
+            except Exception as err:  # noqa: BLE001 - embed bugs as errored records
+                error = _error_tag(err)
+        records.append(VerificationRecord._swept(
+            check, j, a, b, column.d, column.e, branch, forms, equal, error))
     return records
 
 
@@ -789,15 +857,16 @@ def grid_sweep(
 
     Whatever cases share is kept once per memo (see _memoized), values
     only, so every record equals the one its case gives on its own: each
-    row (see _Row) under (j, a, b), the helpers scoped to (j, b),
-    (a, d, e, argument) or a column's beta moments under (helper,
-    *args), and one column table per set of columns, whose columns keep
-    their moment tails (see _Column).  `memo` is the dict to keep the
-    entries in, a fresh one when None; every entry is a pure function of
-    its key, so a memo that earlier sweeps filled leaves the records as
-    they are.  Under cli's pool map the jobs are dealt round-robin, the
-    caller works its own share with this memo, and each worker process
-    works its share with its own copy.
+    row (see _Row) under (j, a, b), the helpers scoped to (j, b) or a
+    column's beta moments under (helper, *args), the left side's tails
+    in one table per (a, argument) (see _Row.left), and one column table
+    per set of columns, whose columns keep their moment tails (see
+    _Column).  `memo` is the dict to keep the entries in, a fresh one
+    when None; every entry is a pure function of its key, so a memo that
+    earlier sweeps filled leaves the records as they are.  Under cli's
+    pool map the jobs are dealt round-robin, the caller works its own
+    share with this memo, and each worker process works its share with
+    its own copy.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

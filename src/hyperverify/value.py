@@ -1,7 +1,11 @@
 """The base of the engine's value types.  A value is set once, by its
 constructor, which writes its fields (named in `_fields`) and anything it
-keeps beside them straight into its `__dict__`.  Values of one type are
-equal when their fields are, and equal values hash alike."""
+keeps beside them straight into its `__dict__`.  A value may also keep a
+read-once cache beside its fields, built from what the constructor wrote
+at its first read and kept in its `__dict__`, as
+`TruncatedSeries.coefficients` is; a field may be read so too, as the
+sides of a sweep's `VerificationRecord` are.  Values of one type are
+equal when their fields' values are, and equal values hash alike."""
 
 from fractions import Fraction
 

@@ -158,7 +158,7 @@ def beta_integral_pipeline(case) -> tuple:
     """(the moment transform of the left-side polynomial, the left side)
     of one case, whose equality is the identity itself."""
     row, column = _Row(case.j, case.a, case.b), _Column(case.d, case.e)
-    return Fraction(*row.moment_pair(column)), row.left(column)
+    return Fraction(*row.moment_pair(column)), Fraction(*row.left(column))
 
 
 def eval_terminating_direct(spec, reverse: bool = False) -> Fraction:

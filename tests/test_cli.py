@@ -882,6 +882,22 @@ def test_selftest_output_is_byte_identical(capsys, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256
 
 
+def test_selftest_builds_no_record_side(monkeypatch, capsys):
+    # selftest only counts statuses, so no record builds the value of a
+    # side: with every read of a record side, and every series'
+    # coefficient tuple, raising, it prints the same bytes.
+    def unread(owner):
+        raise AssertionError(f"selftest read a side of a {type(owner).__name__}")
+
+    for owner, name in ((identities.VerificationRecord, "lhs"),
+                        (identities.VerificationRecord, "rhs"),
+                        (identities.TruncatedSeries, "coefficients")):
+        monkeypatch.setattr(owner, name, property(unread))
+    assert cli.selftest(jobs=1) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256
+
+
 def assert_golden_report(tmp_path, capsys, jobs, argument=None):
     config = str(GOLDEN_CONFIG)
     summary = {"passed": 414, "failed": 78, "errored": 0, "skipped": 1200}

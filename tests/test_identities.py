@@ -1,5 +1,6 @@
 """The identity family: weight table, transforms, theorem, corollaries, pipeline."""
 
+import functools
 import hashlib
 import math
 import pickle
@@ -696,7 +697,8 @@ class TestGridSweep:
         for row in rows:
             for d, e in ((d, e) for d in d_s for e in e_s):
                 pairs = F(d).as_integer_ratio(), F(e).as_integer_ratio()
-                one, two = row.lefts[pairs, (1, 1)], row.lefts[pairs, (2, 1)]
+                one, two = (F(*row.lefts[pairs, argument])
+                            for argument in ((1, 1), (2, 1)))
                 case = IdentityCase(row.j, row.a, row.b, d, e)
                 assert (one, two) == (theorem_lhs(case, 1), theorem_lhs(case))
                 assert one != two or (d, e) != (F(1, 2), 4)
@@ -783,20 +785,31 @@ class TestGridSweep:
         for suite in suites.ALL_SUITES:
             assert suite.run(restored) == fresh[suite.name], suite.name
 
-    def test_memo_keeps_each_helper_at_its_scope(self):
+    def test_memo_keeps_each_helper_at_its_scope(self, monkeypatch):
         # All six suites on one memo: one row per (j, a, b), the weight
         # polynomials and the prefactors per (j, b), each table entry's
-        # terms per (j, part), the left side's tail per (a, d, e,
-        # argument), the moments per (degree, d, e) and one column table
-        # per set of columns.  Whatever else a row computes, it keeps
-        # itself.
+        # terms per (j, part), one table of the left side's tails per
+        # (a, argument), which builds one tail per (d, e), the moments
+        # per (degree, d, e) and one column table per set of columns.
+        # Whatever else a row computes, it keeps itself.
+        built = []
+        lhs_tail = identities._lhs_tail
+
+        @functools.wraps(lhs_tail)
+        def counted(*args):
+            built.append(args)
+            return lhs_tail(*args)
+
+        monkeypatch.setattr(identities, "_lhs_tail", counted)
         memo = {}
         for suite in suites.ALL_SUITES:
             suite.run(memo)
         heads = Counter(key[0].__name__ for key in memo)
         assert heads == {"_Row": 165, "_weight_poly": 66, "_weight_terms": 22,
-                         "_lhs_tail": 52, "even_prefactor": 33,
+                         "_lhs_tail": 6, "even_prefactor": 33,
                          "odd_prefactor": 30, "_moments": 12, "_columns": 3}
+        assert len(built) == len(set(built)) == 52
+        assert sum(len(v) for k, v in memo.items() if k[0] is counted) == 52
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

@@ -1,8 +1,10 @@
-"""Every weight-table entry can fail a check: mutations of COEFF_TABLE.
+"""Every weight-table entry and every component a check reads can fail
+a check: mutations of COEFF_TABLE and of the identities module.
 
-Each case patches one table entry and runs selftest's six suites on one
-memo, as selftest does, then pins each suite's failure count.  A case
-that moved no count would be a patch that reached no check.
+Each case patches one table entry or one component and runs selftest's
+six suites on one memo, as selftest does, then pins each suite's failure
+count.  A case that moved no count would be a patch that reached no
+check.
 """
 
 import json
@@ -10,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from hyperverify import cli
+from hyperverify import cli, identities
 from hyperverify.identities import COEFF_TABLE
+from hyperverify.series import TruncatedSeries
 from hyperverify.suites import ALL_SUITES
 
 # As tabulated, each suite fails exactly its j = -5 slice (see
@@ -22,9 +25,11 @@ CLEAN = (0, 4, 48, 32, 0, 0)
 FIVE_CHECK_CONFIG = Path(__file__).with_name("five_check_config.json")
 
 
-def suite_failures():
+def suite_failures(skip_j=None):
+    """Each suite's failure count, the records at j = skip_j left out."""
     memo = {}
-    return tuple(sum(r.status == "failed" for r in suite.run(memo))
+    return tuple(sum(r.status == "failed" and r.j != skip_j
+                     for r in suite.run(memo))
                  for suite in ALL_SUITES)
 
 
@@ -71,3 +76,57 @@ def test_a_blind_spot_of_the_selftest_grid(monkeypatch, tmp_path, capsys):
     assert json.loads(out.read_bytes())["summary"] == {
         "passed": 9522 - 142, "failed": 539 + 142, "errored": 0,
         "skipped": 18883}
+
+
+def doubled(fn):
+    """fn with its value doubled: a series scaled by 2, a rational times 2."""
+    def patched(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        return (value.scale(2) if isinstance(value, TruncatedSeries)
+                else 2 * value)
+    return patched
+
+
+def doubled_prefactor(fn):
+    """_lhs_tail with the left side's Gamma prefactor doubled."""
+    def patched(*args):
+        prefactor, tail = fn(*args)
+        return 2 * prefactor, tail
+    return patched
+
+
+def doubled_past_three(fn):
+    """pochhammer_duplication doubled at n > 0 and d > 3 only: a pipeline
+    moment (d)_p / (e)_p reads it at d and at e, so a patch of every
+    call would cancel in most moments."""
+    def patched(d, n):
+        value = fn(d, n)
+        return 2 * value if n > 0 and d > 3 else value
+    return patched
+
+
+# Failures off j = -5 per suite, in suite order, with one component's
+# value doubled where the identities module reads it.  Each side of
+# each check is reached: the even and odd Gamma prefactors of the
+# weighted sums, the left side's prefactor (theorem and corollary
+# through their left side, the pipeline through the side it replays),
+# the duplication step of the pipeline's moments, the kummer check's
+# own right side, and the transformation's left side (the transform
+# check, and the polynomial the pipeline pushes through the moments).
+COMPONENTS = {
+    "even_prefactor": (doubled, (0, 40, 480, 320, 0, 0)),
+    "odd_prefactor": (doubled, (0, 36, 432, 288, 0, 0)),
+    "_lhs_tail": (doubled_prefactor, (0, 0, 480, 320, 336, 239)),
+    "pochhammer_duplication": (doubled_past_three, (0, 0, 0, 0, 0, 192)),
+    "kummer_rhs_series": (doubled, (20, 0, 0, 0, 0, 0)),
+    "transform_lhs_recurrence": (doubled, (0, 40, 0, 0, 0, 239)),
+}
+
+
+@pytest.mark.parametrize("name", COMPONENTS)
+def test_doubling_a_component_fails_the_checks_that_read_it(monkeypatch,
+                                                            name):
+    patch, counts = COMPONENTS[name]
+    assert suite_failures(skip_j=-5) == (0,) * 6
+    monkeypatch.setattr(identities, name, patch(getattr(identities, name)))
+    assert suite_failures(skip_j=-5) == counts

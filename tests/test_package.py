@@ -140,15 +140,53 @@ def test_public_values_are_not_tuples(name):
 
 
 def test_record_fields_and_status():
-    rec = VALUES["VerificationRecord"][0]()
-    assert list(vars(rec)) == RECORD_FIELDS
+    # A record may keep more than its fields (a sweep's record keeps its
+    # sides' integer forms), so the fields are pinned by name, and each
+    # reads back what the constructor was given.
+    assert list(VerificationRecord._fields) == RECORD_FIELDS
+    given = ("theorem", 3, F(-2), F(1, 3), F(1, 2), F(4), "a", F(7), F(7),
+             True, None)
+    rec = VerificationRecord(*given)
+    assert [getattr(rec, name) for name in RECORD_FIELDS] == list(given)
     assert rec.status == "passed"
     assert VALUES["VerificationRecord"][2]().status == "failed"
     skipped = VerificationRecord("theorem", error="PoleError: Gamma(0) is a pole")
     assert skipped.status == "skipped"
     errored = VerificationRecord("theorem", error="Unexpected KeyError: 1")
     assert errored.status == "errored"
-    assert list(vars(skipped)) == RECORD_FIELDS
+    assert [getattr(skipped, name) for name in RECORD_FIELDS] == [
+        "theorem", *[None] * 9, "PoleError: Gamma(0) is a pole"]
+
+
+def test_swept_records_survive_a_pickle_round_trip_unread():
+    # A sweep's record keeps its sides in the integer forms of the sweep
+    # until they are read, and a pool worker pickles it so: restored, it
+    # equals the record and reads sides of the same types, a tuple of
+    # Fractions for a series check and a Fraction for the others.
+    kummer = grid_sweep((), (-1,), (F(1, 3),), (), (), ("kummer",),
+                        series_order=6)
+    transform = grid_sweep((1,), (F(1, 4),), (F(1, 3),), (), (),
+                           ("transform",), series_order=6)
+    theorem = grid_sweep((3, -5), (-2,), (F(2, 7),), (F(1, 2),), (4,),
+                         ("theorem",))
+    records = kummer + transform + theorem
+    assert [(r.check, r.j) for r in records] == [
+        ("kummer", None), ("transform", 1), ("theorem", 3), ("theorem", -5)]
+    assert not any({"lhs", "rhs"} & set(vars(r)) for r in records)
+    restored = [pickle.loads(pickle.dumps(r)) for r in records]
+    assert restored == records
+    assert [r.status for r in restored] == ["passed"] * 3 + ["failed"]
+    for rec in restored:
+        for side in (rec.lhs, rec.rhs):
+            if rec.check in ("kummer", "transform"):
+                assert type(side) is tuple and len(side) == 7
+                assert {type(c) for c in side} == {F}
+            else:
+                assert type(side) is F
+        # read, a record keeps the values in place of the forms
+        assert list(vars(rec)) == [*RECORD_FIELDS[:7], "equal", "error",
+                                   "lhs", "rhs"]
+    assert restored[3].lhs != restored[3].rhs
 
 
 def _sweep(a=-2, b=F(1, 3), d=F(1, 2), e=4, argument=2):

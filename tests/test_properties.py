@@ -816,12 +816,19 @@ def subsets(values, max_size=2):
 def test_sweep_memo_is_invisible_in_the_records(js, a_s, b_s, d_s, e_s, checks):
     # Degenerate points included (a = 0, integer b, 2b + j = 0 at j = 2,
     # e < 0): every memoized record, error text included, equals the one
-    # its job gives on its own, with no memo.
+    # its job gives on its own, with no memo, field by field, each value
+    # of the same type, a series side's coefficients included.
+    def read(rec):
+        return [(value, type(value),
+                 [type(c) for c in value] if type(value) is tuple else None)
+                for value in (getattr(rec, name)
+                              for name in identities.VerificationRecord._fields)]
+
     records = grid_sweep(js, a_s, b_s, d_s, e_s, checks, series_order=6)
     assert records
     for rec in records:
         job = (rec.check, rec.j, rec.a, rec.b, rec.d, rec.e, 6, 2)
-        assert vars(rec) == vars(identities._evaluate_case(job))
+        assert read(rec) == read(identities._evaluate_case(job))
 
 
 def public_sides(job):
@@ -867,14 +874,16 @@ def fraction_sides(check, j, a, b, d, e, argument):
         even, odd = row.part_heads
         rhs = identities.even_prefactor(j, b) * eval_terminating(even, even_tail)
         if odd is not None and d != 0:
-            rhs += row.odd_scale * d_over_e * eval_terminating(odd, odd_tail)
+            rhs += (F(*row.odd_scale) * F(*d_over_e)
+                    * eval_terminating(odd, odd_tail))
         return left(argument), rhs
     if check == "corollary":
         first, scale, second = row.corollary_heads
         first_tail, second_tail, d_over_e = identities._Column(d, e).tails
         rhs = eval_terminating(first, first_tail)
-        if scale * d_over_e != 0:
-            rhs += scale * d_over_e * eval_terminating(second, second_tail)
+        scale = F(*scale) * F(*d_over_e)
+        if scale != 0:
+            rhs += scale * eval_terminating(second, second_tail)
         return left(), rhs
     poly = gen_transform_lhs_series(j, a, b, -2 * int(a))
     moments = sum(c * identities.beta_moment(p, d, e)
