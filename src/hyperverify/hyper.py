@@ -18,7 +18,10 @@ expansion takes the same rule over its whole family, whatever the
 order, then steps one group's rows in the series walk
 (series._walk_terms), which keeps each term reduced, and hands its
 integer numerators over their least common denominator to
-TruncatedSeries.over, with no `Fraction`.
+TruncatedSeries.over, with no `Fraction`; _weighted_pair stops before
+that reduction, so a caller that adds scaled parts reduces once.  A
+spec is built per row part and per column tail, so its constructor does
+its work in one pass over the parameters.
 """
 
 import itertools
@@ -31,6 +34,9 @@ from .errors import (
 )
 from .series import TruncatedSeries, _common_denominator, _walk_terms
 from .value import Value
+
+# the default weight: the plain family
+_UNIT_WEIGHT = (Fraction(1),)
 
 
 class HyperSpec(Value):
@@ -48,24 +54,44 @@ class HyperSpec(Value):
     reduces so that q > 0; the weight is a tuple of Fractions.
 
     A spec also keeps, uncompared: `stop`, the smallest M with every term
-    beyond M zero, or None; `first_pole`, its largest nonpositive-integer
-    lower parameter, the earliest to vanish, or None; `integer_weight`,
-    the weight as (integers, their denominator); and `_rows`, its ratio
-    rows by count, built as needed.
+    beyond M zero, or None (weighted_termination); `first_pole`, its
+    largest nonpositive-integer lower parameter, the earliest to vanish,
+    or None; `integer_weight`, the weight as (integers, their
+    denominator), a list of its own in every spec; and `_rows`, its ratio
+    rows by count, built as needed.  One loop reduces the lower
+    parameters and finds `first_pole`, and the default unit weight is
+    ([1], 1) without a reduction.
     """
 
     _fields = ("num_pairs", "den_pairs", "arg_pair", "weight", "power_offset")
 
     def __init__(self, numerators, denominators, argument=(1, 1), *,
-                 weight=(Fraction(1),), power_offset=0):
-        dens = tuple(map(_lowest, denominators))
+                 weight=_UNIT_WEIGHT, power_offset=0):
+        nums = []
+        for p, q in numerators:
+            if q != 1:
+                g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+                p, q = p // g, q // g
+            nums.append((p, q))
+        dens, pole = [], None
+        for p, q in denominators:
+            if q != 1:
+                g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+                p, q = p // g, q // g
+            if q == 1 and p <= 0 and (pole is None or p > pole):
+                pole = p
+            dens.append((p, q))
+        p, q = argument
+        if q != 1:
+            g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+            p, q = p // g, q // g
         self.__dict__.update(
-            num_pairs=tuple(map(_lowest, numerators)), den_pairs=dens,
-            arg_pair=_lowest(argument), weight=weight,
+            num_pairs=tuple(nums), den_pairs=tuple(dens),
+            arg_pair=(p, q), weight=weight,
             power_offset=power_offset,
-            integer_weight=_common_denominator(weight),
-            first_pole=max((p for p, q in dens if q == 1 and p <= 0),
-                           default=None), _rows={})
+            integer_weight=(([1], 1) if weight is _UNIT_WEIGHT
+                            else _common_denominator(weight)),
+            first_pole=pole, _rows={})
         self.__dict__["stop"] = weighted_termination(self)
 
     def rows(self, count: int) -> tuple:
@@ -76,12 +102,6 @@ class HyperSpec(Value):
             rows = self._rows[count] = ratio_rows(
                 self.num_pairs, self.den_pairs, self.arg_pair, count)
         return rows
-
-
-def _lowest(pair) -> tuple:
-    p, q = pair
-    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
-    return p // g, q // g
 
 
 def weighted_termination(spec: HyperSpec) -> int | None:
@@ -186,12 +206,19 @@ def weighted_series(spec: HyperSpec, order: int) -> TruncatedSeries:
     """The term family rendered as a series in x under the legality
     rule: term n lands on degree 2n + offset, and no term is walked past
     the order."""
+    return TruncatedSeries.over(*_weighted_pair(spec, order))
+
+
+def _weighted_pair(spec: HyperSpec, order: int) -> tuple:
+    """weighted_series(spec, order) before its one reduction: (integer
+    numerators for x**0 .. x**order, their denominator), which a caller
+    may combine with other parts first."""
     check_lower(spec)
     up_to = (order - spec.power_offset) // 2
     if up_to < 0:
-        return TruncatedSeries.over([0] * (order + 1), 1)
+        return [0] * (order + 1), 1
     terms, den = _walk_terms(spec.rows(up_to), *spec.integer_weight)
     nums = [0] * (order + 1)
     start = spec.power_offset
     nums[start:start + 2 * len(terms):2] = terms
-    return TruncatedSeries.over(nums, den)
+    return nums, den

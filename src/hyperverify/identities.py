@@ -44,11 +44,12 @@ from .exact import (
 from .hyper import (
     HyperSpec,
     _terminating_pair,
+    _weighted_pair,
     series_in_z,
     weighted_series,
 )
 from .series import TruncatedSeries, _common_denominator
-from .value import Value, as_fraction
+from .value import Value, as_fraction, read_once
 
 
 # Weight table for the even (A) and odd (B) series parts, exactly as
@@ -370,7 +371,7 @@ class _Column:
             self.d_branch = is_nonpositive_integer(d)
             self.pairs = d.as_integer_ratio(), e.as_integer_ratio()
 
-    @functools.cached_property
+    @read_once
     def tails(self) -> tuple:
         """The half-shifted beta-moment tails both right sides read: the
         first part's, (d/2, d/2 + 1/2; e/2, e/2 + 1/2), and the second's,
@@ -416,8 +417,8 @@ class _Row:
     of the table: a row is refused (UnsupportedJ) at any other.  The
     per-case arithmetic of every check lives here: each method takes one
     column (see _Column) and computes one side of one case.  The row
-    caches what its cases share: each invariant is a cached_property,
-    read at the first column that needs it, and `lefts` keeps each left
+    caches what its cases share: each invariant is a read_once
+    attribute, built at the first column that needs it, and `lefts` keeps each left
     side under its column's (d, e) pairs and the argument's pair.
     `memo` is the sweep memo, which keeps the row under (j, a, b) and
     the left sides' prefactors and tails in one table per (a, argument),
@@ -437,14 +438,14 @@ class _Row:
         if column.e == 0:
             raise InvalidCase("e must be nonzero")
 
-    @functools.cached_property
+    @read_once
     def lhs_head(self) -> HyperSpec:
         """The left side's 3F2 spec (2a, b; 2b + j), whatever the
         argument, which the tail carries."""
         (an, ad), (bn, bd) = self.a_pair, self.b_pair
         return HyperSpec(((2 * an, ad), (bn, bd)), ((2 * bn + self.j * bd, bd),))
 
-    @functools.cached_property
+    @read_once
     def part_heads(self) -> tuple:
         """The even and the odd weighted term family before any tail, each
         a spec; the odd one is None when that part vanishes identically
@@ -463,13 +464,13 @@ class _Row:
         live = an != 0 and w_odd != (0,)
         return even, (odd if live else None)
 
-    @functools.cached_property
+    @read_once
     def even_scale(self) -> tuple:
         """The even Gamma prefactor as an integer pair."""
         return _memoized(self.memo, even_prefactor, self.j,
                          self.b).as_integer_ratio()
 
-    @functools.cached_property
+    @read_once
     def odd_scale(self) -> tuple:
         """2a/(2b+j) times the odd Gamma prefactor, as an unreduced
         integer pair."""
@@ -481,7 +482,7 @@ class _Row:
                            self.b).as_integer_ratio()
         return 2 * an * bd * pn, ad * lower * pd
 
-    @functools.cached_property
+    @read_once
     def corollary_heads(self) -> tuple:
         """The corollaries' (j, a, b) part: the first series' head spec,
         the second's signed scale over d/e (which each case applies) as
@@ -523,7 +524,7 @@ class _Row:
         scale = c * an * bd, ad * (x * bn + y * bd)
         return HyperSpec(*first), scale, HyperSpec(*second) if an else None
 
-    @functools.cached_property
+    @read_once
     def polynomial(self) -> tuple:
         """The transformation's left side at a = -m, an exact polynomial
         of degree at most 2m, and 2m."""
@@ -535,13 +536,23 @@ class _Row:
         given order.  The even part is scaled by its Gamma prefactor; the
         odd part by its Gamma prefactor times 2a/(2b+j).  The odd part is
         skipped outright when it vanishes identically (weight zero, as at
-        j = 0, or a = 0), so no Gamma poles are touched for dead terms."""
+        j = 0, or a = 0), so no Gamma poles are touched for dead terms.
+        Each part is walked as integers (see hyper._weighted_pair), the
+        even walk, its scale, the odd walk, its scale in that order, and
+        the scaled parts are reduced once, over one denominator."""
         even, odd = self.part_heads
-        total = weighted_series(even, order).scale(Fraction(*self.even_scale))
-        if odd is not None:
-            total = total + weighted_series(odd, order).scale(
-                Fraction(*self.odd_scale))
-        return total
+        nums, den = _weighted_pair(even, order)
+        pn, pd = self.even_scale
+        if odd is None:
+            return TruncatedSeries.over([x * pn for x in nums], den * pd)
+        odd_nums, odd_den = _weighted_pair(odd, order)
+        qn, qd = self.odd_scale
+        # pn/pd nums/den + qn/qd odd_nums/odd_den over one denominator,
+        # reduced once
+        p, q = pn * odd_den * qd, qn * den * pd
+        return TruncatedSeries.over(
+            [x * p + y * q for x, y in zip(nums, odd_nums)],
+            den * pd * odd_den * qd)
 
     def left(self, column, argument=(2, 1)) -> tuple:
         """theorem_lhs at a column and an argument pair, as an unreduced
@@ -584,8 +595,8 @@ class _Row:
         table entry is read, so this path shares only the sum kernel, the
         moment tails and _two_parts with the weighted sums it
         cross-checks: its heads and its scales are its own, and it reads
-        none of the weighted sums' values."""
-        self._check_terminates(column)
+        none of the weighted sums' values.  The caller has checked the
+        identity's hypotheses at the column (see _check_terminates)."""
         first, scale, second = self.corollary_heads
         return _two_parts(column, first, (1, 1), second, lambda: scale)
 

@@ -15,12 +15,11 @@ parameters into the ratio rows that `_walk_terms` steps, and applies
 the legality rule before it hands them over.
 """
 
-import functools
 import math
 import operator
 from fractions import Fraction
 
-from .value import Value, as_fraction
+from .value import Value, as_fraction, read_once
 
 
 class TruncatedSeries(Value):
@@ -49,7 +48,7 @@ class TruncatedSeries(Value):
         series.__dict__.update(numerators=nums, denominator=denominator)
         return series
 
-    @functools.cached_property
+    @read_once
     def coefficients(self) -> tuple:
         den = self.denominator
         return tuple(Fraction(x, den) for x in self.numerators)

@@ -15,7 +15,10 @@ integer pairs; the Fraction reduction here, with one Pochhammer symbol
 per pair, is the reference it is checked against.  The package keeps
 the corollary and pipeline sides as methods of a (j, a, b) row over one
 (d, e) column; `corollary_rhs` and `beta_integral_pipeline` here read
-them on one case, each pair as a Fraction.
+them on one case, each pair as a Fraction.  The package adds the two
+scaled parts of the transformation's right side over one denominator
+and reduces once; `composed_transform_rhs` here reduces each part, each
+scaling and the sum, as the package once did.
 """
 
 import math
@@ -35,6 +38,7 @@ from hyperverify.hyper import (
     check_lower,
     ratio_rows,
 )
+from hyperverify.hyper import weighted_series
 from hyperverify.identities import _Column, _Row
 from hyperverify.series import TruncatedSeries
 
@@ -149,9 +153,24 @@ def eval_terminating(*specs) -> Fraction:
 
 
 def corollary_rhs(case) -> Fraction:
-    """The closed corollary right side of one case, |j| <= 3."""
-    row = _Row(case.j, case.a, case.b)
-    return Fraction(*row.corollary_rhs_pair(_Column(case.d, case.e)))
+    """The closed corollary right side of one case, |j| <= 3, after the
+    identity's hypotheses, which a sweep checks before the left side."""
+    row, column = _Row(case.j, case.a, case.b), _Column(case.d, case.e)
+    row._check_terminates(column)
+    return Fraction(*row.corollary_rhs_pair(column))
+
+
+def composed_transform_rhs(j, a, b, order) -> TruncatedSeries:
+    """The transformation's right side as the package composed it before
+    it reduced once: each part a reduced weighted_series, scaled by its
+    scale as a Fraction, and the two parts added, every step reduced."""
+    row = _Row(j, Fraction(a), Fraction(b))
+    even, odd = row.part_heads
+    total = weighted_series(even, order).scale(Fraction(*row.even_scale))
+    if odd is not None:
+        total = total + weighted_series(odd, order).scale(
+            Fraction(*row.odd_scale))
+    return total
 
 
 def beta_integral_pipeline(case) -> tuple:

@@ -11,6 +11,7 @@ from hyperverify.errors import (
     NonTerminatingSeries,
 )
 from hyperverify.hyper import (
+    HyperSpec,
     check_lower,
     ratio_rows,
     series_in_z,
@@ -44,6 +45,42 @@ class TestTermination:
         assert family.rows(2) is family.rows(2)
         assert family.rows(3) == ratio_rows(
             family.num_pairs, family.den_pairs, family.arg_pair, 3)
+
+
+class TestSpecContract:
+    # stop and first_pole are read off the reduced pairs, and the integer
+    # weight is the weight over its least common denominator: ([1], 1)
+    # for the unit weight, given or by default.
+    @pytest.mark.parametrize("weight, integer_weight", [
+        (None, ([1], 1)),
+        ((F(1),), ([1], 1)),
+        ((F(1, 2), F(-2, 3), F(0)), ([3, -4, 0], 6)),
+        ((F(4), F(-6)), ([4, -6], 1)),
+    ])
+    def test_stop_pole_and_integer_weight(self, weight, integer_weight):
+        # unreduced pairs, of either sign: -6/3 = -2 is an upper stop,
+        # -4/2 = -2 and 3/-1 = -3 lower poles, -1/2 none
+        kwargs = {} if weight is None else {"weight": weight}
+        family = HyperSpec(((-6, 3), (5, 2), (-7, 1)),
+                           ((-4, 2), (3, -1), (-1, 2)), (4, -2), **kwargs)
+        assert (family.num_pairs, family.den_pairs, family.arg_pair) == (
+            ((-2, 1), (5, 2), (-7, 1)), ((-2, 1), (-3, 1), (-1, 2)), (-2, 1))
+        assert family.weight == (weight or (F(1),))
+        assert (family.stop, family.first_pole) == (2, -2)
+        assert family.stop == weighted_termination(family)
+        assert family.integer_weight == integer_weight
+        assert HyperSpec(((1, 2),), ((3, 1),)).first_pole is None
+        assert HyperSpec(((1, 2),), ((3, 1),)).stop is None
+
+    @pytest.mark.parametrize("weight", [None, (F(1),), (F(1, 2), F(3))])
+    def test_specs_never_share_an_integer_weight(self, weight):
+        kwargs = {} if weight is None else {"weight": weight}
+        one, two = (HyperSpec(((-2, 1),), ((1, 2),), **kwargs)
+                    for _ in range(2))
+        assert one.integer_weight == two.integer_weight
+        assert one.integer_weight[0] is not two.integer_weight[0]
+        one.integer_weight[0].append(7)
+        assert len(two.integer_weight[0]) == len(weight or (1,))
 
 
 def truncated_sum(family, up_to):

@@ -15,6 +15,7 @@ from hyperverify import (
     InvalidCase,
     PoleError,
     UnsupportedJ,
+    VerificationError,
     hyper,
     identities,
     suites,
@@ -37,10 +38,13 @@ from hyperverify.identities import (
     kummer_rhs_series,
     odd_prefactor,
 )
+from hyperverify.series import TruncatedSeries
+from hyperverify.value import read_once
 from series_oracle import (
     beta_integral_pipeline,
     binomial,
     compose,
+    composed_transform_rhs,
     corollary_rhs,
     mobius_arg,
     spec,
@@ -48,8 +52,8 @@ from series_oracle import (
 
 
 def count_builds(monkeypatch, owner, name, calls, key):
-    """Make the cached_property owner.name append key(instance) to
-    `calls` each time it builds its value; its caching stays its own."""
+    """Make the read_once owner.name append key(instance) to `calls`
+    each time it builds its value; its caching stays its own."""
     prop = vars(owner)[name]
     build = prop.func
 
@@ -262,6 +266,39 @@ class TestGenTransform:
             assert side.denominator == math.lcm(
                 *(c.denominator for c in side.coefficients))
             assert math.gcd(side.denominator, *side.numerators) == 1
+
+    def test_right_side_reduced_once_matches_the_composition(self):
+        # The right side adds its two scaled parts over one denominator
+        # and reduces once; the old composition reduces each part, each
+        # scaling and the sum.  They give the same series, or raise the
+        # same error: at 2b + j = 0, the odd scale's pole, and at the
+        # Gamma prefactors' poles at an integer b.  a = 0 has no odd
+        # part, a = -m gives a polynomial, and j = 0 a dead odd weight.
+        def outcome(build):
+            try:
+                return build()
+            except VerificationError as err:
+                return f"{type(err).__name__}: {err}"
+
+        errors = Counter()
+        for j in range(-5, 6):
+            for a in (F(1, 4), F(0), F(-1, 2), F(-2), F(-3), F(5, 3)):
+                for b in (F(1, 3), F(2, 7), F(-5, 2), F(-j, 2), F(-1),
+                          F(0), F(3)):
+                    for order in (0, 1, 12):
+                        fused, composed = (
+                            outcome(lambda: rhs(j, a, b, order))
+                            for rhs in (gen_transform_rhs_series,
+                                        composed_transform_rhs))
+                        assert fused == composed, (j, a, b, order)
+                        if type(fused) is str:
+                            errors[fused.split(":")[0]] += 1
+        assert set(errors) == {"DenominatorPoleBeforeTermination",
+                               "PoleError"}
+        # at a = -1/2 both parts end at term 0, so only the scale raises
+        assert outcome(lambda: gen_transform_rhs_series(
+            1, F(-1, 2), F(-1, 2), 12)) == (
+            "DenominatorPoleBeforeTermination: denominator parameter 0")
 
     def test_parity_split(self):
         # even coefficients come only from the even part, odd only from the
@@ -501,6 +538,55 @@ class TestCorollaries:
         )
         assert len(records) == 7 * 2 * 2 * 4 * 2
         assert all(r.status == "passed" for r in records)
+
+
+class TestReadOnce:
+    # A row's invariants, a column's tails and a series' coefficients are
+    # read_once attributes: built at the first read, kept in the
+    # instance's __dict__, and built again only where the build raised.
+    @pytest.mark.parametrize("owner, name", [
+        (identities._Row, name) for name in (
+            "lhs_head", "part_heads", "even_scale", "odd_scale",
+            "corollary_heads", "polynomial")] + [
+        (identities._Column, "tails"), (TruncatedSeries, "coefficients")])
+    def test_each_cache_is_a_read_once_attribute(self, owner, name):
+        prop = vars(owner)[name]
+        assert type(prop) is read_once and getattr(owner, name) is prop
+        assert prop.__doc__ == prop.func.__doc__
+
+    def test_each_instance_builds_once(self, monkeypatch):
+        calls = []
+        count_builds(monkeypatch, identities._Row, "even_scale", calls,
+                     lambda row: (row.j, row.a, row.b))
+        count_builds(monkeypatch, TruncatedSeries, "coefficients", calls,
+                     lambda series: series.numerators)
+        rows = [identities._Row(3, F(-1), F(1, 3)) for _ in range(2)]
+        for row in rows:
+            scale = row.even_scale
+            assert row.even_scale is scale and vars(row)["even_scale"] is scale
+        series = TruncatedSeries.over([1, 2], 3)
+        assert series.coefficients is series.coefficients == (F(1, 3), F(2, 3))
+        assert calls == [(3, F(-1), F(1, 3))] * 2 + [(1, 2)]
+
+    @pytest.mark.parametrize("row, name, error", [
+        # 2b + j = 0: the odd scale's factor 2a/(2b + j)
+        ((1, F(-1, 2), F(-1, 2)), "odd_scale",
+         "DenominatorPoleBeforeTermination: denominator parameter 0"),
+        # no closed corollary form past |j| = 3
+        ((4, F(-1), F(1, 3)), "corollary_heads",
+         "UnsupportedJ: shift j=4 not supported (|j| must be <= 3)"),
+    ])
+    def test_a_build_that_raises_keeps_nothing(self, row, name, error,
+                                               monkeypatch):
+        calls = []
+        count_builds(monkeypatch, identities._Row, name, calls, id)
+        row = identities._Row(*row)
+        for _ in range(2):
+            with pytest.raises(VerificationError) as raised:
+                getattr(row, name)
+            assert f"{type(raised.value).__name__}: {raised.value}" == error
+            assert name not in vars(row)
+        assert calls == [id(row)] * 2
 
 
 class TestPipeline:

@@ -216,6 +216,34 @@ def test_spec_of_unreduced_pairs_is_the_spec_of_reduced_pairs(
         lambda: eval_terminating(reduced))
 
 
+@given(
+    st.lists(small_rationals, max_size=4),
+    st.lists(small_rationals, max_size=4),
+    st.one_of(st.none(), st.just([F(1)]),
+              st.lists(small_rationals, min_size=1, max_size=3)),
+)
+def test_spec_keeps_its_definitions(nums, dens, weight):
+    # stop: the least -p over the nonpositive integer upper parameters;
+    # first_pole: the largest nonpositive integer lower parameter;
+    # integer_weight: the weight over the lcm of its denominators, a new
+    # list in every spec, the default unit weight included.
+    kwargs = {} if weight is None else {"weight": tuple(weight)}
+    one, two = (HyperSpec([x.as_integer_ratio() for x in nums],
+                          [x.as_integer_ratio() for x in dens], **kwargs)
+                for _ in range(2))
+
+    def poles(xs):
+        return [int(x) for x in xs if x.denominator == 1 and x <= 0]
+
+    assert one.stop == min((-p for p in poles(nums)), default=None)
+    assert one.first_pole == max(poles(dens), default=None)
+    ints, den = one.integer_weight
+    assert den == math.lcm(*(w.denominator for w in one.weight))
+    assert [F(n, den) for n in ints] == list(one.weight) == (weight or [1])
+    assert two.integer_weight == one.integer_weight
+    assert two.integer_weight[0] is not ints
+
+
 @given(series_strategy(), series_strategy(), series_strategy())
 def test_series_ring_axioms(f, g, h):
     assert (f * g).coefficients == (g * f).coefficients
