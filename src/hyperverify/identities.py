@@ -418,8 +418,9 @@ class _Row:
     per-case arithmetic of every check lives here: each method takes one
     column (see _Column) and computes one side of one case.  The row
     caches what its cases share: each invariant is a read_once
-    attribute, built at the first column that needs it, and `lefts` keeps each left
-    side under its column's (d, e) pairs and the argument's pair.
+    attribute, built at the first column that needs it, and `lefts`
+    keeps each left side under its column's (d, e) pairs and the
+    argument's pair.
     `memo` is the sweep memo, which keeps the row under (j, a, b) and
     the left sides' prefactors and tails in one table per (a, argument),
     which `tails` holds by argument; a one-case row, made with none,
