@@ -357,9 +357,7 @@ def _pool_map(fn, items, jobs: int) -> list:
     its whole share itself with `fn` as given, then reads each worker's
     one reply.  The list of results, in item order, is returned after
     the pool has shut down, so no worker outlives the call.  Each
-    process gets its own copy of `fn`, so a memo that `fn` carries
-    serves the whole share there, and the caller's share works the
-    caller's memo itself.
+    worker process maps its share with its own copy of `fn`.
     """
     items = list(items)
     workers = min(jobs, len(_cpu_mask()) or os.cpu_count() or 1, len(items))
@@ -373,21 +371,7 @@ def _pool_map(fn, items, jobs: int) -> list:
     return [replies[i % workers][i // workers] for i in range(len(items))]
 
 
-def _sweep(config: SweepConfig, jobs: int) -> list:
-    checks = tuple(_CHECK_FOR_CONFIG[c] for c in config.checks)
-    argument = 2 if config.theorem_argument == "two" else 1
-    # The builtin map itself at --jobs 1, so that a tracer can time each
-    # job: a row of the theorem family, or one kummer or transform case.
-    mapper = map if jobs == 1 else functools.partial(_pool_map, jobs=jobs)
-    records = grid_sweep(
-        config.j_set, config.a_set, config.b_set, config.d_set,
-        config.e_set, checks, series_order=config.series_order,
-        theorem_argument=argument, mapper=mapper,
-    )
-    return sorted(records, key=_sort_key)
-
-
-def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
+def run(config_path: str, out_path: str | None = None) -> int:
     """Execute a sweep config and emit the JSON report; returns the exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -398,7 +382,12 @@ def run(config_path: str, out_path: str | None = None, jobs: int = 1) -> int:
         print(f"hyperverify: config error: {err}", file=sys.stderr)
         return 2
 
-    records = _sweep(config, jobs)
+    records = sorted(grid_sweep(
+        config.j_set, config.a_set, config.b_set, config.d_set,
+        config.e_set, tuple(_CHECK_FOR_CONFIG[c] for c in config.checks),
+        series_order=config.series_order,
+        theorem_argument=2 if config.theorem_argument == "two" else 1,
+    ), key=_sort_key)
     summary = _summary(records)
     # every record is formatted before anything is written, so a value
     # past the int-string conversion limit writes no report
@@ -491,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the sweep config")
     p_run.add_argument("--out", help="write the report here instead of stdout")
     p_run.add_argument("--jobs", type=_int_text, default=1,
-                       help="worker processes (default 1)")
+                       help="accepted and ignored: run evaluates in one "
+                       "process")
 
     p_self = sub.add_parser("selftest", help="run the built-in canonical suites")
     p_self.add_argument("--jobs", type=_int_text, default=1,
@@ -517,7 +507,7 @@ def main(argv=None) -> int:
         print("hyperverify: --jobs must be >= 1", file=sys.stderr)
         return 2
     if args.command == "run":
-        return run(args.config, args.out, args.jobs)
+        return run(args.config, args.out)
     if args.command == "selftest":
         return selftest(args.jobs)
     # the subcommand is required, so this one is table

@@ -766,8 +766,7 @@ def _sides(lhs, rhs) -> tuple:
 
 
 def _evaluate_row(job, table, order, argument, memo) -> list:
-    """Worker for one job (check, j, a, b); top level so process pools
-    can import it.
+    """The records of one job (check, j, a, b).
 
     Every check but kummer reads the (j, a, b) row (see _Row), which it
     takes from the memo, so the row keeps its invariants and left sides
@@ -856,8 +855,8 @@ def grid_sweep(
     Record order is deterministic: checks in canonical order, then the
     product of the sets in their declared element order.  The kummer check
     only depends on (a, b) and the transform check on (j, a, b); those
-    sweep the reduced product.  `mapper` may be a pool's order-preserving
-    map; per-case errors are embedded in the records, never raised.
+    sweep the reduced product.  `mapper` may be any order-preserving map;
+    per-case errors are embedded in the records, never raised.
 
     Every job is (check, j, a, b).  The theorem, corollary and pipeline
     checks sweep one (j, a, b) row at a time over the sweep's (d, e)
@@ -875,10 +874,7 @@ def grid_sweep(
     per set of columns, whose columns keep their moment tails (see
     _Column).  `memo` is the dict to keep the entries in, a fresh one
     when None; every entry is a pure function of its key, so a memo that
-    earlier sweeps filled leaves the records as they are.  Under cli's
-    pool map the jobs are dealt round-robin, the caller works its own
-    share with this memo, and each worker process works its share with
-    its own copy.
+    earlier sweeps filled leaves the records as they are.
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

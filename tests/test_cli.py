@@ -445,16 +445,14 @@ class TestDeterminism:
         _, second, _ = invoke(["run", "--config", cfg], capsys)
         assert first == second
 
-    def test_parallel_run_matches_serial(self, tmp_path, capsys):
+    def test_run_report_is_the_same_at_jobs_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.GRID)
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        invoke(["run", "--config", cfg, "--out", str(serial)], capsys)
-        invoke(
-            ["run", "--config", cfg, "--out", str(parallel), "--jobs", "2"],
-            capsys,
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
+        one = tmp_path / "one.json"
+        two = tmp_path / "two.json"
+        invoke(["run", "--config", cfg, "--out", str(one)], capsys)
+        invoke(["run", "--config", cfg, "--out", str(two), "--jobs", "2"],
+               capsys)
+        assert one.read_bytes() == two.read_bytes()
 
     def test_records_sorted_by_check_then_case(self, tmp_path, capsys):
         # The second grid repeats values and declares b out of order: the
@@ -566,7 +564,6 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
     # A stub pool records how it is built and which shares it is handed,
     # and maps them in process, so no worker process is started.  The
     # caller maps the first share itself, so the stub sees the rest.
-    from hyperverify import identities
     from hyperverify.suites import ALL_SUITES
 
     started = []
@@ -602,39 +599,22 @@ def test_one_pool_per_invocation_clamped_to_cpu_count(
         cli._suite_summary, (), ["memo"])
     assert (second, third) == (list(ALL_SUITES[1::3]), list(ALL_SUITES[2::3]))
 
-    # run: the job list dealt round-robin to two workers, the even jobs
-    # in the caller and the odd ones in one worker
-    grid = TestDeterminism.GRID
-    sweep_jobs = []
+    # run maps its sweep in process at every --jobs: the grid at
+    # --jobs 2 and 8 starts no pool
+    grid_cfg = write_config(tmp_path, TestDeterminism.GRID, "grid.json")
+    for jobs in ("2", "8"):
+        assert invoke(["run", "--config", grid_cfg, "--jobs", jobs],
+                      capsys)[0] == 1
+    assert started == [2]
 
-    def capture(fn, items):
-        sweep_jobs.extend(items)
-        return map(fn, items)
-
-    identities.grid_sweep(
-        grid["jSet"], [F(a) for a in grid["aSet"]],
-        [F(b) for b in grid["bSet"]], [F(d) for d in grid["dSet"]],
-        [F(e) for e in grid["eSet"]],
-        ("theorem", "corollary", "transform", "kummer", "pipeline"),
-        series_order=grid["seriesOrder"], mapper=capture,
-    )
-    grid_cfg = write_config(tmp_path, grid, "grid.json")
-    assert invoke(["run", "--config", grid_cfg, "--jobs", "2"], capsys)[0] == 1
-    assert started == [2, 1]
-    _, share = submitted[2]
-    assert share == sweep_jobs[1::2]
-
-    # a one-record run, and any run on a single CPU, start no pool, even
-    # where the host has more CPUs than the process may run on
-    one_cfg = write_config(tmp_path, CANONICAL_CONFIG)
-    assert invoke(["run", "--config", one_cfg, "--jobs", "2"], capsys)[0] == 0
+    # a selftest on a single CPU starts no pool, even where the host has
+    # more CPUs than the process may run on
     monkeypatch.setattr(cli, "_cpu_mask", lambda: {0})
-    assert invoke(["run", "--config", grid_cfg, "--jobs", "8"], capsys)[0] == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli.selftest(jobs=2) == 1
     capsys.readouterr()
-    assert started == [2, 1]
-    assert len(submitted) == 3
+    assert started == [2]
+    assert len(submitted) == 2
 
 
 def _item_and_pid(item):
@@ -845,21 +825,13 @@ class TestRealPool:
         assert multiprocessing.active_children() == []
 
     def test_three_workers_keep_record_order_and_bytes(
-        self, monkeypatch, tmp_path, capsys
+        self, monkeypatch, capsys
     ):
         allow_shares(monkeypatch, 3)
         assert cli.selftest(jobs=1) == 1
         serial = capsys.readouterr().out
         assert cli.selftest(jobs=3) == 1
         assert capsys.readouterr().out == serial
-        cfg = write_config(tmp_path, TestDeterminism.GRID)
-        reports = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"report-{jobs}.json"
-            invoke(["run", "--config", cfg, "--out", str(out), "--jobs", jobs],
-                   capsys)
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
         assert multiprocessing.active_children() == []
 
 
@@ -898,6 +870,16 @@ def test_selftest_builds_no_record_side(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256
 
 
+def run_report(config, out, jobs):
+    """run's exit code on `config`, its report written to `out`: called
+    directly at --jobs 1, and through main with the flag at any other
+    --jobs, which leaves the report as it is."""
+    if jobs == 1:
+        return cli.run(config, str(out))
+    return cli.main(["run", "--config", config, "--out", str(out),
+                     "--jobs", str(jobs)])
+
+
 def assert_golden_report(tmp_path, capsys, jobs, argument=None):
     config = str(GOLDEN_CONFIG)
     summary = {"passed": 414, "failed": 78, "errored": 0, "skipped": 1200}
@@ -908,7 +890,7 @@ def assert_golden_report(tmp_path, capsys, jobs, argument=None):
         summary = {"passed": 241, "failed": 251, "errored": 0, "skipped": 1200}
         digest = GOLDEN_ONE_SHA256
     out = tmp_path / "report.json"
-    assert cli.run(config, str(out), jobs=jobs) == 1
+    assert run_report(config, out, jobs) == 1
     capsys.readouterr()
     body = out.read_bytes()
     report = json.loads(body)
@@ -931,10 +913,9 @@ def test_golden_report_is_byte_identical(tmp_path, capsys):
     assert_golden_report(tmp_path, capsys, jobs=1)
 
 
-def test_golden_report_under_a_pool(tmp_path, capsys):
-    """The same digest from worker processes, each evaluating its
-    round-robin share of the jobs with its own memo (in process on a
-    single-CPU host)."""
+def test_golden_report_at_jobs_two(tmp_path, capsys):
+    """The same digest at --jobs 2: run evaluates in one process at
+    every --jobs."""
     assert_golden_report(tmp_path, capsys, jobs=2)
 
 
@@ -958,7 +939,7 @@ def test_five_check_report_is_byte_identical(tmp_path, capsys, jobs):
     """The five-check grid's report, pinned by its sha256 as the golden
     report is, and kept the same by any change meant to keep verdicts."""
     out = tmp_path / "report.json"
-    assert cli.run(str(FIVE_CHECK_CONFIG), str(out), jobs=jobs) == 1
+    assert run_report(str(FIVE_CHECK_CONFIG), out, jobs) == 1
     capsys.readouterr()
     body = out.read_bytes()
     report = json.loads(body)
@@ -985,7 +966,7 @@ def test_left_side_pole_past_the_series_order(tmp_path, capsys):
     compare truncated coefficients instead: 2 pass and 2 fail."""
     cfg = write_config(tmp_path, POLE_PAST_ORDER_CONFIG)
     out = tmp_path / "report.json"
-    assert cli.run(cfg, str(out), jobs=1) == 1
+    assert cli.run(cfg, str(out)) == 1
     capsys.readouterr()
     body = out.read_bytes()
     report = json.loads(body)

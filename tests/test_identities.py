@@ -853,10 +853,10 @@ class TestGridSweep:
         assert len(calls) == 2 * len(records)
 
     def test_filled_memo_pickles(self, monkeypatch):
-        # A pool pickles the memo with each share it sends.  A memo that
-        # all six suites filled, rows and their left sides included, comes
-        # back whole: the suites read every Gamma prefactor from it, and
-        # their records are those of a fresh run.
+        # A memo is plain data: one that all six suites filled, rows and
+        # their left sides included, comes back whole from a pickle: the
+        # suites read every Gamma prefactor from it, and their records
+        # are those of a fresh run.
         memo = {}
         for suite in suites.ALL_SUITES:
             suite.run(memo)

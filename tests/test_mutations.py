@@ -71,7 +71,7 @@ def test_a_blind_spot_of_the_selftest_grid(monkeypatch, tmp_path, capsys):
                  lambda b, n: (3 * b - 1) * (5 * b - 2) * (7 * b - 2))
     assert suite_failures() == CLEAN
     out = tmp_path / "report.json"
-    assert cli.run(str(FIVE_CHECK_CONFIG), str(out), jobs=1) == 1
+    assert cli.run(str(FIVE_CHECK_CONFIG), str(out)) == 1
     capsys.readouterr()
     assert json.loads(out.read_bytes())["summary"] == {
         "passed": 9522 - 142, "failed": 539 + 142, "errored": 0,

@@ -160,9 +160,9 @@ def test_record_fields_and_status():
 
 def test_swept_records_survive_a_pickle_round_trip_unread():
     # A sweep's record keeps its sides in the integer forms of the sweep
-    # until they are read, and a pool worker pickles it so: restored, it
-    # equals the record and reads sides of the same types, a tuple of
-    # Fractions for a series check and a Fraction for the others.
+    # until they are read, and pickles so: restored, it equals the
+    # record and reads sides of the same types, a tuple of Fractions for
+    # a series check and a Fraction for the others.
     kummer = grid_sweep((), (-1,), (F(1, 3),), (), (), ("kummer",),
                         series_order=6)
     transform = grid_sweep((1,), (F(1, 4),), (F(1, 3),), (), (),
@@ -258,19 +258,22 @@ def test_importing_the_cli_loads_no_dataclasses_machinery():
 
 
 def test_a_run_in_one_process_loads_no_process_pool():
-    # Only --jobs 2 and up start a pool, so a selftest at --jobs 1 never
-    # imports concurrent.futures or multiprocessing.
+    # Only selftest --jobs 2 and up start a pool, so neither a selftest
+    # at --jobs 1 nor a run at --jobs 2 imports concurrent.futures or
+    # multiprocessing; both exit 1 on their failures.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    golden = str(ROOT / "tests" / "golden_config.json")
     code = ("import contextlib, io, sys\n"
             "from hyperverify import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['selftest', '--jobs', '1'])\n"
+            "    codes = [cli.main(['selftest', '--jobs', '1']),\n"
+            f"             cli.main(['run', '--config', {golden!r}, '--jobs', '2'])]\n"
             "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
-            "print(code, sorted(loaded))")
+            "print(*codes, sorted(loaded))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "1 []\n"
+    assert out.stdout == "1 1 []\n"
 
 
 @pytest.mark.parametrize("err", [
