@@ -16,7 +16,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .identities import J_LIMIT, VerificationRecord, coeff_A, coeff_B, grid_sweep
+from .identities import (J_LIMIT, _SERIES_ORDER, VerificationRecord, coeff_A,
+                         coeff_B, grid_sweep)
 from .suites import ALL_SUITES, J_FULL
 
 # Config check name -> grid_sweep check name; "corollaries" is the config
@@ -104,7 +105,7 @@ def _parse_rational_list(raw, where: str) -> tuple:
 
 class SweepConfig(namedtuple(
         "SweepConfig", "checks j_set a_set b_set d_set e_set series_order "
-        "theorem_argument", defaults=((),) * 6 + (24, "two"))):
+        "theorem_argument", defaults=((),) * 6 + (_SERIES_ORDER, "two"))):
     __slots__ = ()
 
     @classmethod
@@ -140,7 +141,7 @@ class SweepConfig(namedtuple(
                     f"jSet: j={_shown(j)} outside [{-J_LIMIT}, {J_LIMIT}]")
             j_set.append(j)
 
-        order = raw.get("seriesOrder", 24)
+        order = raw.get("seriesOrder", _SERIES_ORDER)
         if isinstance(order, bool) or not isinstance(order, int):
             raise ConfigParseError("seriesOrder: expected an integer")
         if not 1 <= order <= MAX_SERIES_ORDER:
@@ -485,7 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the built-in canonical suites")
     p_self.add_argument("--jobs", type=_int_text, default=1,
-                        help="worker processes (default 1)")
+                        help="processes that share the six suites, this one "
+                        "included, so 2 starts one worker; at most one per "
+                        "suite and per CPU it may run on (default 1)")
 
     p_table = sub.add_parser("table", help="print the weight table at (b, n)")
     p_table.add_argument("--j", type=_int_text, help="single shift (default: all)")

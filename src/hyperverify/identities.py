@@ -108,6 +108,10 @@ COEFF_TABLE = {
 J_LIMIT = max(COEFF_TABLE)
 COROLLARY_J_LIMIT = 3
 
+# The series order of the kummer and transform checks, where a sweep, a
+# suite or a config names none.
+_SERIES_ORDER = 24
+
 
 def _table_row(j: int):
     try:
@@ -197,10 +201,11 @@ def _weight_terms(j: int, part: int) -> tuple:
 
 def _memoized(memo, compute, /, *args, **kwargs):
     """compute(*args, **kwargs), kept in the memo dict under (compute,
-    *args), each Fraction entered as its integer pair so a lookup hashes
-    no Fraction.  Every kept value is a hit, None included.  Only values
-    are kept: a compute that raises raises again at its next lookup, and
-    each such helper raises before it sums anything."""
+    *args), each Fraction argument entered as its integer pair so a
+    row's lookup hashes no Fraction.  Every kept value is a hit, None
+    included.  Only values are kept: a compute that raises raises again
+    at its next lookup, and each such helper raises before it sums
+    anything."""
     key = (compute, *[x.as_integer_ratio() if type(x) is Fraction else x
                       for x in args])
     try:
@@ -359,17 +364,35 @@ def _lhs_tail(a: tuple, d: tuple, e: tuple, argument: tuple) -> tuple:
 class _Column:
     """One (d, e) column of the theorem family, or no column (the
     default), as a kummer or transform case has: d, e, whether d is a
-    nonpositive integer, and the (d, e) integer pairs, which key its
-    left side in a row.  Its moment tails are built at their first
-    read.  Only the two right sides read them, and a sweep keeps its
-    columns in one column table (see _columns), so each column's tails
-    are built at most once per sweep, and never for the pipeline."""
+    nonpositive integer, the (d, e) integer pairs, and what (d, e)
+    determines, each built at its first read: the right sides' moment
+    tails, the left side's tails and the pipeline's moment lists."""
 
     def __init__(self, d: Fraction | None = None, e: Fraction | None = None):
         self.d, self.e, self.d_branch, self.pairs = d, e, False, None
+        self.left_tails, self.moment_lists = {}, {}
         if d is not None:
             self.d_branch = is_nonpositive_integer(d)
             self.pairs = d.as_integer_ratio(), e.as_integer_ratio()
+
+    def left_tail(self, a_pair: tuple, argument: tuple) -> tuple:
+        """The left side's prefactor, as an integer pair, and its tail at
+        a and the argument (see _lhs_tail), kept under their pairs."""
+        key = a_pair, argument
+        tail = self.left_tails.get(key)
+        if tail is None:
+            prefactor, spec = _lhs_tail(a_pair, *self.pairs, argument)
+            tail = self.left_tails[key] = prefactor.as_integer_ratio(), spec
+        return tail
+
+    def moments(self, degree: int) -> tuple:
+        """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
+        common denominator), kept under the degree."""
+        moments = self.moment_lists.get(degree)
+        if moments is None:
+            moments = self.moment_lists[degree] = _common_denominator(
+                [beta_moment(p, self.d, self.e) for p in range(degree + 1)])
+        return moments
 
     @read_once
     def tails(self) -> tuple:
@@ -388,10 +411,10 @@ class _Column:
 _NO_COLUMN = _Column()
 
 
-def _columns(columns) -> list:
-    """The column table of a sweep's (d, e) integer pairs, one _Column
-    each; every check of a sweep reads the one table."""
-    return [_Column(Fraction(*d), Fraction(*e)) for d, e in columns]
+def _columns(d_set: tuple, e_set: tuple) -> list:
+    """The column table of a sweep, one _Column per (d, e) in the
+    product of the sets; every check of a sweep reads the one table."""
+    return [_Column(d, e) for d in d_set for e in e_set]
 
 
 def _two_parts(column, first, first_scale, second, second_scale) -> tuple:
@@ -414,22 +437,16 @@ def _two_parts(column, first, first_scale, second, second_scale) -> tuple:
 
 class _Row:
     """The (j, a, b) part of the theorem family's cases, for a shift j
-    of the table: a row is refused (UnsupportedJ) at any other.  The
-    per-case arithmetic of every check lives here: each method takes one
-    column (see _Column) and computes one side of one case.  The row
-    caches what its cases share: each invariant is a read_once
-    attribute, built at the first column that needs it, and `lefts`
-    keeps each left side under its column's (d, e) pairs and the
-    argument's pair.
-    `memo` is the sweep memo, which keeps the row under (j, a, b) and
-    the left sides' prefactors and tails in one table per (a, argument),
-    which `tails` holds by argument; a one-case row, made with none,
-    keeps a memo of its own."""
+    of the table (UnsupportedJ at any other): each method computes one
+    side of one case at one column (see _Column).  Each invariant is a
+    read_once attribute, and `lefts` keeps each left side under its
+    column's pairs and the argument's pair.  `memo` is the sweep memo,
+    which keeps the row under (j, a, b); a one-case row keeps its own."""
 
     def __init__(self, j: int, a: Fraction, b: Fraction, memo=None):
         _table_row(j)
         self.j, self.a, self.b = j, a, b
-        self.memo, self.lefts, self.tails = {} if memo is None else memo, {}, {}
+        self.memo, self.lefts = {} if memo is None else memo, {}
         self.a_pair, self.b_pair = a.as_integer_ratio(), b.as_integer_ratio()
         self.a_branch = is_nonpositive_integer(a)
 
@@ -558,22 +575,11 @@ class _Row:
     def left(self, column, argument=(2, 1)) -> tuple:
         """theorem_lhs at a column and an argument pair, as an unreduced
         integer pair kept in `lefts`: theorem at argument 2, corollary
-        and pipeline sum it once.  Its prefactor, as an integer pair, and
-        its tail are kept in the tail table of (a, argument) under the
-        column's pairs, and the row fetches that table once per
-        argument."""
+        and pipeline sum it once, from the column's left tail."""
         key = column.pairs, argument
         left = self.lefts.get(key)
         if left is None:
-            tails = self.tails.get(argument)
-            if tails is None:
-                tails = self.tails[argument] = self.memo.setdefault(
-                    (_lhs_tail, self.a_pair, argument), {})
-            tail = tails.get(column.pairs)
-            if tail is None:
-                prefactor, spec = _lhs_tail(self.a_pair, *column.pairs, argument)
-                tail = tails[column.pairs] = prefactor.as_integer_ratio(), spec
-            (pn, pd), spec = tail
+            (pn, pd), spec = column.left_tail(self.a_pair, argument)
             sn, sd = _terminating_pair(self.lhs_head, spec)
             left = self.lefts[key] = pn * sn, pd * sd
         return left
@@ -610,11 +616,10 @@ class _Row:
         convergence regime of the underlying integrals."""
         if not self.a_branch:
             raise InvalidCase("pipeline needs a to be a nonpositive integer")
-        d, e = column.d, column.e
-        if not 0 < d < e:
+        if not 0 < column.d < column.e:
             raise InvalidCase("pipeline needs d > 0 and e - d > 0")
         poly, degree = self.polynomial
-        moments, m_den = _memoized(self.memo, _moments, degree, d, e)
+        moments, m_den = column.moments(degree)
         return (sum(map(operator.mul, poly.numerators, moments)),
                 poly.denominator * m_den)
 
@@ -654,13 +659,6 @@ def beta_moment(power: int, d, e) -> Fraction:
     if not odd:
         return pochhammer_duplication(d, n) / pochhammer_duplication(e, n)
     return (d / e) * pochhammer_duplication(d + 1, n) / pochhammer_duplication(e + 1, n)
-
-
-def _moments(degree: int, d: Fraction, e: Fraction) -> tuple:
-    """beta_moment(p, d, e) for p = 0..degree as (integer numerators,
-    common denominator)."""
-    return _common_denominator([beta_moment(p, d, e)
-                                for p in range(degree + 1)])
 
 
 class _Side:
@@ -773,12 +771,11 @@ def _evaluate_row(job, table, order, argument, memo) -> list:
     for every check that reads them.  What the row alone decides, its
     shift and, for a corollary, the closed forms' bound, is checked once
     for all its columns.  A theorem, corollary or pipeline job runs the
-    row over the sweep's column table (see _columns), whose columns keep
-    their moment tails from their first read; its records come in column
-    order, each side from a _Row method as an integer pair, and the
-    theorem sums its left side at the argument.  A kummer or transform
-    job is one case, at the series order.  Each record keeps its sides
-    in these forms (see VerificationRecord).
+    row over the sweep's column table (see _columns); its records come
+    in column order, each side from a _Row method as an integer pair,
+    and the theorem sums its left side at the argument.  A kummer or
+    transform job is one case, at the series order.  Each record keeps
+    its sides in these forms (see VerificationRecord).
     """
     check, j, a, b = job
     series = check in ("kummer", "transform")
@@ -845,7 +842,7 @@ def grid_sweep(
     d_set,
     e_set,
     checks,
-    series_order: int = 24,
+    series_order: int = _SERIES_ORDER,
     theorem_argument=2,
     mapper=map,
     memo=None,
@@ -859,20 +856,12 @@ def grid_sweep(
     per-case errors are embedded in the records, never raised.
 
     Every job is (check, j, a, b).  The theorem, corollary and pipeline
-    checks sweep one (j, a, b) row at a time over the sweep's (d, e)
-    columns: the summation identity is the transformation pushed through
-    the beta moments, and every case splits into a row part and a column
-    part.  The column table, the series order and the argument's pair
-    are bound once into the mapped function, the table looked up only
-    when a theorem-family check runs.
+    checks run one (j, a, b) row (see _Row) at a time over the sweep's
+    (d, e) columns (see _Column), the summation identity being the
+    transformation pushed through the beta moments.
 
-    Whatever cases share is kept once per memo (see _memoized), values
-    only, so every record equals the one its case gives on its own: each
-    row (see _Row) under (j, a, b), the helpers scoped to (j, b) or a
-    column's beta moments under (helper, *args), the left side's tails
-    in one table per (a, argument) (see _Row.left), and one column table
-    per set of columns, whose columns keep their moment tails (see
-    _Column).  `memo` is the dict to keep the entries in, a fresh one
+    `memo` keeps, values only, each row, the helpers scoped to (j, b) and
+    one column table per set of columns (see _memoized), a fresh dict
     when None; every entry is a pure function of its key, so a memo that
     earlier sweeps filled leaves the records as they are.
     """
@@ -881,20 +870,17 @@ def grid_sweep(
         raise ValueError(f"unknown checks: {unknown}")
     # one Fraction per set element, shared by every job that uses it
     a_set, b_set, d_set, e_set = (
-        [as_fraction(x, name) for x in s]
+        tuple(as_fraction(x, name) for x in s)
         for s, name in zip((a_set, b_set, d_set, e_set), "abde"))
     argument = _ratio(theorem_argument, "theorem_argument")
-    # the (d, e) columns, as integer pairs, that every row runs over
-    columns = tuple((d.as_integer_ratio(), e.as_integer_ratio())
-                    for d in d_set for e in e_set)
     run = [c for c in CHECK_NAMES if c in checks
-           and (columns or c in ("kummer", "transform"))]
+           and ((d_set and e_set) or c in ("kummer", "transform"))]
     jobs = [(check, j, a, b) for check in run
             for j in ((None,) if check == "kummer" else j_set)
             for a in a_set for b in b_set]
     memo = {} if memo is None else memo
     table = (None if set(run) <= {"kummer", "transform"}
-             else _memoized(memo, _columns, columns))
+             else _memoized(memo, _columns, d_set, e_set))
     rows = mapper(functools.partial(_evaluate_row, table=table,
                                     order=series_order, argument=argument,
                                     memo=memo), jobs)

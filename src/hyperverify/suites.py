@@ -7,7 +7,7 @@ acceptance battery of the test suite, so they live here once.
 from collections import namedtuple
 from fractions import Fraction
 
-from .identities import COROLLARY_J_LIMIT, J_LIMIT, grid_sweep
+from .identities import COROLLARY_J_LIMIT, J_LIMIT, _SERIES_ORDER, grid_sweep
 
 F = Fraction
 
@@ -16,7 +16,7 @@ J_COROLLARY = tuple(range(-COROLLARY_J_LIMIT, COROLLARY_J_LIMIT + 1))
 
 
 class Suite(namedtuple("Suite", "name checks j_set a_set b_set d_set e_set "
-                       "series_order", defaults=((),) * 5 + (24,))):
+                       "series_order", defaults=((),) * 5 + (_SERIES_ORDER,))):
     __slots__ = ()
 
     def run(self, memo=None):

@@ -874,28 +874,52 @@ class TestGridSweep:
     def test_memo_keeps_each_helper_at_its_scope(self, monkeypatch):
         # All six suites on one memo: one row per (j, a, b), the weight
         # polynomials and the prefactors per (j, b), each table entry's
-        # terms per (j, part), one table of the left side's tails per
-        # (a, argument), which builds one tail per (d, e), the moments
-        # per (degree, d, e) and one column table per set of columns.
-        # Whatever else a row computes, it keeps itself.
-        built = []
-        lhs_tail = identities._lhs_tail
+        # terms per (j, part) and one column table per set of columns.
+        # The columns build the left side's tails, one per (a, d, e,
+        # argument), and the pipeline's moment lists, one per (degree,
+        # d, e).  Whatever else a row computes, it keeps itself.
+        tails, lists = [], []
+        lhs_tail, beta_moment = identities._lhs_tail, identities.beta_moment
 
-        @functools.wraps(lhs_tail)
-        def counted(*args):
-            built.append(args)
+        def counted_tail(*args):
+            tails.append(args)
             return lhs_tail(*args)
 
-        monkeypatch.setattr(identities, "_lhs_tail", counted)
+        def counted_moment(power, d, e):
+            if power == 0:  # the first moment of each list
+                lists.append((d, e))
+            return beta_moment(power, d, e)
+
+        monkeypatch.setattr(identities, "_lhs_tail", counted_tail)
+        monkeypatch.setattr(identities, "beta_moment", counted_moment)
         memo = {}
         for suite in suites.ALL_SUITES:
             suite.run(memo)
         heads = Counter(key[0].__name__ for key in memo)
         assert heads == {"_Row": 165, "_weight_poly": 66, "_weight_terms": 22,
-                         "_lhs_tail": 6, "even_prefactor": 33,
-                         "odd_prefactor": 30, "_moments": 12, "_columns": 3}
-        assert len(built) == len(set(built)) == 52
-        assert sum(len(v) for k, v in memo.items() if k[0] is counted) == 52
+                         "even_prefactor": 33, "odd_prefactor": 30,
+                         "_columns": 3}
+        assert len(tails) == len(set(tails)) == 52
+        assert len(lists) == 12 and set(Counter(lists).values()) == {3}
+
+    def test_columns_keep_what_d_and_e_determine(self):
+        # The left side's tails and the pipeline's moment lists live on
+        # the (d, e) columns: every memo key names a row or a helper that
+        # _memoized keeps, no memo value is a table, the suites' columns
+        # hold all 52 tails and 12 lists, and no row keeps tails.
+        memo = {}
+        for suite in suites.ALL_SUITES:
+            suite.run(memo)
+        assert {key[0].__name__ for key in memo} <= {
+            "_Row", "_weight_poly", "_weight_terms", "even_prefactor",
+            "odd_prefactor", "_columns"}
+        assert not any(isinstance(v, dict) for v in memo.values())
+        columns = [column for key, table in memo.items()
+                   if key[0] is identities._columns for column in table]
+        assert sum(len(column.left_tails) for column in columns) == 52
+        assert sum(len(column.moment_lists) for column in columns) == 12
+        rows = [v for v in memo.values() if isinstance(v, identities._Row)]
+        assert rows and not any(hasattr(row, "tails") for row in rows)
 
     def test_stored_none_is_a_memo_hit(self):
         # A helper may return None, as a termination index does for a

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hyperverify import cli, identities
+from hyperverify.hyper import HyperSpec
 from hyperverify.identities import COEFF_TABLE
 from hyperverify.series import TruncatedSeries
 from hyperverify.suites import ALL_SUITES
@@ -105,21 +106,59 @@ def doubled_past_three(fn):
     return patched
 
 
+def second_scale_doubled(fn):
+    """_Row.corollary_heads with the second series' scale doubled."""
+    def patched(row):
+        first, (sn, sd), second = fn(row)
+        return first, (2 * sn, sd), second
+    return patched
+
+
+def d_over_e_doubled(fn):
+    """_Column.tails with its d/e pair doubled."""
+    def patched(column):
+        first, second, (n, d) = fn(column)
+        return first, second, (2 * n, d)
+    return patched
+
+
+def even_third_raised(fn):
+    """_Row.part_heads with the even head's third upper parameter raised
+    by 1."""
+    def patched(row):
+        even, odd = fn(row)
+        nums = list(even.num_pairs)
+        p, q = nums[2]
+        nums[2] = p + q, q
+        return HyperSpec(nums, even.den_pairs, even.arg_pair,
+                         weight=even.weight,
+                         power_offset=even.power_offset), odd
+    return patched
+
+
 # Failures off j = -5 per suite, in suite order, with one component's
-# value doubled where the identities module reads it.  Each side of
-# each check is reached: the even and odd Gamma prefactors of the
-# weighted sums, the left side's prefactor (theorem and corollary
-# through their left side, the pipeline through the side it replays),
-# the duplication step of the pipeline's moments, the kummer check's
-# own right side, and the transformation's left side (the transform
-# check, and the polynomial the pipeline pushes through the moments).
+# value changed where the identities module reads it: a module-level
+# name, or a read_once attribute "Class.name", patched through its
+# func.  Each side of each check is reached: the even and odd Gamma
+# prefactors and the heads of the weighted sums, the left side's
+# prefactor (theorem and corollary through their left side, the
+# pipeline through the side it replays), the duplication step of the
+# pipeline's moments, the moment tails' d/e, the corollary closed
+# forms, both sides of the kummer check, and the transformation's left
+# side (the transform check, and the polynomial the pipeline pushes
+# through the moments).  Doubling a tail spec's weight would move no
+# count: _terminating_pair reads only the head's weight.
 COMPONENTS = {
     "even_prefactor": (doubled, (0, 40, 480, 320, 0, 0)),
     "odd_prefactor": (doubled, (0, 36, 432, 288, 0, 0)),
     "_lhs_tail": (doubled_prefactor, (0, 0, 480, 320, 336, 239)),
     "pochhammer_duplication": (doubled_past_three, (0, 0, 0, 0, 0, 192)),
     "kummer_rhs_series": (doubled, (20, 0, 0, 0, 0, 0)),
+    "gen_transform_lhs_series": (doubled, (20, 0, 0, 0, 0, 0)),
     "transform_lhs_recurrence": (doubled, (0, 40, 0, 0, 0, 239)),
+    "_Row.corollary_heads": (second_scale_doubled, (0, 0, 0, 0, 288, 0)),
+    "_Column.tails": (d_over_e_doubled, (0, 0, 432, 288, 288, 0)),
+    "_Row.part_heads": (even_third_raised, (0, 40, 480, 240, 0, 0)),
 }
 
 
@@ -128,5 +167,10 @@ def test_doubling_a_component_fails_the_checks_that_read_it(monkeypatch,
                                                             name):
     patch, counts = COMPONENTS[name]
     assert suite_failures(skip_j=-5) == (0,) * 6
-    monkeypatch.setattr(identities, name, patch(getattr(identities, name)))
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        target = vars(getattr(identities, owner))[attr]
+        monkeypatch.setattr(target, "func", patch(target.func))
+    else:
+        monkeypatch.setattr(identities, name, patch(getattr(identities, name)))
     assert suite_failures(skip_j=-5) == counts
